@@ -33,6 +33,7 @@ from .ingest import (
 from .pvalue import (
     PValueFlavor,
     PValueSupport,
+    PValueTable,
     TwoSidedPValues,
     bt_outcome_pvalues,
     bt_pvalues,
@@ -41,6 +42,7 @@ from .pvalue import (
     fet_pvalues,
     fet_support,
     null_support,
+    pvalue_table,
     two_sided,
 )
 from .sim import (
@@ -82,6 +84,7 @@ __all__ = [
     "ProcedureStats",
     "PValueFlavor",
     "PValueSupport",
+    "PValueTable",
     "SimConfig",
     "SimSummary",
     "StepUpResult",
@@ -111,6 +114,7 @@ __all__ = [
     "mid_vs_conventional",
     "null_support",
     "poisson",
+    "pvalue_table",
     "pvalue_tables",
     "quantile",
     "report_rows",

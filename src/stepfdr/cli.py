@@ -4,8 +4,8 @@ Subcommands: analyze (count table in, rejection report out), simulate
 (Monte Carlo cells or the full study grid), support (p-value supports and
 the pooled max-CDF of a dataset), compare (mid versus conventional
 rejection counts).  Exit codes: 0 success, 1 usage error, 2 data error,
-3 internal invariant violation.  Identical inputs and seeds produce
-byte-identical outputs.
+3 internal error (an invariant violation or any other ValueError from the
+library).  Identical inputs and seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -186,13 +186,9 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
 def support(input_path, test, flavor, fmt, output) -> None:
     """Dump each hypothesis's p-value support and the pooled max-CDF."""
     records = _load(input_path)
-    if test == "fet":
-        for record in records:
-            if record.n1 is None:
-                raise DataError(
-                    f"record {record.id!r}: Fisher-exact analysis needs trial totals")
-    _, supports = ingest.pvalue_tables(records, test, PValueFlavor(flavor))
-    max_cdf = stepup.build_max_cdf(supports)
+    table = ingest.pvalue_tables(records, test, PValueFlavor(flavor))
+    max_cdf = stepup.build_max_cdf(table.supports)
+    supports = [table.supports[j] for j in table.support_index]
     if fmt == "json":
         payload = {
             "schema_version": 1,
@@ -265,12 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         print(_diagnostic("usage", exc.format_message()), file=sys.stderr)
         return 1
-    except InvariantViolation as exc:
-        print(_diagnostic("internal", str(exc)), file=sys.stderr)
-        return 3
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
         print(_diagnostic("data", str(exc)), file=sys.stderr)
         return 2
+    except (InvariantViolation, ValueError) as exc:
+        print(_diagnostic("internal", str(exc)), file=sys.stderr)
+        return 3
     return 0
 
 

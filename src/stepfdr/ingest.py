@@ -163,20 +163,20 @@ class AnalysisReport:
 
 
 def pvalue_tables(records: list[CountRecord], test: str,
-                   flavor: PValueFlavor) -> tuple[np.ndarray, list]:
+                  flavor: PValueFlavor) -> pvalue.PValueTable:
+    """The p-value table of `records` under `test` ("bt" or "fet")."""
     m = len(records)
-    p = np.empty(m)
-    supports = []
+    c1 = np.fromiter((r.c1 for r in records), dtype=np.int64, count=m)
+    c2 = np.fromiter((r.c2 for r in records), dtype=np.int64, count=m)
     if test == "bt":
-        for i, r in enumerate(records):
-            p[i] = pvalue.bt_outcome_pvalues(r.total, flavor)[r.c1]
-            supports.append(pvalue.bt_support(r.total, flavor))
-    else:
-        for i, r in enumerate(records):
-            lo = max(0, r.total - r.n2)
-            p[i] = pvalue.fet_outcome_pvalues(r.n1, r.n2, r.total, flavor)[r.c1 - lo]
-            supports.append(pvalue.fet_support(r.n1, r.n2, r.total, flavor))
-    return p, supports
+        return pvalue.pvalue_table(flavor, c1, c2)
+    for r in records:
+        if r.n1 is None:
+            raise DataError(
+                f"record {r.id!r}: Fisher-exact analysis needs trial totals")
+    n1 = np.fromiter((r.n1 for r in records), dtype=np.int64, count=m)
+    n2 = np.fromiter((r.n2 for r in records), dtype=np.int64, count=m)
+    return pvalue.pvalue_table(flavor, c1, c2, n1, n2)
 
 
 def analyze(records: list[CountRecord], test: str, alpha: float,
@@ -199,37 +199,32 @@ def analyze(records: list[CountRecord], test: str, alpha: float,
     procedures = tuple(name for name in PROCEDURE_CHOICES if name in procedures)
     if not records:
         raise DataError("no hypotheses to test")
-    if test == "fet":
-        for r in records:
-            if r.n1 is None:
-                raise DataError(
-                    f"record {r.id!r}: Fisher-exact analysis needs trial totals")
 
-    need_conv = "BH" in procedures or "BH+" in procedures
-    need_mid = "MidPBH+" in procedures
-    p_conv = sup_conv = p_mid = sup_mid = None
-    if need_conv:
-        p_conv, sup_conv = pvalue_tables(records, test, PValueFlavor.CONVENTIONAL)
-    if need_mid:
-        p_mid, sup_mid = pvalue_tables(records, test, PValueFlavor.MID)
+    conv = mid = None
+    if "BH" in procedures or "BH+" in procedures:
+        conv = pvalue_tables(records, test, PValueFlavor.CONVENTIONAL)
+    if "MidPBH+" in procedures:
+        mid = pvalue_tables(records, test, PValueFlavor.MID)
 
     results: dict[str, stepup.StepUpResult] = {}
     if "BH" in procedures:
-        results["BH"] = stepup.bh(p_conv, alpha)
+        results["BH"] = stepup.bh(conv.p, alpha)
     if "BH+" in procedures:
-        results["BH+"] = stepup.bh_plus(p_conv, sup_conv, alpha)
+        results["BH+"] = stepup.bh_plus(conv.p, conv, alpha)
     comparison = None
     if "MidPBH+" in procedures:
         if "BH+" in procedures:
             comparison = stepup.mid_vs_conventional(
-                results["BH+"], sup_mid, p_mid, alpha)
+                results["BH+"], mid, mid.p, alpha)
             results["MidPBH+"] = comparison.mid_result
         else:
-            results["MidPBH+"] = stepup.bh_plus(p_mid, sup_mid, alpha)
+            results["MidPBH+"] = stepup.bh_plus(mid.p, mid, alpha)
 
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures,
-        ids=tuple(r.id for r in records), p_conv=p_conv, p_mid=p_mid,
+        ids=tuple(r.id for r in records),
+        p_conv=None if conv is None else conv.p,
+        p_mid=None if mid is None else mid.p,
         results=results, comparison=comparison)
 
 

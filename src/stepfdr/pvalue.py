@@ -11,7 +11,7 @@ so equal rationals always produce bit-identical floats.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +22,8 @@ __all__ = [
     "PValueFlavor",
     "TwoSidedPValues",
     "PValueSupport",
+    "PValueTable",
+    "pvalue_table",
     "two_sided",
     "null_support",
     "bt_pvalues",
@@ -126,10 +128,7 @@ class _TieTable:
     p_mid: np.ndarray      # float Q per class, strictly increasing
 
 
-@lru_cache(maxsize=None)
 def _tie_table(dist: DiscreteDistribution) -> _TieTable:
-    # Cached by table identity; constructors behind bt/fet lookups intern
-    # one table per margin, so each table is classified once.
     if not dist.is_exact:
         raise ValueError(
             "two-sided p-values need exact rational weights; "
@@ -159,15 +158,14 @@ def _tie_table(dist: DiscreteDistribution) -> _TieTable:
     return _TieTable(class_of=class_of, l=l, e=e, p_conv=p_conv, p_mid=p_mid)
 
 
-def _support_with_map(dist: DiscreteDistribution,
+def _support_with_map(table: _TieTable,
                       flavor: PValueFlavor) -> tuple[PValueSupport, np.ndarray]:
-    """Build one flavor's support plus the tie-class -> point-index map.
+    """Build one flavor's support plus the outcome -> point-index map.
 
     Distinct tie classes have distinct rational p-values, but two of them can
     collapse to the same float; collapsed classes are merged onto one support
     point, keeping the largest (right-continuous) CDF value.
     """
-    table = _tie_table(dist)
     points = table.p_conv if flavor is PValueFlavor.CONVENTIONAL else table.p_mid
     cdf = table.p_conv
     keep = np.ones(points.size, dtype=bool)
@@ -179,6 +177,7 @@ def _support_with_map(dist: DiscreteDistribution,
     support = PValueSupport(flavor=flavor, points=points[keep],
                             cdf_values=cdf[last_class])
     outcome_to_point = point_index[table.class_of]
+    outcome_to_point.flags.writeable = False
     return support, outcome_to_point
 
 
@@ -201,49 +200,147 @@ def two_sided(dist: DiscreteDistribution, x0: int) -> TwoSidedPValues:
 
 def null_support(dist: DiscreteDistribution, flavor) -> PValueSupport:
     """The attainable p-values of `dist` for one flavor, with their null CDF."""
-    support, _ = _support_with_map(dist, _as_flavor(flavor))
+    support, _ = _support_with_map(_tie_table(dist), _as_flavor(flavor))
     return support
 
 
+# One entry per margin -- (total,) for bt, (n1, n2, total) for fet -- holds
+# both flavors' (support, outcome -> point map), so each margin's null table
+# is built and tie-classified once per process.
 @lru_cache(maxsize=None)
-def _bt_lookup(total: int, flavor: PValueFlavor) -> tuple[PValueSupport, np.ndarray]:
-    support, outcome_to_point = _support_with_map(binomial_null(total), flavor)
-    outcome_to_point.flags.writeable = False
-    return support, outcome_to_point
-
-
-@lru_cache(maxsize=None)
-def _fet_lookup(n1: int, n2: int, total: int,
-                flavor: PValueFlavor) -> tuple[PValueSupport, np.ndarray]:
-    support, outcome_to_point = _support_with_map(
-        hypergeometric_null(n1, n2, total), flavor)
-    outcome_to_point.flags.writeable = False
-    return support, outcome_to_point
+def _margin(*key: int) -> dict:
+    dist = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
+    table = _tie_table(dist)
+    return {flavor: _support_with_map(table, flavor) for flavor in PValueFlavor}
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
     """Cached binomial-test support for a fixed total count; interned per margin."""
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    return _bt_lookup(int(total), _as_flavor(flavor))[0]
+    return _margin(int(total))[_as_flavor(flavor)][0]
 
 
 def fet_support(n1: int, n2: int, total: int, flavor) -> PValueSupport:
     """Cached Fisher-exact support for fixed margins; interned per margin triple."""
-    return _fet_lookup(int(n1), int(n2), int(total), _as_flavor(flavor))[0]
+    return _margin(int(n1), int(n2), int(total))[_as_flavor(flavor)][0]
 
 
 def bt_outcome_pvalues(total: int, flavor) -> np.ndarray:
     """p-value of every outcome c1 = 0..total, as floats taken from the support."""
-    support, outcome_to_point = _bt_lookup(int(total), _as_flavor(flavor))
+    support, outcome_to_point = _margin(int(total))[_as_flavor(flavor)]
     return support.points[outcome_to_point]
 
 
 def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
     """p-value of every feasible outcome c1, aligned with the hypergeometric support."""
-    support, outcome_to_point = _fet_lookup(int(n1), int(n2), int(total),
-                                            _as_flavor(flavor))
+    support, outcome_to_point = _margin(int(n1), int(n2),
+                                        int(total))[_as_flavor(flavor)]
     return support.points[outcome_to_point]
+
+
+@dataclass(frozen=True, eq=False)
+class PValueTable:
+    """p-values of m tests in columns, each distinct support held once.
+
+    Test i lives on supports[support_index[i]], and its p-value p[i] is that
+    support's point_index[i]-th point, so every p-value is a point of its own
+    support by construction.
+    """
+
+    supports: tuple[PValueSupport, ...]
+    support_index: np.ndarray
+    point_index: np.ndarray
+    p: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        supports = tuple(self.supports)
+        support_index = np.asarray(self.support_index, dtype=np.int64)
+        point_index = np.asarray(self.point_index, dtype=np.int64)
+        if (support_index.ndim != 1 or support_index.size == 0
+                or point_index.shape != support_index.shape):
+            raise ValueError(
+                "support_index and point_index must be matching non-empty 1-D arrays")
+        sizes = np.array([len(s) for s in supports], dtype=np.int64)
+        if (support_index.min() < 0 or support_index.max() >= sizes.size
+                or point_index.min() < 0
+                or np.any(point_index >= sizes[support_index])):
+            raise ValueError("every test must index a point of one of the supports")
+        starts = np.cumsum(sizes) - sizes
+        p = np.concatenate([s.points for s in supports])[
+            starts[support_index] + point_index]
+        object.__setattr__(self, "supports", supports)
+        for name, arr in (("support_index", support_index),
+                          ("point_index", point_index), ("p", p)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of_supports(cls, pvalues, supports) -> "PValueTable":
+        """Group per-test supports by identity and place each p-value on its own.
+
+        Raises ValueError naming the first test whose p-value is not a point
+        of its support.
+        """
+        p = np.asarray(pvalues, dtype=np.float64)
+        if len(supports) != p.size:
+            raise ValueError(
+                f"got {p.size} p-values but {len(supports)} supports")
+        distinct = {id(s): s for s in supports}
+        slot = {key: j for j, key in enumerate(distinct)}
+        support_index = np.fromiter((slot[id(s)] for s in supports),
+                                    dtype=np.int64, count=p.size)
+        sizes = np.array([len(s) for s in distinct.values()], dtype=np.int64)
+        flat = np.concatenate([s.points for s in distinct.values()])
+        grid = np.unique(flat)
+        # Ranks in the pooled grid make (support, point) one integer key, and
+        # flat ascends in that key because each support's points ascend.
+        keys = (np.repeat(np.arange(sizes.size), sizes) * grid.size
+                + np.searchsorted(grid, flat))
+        rank = np.minimum(np.searchsorted(grid, p), grid.size - 1)
+        want = support_index * grid.size + rank
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        bad = np.flatnonzero((keys[pos] != want) | (grid[rank] != p))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"p-value {p[i]!r} of test {i} is not a point of its support")
+        starts = np.cumsum(sizes) - sizes
+        return cls(tuple(distinct.values()), support_index,
+                   pos - starts[support_index])
+
+
+def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
+    """One flavor's p-values of m count pairs, with their supports, as a table.
+
+    Without n1 and n2 each pair gets the binomial test given its total; with
+    them (arrays, or scalars shared by every test) it gets Fisher's exact
+    test given (n1, n2, total).  Tests are grouped by margin once, and each
+    p-value is gathered from its margin's outcome -> point map.
+    """
+    flavor = _as_flavor(flavor)
+    c1 = np.asarray(c1, dtype=np.int64)
+    c2 = np.asarray(c2, dtype=np.int64)
+    if np.any(c1 < 0) or np.any(c2 < 0):
+        raise ValueError("counts must be >= 0")
+    total = c1 + c2
+    if n1 is None:
+        margins, group = np.unique(total, return_inverse=True)
+        margins, outcome = margins[:, None], c1
+    else:
+        n1, n2, total = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
+                                            np.asarray(n2, dtype=np.int64), total)
+        if np.any(c1 > n1) or np.any(c2 > n2):
+            raise ValueError("impossible table: a count exceeds its trial total")
+        margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
+                                   return_inverse=True)
+        outcome = c1 - np.maximum(0, total - n2)
+    lookups = [_margin(*key)[flavor] for key in margins.tolist()]
+    group = group.reshape(-1)
+    sizes = np.array([o2p.size for _, o2p in lookups], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    point_index = np.concatenate([o2p for _, o2p in lookups])[starts[group] + outcome]
+    return PValueTable(tuple(s for s, _ in lookups), group, point_index)
 
 
 def bt_pvalues(c1: int, c2: int, flavor) -> tuple[float, PValueSupport]:
@@ -256,8 +353,7 @@ def bt_pvalues(c1: int, c2: int, flavor) -> tuple[float, PValueSupport]:
     c1, c2 = int(c1), int(c2)
     if c1 < 0 or c2 < 0:
         raise ValueError(f"counts must be >= 0, got ({c1}, {c2})")
-    flavor = _as_flavor(flavor)
-    support, outcome_to_point = _bt_lookup(c1 + c2, flavor)
+    support, outcome_to_point = _margin(c1 + c2)[_as_flavor(flavor)]
     return float(support.points[outcome_to_point[c1]]), support
 
 
@@ -274,7 +370,6 @@ def fet_pvalues(c1: int, c2: int, n1: int, n2: int,
     if c1 > n1 or c2 > n2:
         raise ValueError(
             f"impossible table: counts ({c1}, {c2}) exceed totals ({n1}, {n2})")
-    flavor = _as_flavor(flavor)
-    support, outcome_to_point = _fet_lookup(n1, n2, c1 + c2, flavor)
+    support, outcome_to_point = _margin(n1, n2, c1 + c2)[_as_flavor(flavor)]
     lo = max(0, c1 + c2 - n2)
     return float(support.points[outcome_to_point[c1 - lo]]), support

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
-from scipy import special as _special
-from scipy import stats as _scipy_stats
 
 from . import pvalue, stepup
 from .dist import Pareto
@@ -154,10 +152,12 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
         raise ValueError("blocks and block_size must be >= 1")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    from scipy import special  # only the block-dependence path needs scipy
+
     g = rng.standard_normal(blocks)
     eps = rng.standard_normal(blocks * block_size)
     z = np.sqrt(rho) * np.repeat(g, block_size) + np.sqrt(1.0 - rho) * eps
-    return _special.ndtr(z)
+    return special.ndtr(z)
 
 
 def _copula_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -188,8 +188,10 @@ def gen_poisson_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.poisson(theta)
     else:
+        from scipy import stats
+
         u = _copula_matrix(config, rng)
-        counts = _scipy_stats.poisson.ppf(u, theta).astype(np.int64)
+        counts = stats.poisson.ppf(u, theta).astype(np.int64)
     return theta, counts.astype(np.int64), TruthAssignment(m=m, m0=m0)
 
 
@@ -212,64 +214,35 @@ def gen_binomial_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.binomial(config.n, theta)
     else:
+        from scipy import stats
+
         u = _copula_matrix(config, rng)
-        counts = _scipy_stats.binom.ppf(u, config.n, theta).astype(np.int64)
+        counts = stats.binom.ppf(u, config.n, theta).astype(np.int64)
     return theta, counts.astype(np.int64), TruthAssignment(m=m, m0=m0)
 
 
 @dataclass(frozen=True, eq=False)
 class _RepTables:
-    """Per-replication p-values, supports and max-CDFs for both flavors."""
+    """Per-replication p-value tables and max-CDFs for both flavors."""
 
-    p_conv: np.ndarray
-    p_mid: np.ndarray
-    sup_conv: list
-    sup_mid: list
+    conv: pvalue.PValueTable
+    mid: pvalue.PValueTable
     mc_conv: stepup.MaxCdf
     mc_mid: stepup.MaxCdf
 
 
-def _bt_tables(counts: np.ndarray) -> _RepTables:
-    c1 = counts[:, 0]
-    totals = c1 + counts[:, 1]
-    m = c1.size
-    p_conv = np.empty(m)
-    p_mid = np.empty(m)
-    for t in np.unique(totals):
-        mask = totals == t
-        p_conv[mask] = pvalue.bt_outcome_pvalues(int(t), PValueFlavor.CONVENTIONAL)[c1[mask]]
-        p_mid[mask] = pvalue.bt_outcome_pvalues(int(t), PValueFlavor.MID)[c1[mask]]
-    sup_conv = [pvalue.bt_support(int(t), PValueFlavor.CONVENTIONAL) for t in totals]
-    sup_mid = [pvalue.bt_support(int(t), PValueFlavor.MID) for t in totals]
-    return _RepTables(p_conv, p_mid, sup_conv, sup_mid,
-                      stepup.build_max_cdf(sup_conv), stepup.build_max_cdf(sup_mid))
-
-
-def _fet_tables(counts: np.ndarray, n: int) -> _RepTables:
-    c1 = counts[:, 0]
-    totals = c1 + counts[:, 1]
-    m = c1.size
-    p_conv = np.empty(m)
-    p_mid = np.empty(m)
-    for t in np.unique(totals):
-        mask = totals == t
-        lo = max(0, int(t) - n)
-        p_conv[mask] = pvalue.fet_outcome_pvalues(
-            n, n, int(t), PValueFlavor.CONVENTIONAL)[c1[mask] - lo]
-        p_mid[mask] = pvalue.fet_outcome_pvalues(
-            n, n, int(t), PValueFlavor.MID)[c1[mask] - lo]
-    sup_conv = [pvalue.fet_support(n, n, int(t), PValueFlavor.CONVENTIONAL) for t in totals]
-    sup_mid = [pvalue.fet_support(n, n, int(t), PValueFlavor.MID) for t in totals]
-    return _RepTables(p_conv, p_mid, sup_conv, sup_mid,
-                      stepup.build_max_cdf(sup_conv), stepup.build_max_cdf(sup_mid))
+def _rep_tables(counts: np.ndarray, n: int | None) -> _RepTables:
+    """Tables of one replication: bt when n is None, else fet with n per group."""
+    conv, mid = (pvalue.pvalue_table(flavor, counts[:, 0], counts[:, 1], n, n)
+                 for flavor in (PValueFlavor.CONVENTIONAL, PValueFlavor.MID))
+    return _RepTables(conv, mid, stepup.build_max_cdf(conv.supports),
+                      stepup.build_max_cdf(mid.supports))
 
 
 def _generate(config: SimConfig, rng: np.random.Generator):
-    if config.test == "bt":
-        theta, counts, truth = gen_poisson_pair(config, rng)
-        return counts, truth, _bt_tables(counts)
-    theta, counts, truth = gen_binomial_pair(config, rng)
-    return counts, truth, _fet_tables(counts, config.n)
+    gen = gen_poisson_pair if config.test == "bt" else gen_binomial_pair
+    theta, counts, truth = gen(config, rng)
+    return counts, truth, _rep_tables(counts, config.n)
 
 
 def _fdp_tdp(rejected: np.ndarray, truth: TruthAssignment) -> tuple[float, float]:
@@ -283,15 +256,18 @@ def _fdp_tdp(rejected: np.ndarray, truth: TruthAssignment) -> tuple[float, float
 def _evaluate(tables: _RepTables, truth: TruthAssignment,
               alpha: float) -> tuple[tuple[float, float], ...]:
     """FDP and TDP of (BH, BH+, MidPBH+) on one replication."""
-    res_bh = stepup.bh(tables.p_conv, alpha)
-    res_bhp = stepup.bh_plus(tables.p_conv, tables.sup_conv, alpha,
+    res_bh = stepup.bh(tables.conv.p, alpha)
+    res_bhp = stepup.bh_plus(tables.conv.p, tables.conv, alpha,
                              max_cdf=tables.mc_conv)
-    if np.setdiff1d(res_bh.rejected, res_bhp.rejected).size:
+    # Both sets are {i : p_i <= threshold} on the same p-values, so the
+    # classical set lies inside the adaptive one iff it is no larger.
+    if res_bh.rejection_count > res_bhp.rejection_count:
         raise InvariantViolation(
-            "adaptive step-up did not contain the classical rejection set")
-    comparison = stepup.mid_vs_conventional(res_bhp, tables.sup_mid,
-                                            tables.p_mid, alpha,
-                                            max_cdf=tables.mc_mid)
+            f"adaptive step-up did not contain the classical rejection set at "
+            f"alpha={alpha}: BH rejected {res_bh.rejection_count}, "
+            f"BH+ {res_bhp.rejection_count}")
+    comparison = stepup.mid_vs_conventional(res_bhp, tables.mid, tables.mid.p,
+                                            alpha, max_cdf=tables.mc_mid)
     return (_fdp_tdp(res_bh.rejected, truth),
             _fdp_tdp(res_bhp.rejected, truth),
             _fdp_tdp(comparison.mid_result.rejected, truth))

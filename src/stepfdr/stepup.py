@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueSupport
+from .pvalue import PValueSupport, PValueTable
 
 __all__ = [
     "MaxCdf",
@@ -136,26 +136,34 @@ def _scan(p: np.ndarray, gamma: np.ndarray) -> tuple[int, float | None, np.ndarr
     return r, threshold, rejected
 
 
-def bh_plus(pvalues, supports: Sequence[PValueSupport], alpha: float,
-            *, max_cdf: MaxCdf | None = None) -> StepUpResult:
+def _as_table(p: np.ndarray, supports) -> PValueTable:
+    """The table of `supports` (a PValueTable or one support per test) for p."""
+    if not isinstance(supports, PValueTable):
+        return PValueTable.of_supports(p, supports)
+    if supports.p.size != p.size:
+        raise ValueError(f"got {p.size} p-values but a table of {supports.p.size}")
+    bad = np.flatnonzero(supports.p != p)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"p-value {p[i]!r} of test {i} is not its table's "
+                         f"support point {supports.p[i]!r}")
+    return supports
+
+
+def bh_plus(pvalues, supports: PValueTable | Sequence[PValueSupport],
+            alpha: float, *, max_cdf: MaxCdf | None = None) -> StepUpResult:
     """Step-up run against critical values adapted to the null supports.
 
+    `supports` is a PValueTable of these p-values or one support per test.
     Every p-value must be a point of its own support (exact float equality;
-    both sides come from the same rational-to-float conversion).  A
-    premultiplied `max_cdf` for the same supports may be passed to reuse work
-    across alpha levels.
+    both sides come from the same rational-to-float conversion), checked by
+    one vectorized comparison.  A premultiplied `max_cdf` for the same
+    supports may be passed to reuse work across alpha levels.
     """
     p = _validate_pvalues(pvalues)
-    if len(supports) != p.size:
-        raise ValueError(
-            f"got {p.size} p-values but {len(supports)} supports")
-    for i, (value, support) in enumerate(zip(p, supports)):
-        j = int(np.searchsorted(support.points, value))
-        if j == support.points.size or support.points[j] != value:
-            raise ValueError(
-                f"p-value {value!r} of test {i} is not a point of its support")
+    table = _as_table(p, supports)
     if max_cdf is None:
-        max_cdf = build_max_cdf(supports)
+        max_cdf = build_max_cdf(table.supports)
     gamma = critical_values(max_cdf, alpha, p.size)
     r, threshold, rejected = _scan(p, gamma)
     return StepUpResult(critical_values=gamma, rejection_count=r,
@@ -190,7 +198,7 @@ class MidComparison:
 
 
 def mid_vs_conventional(conv_result: StepUpResult,
-                        mid_supports: Sequence[PValueSupport],
+                        mid_supports: PValueTable | Sequence[PValueSupport],
                         mid_pvalues, alpha: float,
                         *, max_cdf: MaxCdf | None = None) -> MidComparison:
     """Run the step-up on mid p-values and test the count-ordering condition.
@@ -205,9 +213,10 @@ def mid_vs_conventional(conv_result: StepUpResult,
         raise ValueError(
             f"conventional run had m = {conv_result.critical_values.size}, "
             f"but got {m} mid p-values")
+    table = _as_table(p_mid, mid_supports)
     if max_cdf is None:
-        max_cdf = build_max_cdf(mid_supports)
-    mid_result = bh_plus(p_mid, mid_supports, alpha, max_cdf=max_cdf)
+        max_cdf = build_max_cdf(table.supports)
+    mid_result = bh_plus(p_mid, table, alpha, max_cdf=max_cdf)
     r_cp = conv_result.rejection_count
     if r_cp == 0:
         condition = True

@@ -141,10 +141,11 @@ def instance_batch():
                                    int(n1[j]), int(n2[j])) for j in range(m)]
             test = "fet"
         alpha = float(rng.uniform(0.02, 0.3))
-        p_conv, sup_conv = ingest.pvalue_tables(records, test, CONV)
-        p_mid, sup_mid = ingest.pvalue_tables(records, test, MID)
-        mc_conv = stepup.build_max_cdf(sup_conv)
-        mc_mid = stepup.build_max_cdf(sup_mid)
+        sup_conv = ingest.pvalue_tables(records, test, CONV)
+        sup_mid = ingest.pvalue_tables(records, test, MID)
+        p_conv, p_mid = sup_conv.p, sup_mid.p
+        mc_conv = stepup.build_max_cdf(sup_conv.supports)
+        mc_mid = stepup.build_max_cdf(sup_mid.supports)
 
         res_bh = stepup.bh(p_conv, alpha)
         res_plus = stepup.bh_plus(p_conv, sup_conv, alpha, max_cdf=mc_conv)

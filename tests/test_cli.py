@@ -4,10 +4,14 @@ Golden files under tests/golden/ hold byte-exact expected outputs; the
 deterministic kernels and fixed serialization make exact comparison safe.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import stepfdr
 from stepfdr import ingest
 from stepfdr.cli import main
 from stepfdr.errors import InvariantViolation
@@ -186,6 +190,24 @@ class TestExitCodes:
         assert code == 3
         assert captured.err.startswith("stepfdr: error: internal:")
 
+    def test_library_value_error_is_internal(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("alpha must lie in (0, 1), got 2.0")
+
+        monkeypatch.setattr(ingest, "analyze", boom)
+        code = main(["analyze", "--input", METH, "--test", "bt"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("stepfdr: error: internal:")
+
+    @pytest.mark.parametrize("body", [b"m\xe9,1,2\n", b"x" * 200_000 + b",1,2\n"],
+                             ids=["not-utf8", "oversized-field"])
+    def test_data_error_unreadable_input(self, tmp_path, capsys, body):
+        src = tmp_path / "unreadable.csv"
+        src.write_bytes(b"id,c1,c2\n" + body)
+        code = main(["analyze", "--input", str(src), "--test", "bt"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("stepfdr: error: data:")
+
     def test_subcommand_help_exits_zero(self, capsys):
         assert main(["analyze", "--help"]) == 0
         assert "Usage" in capsys.readouterr().out
@@ -247,3 +269,15 @@ class TestSupportCli:
         code = main(["support", "--input", str(src), "--test", "fet"])
         assert code == 2
         assert "trial totals" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the block-dependence simulation needs scipy, so importing the
+    command line must not load it."""
+    src = str(pathlib.Path(stepfdr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, stepfdr.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stepfdr import pvalue
 from stepfdr.dist import binomial_null, hypergeometric_null
 from stepfdr.errors import DataError
 from stepfdr.pvalue import (
@@ -203,6 +204,16 @@ def test_support_caching_returns_same_object():
     c = fet_support(7, 9, 6, MID)
     d = fet_support(7, 9, 6, MID)
     assert c is d
+
+
+def test_fresh_tables_grow_no_cache():
+    """Tie classes of tables built outside the margin caches are not kept."""
+    caches = [f for f in vars(pvalue).values() if hasattr(f, "cache_info")]
+    before = [f.cache_info().currsize for f in caches]
+    for _ in range(200):
+        null_support(binomial_null(5), CONV)
+        two_sided(hypergeometric_null(4, 6, 5), 2)
+    assert [f.cache_info().currsize for f in caches] == before
 
 
 def test_support_constructor_validation():

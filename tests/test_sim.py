@@ -211,8 +211,8 @@ def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
     assert p_a <= alpha / 2 < mid_cdf_b_at_q_a
     assert p_b > alpha
 
-    tables = sim._fet_tables(counts, n)
-    assert tables.p_conv.tolist() == [float(p_a), float(p_b)]
+    tables = sim._rep_tables(counts, n)
+    assert tables.conv.p.tolist() == [float(p_a), float(p_b)]
     bh, bh_plus, mid = sim._evaluate(tables, TruthAssignment(m=2, m0=0),
                                    float(alpha))
     assert bh == bh_plus == (0.0, 0.5)
