@@ -11,12 +11,8 @@ command-line tool.
 from .dist import (
     DiscreteDistribution,
     Pareto,
-    Uniform,
-    binomial,
     binomial_null,
     hypergeometric_null,
-    poisson,
-    quantile,
 )
 from .errors import DataError, InvariantViolation
 from .ingest import (
@@ -90,11 +86,9 @@ __all__ = [
     "StepUpResult",
     "TruthAssignment",
     "TwoSidedPValues",
-    "Uniform",
     "analyze",
     "bh",
     "bh_plus",
-    "binomial",
     "binomial_null",
     "bt_outcome_pvalues",
     "bt_pvalues",
@@ -113,10 +107,8 @@ __all__ = [
     "load_counts",
     "mid_vs_conventional",
     "null_support",
-    "poisson",
     "pvalue_table",
     "pvalue_tables",
-    "quantile",
     "report_rows",
     "report_summary",
     "run_cell",

@@ -1,9 +1,9 @@
-"""Discrete distributions with exact rational weights, plus quantile transforms.
+"""Exact discrete null distributions, plus the Pareto law of the simulation.
 
 Null distributions for the two exact tests keep their probability masses as
 big-integer numerators over a single common denominator so that downstream
-tie classification compares integers, never floats.  Float views are derived
-from the integers by one correctly rounded division per mass.
+tie classification compares integers, never floats.  No mass is ever held as
+a float, so no table underflows, however large its total.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ import numpy as np
 __all__ = [
     "DiscreteDistribution",
     "Pareto",
-    "Uniform",
     "binomial_null",
     "hypergeometric_null",
-    "binomial",
-    "poisson",
-    "quantile",
 ]
-
-# Truncation level for the upper tail of float-weight tables (Poisson).
-POISSON_TAIL = 1e-12
 
 
 def _check_nonneg_int(value, name: str) -> int:
@@ -43,71 +36,33 @@ class DiscreteDistribution:
 
     Parameters
     ----------
-    kind
-        Constructor tag: "binomial", "hypergeometric", or "poisson".
     support
         Strictly increasing integer outcomes; every outcome has positive mass.
-    probs
-        Float mass per outcome, in support order.
-    cdf
-        Cumulative float masses; ``cdf[-1]`` is 1 up to truncation error.
     numerators, denominator
-        Exact masses ``numerators[i] / denominator`` for tables that admit
-        them (binomial_null, hypergeometric_null); ``None`` for float-weight
-        tables.  When present, ``sum(numerators) == denominator`` exactly.
+        Exact masses ``numerators[i] / denominator``, in support order, with
+        ``sum(numerators) == denominator``.
     """
 
-    kind: str
     support: np.ndarray
-    probs: np.ndarray
-    cdf: np.ndarray
-    numerators: tuple[int, ...] | None = None
-    denominator: int | None = None
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=np.int64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        cdf = np.asarray(self.cdf, dtype=np.float64)
+        numerators = tuple(self.numerators)
         if support.ndim != 1 or support.size == 0:
             raise ValueError("support must be a non-empty 1-D integer array")
-        if probs.shape != support.shape or cdf.shape != support.shape:
-            raise ValueError("support, probs and cdf must have matching shapes")
         if support.size > 1 and not np.all(np.diff(support) > 0):
             raise ValueError("support must be strictly increasing")
-        if not np.all(probs > 0.0):
-            raise ValueError("every weight must be positive")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1 within truncation tolerance")
-        if self.numerators is not None:
-            if self.denominator is None or self.denominator <= 0:
-                raise ValueError("denominator must be a positive integer")
-            if len(self.numerators) != support.size:
-                raise ValueError("numerators must align with the support")
-            if any(n <= 0 for n in self.numerators):
-                raise ValueError("every weight numerator must be positive")
-            if sum(self.numerators) != self.denominator:
-                raise ValueError("exact weights must sum to exactly 1")
-        for name, arr in (("support", support), ("probs", probs), ("cdf", cdf)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.numerators is not None
-
-    def quantile(self, u):
-        """Smallest support value x with CDF(x) >= u, for u in (0, 1).
-
-        Accepts a scalar or an array; returns the matching shape.
-        """
-        u_arr = np.asarray(u, dtype=np.float64)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-            raise ValueError("u must lie strictly inside (0, 1)")
-        idx = np.searchsorted(self.cdf, u_arr, side="left")
-        # Truncated tables can leave cdf[-1] a hair below 1; clamp to the top.
-        idx = np.minimum(idx, self.support.size - 1)
-        out = self.support[idx]
-        return int(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+        if len(numerators) != support.size:
+            raise ValueError("numerators must align with the support")
+        if any(n <= 0 for n in numerators):
+            raise ValueError("every weight numerator must be positive")
+        if sum(numerators) != self.denominator:
+            raise ValueError("exact weights must sum to exactly 1")
+        support.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "numerators", numerators)
 
 
 @dataclass(frozen=True)
@@ -129,52 +84,14 @@ class Pareto:
         return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class Uniform:
-    """Uniform law on [a, b]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError("Uniform requires a < b")
-
-    def quantile(self, u):
-        u_arr = np.asarray(u, dtype=np.float64)
-        if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-            raise ValueError("u must lie in [0, 1]")
-        out = self.a + (self.b - self.a) * u_arr
-        return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
-
-
-def _from_exact(kind: str, support: np.ndarray, numerators: list[int],
-                denominator: int) -> DiscreteDistribution:
-    probs = np.array([n / denominator for n in numerators], dtype=np.float64)
-    cdf = np.empty_like(probs)
-    acc = 0
-    for i, n in enumerate(numerators):
-        acc += n
-        cdf[i] = acc / denominator
-    return DiscreteDistribution(
-        kind=kind,
-        support=support,
-        probs=probs,
-        cdf=cdf,
-        numerators=tuple(numerators),
-        denominator=denominator,
-    )
-
-
 def binomial_null(n: int) -> DiscreteDistribution:
     """Binomial(1/2, n): the null law of c1 given a fixed total c1 + c2 = n.
 
     Masses are C(n, x) / 2**n held exactly; n = 0 gives the point mass at 0.
     """
     n = _check_nonneg_int(n, "n")
-    numerators = [math.comb(n, x) for x in range(n + 1)]
-    return _from_exact("binomial", np.arange(n + 1, dtype=np.int64),
-                       numerators, 1 << n)
+    return DiscreteDistribution(np.arange(n + 1, dtype=np.int64),
+                                [math.comb(n, x) for x in range(n + 1)], 1 << n)
 
 
 def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
@@ -193,56 +110,5 @@ def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
     hi = min(n1, m_total)
     numerators = [math.comb(n1, x) * math.comb(n2, m_total - x)
                   for x in range(lo, hi + 1)]
-    return _from_exact("hypergeometric", np.arange(lo, hi + 1, dtype=np.int64),
-                       numerators, math.comb(n1 + n2, m_total))
-
-
-def _point_mass(kind: str, at: int) -> DiscreteDistribution:
-    one = np.array([1.0])
-    return DiscreteDistribution(kind, np.array([at], dtype=np.int64), one, one.copy())
-
-
-def binomial(theta: float, n: int) -> DiscreteDistribution:
-    """Binomial(theta, n) with float weights; zero-mass outcomes are dropped."""
-    n = _check_nonneg_int(n, "n")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if n == 0 or theta == 0.0:
-        return _point_mass("binomial", 0)
-    if theta == 1.0:
-        return _point_mass("binomial", n)
-    support = np.arange(n + 1, dtype=np.int64)
-    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-                         for x in range(n + 1)])
-    log_probs = log_comb + support * math.log(theta) + (n - support) * math.log1p(-theta)
-    probs = np.exp(log_probs)
-    keep = probs > 0.0
-    probs = probs[keep] / probs[keep].sum()
-    return DiscreteDistribution("binomial", support[keep], probs, np.cumsum(probs))
-
-
-def poisson(lam: float, tail: float = POISSON_TAIL) -> DiscreteDistribution:
-    """Poisson(lam) truncated at the smallest k whose upper-tail mass is < tail."""
-    if not lam >= 0.0 or not math.isfinite(lam):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return _point_mass("poisson", 0)
-    # Generous upper bound on the truncation point, then cut at the tail level.
-    k_max = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-    support = np.arange(k_max + 1, dtype=np.int64)
-    log_probs = -lam + support * math.log(lam) - np.array(
-        [math.lgamma(k + 1) for k in range(k_max + 1)])
-    probs = np.exp(log_probs)
-    cdf = np.cumsum(probs)
-    below = 1.0 - cdf < tail
-    cut = int(np.argmax(below)) if below.any() else k_max
-    support, probs, cdf = support[:cut + 1], probs[:cut + 1], cdf[:cut + 1]
-    keep = probs > 0.0
-    return DiscreteDistribution("poisson", support[keep], probs[keep], cdf[keep])
-
-
-def quantile(law, u):
-    """Quantile transform for a DiscreteDistribution, Pareto, or Uniform law."""
-    if not hasattr(law, "quantile"):
-        raise ValueError(f"object of type {type(law).__name__} has no quantile")
-    return law.quantile(u)
+    return DiscreteDistribution(np.arange(lo, hi + 1, dtype=np.int64),
+                                numerators, math.comb(n1 + n2, m_total))

@@ -129,10 +129,6 @@ class _TieTable:
 
 
 def _tie_table(dist: DiscreteDistribution) -> _TieTable:
-    if not dist.is_exact:
-        raise ValueError(
-            "two-sided p-values need exact rational weights; "
-            f"a {dist.kind} table with float weights cannot classify ties")
     nums = dist.numerators
     den = dist.denominator
     order = sorted(range(len(nums)), key=nums.__getitem__)

@@ -307,6 +307,9 @@ def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
 
     Valid because generation consumes no alpha-dependent randomness: the
     summaries are bit-identical to independent run_cell calls per alpha.
+    An InvariantViolation is re-raised with the replication index and every
+    config field (alpha the failing one) appended as ``[replication=r
+    field=repr ...]``, enough to regenerate that replication's data.
     """
     n_alpha = len(alphas)
     fdp = np.empty((n_alpha, 3, base.reps))
@@ -315,7 +318,14 @@ def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
         rng = np.random.default_rng([base.seed, r])
         _, truth, tables = _generate(base, rng)
         for a, alpha in enumerate(alphas):
-            for j, (f, t) in enumerate(_evaluate(tables, truth, alpha)):
+            try:
+                result = _evaluate(tables, truth, alpha)
+            except InvariantViolation as exc:
+                fields = dataclasses.asdict(dataclasses.replace(base, alpha=alpha))
+                where = " ".join(f"{k}={v!r}" for k, v in fields.items())
+                raise InvariantViolation(
+                    f"{exc} [replication={r} {where}]") from exc
+            for j, (f, t) in enumerate(result):
                 fdp[a, j, r] = f
                 tdp[a, j, r] = t
     return [_summarize(dataclasses.replace(base, alpha=alpha), fdp[a], tdp[a])

@@ -1,21 +1,16 @@
-"""Tests for exact null tables, float tables and quantile transforms."""
+"""Tests for the exact null tables and the Pareto law of the simulation."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from stepfdr.dist import (
     DiscreteDistribution,
     Pareto,
-    Uniform,
-    binomial,
     binomial_null,
     hypergeometric_null,
-    poisson,
-    quantile,
 )
 
 
@@ -24,7 +19,8 @@ def test_binomial_null_n2_masses():
     assert list(d.support) == [0, 1, 2]
     assert d.numerators == (1, 2, 1)
     assert d.denominator == 4
-    assert np.allclose(d.probs, [0.25, 0.5, 0.25])
+    assert [Fraction(n, d.denominator) for n in d.numerators] == [
+        Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_binomial_null_exact_sum():
@@ -43,8 +39,8 @@ def test_binomial_null_symmetry():
 def test_binomial_null_zero_is_point_mass():
     d = binomial_null(0)
     assert list(d.support) == [0]
-    assert d.probs[0] == 1.0
-    assert d.cdf[0] == 1.0
+    assert d.numerators == (1,)
+    assert d.denominator == 1
 
 
 def test_hypergeometric_unequal_margins():
@@ -82,36 +78,6 @@ def test_hypergeometric_impossible_total():
         hypergeometric_null(2, 2, 5)
 
 
-def test_discrete_quantile_smallest_qualifying_point():
-    d = binomial_null(2)
-    assert d.quantile(0.2) == 0
-    assert d.quantile(0.25) == 0
-    assert d.quantile(0.2500001) == 1
-    assert d.quantile(1.0 - 1e-12) == 2
-
-
-def test_discrete_quantile_rejects_bad_u():
-    d = binomial_null(2)
-    for u in (-0.1, 0.0, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            d.quantile(u)
-
-
-def test_quantile_monotone_in_u():
-    rng = np.random.default_rng(5)
-    d = binomial_null(9)
-    us = np.sort(rng.uniform(1e-9, 1 - 1e-9, 300))
-    xs = d.quantile(us)
-    assert np.all(np.diff(xs) >= 0)
-
-
-def test_quantile_cdf_idempotent_on_support():
-    d = hypergeometric_null(5, 7, 6)
-    for x, c in zip(d.support, d.cdf):
-        if c < 1.0:
-            assert d.quantile(c) == x
-
-
 def test_pareto_quantile():
     p = Pareto(3.0, 5.0)
     assert p.quantile(0.0) == 3.0
@@ -121,94 +87,35 @@ def test_pareto_quantile():
         p.quantile(1.0)
 
 
-def test_uniform_quantile():
-    u = Uniform(3.0, 5.5)
-    assert u.quantile(0.0) == 3.0
-    assert u.quantile(1.0) == 5.5
-    assert u.quantile(0.4) == pytest.approx(4.0)
-
-
-def test_quantile_dispatcher():
-    assert quantile(binomial_null(2), 0.2) == 0
-    assert quantile(Pareto(3.0, 5.0), 1e-12) == pytest.approx(3.0)
-    assert quantile(Uniform(0.0, 2.0), 0.5) == 1.0
-
-
-def test_binomial_float_matches_exact_table():
-    for n in (1, 5, 12):
-        exact = binomial_null(n)
-        approx = binomial(0.5, n)
-        assert np.allclose(approx.probs, exact.probs, atol=1e-12)
-
-
-def test_binomial_float_matches_scipy():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        theta = float(rng.uniform(0.05, 0.95))
-        d = binomial(theta, n)
-        assert np.allclose(d.probs, scipy.stats.binom.pmf(d.support, n, theta),
-                           atol=1e-12)
-
-
-def test_binomial_degenerate_theta():
-    d0 = binomial(0.0, 6)
-    assert list(d0.support) == [0] and d0.probs[0] == 1.0
-    d1 = binomial(1.0, 6)
-    assert list(d1.support) == [6] and d1.probs[0] == 1.0
-
-
-def test_poisson_truncation_and_mass():
-    for lam in (0.3, 2.0, 17.5):
-        d = poisson(lam)
-        tail = 1.0 - scipy.stats.poisson.cdf(d.support[-1] - 1, lam)
-        assert tail >= 0.0
-        assert 1.0 - scipy.stats.poisson.cdf(d.support[-1], lam) < 1e-12
-        assert abs(d.probs.sum() - 1.0) < 1e-9
-
-
-def test_poisson_matches_scipy_pmf():
-    d = poisson(4.2)
-    pmf = scipy.stats.poisson.pmf(d.support, 4.2)
-    assert np.allclose(d.probs, pmf / pmf.sum(), atol=1e-12)
-
-
-def test_poisson_quantile_agrees_with_scipy_ppf():
-    """Two independent quantile routes must agree away from jump points."""
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        lam = float(rng.uniform(0.2, 25.0))
-        d = poisson(lam)
-        us = rng.uniform(1e-6, 1 - 1e-6, 40)
-        ours = d.quantile(us)
-        theirs = scipy.stats.poisson.ppf(us, lam).astype(np.int64)
-        assert np.array_equal(ours, theirs), f"lam={lam}"
-
-
-def test_binomial_quantile_agrees_with_scipy_ppf():
-    rng = np.random.default_rng(29)
-    for _ in range(30):
-        n = int(rng.integers(1, 40))
-        theta = float(rng.uniform(0.1, 0.9))
-        d = binomial(theta, n)
-        us = rng.uniform(1e-6, 1 - 1e-6, 40)
-        ours = d.quantile(us)
-        theirs = scipy.stats.binom.ppf(us, n, theta).astype(np.int64)
-        assert np.array_equal(ours, theirs), f"n={n} theta={theta}"
+def test_large_totals_build_exactly():
+    """Totals whose smallest masses underflow a float still build exactly."""
+    for d in (binomial_null(1075), binomial_null(2000),
+              hypergeometric_null(700, 700, 700)):
+        assert all(n > 0 for n in d.numerators)
+        assert sum(d.numerators) == d.denominator
+        assert d.numerators[0] / d.denominator == 0.0
+    for n in (1075, 2000):
+        nums = binomial_null(n).numerators
+        assert len(nums) == n + 1
+        assert nums == nums[::-1]
 
 
 def test_constructor_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        DiscreteDistribution(kind="x", support=np.array([1, 0]),
-                             probs=np.array([0.5, 0.5]),
-                             cdf=np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        DiscreteDistribution(kind="x", support=np.array([0, 1]),
-                             probs=np.array([0.7, 0.7]),
-                             cdf=np.array([0.7, 1.4]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DiscreteDistribution(support=np.array([1, 0]), numerators=(1, 1),
+                             denominator=2)
+    with pytest.raises(ValueError, match="align"):
+        DiscreteDistribution(support=np.array([0, 1, 2]), numerators=(1, 1),
+                             denominator=2)
+    with pytest.raises(ValueError, match="positive"):
+        DiscreteDistribution(support=np.array([0, 1]), numerators=(2, 0),
+                             denominator=2)
+    with pytest.raises(ValueError, match="sum"):
+        DiscreteDistribution(support=np.array([0, 1]), numerators=(1, 2),
+                             denominator=4)
 
 
 def test_tables_are_read_only():
     d = binomial_null(3)
     with pytest.raises(ValueError):
-        d.probs[0] = 0.9
+        d.support[0] = 5

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo simulation harness."""
 
+import ast
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from stepfdr import sim
+from stepfdr.errors import InvariantViolation
 from stepfdr.sim import (
     PROCEDURES,
     SIM_ROW_FIELDS,
@@ -259,6 +261,45 @@ def test_block_dependence_runs_both_sharing_modes():
                          copula_sharing=sharing, reps=2, seed=3)
         summary = run_cell(cfg)
         assert set(summary.stats) == set(PROCEDURES)
+
+
+def test_invariant_violation_message_replays_its_replication(monkeypatch):
+    """The message alone regenerates the failing replication's counts."""
+    alphas, fail_rep, fail_alpha = (0.05, 0.1, 0.2), 2, 0.1
+    generated, calls = [], []
+    generate, evaluate = sim._generate, sim._evaluate
+
+    def recording_generate(config, rng):
+        out = generate(config, rng)
+        generated.append(out[0])
+        return out
+
+    def failing_evaluate(tables, truth, alpha):
+        calls.append(alpha)
+        if len(generated) - 1 == fail_rep and alpha == fail_alpha:
+            raise InvariantViolation("injected")
+        return evaluate(tables, truth, alpha)
+
+    monkeypatch.setattr(sim, "_generate", recording_generate)
+    monkeypatch.setattr(sim, "_evaluate", failing_evaluate)
+    with pytest.raises(InvariantViolation) as info:
+        run_grid("fet", pi0s=(0.7,), alphas=alphas, ns=(20,), etas=(), m=40,
+                 dependence="block", blocks=4, block_size=10, rho=0.3,
+                 reps=5, seed=7, copula_sharing="per-group")
+    monkeypatch.undo()
+    assert len(calls) == fail_rep * len(alphas) + 2
+
+    message = str(info.value)
+    assert message.startswith("injected [")
+    fields = {key: ast.literal_eval(value) for key, value in
+              (item.split("=", 1)
+               for item in message[len("injected ["):-1].split())}
+    r = fields.pop("replication")
+    config = SimConfig(**fields)
+    assert (r, config.alpha) == (fail_rep, fail_alpha)
+    counts, _, _ = sim._generate(config, np.random.default_rng([config.seed, r]))
+    assert np.array_equal(counts, generated[fail_rep])
+    assert not np.array_equal(counts, generated[fail_rep - 1])
 
 
 def test_summaries_to_rows_layout():
