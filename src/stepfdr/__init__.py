@@ -17,7 +17,7 @@ from .dist import (
 from .errors import DataError, InvariantViolation
 from .ingest import (
     AnalysisReport,
-    CountRecord,
+    CountTable,
     analyze,
     filter_hiv,
     filter_methylation,
@@ -69,7 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "CountRecord",
+    "CountTable",
     "DataError",
     "DiscreteDistribution",
     "InvariantViolation",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import sys
 
@@ -45,22 +46,16 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _csv_text(fieldnames, rows) -> str:
+    """A header line and one line per row; each row lists its cells in field order."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
     writer.writerows(rows)
     return buffer.getvalue()
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _load(input_path: str) -> list:
-    records = ingest.load_counts(input_path)
-    if not records:
-        raise DataError(f"{input_path}: no hypotheses to test")
-    return records
 
 
 @cli.command()
@@ -86,13 +81,13 @@ def _load(input_path: str) -> list:
 def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
             details_out) -> None:
     """Run the step-up procedures on a two-group count table."""
-    records = ingest.load_counts(input_path)
-    loaded = len(records)
+    table = ingest.load_counts(input_path)
+    loaded = len(table)
     if filter_name == "methylation":
-        records = ingest.filter_methylation(records)
+        table = table.select(ingest.filter_methylation(table))
     elif filter_name == "hiv":
-        records = ingest.filter_hiv(records)
-    report = ingest.analyze(records, test, alpha, _FLAVOR_PROCEDURES[flavor])
+        table = table.select(ingest.filter_hiv(table))
+    report = ingest.analyze(table, test, alpha, _FLAVOR_PROCEDURES[flavor])
     if details_out is not None:
         _write_output(details_out,
                       _csv_text(ingest.DETAIL_FIELDS, ingest.report_rows(report)))
@@ -105,14 +100,9 @@ def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
         rows = []
         for name in report.procedures:
             result = report.results[name]
-            rows.append({
-                "test": report.test,
-                "alpha": report.alpha,
-                "m": report.m,
-                "procedure": name,
-                "rejections": result.rejection_count,
-                "threshold": "" if result.threshold is None else repr(result.threshold),
-            })
+            rows.append((report.test, report.alpha, report.m, name,
+                         result.rejection_count,
+                         "" if result.threshold is None else repr(result.threshold)))
         text = _csv_text(ingest.SUMMARY_FIELDS, rows)
     _write_output(output, text)
 
@@ -171,8 +161,9 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
             summaries = [sim.run_cell(config)]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    cells = operator.itemgetter(*sim.SIM_ROW_FIELDS)
     _write_output(output, _csv_text(sim.SIM_ROW_FIELDS,
-                                    sim.summaries_to_rows(summaries)))
+                                    map(cells, sim.summaries_to_rows(summaries))))
 
 
 @cli.command()
@@ -185,8 +176,8 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
 @click.option("--output", default="-", show_default=True)
 def support(input_path, test, flavor, fmt, output) -> None:
     """Dump each hypothesis's p-value support and the pooled max-CDF."""
-    records = _load(input_path)
-    table = ingest.pvalue_tables(records, test, PValueFlavor(flavor))
+    counts = ingest.load_counts(input_path)
+    table = ingest.pvalue_tables(counts, test, PValueFlavor(flavor))
     max_cdf = stepup.build_max_cdf(table.supports)
     supports = [table.supports[j] for j in table.support_index]
     if fmt == "json":
@@ -194,14 +185,14 @@ def support(input_path, test, flavor, fmt, output) -> None:
             "schema_version": 1,
             "test": test,
             "pvalue": flavor,
-            "m": len(records),
+            "m": len(counts),
             "supports": [
                 {
-                    "id": record.id,
+                    "id": rid,
                     "points": [float(x) for x in sup.points],
                     "cdf": [float(x) for x in sup.cdf_values],
                 }
-                for record, sup in zip(records, supports)
+                for rid, sup in zip(counts.ids, supports)
             ],
             "max_cdf": {
                 "grid": [float(x) for x in max_cdf.grid],
@@ -211,13 +202,11 @@ def support(input_path, test, flavor, fmt, output) -> None:
         text = _json_text(payload)
     else:
         rows = []
-        for record, sup in zip(records, supports):
+        for rid, sup in zip(counts.ids, supports):
             for point, value in zip(sup.points, sup.cdf_values):
-                rows.append({"kind": "support", "id": record.id,
-                             "point": repr(float(point)), "cdf": repr(float(value))})
+                rows.append(("support", rid, repr(float(point)), repr(float(value))))
         for point, value in zip(max_cdf.grid, max_cdf.values):
-            rows.append({"kind": "max_cdf", "id": "",
-                         "point": repr(float(point)), "cdf": repr(float(value))})
+            rows.append(("max_cdf", "", repr(float(point)), repr(float(value))))
         text = _csv_text(("kind", "id", "point", "cdf"), rows)
     _write_output(output, text)
 
@@ -229,8 +218,8 @@ def support(input_path, test, flavor, fmt, output) -> None:
 @click.option("--output", default="-", show_default=True)
 def compare(input_path, test, alpha, output) -> None:
     """Report mid versus conventional rejection counts and the count-ordering condition."""
-    records = _load(input_path)
-    report = ingest.analyze(records, test, alpha, ("BH+", "MidPBH+"))
+    report = ingest.analyze(ingest.load_counts(input_path), test, alpha,
+                            ("BH+", "MidPBH+"))
     comparison = report.comparison
     payload = {
         "schema_version": 1,

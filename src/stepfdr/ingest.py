@@ -1,15 +1,17 @@
 """Loading, filtering and analysis of two-group count tables.
 
 Input files are CSV or TSV with header ``id,c1,c2`` (binomial-test data) or
-``id,c1,c2,n1,n2`` (Fisher-exact data with per-group trial totals).  Records
-flow through an optional application filter and into the step-up procedures;
-the report helpers flatten results for CSV and JSON emission.
+``id,c1,c2,n1,n2`` (Fisher-exact data with per-group trial totals).  A file
+loads into one columnar `CountTable`, which an optional application filter
+masks and the step-up procedures read column by column; the report helpers
+flatten results for CSV and JSON emission.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .errors import DataError
 from .pvalue import PValueFlavor
 
 __all__ = [
-    "CountRecord",
+    "CountTable",
     "load_counts",
     "filter_methylation",
     "filter_hiv",
@@ -35,51 +37,67 @@ __all__ = [
 PROCEDURE_CHOICES = ("BH", "BH+", "MidPBH+")
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One hypothesis: a pair of counts, optionally with trial totals."""
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """m hypotheses in columns: ids, count pairs and optional trial totals.
 
-    id: str
-    c1: int
-    c2: int
-    n1: int | None = None
-    n2: int | None = None
+    The constructor checks structure only: one entry per id in every column,
+    and n1 and n2 given together.  Count ranges are checked by `load_counts`
+    for file input and by `pvalue.pvalue_table` for tables built by hand.
+    """
+
+    ids: tuple[str, ...]
+    c1: np.ndarray
+    c2: np.ndarray
+    n1: np.ndarray | None = None
+    n2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0:
-            raise DataError(f"record {self.id!r}: counts must be >= 0")
+        object.__setattr__(self, "ids", tuple(self.ids))
         if (self.n1 is None) != (self.n2 is None):
-            raise DataError(
-                f"record {self.id!r}: trial totals must come in pairs")
-        if self.n1 is not None:
-            if self.n1 < 0 or self.n2 < 0:
-                raise DataError(
-                    f"record {self.id!r}: trial totals must be >= 0")
-            if self.c1 > self.n1 or self.c2 > self.n2:
-                raise DataError(
-                    f"record {self.id!r}: count exceeds its trial total")
+            raise ValueError("trial totals n1 and n2 must be given together")
+        for name in ("c1", "c2", "n1", "n2"):
+            if getattr(self, name) is None:
+                continue
+            column = np.array(getattr(self, name), dtype=np.int64)
+            if column.shape != (len(self.ids),):
+                raise ValueError(f"column {name} must hold one entry per id")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @property
-    def total(self) -> int:
+    def total(self) -> np.ndarray:
         return self.c1 + self.c2
+
+    def select(self, mask) -> "CountTable":
+        """The rows where the boolean `mask` is true, in their original order."""
+        mask = np.asarray(mask, dtype=bool)
+        columns = [None if col is None else col[mask]
+                   for col in (self.c1, self.c2, self.n1, self.n2)]
+        return CountTable(tuple(compress(self.ids, mask.tolist())), *columns)
 
 
 _BARE_HEADER = ("id", "c1", "c2")
 _TOTALS_HEADER = ("id", "c1", "c2", "n1", "n2")
 
 
-def _parse_count(raw: str, column: str, where: str) -> int:
-    text = raw.strip()
-    try:
-        value = int(text)
-    except ValueError:
-        raise DataError(f"{where}: column {column!r} is not an integer: {text!r}") from None
-    if value < 0:
-        raise DataError(f"{where}: column {column!r} must be >= 0, got {value}")
-    return value
+def _bad_cell(names: tuple[str, ...], row: list[str], where: str) -> DataError:
+    """The error for the first count cell of `row` that is not an integer >= 0."""
+    for column, raw in zip(names[1:], row[1:]):
+        text = raw.strip()
+        try:
+            value = int(text)
+        except ValueError:
+            return DataError(f"{where}: column {column!r} is not an integer: {text!r}")
+        if value < 0:
+            return DataError(f"{where}: column {column!r} must be >= 0, got {value}")
+    raise AssertionError("no bad count cell in row")
 
 
-def load_counts(path: str, fmt: str | None = None) -> list[CountRecord]:
+def load_counts(path: str, fmt: str | None = None) -> CountTable:
     """Parse a count table, reporting malformed rows by file and line number.
 
     fmt is "csv" or "tsv"; None infers from the filename extension
@@ -97,46 +115,44 @@ def load_counts(path: str, fmt: str | None = None) -> list[CountRecord]:
         except StopIteration:
             raise DataError(f"{path}:1: empty file, expected a header row") from None
         names = tuple(cell.strip().lower() for cell in header)
-        if names == _TOTALS_HEADER:
-            with_totals = True
-        elif names == _BARE_HEADER:
-            with_totals = False
-        else:
+        if names not in (_BARE_HEADER, _TOTALS_HEADER):
             raise DataError(
                 f"{path}:1: header must be 'id,c1,c2' or 'id,c1,c2,n1,n2', "
                 f"got {','.join(names)!r}")
-        records: list[CountRecord] = []
+        width, with_totals = len(names), names == _TOTALS_HEADER
+        ids: list[str] = []
+        counts: list[int] = []   # row-major, width - 1 cells per row
         for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise DataError(
-                    f"{where}: expected {len(names)} fields, got {len(row)}")
+                    f"{path}:{lineno}: expected {width} fields, got {len(row)}")
             rid = row[0].strip()
             if not rid:
-                raise DataError(f"{where}: empty id")
-            c1 = _parse_count(row[1], "c1", where)
-            c2 = _parse_count(row[2], "c2", where)
-            if with_totals:
-                n1 = _parse_count(row[3], "n1", where)
-                n2 = _parse_count(row[4], "n2", where)
-                if c1 > n1 or c2 > n2:
-                    raise DataError(f"{where}: count exceeds its trial total")
-                records.append(CountRecord(rid, c1, c2, n1, n2))
-            else:
-                records.append(CountRecord(rid, c1, c2))
-    return records
+                raise DataError(f"{path}:{lineno}: empty id")
+            try:
+                cells = [int(cell) for cell in row[1:]]
+            except ValueError:
+                raise _bad_cell(names, row, f"{path}:{lineno}") from None
+            if min(cells) < 0:
+                raise _bad_cell(names, row, f"{path}:{lineno}")
+            if with_totals and (cells[0] > cells[2] or cells[1] > cells[3]):
+                raise DataError(f"{path}:{lineno}: count exceeds its trial total")
+            ids.append(rid)
+            counts.extend(cells)
+    columns = np.array(counts, dtype=np.int64).reshape(len(ids), width - 1).T
+    return CountTable(tuple(ids), *columns)
 
 
-def filter_methylation(records: list[CountRecord]) -> list[CountRecord]:
-    """Keep records with total count above 10 and both counts at most 25."""
-    return [r for r in records if r.total > 10 and r.c1 <= 25 and r.c2 <= 25]
+def filter_methylation(table: CountTable) -> np.ndarray:
+    """Mask of the rows with total count above 10 and both counts at most 25."""
+    return (table.total > 10) & (table.c1 <= 25) & (table.c2 <= 25)
 
 
-def filter_hiv(records: list[CountRecord]) -> list[CountRecord]:
-    """Keep records whose total count is at least 5."""
-    return [r for r in records if r.total >= 5]
+def filter_hiv(table: CountTable) -> np.ndarray:
+    """Mask of the rows whose total count is at least 5."""
+    return table.total >= 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,24 +178,23 @@ class AnalysisReport:
         return mask
 
 
-def pvalue_tables(records: list[CountRecord], test: str,
+def pvalue_tables(table: CountTable, test: str,
                   flavor: PValueFlavor) -> pvalue.PValueTable:
-    """The p-value table of `records` under `test` ("bt" or "fet")."""
-    m = len(records)
-    c1 = np.fromiter((r.c1 for r in records), dtype=np.int64, count=m)
-    c2 = np.fromiter((r.c2 for r in records), dtype=np.int64, count=m)
+    """The p-value table of `table` under `test` ("bt" or "fet").
+
+    The one place that rejects an empty table and Fisher-exact input
+    without trial totals.
+    """
+    if not len(table):
+        raise DataError("no hypotheses to test")
     if test == "bt":
-        return pvalue.pvalue_table(flavor, c1, c2)
-    for r in records:
-        if r.n1 is None:
-            raise DataError(
-                f"record {r.id!r}: Fisher-exact analysis needs trial totals")
-    n1 = np.fromiter((r.n1 for r in records), dtype=np.int64, count=m)
-    n2 = np.fromiter((r.n2 for r in records), dtype=np.int64, count=m)
-    return pvalue.pvalue_table(flavor, c1, c2, n1, n2)
+        return pvalue.pvalue_table(flavor, table.c1, table.c2)
+    if table.n1 is None:
+        raise DataError("Fisher-exact analysis needs trial totals (columns n1, n2)")
+    return pvalue.pvalue_table(flavor, table.c1, table.c2, table.n1, table.n2)
 
 
-def analyze(records: list[CountRecord], test: str, alpha: float,
+def analyze(table: CountTable, test: str, alpha: float,
             procedures: tuple[str, ...] = PROCEDURE_CHOICES) -> AnalysisReport:
     """Compute exact p-values and run the requested step-up procedures.
 
@@ -197,14 +212,12 @@ def analyze(records: list[CountRecord], test: str, alpha: float,
     if bad:
         raise ValueError(f"unknown procedure {bad[0]!r}")
     procedures = tuple(name for name in PROCEDURE_CHOICES if name in procedures)
-    if not records:
-        raise DataError("no hypotheses to test")
 
     conv = mid = None
     if "BH" in procedures or "BH+" in procedures:
-        conv = pvalue_tables(records, test, PValueFlavor.CONVENTIONAL)
+        conv = pvalue_tables(table, test, PValueFlavor.CONVENTIONAL)
     if "MidPBH+" in procedures:
-        mid = pvalue_tables(records, test, PValueFlavor.MID)
+        mid = pvalue_tables(table, test, PValueFlavor.MID)
 
     results: dict[str, stepup.StepUpResult] = {}
     if "BH" in procedures:
@@ -221,8 +234,7 @@ def analyze(records: list[CountRecord], test: str, alpha: float,
             results["MidPBH+"] = stepup.bh_plus(mid.p, mid, alpha)
 
     return AnalysisReport(
-        test=test, alpha=alpha, procedures=procedures,
-        ids=tuple(r.id for r in records),
+        test=test, alpha=alpha, procedures=procedures, ids=table.ids,
         p_conv=None if conv is None else conv.p,
         p_mid=None if mid is None else mid.p,
         results=results, comparison=comparison)
@@ -232,27 +244,20 @@ DETAIL_FIELDS = ("id", "p_conv", "p_mid", "reject_bh", "reject_bhplus",
                  "reject_midpbhplus")
 SUMMARY_FIELDS = ("test", "alpha", "m", "procedure", "rejections", "threshold")
 
-_FLAG_COLUMN = {"BH": "reject_bh", "BH+": "reject_bhplus",
-                "MidPBH+": "reject_midpbhplus"}
 
-
-def report_rows(report: AnalysisReport) -> list[dict]:
-    """One dict per hypothesis with frozen column names.
+def report_rows(report: AnalysisReport) -> list[tuple]:
+    """One tuple per hypothesis, in `DETAIL_FIELDS` order.
 
     Columns for flavors or procedures that did not run are left empty.
     """
-    masks = {name: report.rejected_mask(name) for name in report.procedures}
-    rows = []
-    for i, rid in enumerate(report.ids):
-        row = {
-            "id": rid,
-            "p_conv": repr(float(report.p_conv[i])) if report.p_conv is not None else "",
-            "p_mid": repr(float(report.p_mid[i])) if report.p_mid is not None else "",
-        }
-        for name, column in _FLAG_COLUMN.items():
-            row[column] = int(masks[name][i]) if name in masks else ""
-        rows.append(row)
-    return rows
+    blank = ("",) * report.m
+    columns = [report.ids]
+    for p in (report.p_conv, report.p_mid):
+        columns.append(blank if p is None else list(map(repr, p.tolist())))
+    for name in PROCEDURE_CHOICES:   # the order of the reject_* fields
+        columns.append(report.rejected_mask(name).astype(np.int64).tolist()
+                       if name in report.procedures else blank)
+    return list(zip(*columns))
 
 
 def report_summary(report: AnalysisReport) -> dict:

@@ -55,7 +55,10 @@ class TwoSidedPValues:
     """Both p-value flavors for one observed outcome.
 
     l is the mass strictly less likely than the observation, e the mass of
-    its tie class; p_conventional = l + e and p_mid = l + e / 2.
+    its tie class; p_conventional = l + e and p_mid = l + e / 2.  Each is
+    the correctly rounded float of its exact rational, so only the
+    inequalities that rounding preserves are checked: an e of at most
+    2**-1075 rounds to 0.0, and then p_mid can equal p_conventional.
     """
 
     l: float
@@ -64,12 +67,12 @@ class TwoSidedPValues:
     p_mid: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.l < 1.0:
-            raise ValueError(f"l must lie in [0, 1), got {self.l}")
-        if not 0.0 < self.e <= 1.0:
-            raise ValueError(f"e must lie in (0, 1], got {self.e}")
-        if not self.p_mid < self.p_conventional:
-            raise ValueError("p_mid must be strictly below p_conventional")
+        if not 0.0 <= self.l <= 1.0:
+            raise ValueError(f"l must lie in [0, 1], got {self.l}")
+        if not 0.0 <= self.e <= 1.0:
+            raise ValueError(f"e must lie in [0, 1], got {self.e}")
+        if not self.p_mid <= self.p_conventional:
+            raise ValueError("p_mid must not exceed p_conventional")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +83,9 @@ class PValueSupport:
     cdf_values[j] = Pr(p <= points[j]) under the null.  For the conventional
     flavor the CDF is the identity on its support; for the mid flavor
     cdf_values[j] is the conventional p-value of the same tie class, which
-    always weakly exceeds points[j].
+    always weakly exceeds points[j].  The smallest point may be 0.0, the
+    correctly rounded float of every exact p-value of at most 2**-1075; the
+    tie classes that round to it share that point.
     """
 
     flavor: PValueFlavor
@@ -93,8 +98,8 @@ class PValueSupport:
         cdf = np.asarray(self.cdf_values, dtype=np.float64)
         if points.ndim != 1 or points.size == 0 or cdf.shape != points.shape:
             raise ValueError("points and cdf_values must be matching 1-D arrays")
-        if not (np.all(points > 0.0) and np.all(points <= 1.0)):
-            raise ValueError("support points must lie in (0, 1]")
+        if not (np.all(points >= 0.0) and np.all(points <= 1.0)):
+            raise ValueError("support points must lie in [0, 1]")
         if points.size > 1 and not np.all(np.diff(points) > 0.0):
             raise ValueError("support points must be strictly increasing")
         if points.size > 1 and not np.all(np.diff(cdf) >= 0.0):
@@ -122,8 +127,6 @@ class _TieTable:
     """Per-tie-class exact quantities of one null table, in ascending mass order."""
 
     class_of: np.ndarray   # tie-class index for each outcome, support-aligned
-    l: np.ndarray          # float l per class
-    e: np.ndarray          # float e per class
     p_conv: np.ndarray     # float P per class, strictly increasing
     p_mid: np.ndarray      # float Q per class, strictly increasing
 
@@ -147,11 +150,9 @@ def _tie_table(dist: DiscreteDistribution) -> _TieTable:
         e_num[-1] += n
         acc += n
     two_den = 2 * den
-    l = np.array([ln / den for ln in l_num])
-    e = np.array([en / den for en in e_num])
     p_conv = np.array([(ln + en) / den for ln, en in zip(l_num, e_num)])
     p_mid = np.array([(2 * ln + en) / two_den for ln, en in zip(l_num, e_num)])
-    return _TieTable(class_of=class_of, l=l, e=e, p_conv=p_conv, p_mid=p_mid)
+    return _TieTable(class_of=class_of, p_conv=p_conv, p_mid=p_mid)
 
 
 def _support_with_map(table: _TieTable,
@@ -178,20 +179,23 @@ def _support_with_map(table: _TieTable,
 
 
 def two_sided(dist: DiscreteDistribution, x0: int) -> TwoSidedPValues:
-    """Exact conventional and mid two-sided p-values for outcome x0."""
-    table = _tie_table(dist)
+    """Exact conventional and mid two-sided p-values for outcome x0.
+
+    Computed from the integer numerators with the tie table's expressions,
+    so the floats equal the points of `null_support` bit for bit.
+    """
     x0 = int(x0)
     pos = int(np.searchsorted(dist.support, x0))
     if pos == dist.support.size or int(dist.support[pos]) != x0:
         raise ValueError(
             f"outcome {x0} is not in the support; check the table margins")
-    c = int(table.class_of[pos])
-    return TwoSidedPValues(
-        l=float(table.l[c]),
-        e=float(table.e[c]),
-        p_conventional=float(table.p_conv[c]),
-        p_mid=float(table.p_mid[c]),
-    )
+    nums = dist.numerators
+    den = dist.denominator
+    mass = nums[pos]
+    ln = sum(n for n in nums if n < mass)
+    en = sum(n for n in nums if n == mass)
+    return TwoSidedPValues(l=ln / den, e=en / den, p_conventional=(ln + en) / den,
+                           p_mid=(2 * ln + en) / (2 * den))
 
 
 def null_support(dist: DiscreteDistribution, flavor) -> PValueSupport:

@@ -121,19 +121,19 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(p: np.ndarray, gamma: np.ndarray) -> tuple[int, float | None, np.ndarray]:
+def _scan(p: np.ndarray, gamma: np.ndarray) -> StepUpResult:
     """Shared step-up scan: R = max{k : p_(k) <= gamma_k}, reject p <= gamma_R."""
     order = np.argsort(p, kind="stable")
     hits = np.flatnonzero(p[order] <= gamma)
     if hits.size == 0:
-        return 0, None, np.empty(0, dtype=np.int64)
+        return StepUpResult(gamma, 0, None, np.empty(0, dtype=np.int64))
     r = int(hits[-1]) + 1
     threshold = float(gamma[r - 1])
     rejected = np.flatnonzero(p <= threshold)
     if rejected.size != r:
         raise InvariantViolation(
             f"step-up rejected {rejected.size} p-values but R = {r}")
-    return r, threshold, rejected
+    return StepUpResult(gamma, r, threshold, rejected)
 
 
 def _as_table(p: np.ndarray, supports) -> PValueTable:
@@ -164,10 +164,7 @@ def bh_plus(pvalues, supports: PValueTable | Sequence[PValueSupport],
     table = _as_table(p, supports)
     if max_cdf is None:
         max_cdf = build_max_cdf(table.supports)
-    gamma = critical_values(max_cdf, alpha, p.size)
-    r, threshold, rejected = _scan(p, gamma)
-    return StepUpResult(critical_values=gamma, rejection_count=r,
-                        threshold=threshold, rejected=rejected)
+    return _scan(p, critical_values(max_cdf, alpha, p.size))
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -176,10 +173,7 @@ def bh(pvalues, alpha: float) -> StepUpResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     m = p.size
-    gamma = alpha * np.arange(1, m + 1, dtype=np.float64) / m
-    r, threshold, rejected = _scan(p, gamma)
-    return StepUpResult(critical_values=gamma, rejection_count=r,
-                        threshold=threshold, rejected=rejected)
+    return _scan(p, alpha * np.arange(1, m + 1, dtype=np.float64) / m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +210,7 @@ def mid_vs_conventional(conv_result: StepUpResult,
     table = _as_table(p_mid, mid_supports)
     if max_cdf is None:
         max_cdf = build_max_cdf(table.supports)
-    mid_result = bh_plus(p_mid, table, alpha, max_cdf=max_cdf)
+    mid_result = _scan(p_mid, critical_values(max_cdf, alpha, m))
     r_cp = conv_result.rejection_count
     if r_cp == 0:
         condition = True

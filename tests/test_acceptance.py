@@ -19,7 +19,7 @@ import pytest
 from stepfdr import dist, ingest, sim, stepup
 from stepfdr.cli import main as cli_main
 from stepfdr.errors import InvariantViolation
-from stepfdr.ingest import CountRecord
+from stepfdr.ingest import CountTable
 from stepfdr.pvalue import PValueFlavor, bt_pvalues, bt_support, fet_pvalues, null_support
 
 CONV = PValueFlavor.CONVENTIONAL
@@ -129,16 +129,15 @@ def instance_batch():
         m = int(rng.integers(1, 201))
         if i % 2 == 0:
             counts = rng.integers(0, 30, size=(m, 2))
-            records = [CountRecord(f"t{j}", int(counts[j, 0]), int(counts[j, 1]))
-                       for j in range(m)]
+            records = CountTable([f"t{j}" for j in range(m)],
+                                 counts[:, 0], counts[:, 1])
             test = "bt"
         else:
             n1 = rng.integers(1, 16, size=m)
             n2 = rng.integers(1, 16, size=m)
             c1 = rng.integers(0, n1 + 1)
             c2 = rng.integers(0, n2 + 1)
-            records = [CountRecord(f"t{j}", int(c1[j]), int(c2[j]),
-                                   int(n1[j]), int(n2[j])) for j in range(m)]
+            records = CountTable([f"t{j}" for j in range(m)], c1, c2, n1, n2)
             test = "fet"
         alpha = float(rng.uniform(0.02, 0.3))
         sup_conv = ingest.pvalue_tables(records, test, CONV)
@@ -294,7 +293,7 @@ def test_criterion_6_block_dependence_fdr(bt_block_grid):
 def _analyze_real(path, test, filter_fn):
     records = ingest.load_counts(str(path))
     if filter_fn is not None:
-        records = filter_fn(records)
+        records = records.select(filter_fn(records))
     rep = ingest.analyze(records, test, 0.05)
     counts = tuple(rep.results[name].rejection_count
                    for name in ("BH", "BH+", "MidPBH+"))
@@ -379,7 +378,7 @@ def test_criterion_8_degenerate_cases():
                   and bool(np.all(np.isnan(res.critical_values))))
 
     report_deg = ingest.analyze(
-        [CountRecord("z1", 0, 0, 10, 10), CountRecord("z2", 3, 2, 10, 10)],
+        CountTable(("z1", "z2"), [0, 3], [0, 2], [10, 10], [10, 10]),
         "fet", 0.05)
     checks.append(report_deg.m == 2
                   and all(r.rejection_count == 0

@@ -4,10 +4,14 @@ Golden files under tests/golden/ hold byte-exact expected outputs; the
 deterministic kernels and fixed serialization make exact comparison safe.
 """
 
+import csv
+import io
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -263,12 +267,94 @@ class TestSupportCli:
         assert [s["id"] for s in doc["supports"]] == ["a", "b", "c"]
         assert doc["max_cdf"]["grid"] == sorted(doc["max_cdf"]["grid"])
 
+    @pytest.mark.parametrize("command", ["support", "compare"])
+    def test_empty_table_is_a_data_error(self, tmp_path, capsys, command):
+        src = tmp_path / "empty.csv"
+        src.write_text("id,c1,c2\n", encoding="utf-8")
+        code = main([command, "--input", str(src), "--test", "bt"])
+        assert code == 2
+        assert "no hypotheses" in capsys.readouterr().err
+
     def test_fet_support_needs_totals(self, tmp_path, capsys):
         src = tmp_path / "tiny.csv"
         src.write_text(TINY, encoding="utf-8")
         code = main(["support", "--input", str(src), "--test", "fet"])
         assert code == 2
         assert "trial totals" in capsys.readouterr().err
+
+
+class TestLargeTotals:
+    """Exact p-values of at most 2**-1075 are reported as 0.0 (exit 0).
+
+    At these totals the smallest tie classes of the null round to 0.0,
+    which used to make the support build fail for every row.
+    """
+
+    @staticmethod
+    def exact_pvalues(c1, c2):
+        n = c1 + c2
+        masses = [math.comb(n, x) for x in range(n + 1)]
+        below = sum(w for w in masses if w < masses[c1])
+        tie = sum(w for w in masses if w == masses[c1])
+        return (float(Fraction(below + tie, 2**n)),
+                float(Fraction(2 * below + tie, 2**(n + 1))))
+
+    @pytest.mark.parametrize("flavor", ["conventional", "mid", "both"])
+    @pytest.mark.parametrize("rows", [[(600, 475)], [(1000, 1000)],
+                                      [(600, 475), (1100, 0), (3, 4)]],
+                             ids=["total-1075", "total-2000", "mixed"])
+    def test_analyze_exits_zero_with_exact_pvalues(self, tmp_path, flavor, rows):
+        src = tmp_path / "big.csv"
+        src.write_text("id,c1,c2\n" + "".join(
+            f"g{i},{c1},{c2}\n" for i, (c1, c2) in enumerate(rows)), encoding="utf-8")
+        details = tmp_path / "details.csv"
+        code = main(["analyze", "--input", str(src), "--test", "bt",
+                     "--pvalue", flavor, "--details-out", str(details),
+                     "--output", str(tmp_path / "summary.json")])
+        assert code == 0
+        with open(details, newline="", encoding="utf-8") as handle:
+            got = list(csv.DictReader(handle))
+        assert len(got) == len(rows)
+        for row, (c1, c2) in zip(got, rows):
+            p_conv, p_mid = self.exact_pvalues(c1, c2)
+            assert row["p_conv"] == ("" if flavor == "mid" else repr(p_conv))
+            assert row["p_mid"] == ("" if flavor == "conventional" else repr(p_mid))
+        if len(rows) > 1:
+            assert got[1]["p_conv" if flavor != "mid" else "p_mid"] == "0.0"
+
+
+class TestDetailsCsv:
+    IDS = ["plain", "comma,inside", 'say "hi"', "naïve-日本", "two\nlines",
+           "'single'"]
+
+    def test_ids_needing_quotes_match_dictwriter_and_round_trip(self, tmp_path):
+        src = tmp_path / "odd.csv"
+        with open(src, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "c1", "c2"])
+            for i, rid in enumerate(self.IDS):
+                writer.writerow([rid, 3 * i, 12 - i])
+        details = tmp_path / "details.csv"
+        code = main(["analyze", "--input", str(src), "--test", "bt",
+                     "--details-out", str(details),
+                     "--output", str(tmp_path / "summary.json")])
+        assert code == 0
+        report = ingest.analyze(ingest.load_counts(str(src)), "bt", 0.05)
+        masks = [report.rejected_mask(name) for name in ingest.PROCEDURE_CHOICES]
+        reference = io.StringIO()
+        writer = csv.DictWriter(reference, fieldnames=ingest.DETAIL_FIELDS,
+                                lineterminator="\n")
+        writer.writeheader()
+        for i, rid in enumerate(report.ids):
+            row = {"id": rid, "p_conv": repr(float(report.p_conv[i])),
+                   "p_mid": repr(float(report.p_mid[i]))}
+            for column, mask in zip(ingest.DETAIL_FIELDS[3:], masks):
+                row[column] = int(mask[i])
+            writer.writerow(row)
+        assert details.read_bytes() == reference.getvalue().encode("utf-8")
+        with open(details, newline="", encoding="utf-8") as handle:
+            parsed = list(csv.reader(handle))
+        assert [row[0] for row in parsed[1:]] == self.IDS
 
 
 def test_cli_import_leaves_scipy_unloaded():

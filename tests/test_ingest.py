@@ -5,7 +5,7 @@ import pytest
 
 from stepfdr.errors import DataError
 from stepfdr.ingest import (
-    CountRecord,
+    CountTable,
     analyze,
     filter_hiv,
     filter_methylation,
@@ -17,6 +17,19 @@ from stepfdr.pvalue import PValueFlavor, bt_pvalues, fet_pvalues
 from stepfdr import ingest
 
 
+def table(*rows):
+    """A CountTable of (id, c1, c2) or (id, c1, c2, n1, n2) rows."""
+    ids, *columns = zip(*rows)
+    return CountTable(ids, *columns)
+
+
+def rows_of(counts):
+    """The rows of a CountTable as tuples, for comparison with `table`'s input."""
+    columns = [c.tolist() for c in (counts.c1, counts.c2, counts.n1, counts.n2)
+               if c is not None]
+    return list(zip(counts.ids, *columns))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -26,17 +39,15 @@ def write(tmp_path, name, text):
 class TestLoadCounts:
     def test_csv_roundtrip(self, tmp_path):
         path = write(tmp_path, "a.csv", "id,c1,c2\nx,3,0\ny,0,7\n")
-        records = load_counts(path)
-        assert records == [CountRecord("x", 3, 0), CountRecord("y", 0, 7)]
+        assert rows_of(load_counts(path)) == [("x", 3, 0), ("y", 0, 7)]
 
     def test_tsv_inferred_from_extension(self, tmp_path):
         path = write(tmp_path, "a.tsv", "id\tc1\tc2\tn1\tn2\nx\t3\t0\t5\t5\n")
-        records = load_counts(path)
-        assert records == [CountRecord("x", 3, 0, 5, 5)]
+        assert rows_of(load_counts(path)) == [("x", 3, 0, 5, 5)]
 
     def test_explicit_fmt_overrides_extension(self, tmp_path):
         path = write(tmp_path, "a.txt", "id\tc1\tc2\nx\t1\t2\n")
-        assert load_counts(path, fmt="tsv") == [CountRecord("x", 1, 2)]
+        assert rows_of(load_counts(path, fmt="tsv")) == [("x", 1, 2)]
 
     def test_bad_fmt_rejected(self, tmp_path):
         path = write(tmp_path, "a.csv", "id,c1,c2\n")
@@ -45,11 +56,11 @@ class TestLoadCounts:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "a.csv", "id,c1,c2\nx,1,2\n\n  \ny,3,4\n")
-        assert [r.id for r in load_counts(path)] == ["x", "y"]
+        assert load_counts(path).ids == ("x", "y")
 
     def test_header_case_and_spacing_normalized(self, tmp_path):
         path = write(tmp_path, "a.csv", " ID , C1 , C2 \nx,1,2\n")
-        assert load_counts(path) == [CountRecord("x", 1, 2)]
+        assert rows_of(load_counts(path)) == [("x", 1, 2)]
 
     def test_bad_header_lists_location(self, tmp_path):
         path = write(tmp_path, "a.csv", "name,a,b\nx,1,2\n")
@@ -91,64 +102,76 @@ class TestLoadCounts:
             load_counts(str(tmp_path / "nope.csv"))
 
 
-class TestCountRecord:
+class TestCountTable:
     def test_totals_must_pair(self):
-        with pytest.raises(DataError):
-            CountRecord("x", 1, 2, n1=5)
+        with pytest.raises(ValueError, match="together"):
+            CountTable(("x",), [1], [2], n1=[5])
+
+    def test_columns_must_match_ids(self):
+        with pytest.raises(ValueError, match="one entry per id"):
+            CountTable(("x", "y"), [1, 2], [3])
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(DataError):
-            CountRecord("x", -1, 2)
+        # The constructor checks structure only; pvalue_table guards the range.
+        with pytest.raises(ValueError, match=">= 0"):
+            ingest.pvalue_tables(table(("x", -1, 2)), "bt",
+                                 PValueFlavor.CONVENTIONAL)
 
     def test_total_property(self):
-        assert CountRecord("x", 3, 4).total == 7
+        assert table(("x", 3, 4)).total.tolist() == [7]
+
+    def test_columns_are_read_only(self):
+        counts = table(("x", 3, 4, 5, 5))
+        for column in (counts.c1, counts.c2, counts.n1, counts.n2):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 class TestFilters:
     def test_methylation_boundaries(self):
-        kept = CountRecord("k", 11, 0)
-        at_cap = CountRecord("c", 25, 1)
-        low_total = CountRecord("l", 5, 5)
-        over_cap = CountRecord("o", 26, 0)
-        out = filter_methylation([kept, at_cap, low_total, over_cap])
-        assert out == [kept, at_cap]
+        kept = ("k", 11, 0)
+        at_cap = ("c", 25, 1)
+        low_total = ("l", 5, 5)
+        over_cap = ("o", 26, 0)
+        counts = table(kept, at_cap, low_total, over_cap)
+        out = counts.select(filter_methylation(counts))
+        assert rows_of(out) == [kept, at_cap]
 
     def test_hiv_boundaries(self):
-        drop = CountRecord("d", 2, 2, 73, 73)
-        keep = CountRecord("k", 2, 3, 73, 73)
-        assert filter_hiv([drop, keep]) == [keep]
+        drop = ("d", 2, 2, 73, 73)
+        keep = ("k", 2, 3, 73, 73)
+        counts = table(drop, keep)
+        assert rows_of(counts.select(filter_hiv(counts))) == [keep]
 
     def test_filters_preserve_order_and_are_idempotent(self):
-        records = [CountRecord(f"r{i}", 10 + i, 3) for i in range(5)]
-        once = filter_methylation(records)
-        assert filter_methylation(once) == once
-        assert [r.id for r in once] == sorted([r.id for r in once])
+        counts = table(*[(f"r{i}", 10 + i, 3) for i in range(5)])
+        once = counts.select(filter_methylation(counts))
+        assert rows_of(once.select(filter_methylation(once))) == rows_of(once)
+        assert list(once.ids) == sorted(once.ids)
 
 
 class TestAnalyze:
     def records_bt(self):
-        return [CountRecord("a", 14, 0), CountRecord("b", 6, 5),
-                CountRecord("c", 0, 12), CountRecord("d", 4, 4)]
+        return table(("a", 14, 0), ("b", 6, 5), ("c", 0, 12), ("d", 4, 4))
 
     def records_fet(self):
-        return [CountRecord("a", 9, 0, 10, 10), CountRecord("b", 4, 5, 10, 10),
-                CountRecord("c", 1, 10, 12, 12)]
+        return table(("a", 9, 0, 10, 10), ("b", 4, 5, 10, 10),
+                     ("c", 1, 10, 12, 12))
 
     def test_bt_pvalues_match_direct_computation(self):
         records = self.records_bt()
         report = analyze(records, "bt", 0.05)
-        for i, r in enumerate(records):
-            conv, _ = bt_pvalues(r.c1, r.c2, PValueFlavor.CONVENTIONAL)
-            mid, _ = bt_pvalues(r.c1, r.c2, PValueFlavor.MID)
+        for i, (_, c1, c2) in enumerate(rows_of(records)):
+            conv, _ = bt_pvalues(c1, c2, PValueFlavor.CONVENTIONAL)
+            mid, _ = bt_pvalues(c1, c2, PValueFlavor.MID)
             assert report.p_conv[i] == conv
             assert report.p_mid[i] == mid
 
     def test_fet_pvalues_match_direct_computation(self):
         records = self.records_fet()
         report = analyze(records, "fet", 0.05)
-        for i, r in enumerate(records):
-            conv, _ = fet_pvalues(r.c1, r.c2, r.n1, r.n2,
-                                  PValueFlavor.CONVENTIONAL)
+        for i, (_, c1, c2, n1, n2) in enumerate(rows_of(records)):
+            conv, _ = fet_pvalues(c1, c2, n1, n2, PValueFlavor.CONVENTIONAL)
             assert report.p_conv[i] == conv
 
     def test_rejected_mask_matches_results(self):
@@ -188,11 +211,11 @@ class TestAnalyze:
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataError, match="no hypotheses"):
-            analyze([], "bt", 0.05)
+            analyze(CountTable((), [], []), "bt", 0.05)
 
     def test_fet_requires_totals(self):
         with pytest.raises(DataError, match="trial totals"):
-            analyze([CountRecord("a", 3, 0)], "fet", 0.05)
+            analyze(table(("a", 3, 0)), "fet", 0.05)
 
     def test_bad_alpha_and_test(self):
         with pytest.raises(ValueError):
@@ -204,9 +227,8 @@ class TestAnalyze:
         rng = np.random.default_rng(14)
         for _ in range(25):
             m = int(rng.integers(2, 18))
-            records = [CountRecord(f"t{i}", int(rng.integers(0, 15)),
-                                   int(rng.integers(0, 15)))
-                       for i in range(m)]
+            records = table(*[(f"t{i}", int(rng.integers(0, 15)),
+                               int(rng.integers(0, 15))) for i in range(m)])
             report = analyze(records, "bt", float(rng.uniform(0.05, 0.25)))
             cmp_res = report.comparison
             assert cmp_res.condition_holds == (cmp_res.r_mp >= cmp_res.r_cp)
@@ -214,12 +236,12 @@ class TestAnalyze:
 
 class TestReports:
     def test_report_rows_layout_and_flags(self):
-        records = [CountRecord("a", 14, 0), CountRecord("b", 6, 5)]
-        report = analyze(records, "bt", 0.05)
+        report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)
         rows = report_rows(report)
-        assert [r["id"] for r in rows] == ["a", "b"]
-        for i, row in enumerate(rows):
-            assert tuple(row) == ingest.DETAIL_FIELDS
+        assert [r[0] for r in rows] == ["a", "b"]
+        for i, cells in enumerate(rows):
+            assert len(cells) == len(ingest.DETAIL_FIELDS)
+            row = dict(zip(ingest.DETAIL_FIELDS, cells))
             assert row["p_conv"] == repr(float(report.p_conv[i]))
             assert row["p_mid"] == repr(float(report.p_mid[i]))
             for name, col in (("BH", "reject_bh"), ("BH+", "reject_bhplus"),
@@ -227,17 +249,15 @@ class TestReports:
                 assert row[col] == int(report.rejected_mask(name)[i])
 
     def test_report_rows_blank_for_skipped_procedures(self):
-        report = analyze([CountRecord("a", 14, 0)], "bt", 0.05,
-                         procedures=("BH",))
-        row = report_rows(report)[0]
+        report = analyze(table(("a", 14, 0)), "bt", 0.05, procedures=("BH",))
+        row = dict(zip(ingest.DETAIL_FIELDS, report_rows(report)[0]))
         assert row["p_mid"] == ""
         assert row["reject_bhplus"] == ""
         assert row["reject_midpbhplus"] == ""
         assert row["reject_bh"] in (0, 1)
 
     def test_report_summary_structure(self):
-        records = [CountRecord("a", 14, 0), CountRecord("b", 6, 5)]
-        report = analyze(records, "bt", 0.05)
+        report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)
         summary = report_summary(report)
         assert summary["schema_version"] == 1
         assert summary["test"] == "bt"
@@ -252,7 +272,6 @@ class TestReports:
         assert cmp_block["r_mp"] == report.comparison.r_mp
 
     def test_report_summary_omits_comparison_without_both_runs(self):
-        report = analyze([CountRecord("a", 14, 0)], "bt", 0.05,
-                         procedures=("BH",))
+        report = analyze(table(("a", 14, 0)), "bt", 0.05, procedures=("BH",))
         summary = report_summary(report)
         assert "mid_vs_conventional" not in summary

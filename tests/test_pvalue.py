@@ -68,6 +68,30 @@ def test_two_sided_matches_fraction_oracle(dist):
             assert got.e == float(e)
 
 
+@pytest.mark.parametrize("n", [1075, 1076, 2000])
+def test_two_sided_at_large_totals_is_correctly_rounded(n):
+    """Exact p-values of at most 2**-1075 round to 0.0 and are accepted.
+
+    The smallest tie class {0, n} has mass 2 / 2**n, so its mid p-value
+    rounds to 0.0 from n = 1075 on and its conventional one from n = 1076.
+    """
+    dist = binomial_null(n)
+    conv = null_support(dist, CONV)
+    mid = null_support(dist, MID)
+    classes = oracle_classes(dist)
+    for xs, l, e in (classes[0], classes[len(classes) // 2], classes[-1]):
+        got = two_sided(dist, int(xs[0]))
+        assert got.l == float(l)
+        assert got.e == float(e)
+        assert got.p_conventional == float(l + e)
+        assert got.p_mid == float(l + e / 2)
+        assert got.p_conventional in conv.points
+        assert got.p_mid in mid.points
+    smallest = two_sided(dist, 0)
+    assert smallest.p_mid == 0.0 and mid.points[0] == 0.0
+    assert (smallest.p_conventional == 0.0) == (n >= 1076)
+
+
 def test_two_sided_binomial2_frozen_values():
     d = binomial_null(2)
     r0 = two_sided(d, 0)
@@ -217,6 +241,9 @@ def test_fresh_tables_grow_no_cache():
 
 
 def test_support_constructor_validation():
+    with pytest.raises(ValueError):
+        PValueSupport(flavor=CONV, points=np.array([-0.0625, 1.0]),
+                      cdf_values=np.array([-0.0625, 1.0]))
     with pytest.raises(ValueError):
         PValueSupport(flavor=CONV, points=np.array([0.5, 0.4]),
                       cdf_values=np.array([0.5, 1.0]))

@@ -274,6 +274,25 @@ def test_mid_vs_conventional_rejects_mismatched_lengths():
                             np.array([0.25, 0.75]), alpha=0.1)
 
 
+def test_mid_vs_conventional_validates_mid_pvalues_once(monkeypatch):
+    from stepfdr import stepup
+    calls = {"_validate_pvalues": 0, "_as_table": 0}
+    for name in calls:
+        original = getattr(stepup, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stepup, name, counted)
+    rng = np.random.default_rng(42)
+    cp, cs, mp, ms = fet_pair_instance(rng, 12)
+    conv = bh_plus(cp, cs, alpha=0.2)
+    calls.update(dict.fromkeys(calls, 0))
+    mid_vs_conventional(conv, ms, mp, alpha=0.2)
+    assert calls == {"_validate_pvalues": 1, "_as_table": 1}
+
+
 def test_mid_never_accepts_larger_rank_than_conventional():
     """On paired exact supports the mid rejection count never exceeds
     the conventional one."""

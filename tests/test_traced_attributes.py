@@ -1,24 +1,58 @@
 """The traced benchmark run wraps stepfdr functions by module attribute name.
 
 `perfbench/spans.py` lists them in `WRAPPED` and looks each one up with
-`getattr`, so a rename or deletion in `src/` breaks `--trace 1` runs.  The
-benchmark's own tests are outside this suite, so the list is checked here.
+`getattr`, so a rename or deletion in `src/` breaks `--trace 1` runs.  Its
+observers also read return values and arguments (`len()` of what
+`load_counts` returns, the supports given to `build_max_cdf`).  The
+benchmark's own tests are outside this suite, so the list is checked here
+and one traced `analyze` runs end to end.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+from stepfdr.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+FIXTURE = ROOT / "fixtures" / "methylation_synthetic.csv"
 
 
-def test_every_wrapped_attribute_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_attribute_resolves(spans):
     assert spans.WRAPPED
     missing = [f"{module}.{attr}" for module, attr, _ in spans.WRAPPED
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_traced_analyze_gives_finite_layer_metrics(spans, tmp_path):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = main(["analyze", "--input", str(FIXTURE), "--test", "bt",
+                     "--details-out", str(tmp_path / "details.csv"),
+                     "--output", str(tmp_path / "summary.json")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    tracer.dump(tmp_path / "trace.npz")
+    trace = spans.load(tmp_path / "trace.npz")
+    rows = len(FIXTURE.read_text(encoding="utf-8").splitlines()) - 1
+    assert trace["counts"]["rows_loaded"] == rows
+    metrics = spans.layer_metrics(trace)
+    assert metrics["ingest.report_rows.s"] > 0.0
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
