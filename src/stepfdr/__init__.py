@@ -30,16 +30,11 @@ from .pvalue import (
     PValueFlavor,
     PValueSupport,
     PValueTable,
-    TwoSidedPValues,
     bt_outcome_pvalues,
-    bt_pvalues,
     bt_support,
     fet_outcome_pvalues,
-    fet_pvalues,
     fet_support,
-    null_support,
     pvalue_table,
-    two_sided,
 )
 from .sim import (
     PROCEDURES,
@@ -85,18 +80,15 @@ __all__ = [
     "SimSummary",
     "StepUpResult",
     "TruthAssignment",
-    "TwoSidedPValues",
     "analyze",
     "bh",
     "bh_plus",
     "binomial_null",
     "bt_outcome_pvalues",
-    "bt_pvalues",
     "bt_support",
     "build_max_cdf",
     "critical_values",
     "fet_outcome_pvalues",
-    "fet_pvalues",
     "fet_support",
     "filter_hiv",
     "filter_methylation",
@@ -106,7 +98,6 @@ __all__ = [
     "hypergeometric_null",
     "load_counts",
     "mid_vs_conventional",
-    "null_support",
     "pvalue_table",
     "pvalue_tables",
     "report_rows",
@@ -114,5 +105,4 @@ __all__ = [
     "run_cell",
     "run_grid",
     "summaries_to_rows",
-    "two_sided",
 ]

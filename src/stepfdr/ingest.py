@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pvalue, stepup
 from .errors import DataError
-from .pvalue import PValueFlavor
+from .pvalue import PValueFlavor, count_column
 
 __all__ = [
     "CountTable",
@@ -41,9 +41,10 @@ PROCEDURE_CHOICES = ("BH", "BH+", "MidPBH+")
 class CountTable:
     """m hypotheses in columns: ids, count pairs and optional trial totals.
 
-    The constructor checks structure only: one entry per id in every column,
-    and n1 and n2 given together.  Count ranges are checked by `load_counts`
-    for file input and by `pvalue.pvalue_table` for tables built by hand.
+    The constructor checks structure only: integer columns with one entry
+    per id, and n1 and n2 given together.  Count ranges are checked by
+    `load_counts` for file input and by `pvalue.pvalue_table` for tables
+    built by hand.
     """
 
     ids: tuple[str, ...]
@@ -59,7 +60,7 @@ class CountTable:
         for name in ("c1", "c2", "n1", "n2"):
             if getattr(self, name) is None:
                 continue
-            column = np.array(getattr(self, name), dtype=np.int64)
+            column = count_column(name, getattr(self, name)).copy()
             if column.shape != (len(self.ids),):
                 raise ValueError(f"column {name} must hold one entry per id")
             column.flags.writeable = False
@@ -223,15 +224,14 @@ def analyze(table: CountTable, test: str, alpha: float,
     if "BH" in procedures:
         results["BH"] = stepup.bh(conv.p, alpha)
     if "BH+" in procedures:
-        results["BH+"] = stepup.bh_plus(conv.p, conv, alpha)
+        results["BH+"] = stepup.bh_plus(conv, alpha)
     comparison = None
     if "MidPBH+" in procedures:
         if "BH+" in procedures:
-            comparison = stepup.mid_vs_conventional(
-                results["BH+"], mid, mid.p, alpha)
+            comparison = stepup.mid_vs_conventional(results["BH+"], mid, alpha)
             results["MidPBH+"] = comparison.mid_result
         else:
-            results["MidPBH+"] = stepup.bh_plus(mid.p, mid, alpha)
+            results["MidPBH+"] = stepup.bh_plus(mid, alpha)
 
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures, ids=table.ids,

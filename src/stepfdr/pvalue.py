@@ -5,7 +5,8 @@ p-value is P(x0) = l(x0) + e(x0) where l is the total mass of outcomes with
 f(x) < f(x0) and e is the total mass of the tie class f(x) = f(x0).  The mid
 p-value is Q(x0) = l(x0) + e(x0) / 2.  Both are computed on big-integer mass
 numerators over the table's common denominator and converted to float once,
-so equal rationals always produce bit-identical floats.
+so equal rationals always produce bit-identical floats.  `pvalue_table`
+turns count columns into a `PValueTable`, the adaptive step-ups' input.
 """
 
 from __future__ import annotations
@@ -20,14 +21,9 @@ from .dist import DiscreteDistribution, binomial_null, hypergeometric_null
 
 __all__ = [
     "PValueFlavor",
-    "TwoSidedPValues",
     "PValueSupport",
     "PValueTable",
     "pvalue_table",
-    "two_sided",
-    "null_support",
-    "bt_pvalues",
-    "fet_pvalues",
     "bt_support",
     "fet_support",
     "bt_outcome_pvalues",
@@ -48,31 +44,6 @@ def _as_flavor(flavor) -> PValueFlavor:
     except ValueError:
         raise ValueError(
             f"flavor must be 'conventional' or 'mid', got {flavor!r}") from None
-
-
-@dataclass(frozen=True)
-class TwoSidedPValues:
-    """Both p-value flavors for one observed outcome.
-
-    l is the mass strictly less likely than the observation, e the mass of
-    its tie class; p_conventional = l + e and p_mid = l + e / 2.  Each is
-    the correctly rounded float of its exact rational, so only the
-    inequalities that rounding preserves are checked: an e of at most
-    2**-1075 rounds to 0.0, and then p_mid can equal p_conventional.
-    """
-
-    l: float
-    e: float
-    p_conventional: float
-    p_mid: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.l <= 1.0:
-            raise ValueError(f"l must lie in [0, 1], got {self.l}")
-        if not 0.0 <= self.e <= 1.0:
-            raise ValueError(f"e must lie in [0, 1], got {self.e}")
-        if not self.p_mid <= self.p_conventional:
-            raise ValueError("p_mid must not exceed p_conventional")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,32 +149,6 @@ def _support_with_map(table: _TieTable,
     return support, outcome_to_point
 
 
-def two_sided(dist: DiscreteDistribution, x0: int) -> TwoSidedPValues:
-    """Exact conventional and mid two-sided p-values for outcome x0.
-
-    Computed from the integer numerators with the tie table's expressions,
-    so the floats equal the points of `null_support` bit for bit.
-    """
-    x0 = int(x0)
-    pos = int(np.searchsorted(dist.support, x0))
-    if pos == dist.support.size or int(dist.support[pos]) != x0:
-        raise ValueError(
-            f"outcome {x0} is not in the support; check the table margins")
-    nums = dist.numerators
-    den = dist.denominator
-    mass = nums[pos]
-    ln = sum(n for n in nums if n < mass)
-    en = sum(n for n in nums if n == mass)
-    return TwoSidedPValues(l=ln / den, e=en / den, p_conventional=(ln + en) / den,
-                           p_mid=(2 * ln + en) / (2 * den))
-
-
-def null_support(dist: DiscreteDistribution, flavor) -> PValueSupport:
-    """The attainable p-values of `dist` for one flavor, with their null CDF."""
-    support, _ = _support_with_map(_tie_table(dist), _as_flavor(flavor))
-    return support
-
-
 # One entry per margin -- (total,) for bt, (n1, n2, total) for fet -- holds
 # both flavors' (support, outcome -> point map), so each margin's null table
 # is built and tie-classified once per process.
@@ -275,39 +220,18 @@ class PValueTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def of_supports(cls, pvalues, supports) -> "PValueTable":
-        """Group per-test supports by identity and place each p-value on its own.
 
-        Raises ValueError naming the first test whose p-value is not a point
-        of its support.
-        """
-        p = np.asarray(pvalues, dtype=np.float64)
-        if len(supports) != p.size:
-            raise ValueError(
-                f"got {p.size} p-values but {len(supports)} supports")
-        distinct = {id(s): s for s in supports}
-        slot = {key: j for j, key in enumerate(distinct)}
-        support_index = np.fromiter((slot[id(s)] for s in supports),
-                                    dtype=np.int64, count=p.size)
-        sizes = np.array([len(s) for s in distinct.values()], dtype=np.int64)
-        flat = np.concatenate([s.points for s in distinct.values()])
-        grid = np.unique(flat)
-        # Ranks in the pooled grid make (support, point) one integer key, and
-        # flat ascends in that key because each support's points ascend.
-        keys = (np.repeat(np.arange(sizes.size), sizes) * grid.size
-                + np.searchsorted(grid, flat))
-        rank = np.minimum(np.searchsorted(grid, p), grid.size - 1)
-        want = support_index * grid.size + rank
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        bad = np.flatnonzero((keys[pos] != want) | (grid[rank] != p))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"p-value {p[i]!r} of test {i} is not a point of its support")
-        starts = np.cumsum(sizes) - sizes
-        return cls(tuple(distinct.values()), support_index,
-                   pos - starts[support_index])
+def count_column(name: str, values) -> np.ndarray:
+    """`values` as int64, or a ValueError naming column `name` if a value is
+    not an integer below 2**63 (a cast would truncate or wrap it)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind != "f" or np.all((raw == np.trunc(raw))
+                                       & (np.abs(raw) < 2.0**63)):
+        try:
+            return raw.astype(np.int64, copy=False)
+        except OverflowError:
+            pass
+    raise ValueError(f"column {name} must hold integers below 2**63")
 
 
 def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
@@ -319,8 +243,9 @@ def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
     p-value is gathered from its margin's outcome -> point map.
     """
     flavor = _as_flavor(flavor)
-    c1 = np.asarray(c1, dtype=np.int64)
-    c2 = np.asarray(c2, dtype=np.int64)
+    c1, c2 = count_column("c1", c1), count_column("c2", c2)
+    if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
+        raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ValueError("counts must be >= 0")
     total = c1 + c2
@@ -328,8 +253,8 @@ def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
         margins, group = np.unique(total, return_inverse=True)
         margins, outcome = margins[:, None], c1
     else:
-        n1, n2, total = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
-                                            np.asarray(n2, dtype=np.int64), total)
+        n1, n2, total = np.broadcast_arrays(count_column("n1", n1),
+                                            count_column("n2", n2), total)
         if np.any(c1 > n1) or np.any(c2 > n2):
             raise ValueError("impossible table: a count exceeds its trial total")
         margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
@@ -341,35 +266,3 @@ def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
     starts = np.cumsum(sizes) - sizes
     point_index = np.concatenate([o2p for _, o2p in lookups])[starts[group] + outcome]
     return PValueTable(tuple(s for s, _ in lookups), group, point_index)
-
-
-def bt_pvalues(c1: int, c2: int, flavor) -> tuple[float, PValueSupport]:
-    """Binomial-test p-value of (c1, c2) plus the support it lives on.
-
-    The null conditions on the total c1 + c2 and tests symmetry between the
-    two counts; a zero total yields the point-mass table (p = 1 conventional,
-    p = 0.5 mid).
-    """
-    c1, c2 = int(c1), int(c2)
-    if c1 < 0 or c2 < 0:
-        raise ValueError(f"counts must be >= 0, got ({c1}, {c2})")
-    support, outcome_to_point = _margin(c1 + c2)[_as_flavor(flavor)]
-    return float(support.points[outcome_to_point[c1]]), support
-
-
-def fet_pvalues(c1: int, c2: int, n1: int, n2: int,
-                flavor) -> tuple[float, PValueSupport]:
-    """Fisher-exact p-value of a 2x2 table plus the support it lives on.
-
-    The null conditions on both margins: group sizes (n1, n2) and the total
-    success count c1 + c2.
-    """
-    c1, c2, n1, n2 = int(c1), int(c2), int(n1), int(n2)
-    if c1 < 0 or c2 < 0:
-        raise ValueError(f"counts must be >= 0, got ({c1}, {c2})")
-    if c1 > n1 or c2 > n2:
-        raise ValueError(
-            f"impossible table: counts ({c1}, {c2}) exceed totals ({n1}, {n2})")
-    support, outcome_to_point = _margin(n1, n2, c1 + c2)[_as_flavor(flavor)]
-    lo = max(0, c1 + c2 - n2)
-    return float(support.points[outcome_to_point[c1 - lo]]), support

@@ -257,8 +257,7 @@ def _evaluate(tables: _RepTables, truth: TruthAssignment,
               alpha: float) -> tuple[tuple[float, float], ...]:
     """FDP and TDP of (BH, BH+, MidPBH+) on one replication."""
     res_bh = stepup.bh(tables.conv.p, alpha)
-    res_bhp = stepup.bh_plus(tables.conv.p, tables.conv, alpha,
-                             max_cdf=tables.mc_conv)
+    res_bhp = stepup.bh_plus(tables.conv, alpha, max_cdf=tables.mc_conv)
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
     # classical set lies inside the adaptive one iff it is no larger.
     if res_bh.rejection_count > res_bhp.rejection_count:
@@ -266,8 +265,8 @@ def _evaluate(tables: _RepTables, truth: TruthAssignment,
             f"adaptive step-up did not contain the classical rejection set at "
             f"alpha={alpha}: BH rejected {res_bh.rejection_count}, "
             f"BH+ {res_bhp.rejection_count}")
-    comparison = stepup.mid_vs_conventional(res_bhp, tables.mid, tables.mid.p,
-                                            alpha, max_cdf=tables.mc_mid)
+    comparison = stepup.mid_vs_conventional(res_bhp, tables.mid, alpha,
+                                            max_cdf=tables.mc_mid)
     return (_fdp_tdp(res_bh.rejected, truth),
             _fdp_tdp(res_bhp.rejected, truth),
             _fdp_tdp(comparison.mid_result.rejected, truth))

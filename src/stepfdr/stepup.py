@@ -136,35 +136,17 @@ def _scan(p: np.ndarray, gamma: np.ndarray) -> StepUpResult:
     return StepUpResult(gamma, r, threshold, rejected)
 
 
-def _as_table(p: np.ndarray, supports) -> PValueTable:
-    """The table of `supports` (a PValueTable or one support per test) for p."""
-    if not isinstance(supports, PValueTable):
-        return PValueTable.of_supports(p, supports)
-    if supports.p.size != p.size:
-        raise ValueError(f"got {p.size} p-values but a table of {supports.p.size}")
-    bad = np.flatnonzero(supports.p != p)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"p-value {p[i]!r} of test {i} is not its table's "
-                         f"support point {supports.p[i]!r}")
-    return supports
+def bh_plus(table: PValueTable, alpha: float, *,
+            max_cdf: MaxCdf | None = None) -> StepUpResult:
+    """Step-up run on `table.p` against critical values adapted to its supports.
 
-
-def bh_plus(pvalues, supports: PValueTable | Sequence[PValueSupport],
-            alpha: float, *, max_cdf: MaxCdf | None = None) -> StepUpResult:
-    """Step-up run against critical values adapted to the null supports.
-
-    `supports` is a PValueTable of these p-values or one support per test.
-    Every p-value must be a point of its own support (exact float equality;
-    both sides come from the same rational-to-float conversion), checked by
-    one vectorized comparison.  A premultiplied `max_cdf` for the same
-    supports may be passed to reuse work across alpha levels.
+    Every p-value of a PValueTable is a point of its own support by
+    construction, so nothing is re-checked here.  A `max_cdf` built from
+    `table.supports` may be passed to reuse work across alpha levels.
     """
-    p = _validate_pvalues(pvalues)
-    table = _as_table(p, supports)
     if max_cdf is None:
         max_cdf = build_max_cdf(table.supports)
-    return _scan(p, critical_values(max_cdf, alpha, p.size))
+    return _scan(table.p, critical_values(max_cdf, alpha, table.p.size))
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -191,25 +173,23 @@ class MidComparison:
     mid_result: StepUpResult
 
 
-def mid_vs_conventional(conv_result: StepUpResult,
-                        mid_supports: PValueTable | Sequence[PValueSupport],
-                        mid_pvalues, alpha: float,
-                        *, max_cdf: MaxCdf | None = None) -> MidComparison:
+def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
+                        alpha: float, *,
+                        max_cdf: MaxCdf | None = None) -> MidComparison:
     """Run the step-up on mid p-values and test the count-ordering condition.
 
     `conv_result` must come from a run on the conventional p-values of the
     same m tests at the same alpha.  The equivalence between the condition
     and r_mp >= r_cp is asserted on every call.
     """
-    p_mid = _validate_pvalues(mid_pvalues)
+    p_mid = mid_table.p
     m = p_mid.size
     if conv_result.critical_values.size != m:
         raise ValueError(
             f"conventional run had m = {conv_result.critical_values.size}, "
             f"but got {m} mid p-values")
-    table = _as_table(p_mid, mid_supports)
     if max_cdf is None:
-        max_cdf = build_max_cdf(table.supports)
+        max_cdf = build_max_cdf(mid_table.supports)
     mid_result = _scan(p_mid, critical_values(max_cdf, alpha, m))
     r_cp = conv_result.rejection_count
     if r_cp == 0:

@@ -16,11 +16,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_oracle import tie_classes
 from stepfdr import dist, ingest, sim, stepup
 from stepfdr.cli import main as cli_main
 from stepfdr.errors import InvariantViolation
 from stepfdr.ingest import CountTable
-from stepfdr.pvalue import PValueFlavor, bt_pvalues, bt_support, fet_pvalues, null_support
+from stepfdr.pvalue import PValueFlavor, PValueTable, bt_support, pvalue_table
 
 CONV = PValueFlavor.CONVENTIONAL
 MID = PValueFlavor.MID
@@ -42,30 +43,35 @@ def report(criterion: int, ok: bool, detail: str) -> str:
 def oracle_class_masses(d) -> list[Fraction]:
     """Tie-class masses of a null distribution, recomputed from the exact
     integer tables rather than from the p-value layer under test."""
-    pairs = sorted(zip(d.numerators, d.support.tolist()))
-    masses: list[Fraction] = []
-    last_num = None
-    for num, _ in pairs:
-        if num == last_num:
-            masses[-1] += Fraction(num, d.denominator)
-        else:
-            masses.append(Fraction(num, d.denominator))
-            last_num = num
-    return masses
+    return [e for _, _, e in tie_classes(d)]
 
 
-def small_null_dist(rng):
-    """A null distribution whose p-value support has at most 4 points."""
+def small_null_margin(rng):
+    """(margin, null) with at most 4 p-value support points; the margin is
+    (total,) for bt and (n1, n2, total) for fet."""
     while True:
         if rng.random() < 0.5:
-            d = dist.binomial_null(int(rng.integers(0, 8)))
+            margin = (int(rng.integers(0, 8)),)
+            d = dist.binomial_null(*margin)
         else:
             n1 = int(rng.integers(1, 5))
             n2 = int(rng.integers(1, 5))
             total = int(rng.integers(0, n1 + n2 + 1))
-            d = dist.hypergeometric_null(n1, n2, total)
+            margin = (n1, n2, total)
+            d = dist.hypergeometric_null(*margin)
         if len(oracle_class_masses(d)) <= 4:
-            return d
+            return margin, d
+
+
+def margin_support(margin, d, flavor):
+    """The support of a margin, from a one-row p-value table at its first outcome."""
+    c1 = int(d.support[0])
+    if len(margin) == 1:
+        table = pvalue_table(flavor, [c1], [margin[0] - c1])
+    else:
+        n1, n2, total = margin
+        table = pvalue_table(flavor, [c1], [total - c1], n1, n2)
+    return table.supports[0]
 
 
 def test_criterion_1_exact_fdr_oracle():
@@ -76,9 +82,11 @@ def test_criterion_1_exact_fdr_oracle():
     configs = 0
     t0 = time.perf_counter()
     while configs < 50:
-        dists = [small_null_dist(rng) for _ in range(3)]
+        margins = [small_null_margin(rng) for _ in range(3)]
+        dists = [d for _, d in margins]
         flavors = [MID if rng.random() < 0.5 else CONV for _ in range(3)]
-        supports = [null_support(d, f) for d, f in zip(dists, flavors)]
+        supports = [margin_support(margin, d, f)
+                    for (margin, d), f in zip(margins, flavors)]
         null_mask = rng.random(3) < 0.7
         class_probs: list[list[Fraction]] = []
         for i, d in enumerate(dists):
@@ -96,12 +104,11 @@ def test_criterion_1_exact_fdr_oracle():
         for alpha in LEVELS:
             fdr = Fraction(0)
             for combo in itertools.product(*outcome_sets):
-                p = np.array([supports[i].points[j]
-                              for i, j in enumerate(combo)])
+                table = PValueTable(supports, [0, 1, 2], combo)
                 prob = Fraction(1)
                 for i, j in enumerate(combo):
                     prob *= class_probs[i][j]
-                res = stepup.bh_plus(p, supports, alpha, max_cdf=max_cdf)
+                res = stepup.bh_plus(table, alpha, max_cdf=max_cdf)
                 if res.rejection_count:
                     false = int(null_mask[res.rejected].sum())
                     fdr += prob * Fraction(false, res.rejection_count)
@@ -147,14 +154,14 @@ def instance_batch():
         mc_mid = stepup.build_max_cdf(sup_mid.supports)
 
         res_bh = stepup.bh(p_conv, alpha)
-        res_plus = stepup.bh_plus(p_conv, sup_conv, alpha, max_cdf=mc_conv)
+        res_plus = stepup.bh_plus(sup_conv, alpha, max_cdf=mc_conv)
         if np.setdiff1d(res_bh.rejected, res_plus.rejected).size:
             counters["containment"] += 1
         counters["conv_rejections"] += res_plus.rejection_count
 
         try:
-            cmp_res = stepup.mid_vs_conventional(res_plus, sup_mid, p_mid,
-                                                 alpha, max_cdf=mc_mid)
+            cmp_res = stepup.mid_vs_conventional(res_plus, sup_mid, alpha,
+                                                 max_cdf=mc_mid)
         except InvariantViolation:
             counters["iff"] += 1
         else:
@@ -356,24 +363,24 @@ def test_criterion_7_applications(tmp_path):
 def test_criterion_8_degenerate_cases():
     checks = []
 
-    p, sup = bt_pvalues(0, 0, CONV)
-    checks.append(p == 1.0 and len(sup) == 1 and sup.points[0] == 1.0)
-    p, sup = bt_pvalues(0, 0, MID)
-    checks.append(p == 0.5 and sup.cdf_values[0] == 1.0)
-    p, _ = bt_pvalues(1, 0, CONV)
-    checks.append(p == 1.0)
-    p, _ = bt_pvalues(0, 1, MID)
-    checks.append(p == 0.5)
-    p, _ = fet_pvalues(0, 0, 5, 5, CONV)
-    checks.append(p == 1.0)
+    table = pvalue_table(CONV, [0], [0])
+    sup = table.supports[0]
+    checks.append(table.p[0] == 1.0 and len(sup) == 1 and sup.points[0] == 1.0)
+    table = pvalue_table(MID, [0], [0])
+    checks.append(table.p[0] == 0.5 and table.supports[0].cdf_values[0] == 1.0)
+    checks.append(pvalue_table(CONV, [1], [0]).p[0] == 1.0)
+    checks.append(pvalue_table(MID, [0], [1]).p[0] == 0.5)
+    checks.append(pvalue_table(CONV, [0], [0], 5, 5).p[0] == 1.0)
 
     sup = bt_support(0, CONV)
     gamma = stepup.critical_values(stepup.build_max_cdf([sup]), 0.05, 4)
     checks.append(bool(np.all(np.isnan(gamma))))
 
-    sups = [bt_support(1, CONV)] * 3
-    res = stepup.bh_plus(np.array([1.0, 1.0, 1.0]), sups, alpha=0.1)
-    checks.append(res.rejection_count == 0 and res.threshold is None
+    table = pvalue_table(CONV, [1, 1, 1], [0, 0, 0])
+    res = stepup.bh_plus(table, alpha=0.1)
+    checks.append(table.p.tolist() == [1.0, 1.0, 1.0]
+                  and table.supports == (bt_support(1, CONV),)
+                  and res.rejection_count == 0 and res.threshold is None
                   and res.rejected.size == 0
                   and bool(np.all(np.isnan(res.critical_values))))
 

@@ -6,18 +6,18 @@ deterministic kernels and fixed serialization make exact comparison safe.
 
 import csv
 import io
-import math
 import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import stepfdr
+from exact_oracle import exact_pvalues
 from stepfdr import ingest
 from stepfdr.cli import main
+from stepfdr.dist import binomial_null
 from stepfdr.errors import InvariantViolation
 
 HERE = pathlib.Path(__file__).parent
@@ -290,15 +290,6 @@ class TestLargeTotals:
     which used to make the support build fail for every row.
     """
 
-    @staticmethod
-    def exact_pvalues(c1, c2):
-        n = c1 + c2
-        masses = [math.comb(n, x) for x in range(n + 1)]
-        below = sum(w for w in masses if w < masses[c1])
-        tie = sum(w for w in masses if w == masses[c1])
-        return (float(Fraction(below + tie, 2**n)),
-                float(Fraction(2 * below + tie, 2**(n + 1))))
-
     @pytest.mark.parametrize("flavor", ["conventional", "mid", "both"])
     @pytest.mark.parametrize("rows", [[(600, 475)], [(1000, 1000)],
                                       [(600, 475), (1100, 0), (3, 4)]],
@@ -316,7 +307,7 @@ class TestLargeTotals:
             got = list(csv.DictReader(handle))
         assert len(got) == len(rows)
         for row, (c1, c2) in zip(got, rows):
-            p_conv, p_mid = self.exact_pvalues(c1, c2)
+            p_conv, p_mid = map(float, exact_pvalues(binomial_null(c1 + c2))[c1])
             assert row["p_conv"] == ("" if flavor == "mid" else repr(p_conv))
             assert row["p_mid"] == ("" if flavor == "conventional" else repr(p_mid))
         if len(rows) > 1:

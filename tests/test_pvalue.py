@@ -5,67 +5,55 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stepfdr import pvalue
+from exact_oracle import exact_pvalues, tie_classes
 from stepfdr.dist import binomial_null, hypergeometric_null
 from stepfdr.errors import DataError
 from stepfdr.pvalue import (
     PValueFlavor,
     PValueSupport,
     bt_outcome_pvalues,
-    bt_pvalues,
     bt_support,
     fet_outcome_pvalues,
-    fet_pvalues,
     fet_support,
-    null_support,
-    two_sided,
+    pvalue_table,
 )
 
 CONV = PValueFlavor.CONVENTIONAL
 MID = PValueFlavor.MID
 
 
-def oracle_classes(dist):
-    """Independent tie-class computation on exact rationals.
+def null_of(margin):
+    """The exact null of a margin: (total,) for bt, (n1, n2, total) for fet."""
+    return binomial_null(*margin) if len(margin) == 1 else hypergeometric_null(*margin)
 
-    Returns a list of (outcomes, l, e) per class in ascending mass order,
-    where l and e are Fractions: mass strictly below the class and the
-    class mass itself.
-    """
-    pairs = sorted(zip(dist.numerators, dist.support), key=lambda t: t[0])
-    classes = []
-    for num, x in pairs:
-        if classes and classes[-1][0] == num:
-            classes[-1][1].append(x)
-        else:
-            classes.append([num, [x]])
-    out = []
-    below = Fraction(0)
-    for num, xs in classes:
-        e = Fraction(num * len(xs), dist.denominator)
-        out.append((xs, below, e))
-        below += e
-    return out
+
+def outcome_table(margin, flavor, outcomes):
+    """One flavor's p-value table with one test per first count in `outcomes`."""
+    c1 = np.asarray(outcomes, dtype=np.int64)
+    if len(margin) == 1:
+        return pvalue_table(flavor, c1, margin[0] - c1)
+    n1, n2, total = margin
+    return pvalue_table(flavor, c1, total - c1, n1, n2)
 
 
 @pytest.mark.parametrize("dist", [
-    binomial_null(2),
-    binomial_null(7),
-    binomial_null(12),
-    hypergeometric_null(4, 4, 5),
-    hypergeometric_null(6, 3, 4),
-    hypergeometric_null(10, 10, 9),
+    (2,),
+    (7,),
+    (12,),
+    (4, 4, 5),
+    (6, 3, 4),
+    (10, 10, 9),
 ])
 def test_two_sided_matches_fraction_oracle(dist):
-    for xs, l, e in oracle_classes(dist):
-        p_exact = l + e
-        q_exact = l + e / 2
-        for x in xs:
-            got = two_sided(dist, int(x))
-            assert got.p_conventional == float(p_exact)
-            assert got.p_mid == float(q_exact)
-            assert got.l == float(l)
-            assert got.e == float(e)
+    """`dist` is a margin: every outcome's table p-value is the oracle's."""
+    support = null_of(dist).support
+    oracle = exact_pvalues(null_of(dist))
+    conv = outcome_table(dist, CONV, support)
+    mid = outcome_table(dist, MID, support)
+    for i, x in enumerate(support.tolist()):
+        p_exact, q_exact = oracle[x]
+        assert conv.p[i] == float(p_exact)
+        assert mid.p[i] == float(q_exact)
 
 
 @pytest.mark.parametrize("n", [1075, 1076, 2000])
@@ -75,59 +63,50 @@ def test_two_sided_at_large_totals_is_correctly_rounded(n):
     The smallest tie class {0, n} has mass 2 / 2**n, so its mid p-value
     rounds to 0.0 from n = 1075 on and its conventional one from n = 1076.
     """
-    dist = binomial_null(n)
-    conv = null_support(dist, CONV)
-    mid = null_support(dist, MID)
-    classes = oracle_classes(dist)
+    classes = tie_classes(binomial_null(n))
     for xs, l, e in (classes[0], classes[len(classes) // 2], classes[-1]):
-        got = two_sided(dist, int(xs[0]))
-        assert got.l == float(l)
-        assert got.e == float(e)
-        assert got.p_conventional == float(l + e)
-        assert got.p_mid == float(l + e / 2)
-        assert got.p_conventional in conv.points
-        assert got.p_mid in mid.points
-    smallest = two_sided(dist, 0)
-    assert smallest.p_mid == 0.0 and mid.points[0] == 0.0
-    assert (smallest.p_conventional == 0.0) == (n >= 1076)
+        for flavor, exact in ((CONV, l + e), (MID, l + e / 2)):
+            table = pvalue_table(flavor, [xs[0]], [n - xs[0]])
+            assert table.p[0] == float(exact)
+            assert table.supports[0].points[table.point_index[0]] == table.p[0]
+    conv = pvalue_table(CONV, [0], [n])
+    mid = pvalue_table(MID, [0], [n])
+    assert mid.p[0] == 0.0 and mid.supports[0].points[0] == 0.0
+    assert (conv.p[0] == 0.0) == (n >= 1076)
 
 
 def test_two_sided_binomial2_frozen_values():
-    d = binomial_null(2)
-    r0 = two_sided(d, 0)
-    assert (r0.l, r0.e, r0.p_conventional, r0.p_mid) == (0.0, 0.5, 0.5, 0.25)
-    r1 = two_sided(d, 1)
-    assert (r1.l, r1.e, r1.p_conventional, r1.p_mid) == (0.5, 0.5, 1.0, 0.75)
+    assert pvalue_table(CONV, [0, 1], [2, 1]).p.tolist() == [0.5, 1.0]
+    assert pvalue_table(MID, [0, 1], [2, 1]).p.tolist() == [0.25, 0.75]
 
 
 def test_two_sided_hypergeometric_frozen_values():
-    d = hypergeometric_null(2, 2, 2)
-    r = two_sided(d, 0)
-    assert r.l == 0.0
-    assert r.e == pytest.approx(1 / 3)
-    assert r.p_conventional == pytest.approx(1 / 3)
-    assert r.p_mid == pytest.approx(1 / 6)
+    assert pvalue_table(CONV, [0], [2], 2, 2).p[0] == pytest.approx(1 / 3)
+    assert pvalue_table(MID, [0], [2], 2, 2).p[0] == pytest.approx(1 / 6)
 
 
 def test_two_sided_rejects_off_support():
+    """An outcome outside its null's support is rejected when the table is built."""
     with pytest.raises(ValueError):
-        two_sided(binomial_null(2), 3)
+        pvalue_table(CONV, [3], [-1])
+    with pytest.raises(ValueError):
+        pvalue_table(CONV, [3], [0], 2, 2)
 
 
 def test_null_support_binomial2():
-    conv = null_support(binomial_null(2), CONV)
+    conv = bt_support(2, CONV)
     assert np.array_equal(conv.points, [0.5, 1.0])
     assert np.array_equal(conv.cdf_values, [0.5, 1.0])
-    mid = null_support(binomial_null(2), MID)
+    mid = bt_support(2, MID)
     assert np.array_equal(mid.points, [0.25, 0.75])
     assert np.array_equal(mid.cdf_values, [0.5, 1.0])
 
 
 def test_null_support_point_mass():
-    conv = null_support(binomial_null(0), CONV)
+    conv = bt_support(0, CONV)
     assert np.array_equal(conv.points, [1.0])
     assert np.array_equal(conv.cdf_values, [1.0])
-    mid = null_support(binomial_null(0), MID)
+    mid = bt_support(0, MID)
     assert np.array_equal(mid.points, [0.5])
     assert np.array_equal(mid.cdf_values, [1.0])
 
@@ -178,14 +157,12 @@ def test_support_points_strictly_increasing_and_final_one():
 
 
 def test_bt_pvalues_frozen_examples():
-    p, sup = bt_pvalues(0, 2, CONV)
-    assert p == 0.5
-    assert np.array_equal(sup.points, [0.5, 1.0])
-    p, _ = bt_pvalues(1, 1, MID)
-    assert p == 0.75
-    p, sup = bt_pvalues(0, 0, CONV)
-    assert p == 1.0
-    assert len(sup) == 1
+    table = pvalue_table(CONV, [0, 0], [2, 0])
+    assert table.p.tolist() == [0.5, 1.0]
+    sup_2, sup_0 = (table.supports[j] for j in table.support_index)
+    assert np.array_equal(sup_2.points, [0.5, 1.0])
+    assert len(sup_0) == 1
+    assert pvalue_table(MID, [1], [1]).p[0] == 0.75
 
 
 def test_bt_outcome_pvalues_consistent_with_bt_pvalues():
@@ -194,7 +171,7 @@ def test_bt_outcome_pvalues_consistent_with_bt_pvalues():
         c1 = int(rng.integers(0, 20))
         c2 = int(rng.integers(0, 20))
         for flavor in (CONV, MID):
-            direct, _ = bt_pvalues(c1, c2, flavor)
+            direct = pvalue_table(flavor, [c1], [c2]).p[0]
             table = bt_outcome_pvalues(c1 + c2, flavor)
             assert table[c1] == direct
 
@@ -209,16 +186,16 @@ def test_fet_pvalues_and_outcome_table_agree():
         total = c1 + c2
         lo = max(0, total - n2)
         for flavor in (CONV, MID):
-            direct, _ = fet_pvalues(c1, c2, n1, n2, flavor)
+            direct = pvalue_table(flavor, [c1], [c2], n1, n2).p[0]
             table = fet_outcome_pvalues(n1, n2, total, flavor)
             assert table[c1 - lo] == direct
 
 
 def test_fet_pvalues_validates_counts():
     with pytest.raises((ValueError, DataError)):
-        fet_pvalues(6, 0, 5, 5, CONV)
+        pvalue_table(CONV, [6], [0], 5, 5)
     with pytest.raises((ValueError, DataError)):
-        fet_pvalues(0, 6, 5, 5, CONV)
+        pvalue_table(CONV, [0], [6], 5, 5)
 
 
 def test_support_caching_returns_same_object():
@@ -228,16 +205,6 @@ def test_support_caching_returns_same_object():
     c = fet_support(7, 9, 6, MID)
     d = fet_support(7, 9, 6, MID)
     assert c is d
-
-
-def test_fresh_tables_grow_no_cache():
-    """Tie classes of tables built outside the margin caches are not kept."""
-    caches = [f for f in vars(pvalue).values() if hasattr(f, "cache_info")]
-    before = [f.cache_info().currsize for f in caches]
-    for _ in range(200):
-        null_support(binomial_null(5), CONV)
-        two_sided(hypergeometric_null(4, 6, 5), 2)
-    assert [f.cache_info().currsize for f in caches] == before
 
 
 def test_support_constructor_validation():
@@ -260,20 +227,20 @@ def test_mid_always_below_conventional():
     for _ in range(40):
         c1 = int(rng.integers(0, 25))
         c2 = int(rng.integers(0, 25))
-        conv, _ = bt_pvalues(c1, c2, CONV)
-        mid, _ = bt_pvalues(c1, c2, MID)
+        conv = pvalue_table(CONV, [c1], [c2]).p[0]
+        mid = pvalue_table(MID, [c1], [c2]).p[0]
         assert mid < conv
 
 
 def test_exact_mid_probability_statement():
     """Pr(Q <= Q(x)) equals P(x), checked by exact enumeration."""
-    for dist in (binomial_null(9), hypergeometric_null(5, 7, 6)):
-        for xs, l, e in oracle_classes(dist):
-            x0 = xs[0]
-            got = two_sided(dist, int(x0))
+    for margin in ((9,), (5, 7, 6)):
+        classes = tie_classes(null_of(margin))
+        for xs, l, e in classes:
+            got = outcome_table(margin, CONV, xs[:1]).p[0]
             mass_at_or_below = Fraction(0)
-            for ys, l2, e2 in oracle_classes(dist):
+            for ys, l2, e2 in classes:
                 q2 = l2 + e2 / 2
                 if q2 <= l + e / 2:
                     mass_at_or_below += e2
-            assert float(mass_at_or_below) == got.p_conventional
+            assert float(mass_at_or_below) == got

@@ -2,12 +2,13 @@
 
 import ast
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
+from exact_oracle import exact_pvalues
 from stepfdr import sim
+from stepfdr.dist import hypergeometric_null
 from stepfdr.errors import InvariantViolation
 from stepfdr.sim import (
     PROCEDURES,
@@ -180,19 +181,6 @@ def test_run_cell_all_null_has_zero_power():
         assert summary.stats[name].power == 0.0
 
 
-def _fet_two_sided_oracle(n: int, total: int) -> dict[int, tuple[Fraction, Fraction]]:
-    """Exact (P, Q) per first-group count for Fisher's test with n per group."""
-    den = comb(2 * n, total)
-    pmf = {x: Fraction(comb(n, x) * comb(n, total - x), den)
-           for x in range(max(0, total - n), min(n, total) + 1)}
-    out = {}
-    for x, fx in pmf.items():
-        less = sum(f for f in pmf.values() if f < fx)
-        tie = sum(f for f in pmf.values() if f == fx)
-        out[x] = (less + tie, less + tie / 2)
-    return out
-
-
 def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
     """Two alternatives, n = 30, alpha = 0.1: BH+ rejects one, MidPBH+ none.
 
@@ -205,8 +193,8 @@ def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
     """
     n, alpha = 30, Fraction(1, 10)
     counts = np.array([[13, 5], [6, 2]])
-    oracle_a = _fet_two_sided_oracle(n, 18)
-    oracle_b = _fet_two_sided_oracle(n, 8)
+    oracle_a = exact_pvalues(hypergeometric_null(n, n, 18))
+    oracle_b = exact_pvalues(hypergeometric_null(n, n, 8))
     p_a, q_a = oracle_a[13]
     p_b, _ = oracle_b[6]
     mid_cdf_b_at_q_a = max(p for p, q in oracle_b.values() if q <= q_a)

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from stepfdr.pvalue import PValueFlavor, bt_support, fet_support
+from stepfdr.pvalue import (
+    PValueFlavor,
+    PValueSupport,
+    PValueTable,
+    bt_support,
+    fet_support,
+)
 from stepfdr.stepup import (
     MaxCdf,
     bh,
@@ -20,9 +26,13 @@ MID = PValueFlavor.MID
 
 
 def make_support(points, cdf_values, flavor=CONV):
-    from stepfdr.pvalue import PValueSupport
     return PValueSupport(flavor=flavor, points=np.asarray(points, dtype=float),
                          cdf_values=np.asarray(cdf_values, dtype=float))
+
+
+def on_supports(supports, point_index):
+    """A hand-built table: test i takes point point_index[i] of supports[i]."""
+    return PValueTable(supports, np.arange(len(supports)), point_index)
 
 
 def brute_max_cdf(supports, t):
@@ -114,7 +124,7 @@ def test_bh_rejects_nothing_at_one():
 
 def test_bh_plus_no_rejection_when_gamma_infeasible():
     sups = [make_support([0.5, 1.0], [0.5, 1.0]) for _ in range(2)]
-    res = bh_plus(np.array([0.5, 1.0]), sups, alpha=0.6)
+    res = bh_plus(on_supports(sups, [0, 1]), alpha=0.6)
     assert res.rejection_count == 0
     assert np.all(np.isnan(res.critical_values) | (res.critical_values >= 0))
 
@@ -130,58 +140,59 @@ def test_bh_plus_reduces_to_bh_on_identity_supports():
         grid = np.unique(np.concatenate([
             consts, rng.uniform(0, 1, 30), [1.0]]))
         sup = make_support(grid, grid)
-        p = grid[rng.integers(0, len(grid), m)]
-        res_plus = bh_plus(p, [sup] * m, alpha=alpha)
-        res_bh = bh(p, alpha=alpha)
+        idx = rng.integers(0, len(grid), m)
+        res_plus = bh_plus(PValueTable([sup], np.zeros(m), idx), alpha=alpha)
+        res_bh = bh(grid[idx], alpha=alpha)
         assert res_plus.rejection_count == res_bh.rejection_count
         assert set(res_plus.rejected.tolist()) == set(res_bh.rejected.tolist())
 
 
 def random_bt_instance(rng, m_max=40):
+    """A table with a random point of a random bt support per test."""
     m = int(rng.integers(1, m_max))
     supports = []
-    p = np.empty(m)
+    point_index = np.empty(m, dtype=np.int64)
     for i in range(m):
         n = int(rng.integers(0, 25))
         sup = bt_support(n, CONV)
-        p[i] = sup.points[int(rng.integers(0, len(sup)))]
+        point_index[i] = int(rng.integers(0, len(sup)))
         supports.append(sup)
-    return p, supports
+    return on_supports(supports, point_index)
 
 
 def test_bh_plus_contains_bh_on_random_exact_instances():
     rng = np.random.default_rng(35)
     for _ in range(150):
-        p, sups = random_bt_instance(rng)
+        table = random_bt_instance(rng)
         alpha = float(rng.uniform(0.02, 0.3))
-        r_bh = bh(p, alpha=alpha)
-        r_plus = bh_plus(p, sups, alpha=alpha)
+        r_bh = bh(table.p, alpha=alpha)
+        r_plus = bh_plus(table, alpha=alpha)
         assert set(r_bh.rejected.tolist()) <= set(r_plus.rejected.tolist())
 
 
 def test_bh_plus_alpha_monotone():
     rng = np.random.default_rng(36)
     for _ in range(60):
-        p, sups = random_bt_instance(rng)
+        table = random_bt_instance(rng)
         a_lo = float(rng.uniform(0.02, 0.15))
         a_hi = a_lo + float(rng.uniform(0.01, 0.2))
-        r_lo = bh_plus(p, sups, alpha=a_lo)
-        r_hi = bh_plus(p, sups, alpha=a_hi)
+        r_lo = bh_plus(table, alpha=a_lo)
+        r_hi = bh_plus(table, alpha=a_hi)
         assert r_lo.rejection_count <= r_hi.rejection_count
 
 
 def test_bh_plus_threshold_separates_decisions():
     rng = np.random.default_rng(37)
     for _ in range(60):
-        p, sups = random_bt_instance(rng)
-        res = bh_plus(p, sups, alpha=0.1)
+        table = random_bt_instance(rng)
+        res = bh_plus(table, alpha=0.1)
         if res.rejection_count == 0:
             assert res.threshold is None
             assert res.rejected.size == 0
             continue
         thr = res.threshold
         rejected = set(res.rejected.tolist())
-        for i, pi in enumerate(p):
+        for i, pi in enumerate(table.p):
             if i in rejected:
                 assert pi <= thr
             else:
@@ -191,49 +202,43 @@ def test_bh_plus_threshold_separates_decisions():
 def test_bh_plus_critical_values_monotone_where_defined():
     rng = np.random.default_rng(38)
     for _ in range(40):
-        p, sups = random_bt_instance(rng)
-        res = bh_plus(p, sups, alpha=0.15)
+        res = bh_plus(random_bt_instance(rng), alpha=0.15)
         g = res.critical_values
         defined = g[~np.isnan(g)]
         assert np.all(np.diff(defined) >= 0)
 
 
 def test_bh_plus_rejects_p_not_on_any_support():
+    """A p-value off its support cannot reach bh_plus: the table refuses it."""
     sup = make_support([0.5, 1.0], [0.5, 1.0])
     with pytest.raises(ValueError):
-        bh_plus(np.array([0.3]), [sup], alpha=0.1)
-
-
-def test_bh_plus_rejects_length_mismatch():
-    sup = make_support([0.5, 1.0], [0.5, 1.0])
-    with pytest.raises(ValueError):
-        bh_plus(np.array([0.5, 1.0]), [sup], alpha=0.1)
+        bh_plus(on_supports([sup], [2]), alpha=0.1)
 
 
 def test_bh_plus_rejects_bad_alpha():
     sup = make_support([0.5, 1.0], [0.5, 1.0])
     for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
-            bh_plus(np.array([0.5]), [sup], alpha=bad)
+            bh_plus(on_supports([sup], [0]), alpha=bad)
 
 
 def fet_pair_instance(rng, m):
-    conv_p = np.empty(m)
-    mid_p = np.empty(m)
+    """Conventional and mid tables of m tests, each at one tie class of a
+    random fet margin (the two flavors' supports align point for point)."""
     conv_sups = []
     mid_sups = []
+    point_index = np.empty(m, dtype=np.int64)
     for i in range(m):
         n1 = int(rng.integers(1, 12))
         n2 = int(rng.integers(1, 12))
         total = int(rng.integers(0, n1 + n2 + 1))
         cs = fet_support(n1, n2, total, CONV)
         ms = fet_support(n1, n2, total, MID)
-        j = int(rng.integers(0, len(cs)))
-        conv_p[i] = cs.points[j]
-        mid_p[i] = ms.points[j]
+        assert len(cs) == len(ms)
+        point_index[i] = int(rng.integers(0, len(cs)))
         conv_sups.append(cs)
         mid_sups.append(ms)
-    return conv_p, conv_sups, mid_p, mid_sups
+    return on_supports(conv_sups, point_index), on_supports(mid_sups, point_index)
 
 
 def test_mid_vs_conventional_counts_and_condition():
@@ -241,11 +246,11 @@ def test_mid_vs_conventional_counts_and_condition():
     saw_holds = False
     for _ in range(80):
         m = int(rng.integers(1, 25))
-        cp, cs, mp, ms = fet_pair_instance(rng, m)
+        cs, ms = fet_pair_instance(rng, m)
         alpha = float(rng.uniform(0.05, 0.3))
-        conv = bh_plus(cp, cs, alpha=alpha)
-        cmp_res = mid_vs_conventional(conv, ms, mp, alpha=alpha)
-        direct_m = bh_plus(mp, ms, alpha=alpha)
+        conv = bh_plus(cs, alpha=alpha)
+        cmp_res = mid_vs_conventional(conv, ms, alpha=alpha)
+        direct_m = bh_plus(ms, alpha=alpha)
         assert cmp_res.r_cp == conv.rejection_count
         assert cmp_res.r_mp == direct_m.rejection_count
         assert cmp_res.mid_result.rejection_count == cmp_res.r_mp
@@ -258,39 +263,36 @@ def test_mid_vs_conventional_counts_and_condition():
 def test_mid_vs_conventional_vacuous_when_no_conventional_rejection():
     sup_c = make_support([0.9, 1.0], [0.9, 1.0])
     sup_m = make_support([0.45, 0.95], [0.9, 1.0], flavor=MID)
-    conv = bh_plus(np.array([0.9]), [sup_c], alpha=0.05)
+    conv = bh_plus(on_supports([sup_c], [0]), alpha=0.05)
     assert conv.rejection_count == 0
-    res = mid_vs_conventional(conv, [sup_m], np.array([0.45]), alpha=0.05)
+    res = mid_vs_conventional(conv, on_supports([sup_m], [0]), alpha=0.05)
     assert res.r_cp == 0
     assert res.condition_holds
 
 
 def test_mid_vs_conventional_rejects_mismatched_lengths():
     sup = make_support([0.5, 1.0], [0.5, 1.0])
-    conv = bh_plus(np.array([0.5]), [sup], alpha=0.1)
+    conv = bh_plus(on_supports([sup], [0]), alpha=0.1)
     mid_sup = make_support([0.25, 0.75], [0.5, 1.0], flavor=MID)
     with pytest.raises(ValueError):
-        mid_vs_conventional(conv, [mid_sup, mid_sup],
-                            np.array([0.25, 0.75]), alpha=0.1)
+        mid_vs_conventional(conv, on_supports([mid_sup, mid_sup], [0, 1]),
+                            alpha=0.1)
 
 
 def test_mid_vs_conventional_validates_mid_pvalues_once(monkeypatch):
+    """The table's constructor is the one check; the step-ups re-check nothing."""
     from stepfdr import stepup
-    calls = {"_validate_pvalues": 0, "_as_table": 0}
-    for name in calls:
-        original = getattr(stepup, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(stepup, name, counted)
+    calls = []
+    original = stepup._validate_pvalues
+    monkeypatch.setattr(stepup, "_validate_pvalues",
+                        lambda p: calls.append(p) or original(p))
     rng = np.random.default_rng(42)
-    cp, cs, mp, ms = fet_pair_instance(rng, 12)
-    conv = bh_plus(cp, cs, alpha=0.2)
-    calls.update(dict.fromkeys(calls, 0))
-    mid_vs_conventional(conv, ms, mp, alpha=0.2)
-    assert calls == {"_validate_pvalues": 1, "_as_table": 1}
+    cs, ms = fet_pair_instance(rng, 12)
+    conv = bh_plus(cs, alpha=0.2)
+    mid_vs_conventional(conv, ms, alpha=0.2)
+    assert calls == []
+    bh(cs.p, alpha=0.2)
+    assert len(calls) == 1
 
 
 def test_mid_never_accepts_larger_rank_than_conventional():
@@ -299,8 +301,8 @@ def test_mid_never_accepts_larger_rank_than_conventional():
     rng = np.random.default_rng(41)
     for _ in range(120):
         m = int(rng.integers(1, 30))
-        cp, cs, mp, ms = fet_pair_instance(rng, m)
+        cs, ms = fet_pair_instance(rng, m)
         alpha = float(rng.uniform(0.02, 0.3))
-        conv = bh_plus(cp, cs, alpha=alpha)
-        res = mid_vs_conventional(conv, ms, mp, alpha=alpha)
+        conv = bh_plus(cs, alpha=alpha)
+        res = mid_vs_conventional(conv, ms, alpha=alpha)
         assert res.r_mp <= res.r_cp

@@ -6,16 +6,17 @@ Fisher-exact margins (empty groups included), drawn by hypothesis.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import exact_pvalues
 from stepfdr import pvalue
-from stepfdr.dist import hypergeometric_null
+from stepfdr.dist import binomial_null, hypergeometric_null
+from stepfdr.ingest import CountTable
 from stepfdr.pvalue import (
     PValueFlavor,
-    bt_pvalues,
+    PValueTable,
     bt_support,
-    fet_pvalues,
     fet_support,
     pvalue_table,
 )
@@ -47,11 +48,10 @@ def table_of(rows, flavor):
     return pvalue_table(flavor, *cols)
 
 
-def per_test(rows, flavor):
-    """(p, support) of every row from the per-record functions."""
-    if len(rows[0]) == 2:
-        return [bt_pvalues(c1, c2, flavor) for c1, c2 in rows]
-    return [fet_pvalues(*row, flavor) for row in rows]
+def exact(flavor, dist, x):
+    """The oracle's float p-value of outcome x under `dist`."""
+    p, q = exact_pvalues(dist)[x]
+    return float(p if flavor is CONV else q)
 
 
 @PROPERTY
@@ -59,11 +59,10 @@ def per_test(rows, flavor):
 def test_bt_table_matches_per_record_pvalues(rows, flavor):
     table = table_of(rows, flavor)
     for i, (c1, c2) in enumerate(rows):
-        p, support = bt_pvalues(c1, c2, flavor)
-        assert table.p[i] == p
-        assert table.supports[table.support_index[i]] is support
+        support = table.supports[table.support_index[i]]
+        assert table.p[i] == exact(flavor, binomial_null(c1 + c2), c1)
         assert support is bt_support(c1 + c2, flavor)
-        assert support.points[table.point_index[i]] == p
+        assert support.points[table.point_index[i]] == table.p[i]
 
 
 @PROPERTY
@@ -71,11 +70,10 @@ def test_bt_table_matches_per_record_pvalues(rows, flavor):
 def test_fet_table_matches_per_record_pvalues(rows, flavor):
     table = table_of(rows, flavor)
     for i, (c1, c2, n1, n2) in enumerate(rows):
-        p, support = fet_pvalues(c1, c2, n1, n2, flavor)
-        assert table.p[i] == p
-        assert table.supports[table.support_index[i]] is support
+        support = table.supports[table.support_index[i]]
+        assert table.p[i] == exact(flavor, hypergeometric_null(n1, n2, c1 + c2), c1)
         assert support is fet_support(n1, n2, c1 + c2, flavor)
-        assert support.points[table.point_index[i]] == p
+        assert support.points[table.point_index[i]] == table.p[i]
 
 
 def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
@@ -96,12 +94,13 @@ def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
 @PROPERTY
 @given(rows=INSTANCES, flavor=FLAVORS, alpha=ALPHAS)
 def test_bh_plus_same_on_table_and_per_test_supports(rows, flavor, alpha):
+    """A hand-built table with one support slot per test gives the same run."""
     table = table_of(rows, flavor)
-    pairs = per_test(rows, flavor)
-    p = np.array([p for p, _ in pairs])
-    supports = [support for _, support in pairs]
-    on_table = bh_plus(p, table, alpha)
-    on_list = bh_plus(p, supports, alpha)
+    per_test = PValueTable([table.supports[j] for j in table.support_index],
+                           np.arange(len(rows)), table.point_index)
+    assert np.array_equal(per_test.p, table.p)
+    on_table = bh_plus(table, alpha)
+    on_list = bh_plus(per_test, alpha)
     assert on_table.critical_values.tobytes() == on_list.critical_values.tobytes()
     assert on_table.rejection_count == on_list.rejection_count
     assert on_table.threshold == on_list.threshold
@@ -109,25 +108,62 @@ def test_bh_plus_same_on_table_and_per_test_supports(rows, flavor, alpha):
 
 
 @PROPERTY
-@given(rows=INSTANCES, flavor=FLAVORS, data=st.data())
-def test_off_support_pvalue_names_its_test(rows, flavor, data):
-    table = table_of(rows, flavor)
-    supports = [table.supports[j] for j in table.support_index]
-    i = data.draw(st.integers(0, len(rows) - 1))
-    p = table.p.copy()
-    p[i] = np.nextafter(p[i], 0.0)
-    assume(p[i] not in supports[i].points)
-    for given_supports in (table, supports):
-        with pytest.raises(ValueError, match=rf"\bof test {i}\b"):
-            bh_plus(p, given_supports, 0.1)
-
-
-@PROPERTY
 @given(rows=INSTANCES, alpha=ALPHAS)
 def test_bh_plus_is_bh_and_contains_mid_run(rows, alpha):
     conv, mid = table_of(rows, CONV), table_of(rows, MID)
     res_bh = bh(conv.p, alpha)
-    res_plus = bh_plus(conv.p, conv, alpha)
+    res_plus = bh_plus(conv, alpha)
     assert np.array_equal(res_bh.rejected, res_plus.rejected)
-    res_mid = mid_vs_conventional(res_plus, mid, mid.p, alpha).mid_result
+    res_mid = mid_vs_conventional(res_plus, mid, alpha).mid_result
     assert np.isin(res_mid.rejected, res_plus.rejected).all()
+
+
+@pytest.mark.parametrize("support_index, point_index", [
+    ([-1, 0], [0, 0]),
+    ([0, 2], [0, 0]),
+    ([0, 1], [-1, 0]),
+    ([0, 1], [0, 2]),
+    ([0, 1], [1, 1]),
+], ids=["support-negative", "support-past-end", "point-negative",
+        "point-past-end", "point-past-own-support"])
+def test_table_rejects_index_off_its_supports(support_index, point_index):
+    """The constructor is what keeps every test on a point of its own support.
+
+    Support 0 has two points and support 1 one point, so point 1 exists only
+    on support 0.
+    """
+    supports = (bt_support(2, CONV), bt_support(0, CONV))
+    assert [len(s) for s in supports] == [2, 1]
+    with pytest.raises(ValueError, match="index a point"):
+        PValueTable(supports, support_index, point_index)
+
+
+@pytest.mark.parametrize("c1, c2", [
+    ([], []),
+    ([1, 2], [3]),
+    ([[1, 2]], [[3, 4]]),
+    (1, 2),
+], ids=["empty", "unequal", "2-d", "scalar"])
+def test_pvalue_table_rejects_malformed_count_columns(c1, c2):
+    """Its own message for empty columns (numpy's concatenate error before),
+    and no broadcasting: a short c2 once made the tests (1, 3), (2, 3)."""
+    with pytest.raises(ValueError, match="matching non-empty 1-D columns"):
+        pvalue_table(CONV, c1, c2)
+
+
+@pytest.mark.parametrize("columns, name", [
+    (([2.7], [1.0]), "c1"),
+    (([2.0], [1.2]), "c2"),
+    (([2.0], [1.0], [3.5], [4.0]), "n1"),
+    (([2.0], [1.0], [3.0], [np.nan]), "n2"),
+    (([1e30], [1]), "c1"),
+    (([1], [2**70]), "c2"),
+], ids=["c1", "c2", "n1", "n2-nan", "c1-float-past-int64", "c2-int-past-int64"])
+def test_fractional_counts_are_rejected_not_truncated(columns, name):
+    """Both int64 casts of count columns refuse a value that is not an
+    int64 integer, instead of truncating or wrapping it."""
+    with pytest.raises(ValueError, match=rf"column {name} must hold integers"):
+        pvalue_table(CONV, *columns)
+    with pytest.raises(ValueError, match=rf"column {name} must hold integers"):
+        CountTable(("a",), *columns)
+    assert pvalue_table(CONV, [2.0], [1.0]).p[0] == pvalue_table(CONV, [2], [1]).p[0]
