@@ -41,7 +41,6 @@ from .sim import (
     ProcedureStats,
     SimConfig,
     SimSummary,
-    TruthAssignment,
     gen_binomial_pair,
     gen_copula_uniforms,
     gen_poisson_pair,
@@ -79,7 +78,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "StepUpResult",
-    "TruthAssignment",
     "analyze",
     "bh",
     "bh_plus",

@@ -21,7 +21,6 @@ import click
 
 from . import ingest, sim, stepup
 from .errors import DataError, InvariantViolation
-from .pvalue import PValueFlavor
 
 _LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
@@ -177,7 +176,8 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
 def support(input_path, test, flavor, fmt, output) -> None:
     """Dump each hypothesis's p-value support and the pooled max-CDF."""
     counts = ingest.load_counts(input_path)
-    table = ingest.pvalue_tables(counts, test, PValueFlavor(flavor))
+    conv, mid = ingest.pvalue_tables(counts, test)
+    table = mid if flavor == "mid" else conv
     max_cdf = stepup.build_max_cdf(table.supports)
     supports = [table.supports[j] for j in table.support_index]
     if fmt == "json":

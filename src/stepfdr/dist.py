@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -88,10 +89,14 @@ def binomial_null(n: int) -> DiscreteDistribution:
     """Binomial(1/2, n): the null law of c1 given a fixed total c1 + c2 = n.
 
     Masses are C(n, x) / 2**n held exactly; n = 0 gives the point mass at 0.
+    The numerators follow C(n, x+1) = C(n, x)(n - x)/(x + 1), whose
+    division is exact.
     """
     n = _check_nonneg_int(n, "n")
+    numerators = accumulate(range(n), lambda c, x: c * (n - x) // (x + 1),
+                            initial=1)
     return DiscreteDistribution(np.arange(n + 1, dtype=np.int64),
-                                [math.comb(n, x) for x in range(n + 1)], 1 << n)
+                                numerators, 1 << n)
 
 
 def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
@@ -99,6 +104,8 @@ def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
 
     Support runs over x in {max(0, m_total - n2), ..., min(n1, m_total)} with
     masses C(n1, x) * C(n2, m_total - x) / C(n1 + n2, m_total), held exactly.
+    From the first, each numerator follows by the exact recurrence
+    f(x+1) = f(x)(n1 - x)(m_total - x) / ((x + 1)(n2 - m_total + x + 1)).
     """
     n1 = _check_nonneg_int(n1, "n1")
     n2 = _check_nonneg_int(n2, "n2")
@@ -108,7 +115,10 @@ def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
             f"m_total must lie in [0, n1 + n2], got {m_total} > {n1 + n2}")
     lo = max(0, m_total - n2)
     hi = min(n1, m_total)
-    numerators = [math.comb(n1, x) * math.comb(n2, m_total - x)
-                  for x in range(lo, hi + 1)]
+    rest = n2 - m_total
+    numerators = accumulate(
+        range(lo, hi),
+        lambda f, x: f * (n1 - x) * (m_total - x) // ((x + 1) * (rest + x + 1)),
+        initial=math.comb(n1, lo) * math.comb(n2, m_total - lo))
     return DiscreteDistribution(np.arange(lo, hi + 1, dtype=np.int64),
                                 numerators, math.comb(n1 + n2, m_total))

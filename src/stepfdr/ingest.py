@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pvalue, stepup
 from .errors import DataError
-from .pvalue import PValueFlavor, count_column
+from .pvalue import count_column
 
 __all__ = [
     "CountTable",
@@ -138,6 +138,9 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
                 raise _bad_cell(names, row, f"{path}:{lineno}") from None
             if min(cells) < 0:
                 raise _bad_cell(names, row, f"{path}:{lineno}")
+            if cells[0] + cells[1] >= 2**63 or with_totals and max(cells) >= 2**63:
+                raise DataError(
+                    f"{path}:{lineno}: counts and c1 + c2 must be below 2**63")
             if with_totals and (cells[0] > cells[2] or cells[1] > cells[3]):
                 raise DataError(f"{path}:{lineno}: count exceeds its trial total")
             ids.append(rid)
@@ -179,9 +182,10 @@ class AnalysisReport:
         return mask
 
 
-def pvalue_tables(table: CountTable, test: str,
-                  flavor: PValueFlavor) -> pvalue.PValueTable:
-    """The p-value table of `table` under `test` ("bt" or "fet").
+def pvalue_tables(table: CountTable,
+                  test: str) -> tuple[pvalue.PValueTable, pvalue.PValueTable]:
+    """The conventional and mid p-value tables of `table` under `test`
+    ("bt" or "fet"), built in one pass.
 
     The one place that rejects an empty table and Fisher-exact input
     without trial totals.
@@ -189,10 +193,10 @@ def pvalue_tables(table: CountTable, test: str,
     if not len(table):
         raise DataError("no hypotheses to test")
     if test == "bt":
-        return pvalue.pvalue_table(flavor, table.c1, table.c2)
+        return pvalue.pvalue_table(table.c1, table.c2)
     if table.n1 is None:
         raise DataError("Fisher-exact analysis needs trial totals (columns n1, n2)")
-    return pvalue.pvalue_table(flavor, table.c1, table.c2, table.n1, table.n2)
+    return pvalue.pvalue_table(table.c1, table.c2, table.n1, table.n2)
 
 
 def analyze(table: CountTable, test: str, alpha: float,
@@ -214,11 +218,7 @@ def analyze(table: CountTable, test: str, alpha: float,
         raise ValueError(f"unknown procedure {bad[0]!r}")
     procedures = tuple(name for name in PROCEDURE_CHOICES if name in procedures)
 
-    conv = mid = None
-    if "BH" in procedures or "BH+" in procedures:
-        conv = pvalue_tables(table, test, PValueFlavor.CONVENTIONAL)
-    if "MidPBH+" in procedures:
-        mid = pvalue_tables(table, test, PValueFlavor.MID)
+    conv, mid = pvalue_tables(table, test)
 
     results: dict[str, stepup.StepUpResult] = {}
     if "BH" in procedures:
@@ -235,8 +235,8 @@ def analyze(table: CountTable, test: str, alpha: float,
 
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures, ids=table.ids,
-        p_conv=None if conv is None else conv.p,
-        p_mid=None if mid is None else mid.p,
+        p_conv=conv.p if "BH" in procedures or "BH+" in procedures else None,
+        p_mid=mid.p if "MidPBH+" in procedures else None,
         results=results, comparison=comparison)
 
 

@@ -6,7 +6,8 @@ f(x) < f(x0) and e is the total mass of the tie class f(x) = f(x0).  The mid
 p-value is Q(x0) = l(x0) + e(x0) / 2.  Both are computed on big-integer mass
 numerators over the table's common denominator and converted to float once,
 so equal rationals always produce bit-identical floats.  `pvalue_table`
-turns count columns into a `PValueTable`, the adaptive step-ups' input.
+turns count columns into one `PValueTable` per flavor, the adaptive
+step-ups' input.
 """
 
 from __future__ import annotations
@@ -36,14 +37,23 @@ class PValueFlavor(str, enum.Enum):
     MID = "mid"
 
 
-def _as_flavor(flavor) -> PValueFlavor:
-    if isinstance(flavor, PValueFlavor):
-        return flavor
-    try:
-        return PValueFlavor(flavor)
-    except ValueError:
-        raise ValueError(
-            f"flavor must be 'conventional' or 'mid', got {flavor!r}") from None
+def step_cdf(x, cdf, x_name: str, cdf_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """`x` and `cdf` as read-only float arrays, or a ValueError naming them
+    unless they tabulate a step CDF: matching non-empty 1-D arrays, `x`
+    strictly increasing, `cdf` nondecreasing and ending at exactly 1.0."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = np.asarray(cdf, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0 or cdf.shape != x.shape:
+        raise ValueError(f"{x_name} and {cdf_name} must be matching 1-D arrays")
+    if x.size > 1 and not np.all(np.diff(x) > 0.0):
+        raise ValueError(f"{x_name} must be strictly increasing")
+    if x.size > 1 and not np.all(np.diff(cdf) >= 0.0):
+        raise ValueError(f"{cdf_name} must be nondecreasing")
+    if cdf[-1] != 1.0:
+        raise ValueError(f"the last of {cdf_name} must equal 1.0 exactly")
+    x.flags.writeable = False
+    cdf.flags.writeable = False
+    return x, cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,30 +74,17 @@ class PValueSupport:
     cdf_values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flavor", _as_flavor(self.flavor))
-        points = np.asarray(self.points, dtype=np.float64)
-        cdf = np.asarray(self.cdf_values, dtype=np.float64)
-        if points.ndim != 1 or points.size == 0 or cdf.shape != points.shape:
-            raise ValueError("points and cdf_values must be matching 1-D arrays")
+        object.__setattr__(self, "flavor", PValueFlavor(self.flavor))
+        points, cdf = step_cdf(self.points, self.cdf_values,
+                               "support points", "cdf_values")
         if not (np.all(points >= 0.0) and np.all(points <= 1.0)):
             raise ValueError("support points must lie in [0, 1]")
-        if points.size > 1 and not np.all(np.diff(points) > 0.0):
-            raise ValueError("support points must be strictly increasing")
-        if points.size > 1 and not np.all(np.diff(cdf) >= 0.0):
-            raise ValueError("cdf_values must be nondecreasing")
-        if cdf[-1] != 1.0:
-            raise ValueError("the last cdf_value must equal 1.0 exactly")
-        if self.flavor is PValueFlavor.CONVENTIONAL:
-            if not np.array_equal(points, cdf):
-                raise ValueError(
-                    "conventional supports must satisfy cdf_values == points")
-        else:
-            if not np.all(cdf >= points):
-                raise ValueError(
-                    "mid supports must satisfy cdf_values >= points")
-        for name, arr in (("points", points), ("cdf_values", cdf)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if self.flavor is PValueFlavor.CONVENTIONAL and not np.array_equal(points, cdf):
+            raise ValueError("conventional supports must satisfy cdf_values == points")
+        if self.flavor is PValueFlavor.MID and not np.all(cdf >= points):
+            raise ValueError("mid supports must satisfy cdf_values >= points")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "cdf_values", cdf)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -163,24 +160,24 @@ def bt_support(total: int, flavor) -> PValueSupport:
     """Cached binomial-test support for a fixed total count; interned per margin."""
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    return _margin(int(total))[_as_flavor(flavor)][0]
+    return _margin(int(total))[PValueFlavor(flavor)][0]
 
 
 def fet_support(n1: int, n2: int, total: int, flavor) -> PValueSupport:
     """Cached Fisher-exact support for fixed margins; interned per margin triple."""
-    return _margin(int(n1), int(n2), int(total))[_as_flavor(flavor)][0]
+    return _margin(int(n1), int(n2), int(total))[PValueFlavor(flavor)][0]
 
 
 def bt_outcome_pvalues(total: int, flavor) -> np.ndarray:
     """p-value of every outcome c1 = 0..total, as floats taken from the support."""
-    support, outcome_to_point = _margin(int(total))[_as_flavor(flavor)]
+    support, outcome_to_point = _margin(int(total))[PValueFlavor(flavor)]
     return support.points[outcome_to_point]
 
 
 def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
     """p-value of every feasible outcome c1, aligned with the hypergeometric support."""
     support, outcome_to_point = _margin(int(n1), int(n2),
-                                        int(total))[_as_flavor(flavor)]
+                                        int(total))[PValueFlavor(flavor)]
     return support.points[outcome_to_point]
 
 
@@ -234,21 +231,25 @@ def count_column(name: str, values) -> np.ndarray:
     raise ValueError(f"column {name} must hold integers below 2**63")
 
 
-def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
-    """One flavor's p-values of m count pairs, with their supports, as a table.
+def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
+    """Conventional and mid p-values of m count pairs, with their supports.
 
     Without n1 and n2 each pair gets the binomial test given its total; with
     them (arrays, or scalars shared by every test) it gets Fisher's exact
-    test given (n1, n2, total).  Tests are grouped by margin once, and each
-    p-value is gathered from its margin's outcome -> point map.
+    test given (n1, n2, total).  The counts are checked and grouped by margin
+    once, each margin is looked up once, and each flavor's p-values are
+    gathered from its margins' outcome -> point maps into its own table.
     """
-    flavor = _as_flavor(flavor)
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
         raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ValueError("counts must be >= 0")
     total = c1 + c2
+    if np.any(total < 0):   # wrapped past the int64 range
+        i = int(np.argmax(total < 0))
+        raise ValueError(
+            f"total c1 + c2 must be below 2**63, got {int(c1[i]) + int(c2[i])}")
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
         margins, outcome = margins[:, None], c1
@@ -260,9 +261,14 @@ def pvalue_table(flavor, c1, c2, n1=None, n2=None) -> PValueTable:
         margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
                                    return_inverse=True)
         outcome = c1 - np.maximum(0, total - n2)
-    lookups = [_margin(*key)[flavor] for key in margins.tolist()]
+    entries = [_margin(*key) for key in margins.tolist()]
     group = group.reshape(-1)
-    sizes = np.array([o2p.size for _, o2p in lookups], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    point_index = np.concatenate([o2p for _, o2p in lookups])[starts[group] + outcome]
-    return PValueTable(tuple(s for s, _ in lookups), group, point_index)
+    # Both flavors' outcome maps of a margin have one entry per outcome.
+    sizes = np.array([entry[PValueFlavor.MID][1].size for entry in entries],
+                     dtype=np.int64)
+    at = (np.cumsum(sizes) - sizes)[group] + outcome
+    tables = []
+    for flavor in PValueFlavor:   # conventional, then mid
+        supports, maps = zip(*(entry[flavor] for entry in entries))
+        tables.append(PValueTable(supports, group, np.concatenate(maps)[at]))
+    return tuple(tables)

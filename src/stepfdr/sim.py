@@ -20,12 +20,10 @@ import numpy as np
 from . import pvalue, stepup
 from .dist import Pareto
 from .errors import InvariantViolation
-from .pvalue import PValueFlavor
 
 __all__ = [
     "PROCEDURES",
     "SimConfig",
-    "TruthAssignment",
     "ProcedureStats",
     "SimSummary",
     "gen_copula_uniforms",
@@ -124,22 +122,6 @@ class SimConfig:
         return self.m - self.m0
 
 
-@dataclass(frozen=True, eq=False)
-class TruthAssignment:
-    """Which hypotheses are true nulls: always the first m0 indices."""
-
-    m: int
-    m0: int
-
-    @property
-    def m1(self) -> int:
-        return self.m - self.m0
-
-    @property
-    def null_indices(self) -> np.ndarray:
-        return np.arange(self.m0, dtype=np.int64)
-
-
 def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
                         rng: np.random.Generator) -> np.ndarray:
     """One draw from a block-equicorrelated Gaussian copula, as uniforms.
@@ -169,7 +151,7 @@ def _copula_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_poisson_pair(config: SimConfig,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, TruthAssignment]:
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Means and Poisson counts for one binomial-test replication.
 
     Every test draws a base mean from Pareto(eta, 5); alternatives multiply
@@ -192,11 +174,11 @@ def gen_poisson_pair(config: SimConfig,
 
         u = _copula_matrix(config, rng)
         counts = stats.poisson.ppf(u, theta).astype(np.int64)
-    return theta, counts.astype(np.int64), TruthAssignment(m=m, m0=m0)
+    return theta, counts.astype(np.int64)
 
 
 def gen_binomial_pair(config: SimConfig,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, TruthAssignment]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Proportions and Binomial counts for one Fisher-exact replication.
 
     Null tests share one proportion drawn from Uniform(0.2, 0.3);
@@ -218,7 +200,7 @@ def gen_binomial_pair(config: SimConfig,
 
         u = _copula_matrix(config, rng)
         counts = stats.binom.ppf(u, config.n, theta).astype(np.int64)
-    return theta, counts.astype(np.int64), TruthAssignment(m=m, m0=m0)
+    return theta, counts.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,29 +215,31 @@ class _RepTables:
 
 def _rep_tables(counts: np.ndarray, n: int | None) -> _RepTables:
     """Tables of one replication: bt when n is None, else fet with n per group."""
-    conv, mid = (pvalue.pvalue_table(flavor, counts[:, 0], counts[:, 1], n, n)
-                 for flavor in (PValueFlavor.CONVENTIONAL, PValueFlavor.MID))
+    conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], n, n)
     return _RepTables(conv, mid, stepup.build_max_cdf(conv.supports),
                       stepup.build_max_cdf(mid.supports))
 
 
 def _generate(config: SimConfig, rng: np.random.Generator):
     gen = gen_poisson_pair if config.test == "bt" else gen_binomial_pair
-    theta, counts, truth = gen(config, rng)
-    return counts, truth, _rep_tables(counts, config.n)
+    _, counts = gen(config, rng)
+    return counts, _rep_tables(counts, config.n)
 
 
-def _fdp_tdp(rejected: np.ndarray, truth: TruthAssignment) -> tuple[float, float]:
+def _fdp_tdp(rejected: np.ndarray, m0: int, m1: int) -> tuple[float, float]:
     r = int(rejected.size)
-    false = int(np.count_nonzero(rejected < truth.m0))
+    false = int(np.count_nonzero(rejected < m0))
     fdp = false / max(r, 1)
-    tdp = (r - false) / truth.m1 if truth.m1 else 0.0
+    tdp = (r - false) / m1 if m1 else 0.0
     return fdp, tdp
 
 
-def _evaluate(tables: _RepTables, truth: TruthAssignment,
+def _evaluate(tables: _RepTables, config: SimConfig,
               alpha: float) -> tuple[tuple[float, float], ...]:
-    """FDP and TDP of (BH, BH+, MidPBH+) on one replication."""
+    """FDP and TDP of (BH, BH+, MidPBH+) on one replication.
+
+    The true nulls are the first config.m0 tests.
+    """
     res_bh = stepup.bh(tables.conv.p, alpha)
     res_bhp = stepup.bh_plus(tables.conv, alpha, max_cdf=tables.mc_conv)
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
@@ -267,9 +251,10 @@ def _evaluate(tables: _RepTables, truth: TruthAssignment,
             f"BH+ {res_bhp.rejection_count}")
     comparison = stepup.mid_vs_conventional(res_bhp, tables.mid, alpha,
                                             max_cdf=tables.mc_mid)
-    return (_fdp_tdp(res_bh.rejected, truth),
-            _fdp_tdp(res_bhp.rejected, truth),
-            _fdp_tdp(comparison.mid_result.rejected, truth))
+    m0, m1 = config.m0, config.m1
+    return (_fdp_tdp(res_bh.rejected, m0, m1),
+            _fdp_tdp(res_bhp.rejected, m0, m1),
+            _fdp_tdp(comparison.mid_result.rejected, m0, m1))
 
 
 @dataclass(frozen=True)
@@ -315,10 +300,10 @@ def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
     tdp = np.empty((n_alpha, 3, base.reps))
     for r in range(base.reps):
         rng = np.random.default_rng([base.seed, r])
-        _, truth, tables = _generate(base, rng)
+        _, tables = _generate(base, rng)
         for a, alpha in enumerate(alphas):
             try:
-                result = _evaluate(tables, truth, alpha)
+                result = _evaluate(tables, base, alpha)
             except InvariantViolation as exc:
                 fields = dataclasses.asdict(dataclasses.replace(base, alpha=alpha))
                 where = " ".join(f"{k}={v!r}" for k, v in fields.items())

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueSupport, PValueTable
+from .pvalue import PValueSupport, PValueTable, step_cdf
 
 __all__ = [
     "MaxCdf",
@@ -38,19 +38,9 @@ class MaxCdf:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0 or values.shape != grid.shape:
-            raise ValueError("grid and values must be matching 1-D arrays")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid.size > 1 and not np.all(np.diff(values) >= 0.0):
-            raise ValueError("values must be nondecreasing")
-        if values[-1] != 1.0:
-            raise ValueError("the last value must equal 1.0 exactly")
-        for name, arr in (("grid", grid), ("values", values)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        grid, values = step_cdf(self.grid, self.values, "grid", "values")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
 
     def evaluate(self, t):
         """Right-continuous step evaluation; 0 below the first grid point."""

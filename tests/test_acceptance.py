@@ -64,14 +64,14 @@ def small_null_margin(rng):
 
 
 def margin_support(margin, d, flavor):
-    """The support of a margin, from a one-row p-value table at its first outcome."""
+    """The support of a margin, from one-row p-value tables at its first outcome."""
     c1 = int(d.support[0])
     if len(margin) == 1:
-        table = pvalue_table(flavor, [c1], [margin[0] - c1])
+        conv, mid = pvalue_table([c1], [margin[0] - c1])
     else:
         n1, n2, total = margin
-        table = pvalue_table(flavor, [c1], [total - c1], n1, n2)
-    return table.supports[0]
+        conv, mid = pvalue_table([c1], [total - c1], n1, n2)
+    return (mid if flavor is MID else conv).supports[0]
 
 
 def test_criterion_1_exact_fdr_oracle():
@@ -147,8 +147,7 @@ def instance_batch():
             records = CountTable([f"t{j}" for j in range(m)], c1, c2, n1, n2)
             test = "fet"
         alpha = float(rng.uniform(0.02, 0.3))
-        sup_conv = ingest.pvalue_tables(records, test, CONV)
-        sup_mid = ingest.pvalue_tables(records, test, MID)
+        sup_conv, sup_mid = ingest.pvalue_tables(records, test)
         p_conv, p_mid = sup_conv.p, sup_mid.p
         mc_conv = stepup.build_max_cdf(sup_conv.supports)
         mc_mid = stepup.build_max_cdf(sup_mid.supports)
@@ -363,20 +362,19 @@ def test_criterion_7_applications(tmp_path):
 def test_criterion_8_degenerate_cases():
     checks = []
 
-    table = pvalue_table(CONV, [0], [0])
-    sup = table.supports[0]
-    checks.append(table.p[0] == 1.0 and len(sup) == 1 and sup.points[0] == 1.0)
-    table = pvalue_table(MID, [0], [0])
-    checks.append(table.p[0] == 0.5 and table.supports[0].cdf_values[0] == 1.0)
-    checks.append(pvalue_table(CONV, [1], [0]).p[0] == 1.0)
-    checks.append(pvalue_table(MID, [0], [1]).p[0] == 0.5)
-    checks.append(pvalue_table(CONV, [0], [0], 5, 5).p[0] == 1.0)
+    conv, mid = pvalue_table([0], [0])
+    sup = conv.supports[0]
+    checks.append(conv.p[0] == 1.0 and len(sup) == 1 and sup.points[0] == 1.0)
+    checks.append(mid.p[0] == 0.5 and mid.supports[0].cdf_values[0] == 1.0)
+    checks.append(pvalue_table([1], [0])[0].p[0] == 1.0)
+    checks.append(pvalue_table([0], [1])[1].p[0] == 0.5)
+    checks.append(pvalue_table([0], [0], 5, 5)[0].p[0] == 1.0)
 
     sup = bt_support(0, CONV)
     gamma = stepup.critical_values(stepup.build_max_cdf([sup]), 0.05, 4)
     checks.append(bool(np.all(np.isnan(gamma))))
 
-    table = pvalue_table(CONV, [1, 1, 1], [0, 0, 0])
+    table, _ = pvalue_table([1, 1, 1], [0, 0, 0])
     res = stepup.bh_plus(table, alpha=0.1)
     checks.append(table.p.tolist() == [1.0, 1.0, 1.0]
                   and table.supports == (bt_support(1, CONV),)

@@ -167,6 +167,20 @@ class TestExitCodes:
         code = main(["analyze", "--input", str(bad), "--test", "fet"])
         assert code == 2
 
+    @pytest.mark.parametrize("row", [
+        "a,99999999999999999999,3",
+        "a,4611686018427387904,4611686018427387904",
+    ], ids=["cell-past-int64", "total-past-int64"])
+    def test_data_error_count_past_int64(self, tmp_path, capsys, row):
+        """The first row once ended in an uncaught OverflowError, the second
+        exited 3 on the wrapped total -9223372036854775808."""
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"id,c1,c2\n{row}\n", encoding="utf-8")
+        code = main(["analyze", "--input", str(bad), "--test", "bt"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"stepfdr: error: data: {bad}:2:")
+
     def test_data_error_filter_removes_everything(self, tmp_path, capsys):
         src = tmp_path / "thin.csv"
         src.write_text("id,c1,c2\nr,1,1\n", encoding="utf-8")

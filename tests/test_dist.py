@@ -100,6 +100,20 @@ def test_large_totals_build_exactly():
         assert nums == nums[::-1]
 
 
+def test_numerators_equal_binomial_coefficient_products():
+    """The exact recurrences give the math.comb products term by term."""
+    for n in range(301):
+        assert binomial_null(n).numerators == tuple(
+            math.comb(n, x) for x in range(n + 1))
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n1, n2 = (int(v) for v in rng.integers(0, 301, size=2))
+        total = int(rng.integers(0, n1 + n2 + 1))
+        d = hypergeometric_null(n1, n2, total)
+        assert d.numerators == tuple(math.comb(n1, x) * math.comb(n2, total - x)
+                                     for x in d.support.tolist())
+
+
 def test_constructor_rejects_bad_tables():
     with pytest.raises(ValueError, match="strictly increasing"):
         DiscreteDistribution(support=np.array([1, 0]), numerators=(1, 1),

@@ -16,7 +16,6 @@ from stepfdr.ingest import (
     report_rows,
     report_summary,
 )
-from stepfdr.pvalue import PValueFlavor
 
 
 def table(*rows):
@@ -94,6 +93,18 @@ class TestLoadCounts:
         with pytest.raises(DataError, match="empty id"):
             load_counts(path)
 
+    @pytest.mark.parametrize("body", [
+        "id,c1,c2\ny,1,2\nx,99999999999999999999,3\n",
+        "id,c1,c2\ny,1,2\nx,4611686018427387904,4611686018427387904\n",
+        "id,c1,c2,n1,n2\ny,1,2,3,4\nx,1,2,9223372036854775808,5\n",
+    ], ids=["cell-past-int64", "total-past-int64", "trial-total-past-int64"])
+    def test_count_or_total_past_int64_reports_line(self, tmp_path, body):
+        """Such a row once crashed the int64 cast with an OverflowError, or
+        wrapped c1 + c2 to a negative total."""
+        path = write(tmp_path, "a.csv", body)
+        with pytest.raises(DataError, match=r"a\.csv:3: .*below 2\*\*63"):
+            load_counts(path)
+
     def test_count_above_total_rejected(self, tmp_path):
         path = write(tmp_path, "a.csv", "id,c1,c2,n1,n2\nx,6,0,5,5\n")
         with pytest.raises(DataError, match=r"a\.csv:2"):
@@ -116,8 +127,7 @@ class TestCountTable:
     def test_negative_counts_rejected(self):
         # The constructor checks structure only; pvalue_table guards the range.
         with pytest.raises(ValueError, match=">= 0"):
-            ingest.pvalue_tables(table(("x", -1, 2)), "bt",
-                                 PValueFlavor.CONVENTIONAL)
+            ingest.pvalue_tables(table(("x", -1, 2)), "bt")
 
     def test_total_property(self):
         assert table(("x", 3, 4)).total.tolist() == [7]

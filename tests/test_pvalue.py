@@ -27,13 +27,13 @@ def null_of(margin):
     return binomial_null(*margin) if len(margin) == 1 else hypergeometric_null(*margin)
 
 
-def outcome_table(margin, flavor, outcomes):
-    """One flavor's p-value table with one test per first count in `outcomes`."""
+def outcome_tables(margin, outcomes):
+    """Both flavors' p-value tables with one test per first count in `outcomes`."""
     c1 = np.asarray(outcomes, dtype=np.int64)
     if len(margin) == 1:
-        return pvalue_table(flavor, c1, margin[0] - c1)
+        return pvalue_table(c1, margin[0] - c1)
     n1, n2, total = margin
-    return pvalue_table(flavor, c1, total - c1, n1, n2)
+    return pvalue_table(c1, total - c1, n1, n2)
 
 
 @pytest.mark.parametrize("dist", [
@@ -48,8 +48,7 @@ def test_two_sided_matches_fraction_oracle(dist):
     """`dist` is a margin: every outcome's table p-value is the oracle's."""
     support = null_of(dist).support
     oracle = exact_pvalues(null_of(dist))
-    conv = outcome_table(dist, CONV, support)
-    mid = outcome_table(dist, MID, support)
+    conv, mid = outcome_tables(dist, support)
     for i, x in enumerate(support.tolist()):
         p_exact, q_exact = oracle[x]
         assert conv.p[i] == float(p_exact)
@@ -65,32 +64,39 @@ def test_two_sided_at_large_totals_is_correctly_rounded(n):
     """
     classes = tie_classes(binomial_null(n))
     for xs, l, e in (classes[0], classes[len(classes) // 2], classes[-1]):
-        for flavor, exact in ((CONV, l + e), (MID, l + e / 2)):
-            table = pvalue_table(flavor, [xs[0]], [n - xs[0]])
+        tables = pvalue_table([xs[0]], [n - xs[0]])
+        for table, exact in zip(tables, (l + e, l + e / 2)):
             assert table.p[0] == float(exact)
             assert table.supports[0].points[table.point_index[0]] == table.p[0]
-    conv = pvalue_table(CONV, [0], [n])
-    mid = pvalue_table(MID, [0], [n])
+    conv, mid = pvalue_table([0], [n])
     assert mid.p[0] == 0.0 and mid.supports[0].points[0] == 0.0
     assert (conv.p[0] == 0.0) == (n >= 1076)
 
 
 def test_two_sided_binomial2_frozen_values():
-    assert pvalue_table(CONV, [0, 1], [2, 1]).p.tolist() == [0.5, 1.0]
-    assert pvalue_table(MID, [0, 1], [2, 1]).p.tolist() == [0.25, 0.75]
+    conv, mid = pvalue_table([0, 1], [2, 1])
+    assert conv.p.tolist() == [0.5, 1.0]
+    assert mid.p.tolist() == [0.25, 0.75]
 
 
 def test_two_sided_hypergeometric_frozen_values():
-    assert pvalue_table(CONV, [0], [2], 2, 2).p[0] == pytest.approx(1 / 3)
-    assert pvalue_table(MID, [0], [2], 2, 2).p[0] == pytest.approx(1 / 6)
+    conv, mid = pvalue_table([0], [2], 2, 2)
+    assert conv.p[0] == pytest.approx(1 / 3)
+    assert mid.p[0] == pytest.approx(1 / 6)
 
 
 def test_two_sided_rejects_off_support():
     """An outcome outside its null's support is rejected when the table is built."""
     with pytest.raises(ValueError):
-        pvalue_table(CONV, [3], [-1])
+        pvalue_table([3], [-1])
     with pytest.raises(ValueError):
-        pvalue_table(CONV, [3], [0], 2, 2)
+        pvalue_table([3], [0], 2, 2)
+
+
+def test_total_past_int64_is_named_not_wrapped():
+    """c1 + c2 of 2**63 once wrapped to a negative total in the null build."""
+    with pytest.raises(ValueError, match=r"below 2\*\*63, got 9223372036854775808"):
+        pvalue_table([2**62], [2**62])
 
 
 def test_null_support_binomial2():
@@ -157,12 +163,12 @@ def test_support_points_strictly_increasing_and_final_one():
 
 
 def test_bt_pvalues_frozen_examples():
-    table = pvalue_table(CONV, [0, 0], [2, 0])
+    table, _ = pvalue_table([0, 0], [2, 0])
     assert table.p.tolist() == [0.5, 1.0]
     sup_2, sup_0 = (table.supports[j] for j in table.support_index)
     assert np.array_equal(sup_2.points, [0.5, 1.0])
     assert len(sup_0) == 1
-    assert pvalue_table(MID, [1], [1]).p[0] == 0.75
+    assert pvalue_table([1], [1])[1].p[0] == 0.75
 
 
 def test_bt_outcome_pvalues_consistent_with_bt_pvalues():
@@ -170,10 +176,9 @@ def test_bt_outcome_pvalues_consistent_with_bt_pvalues():
     for _ in range(60):
         c1 = int(rng.integers(0, 20))
         c2 = int(rng.integers(0, 20))
-        for flavor in (CONV, MID):
-            direct = pvalue_table(flavor, [c1], [c2]).p[0]
+        for flavor, direct in zip((CONV, MID), pvalue_table([c1], [c2])):
             table = bt_outcome_pvalues(c1 + c2, flavor)
-            assert table[c1] == direct
+            assert table[c1] == direct.p[0]
 
 
 def test_fet_pvalues_and_outcome_table_agree():
@@ -185,17 +190,16 @@ def test_fet_pvalues_and_outcome_table_agree():
         c2 = int(rng.integers(0, n2 + 1))
         total = c1 + c2
         lo = max(0, total - n2)
-        for flavor in (CONV, MID):
-            direct = pvalue_table(flavor, [c1], [c2], n1, n2).p[0]
+        for flavor, direct in zip((CONV, MID), pvalue_table([c1], [c2], n1, n2)):
             table = fet_outcome_pvalues(n1, n2, total, flavor)
-            assert table[c1 - lo] == direct
+            assert table[c1 - lo] == direct.p[0]
 
 
 def test_fet_pvalues_validates_counts():
     with pytest.raises((ValueError, DataError)):
-        pvalue_table(CONV, [6], [0], 5, 5)
+        pvalue_table([6], [0], 5, 5)
     with pytest.raises((ValueError, DataError)):
-        pvalue_table(CONV, [0], [6], 5, 5)
+        pvalue_table([0], [6], 5, 5)
 
 
 def test_support_caching_returns_same_object():
@@ -227,9 +231,8 @@ def test_mid_always_below_conventional():
     for _ in range(40):
         c1 = int(rng.integers(0, 25))
         c2 = int(rng.integers(0, 25))
-        conv = pvalue_table(CONV, [c1], [c2]).p[0]
-        mid = pvalue_table(MID, [c1], [c2]).p[0]
-        assert mid < conv
+        conv, mid = pvalue_table([c1], [c2])
+        assert mid.p[0] < conv.p[0]
 
 
 def test_exact_mid_probability_statement():
@@ -237,7 +240,7 @@ def test_exact_mid_probability_statement():
     for margin in ((9,), (5, 7, 6)):
         classes = tie_classes(null_of(margin))
         for xs, l, e in classes:
-            got = outcome_table(margin, CONV, xs[:1]).p[0]
+            got = outcome_tables(margin, xs[:1])[0].p[0]
             mass_at_or_below = Fraction(0)
             for ys, l2, e2 in classes:
                 q2 = l2 + e2 / 2

@@ -14,7 +14,6 @@ from stepfdr.sim import (
     PROCEDURES,
     SIM_ROW_FIELDS,
     SimConfig,
-    TruthAssignment,
     gen_binomial_pair,
     gen_copula_uniforms,
     gen_poisson_pair,
@@ -82,17 +81,11 @@ class TestSimConfigValidation:
             bt_config(seed=-1)
 
 
-def test_truth_assignment_layout():
-    truth = TruthAssignment(m=200, m0=100)
-    assert truth.m1 == 100
-    assert np.array_equal(truth.null_indices, np.arange(100))
-
-
 def test_gen_binomial_pair_theta_pattern():
     cfg = fet_config(m=200, pi0=0.5)
     rng = np.random.default_rng(5)
-    theta, counts, truth = gen_binomial_pair(cfg, rng)
-    assert truth.m0 == 100 and truth.m1 == 100
+    theta, counts = gen_binomial_pair(cfg, rng)
+    assert cfg.m0 == 100 and cfg.m1 == 100
     assert np.array_equal(theta[:100, 0], theta[:100, 1])
     assert np.all((theta[:100, 0] >= 0.2) & (theta[:100, 0] <= 0.3))
     assert np.all(theta[100:150] == (0.3, 0.75))
@@ -105,7 +98,8 @@ def test_gen_binomial_pair_theta_pattern():
 def test_gen_poisson_pair_theta_pattern():
     cfg = bt_config(m=200, pi0=0.5, eta=4.5)
     rng = np.random.default_rng(6)
-    theta, counts, truth = gen_poisson_pair(cfg, rng)
+    theta, counts = gen_poisson_pair(cfg, rng)
+    assert cfg.m0 == 100 and cfg.m1 == 100
     assert np.all(theta >= 4.5)
     assert np.array_equal(theta[:100, 0], theta[:100, 1])
     ratio_hi = theta[100:150, 1] / theta[100:150, 0]
@@ -203,8 +197,8 @@ def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
 
     tables = sim._rep_tables(counts, n)
     assert tables.conv.p.tolist() == [float(p_a), float(p_b)]
-    bh, bh_plus, mid = sim._evaluate(tables, TruthAssignment(m=2, m0=0),
-                                   float(alpha))
+    config = SimConfig(test="fet", pi0=0.0, alpha=float(alpha), m=2, n=n)
+    bh, bh_plus, mid = sim._evaluate(tables, config, float(alpha))
     assert bh == bh_plus == (0.0, 0.5)
     assert mid == (0.0, 0.0)
 
@@ -262,11 +256,11 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
         generated.append(out[0])
         return out
 
-    def failing_evaluate(tables, truth, alpha):
+    def failing_evaluate(tables, config, alpha):
         calls.append(alpha)
         if len(generated) - 1 == fail_rep and alpha == fail_alpha:
             raise InvariantViolation("injected")
-        return evaluate(tables, truth, alpha)
+        return evaluate(tables, config, alpha)
 
     monkeypatch.setattr(sim, "_generate", recording_generate)
     monkeypatch.setattr(sim, "_evaluate", failing_evaluate)
@@ -285,7 +279,7 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
     r = fields.pop("replication")
     config = SimConfig(**fields)
     assert (r, config.alpha) == (fail_rep, fail_alpha)
-    counts, _, _ = sim._generate(config, np.random.default_rng([config.seed, r]))
+    counts, _ = sim._generate(config, np.random.default_rng([config.seed, r]))
     assert np.array_equal(counts, generated[fail_rep])
     assert not np.array_equal(counts, generated[fail_rep - 1])
 

@@ -43,9 +43,15 @@ FET_ROWS = st.lists(fet_row(), min_size=1, max_size=40)
 INSTANCES = st.one_of(BT_ROWS, FET_ROWS)
 
 
-def table_of(rows, flavor):
+def tables_of(rows):
+    """The (conventional, mid) pair of tables from one call."""
     cols = np.array(rows, dtype=np.int64).T
-    return pvalue_table(flavor, *cols)
+    return pvalue_table(*cols)
+
+
+def table_of(rows, flavor):
+    conv, mid = tables_of(rows)
+    return mid if flavor is MID else conv
 
 
 def exact(flavor, dist, x):
@@ -85,10 +91,34 @@ def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
 
     monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
     rows = [(10, 43, 97, 89), (20, 33, 97, 89), (1, 52, 97, 89)]
-    for flavor in (CONV, MID):
-        table = table_of(rows, flavor)
-        assert table.supports == (fet_support(97, 89, 53, flavor),)
+    conv, mid = tables_of(rows)
+    assert conv.supports == (fet_support(97, 89, 53, CONV),)
+    assert mid.supports == (fet_support(97, 89, 53, MID),)
     assert built == [(97, 89, 53)]
+
+
+@PROPERTY
+@given(rows=INSTANCES)
+def test_one_call_builds_both_flavors_on_shared_slots(rows):
+    """Both tables of one call share support_index; slot j of each holds the
+    same margin's conventional and mid support, and both p columns are the
+    oracle's."""
+    conv, mid = tables_of(rows)
+    assert np.array_equal(conv.support_index, mid.support_index)
+    assert len(conv.supports) == len(mid.supports)
+    for i, row in enumerate(rows):
+        if len(row) == 2:
+            margin, dist = (row[0] + row[1],), binomial_null(row[0] + row[1])
+            support = bt_support
+        else:
+            c1, c2, n1, n2 = row
+            margin = (n1, n2, c1 + c2)
+            dist, support = hypergeometric_null(*margin), fet_support
+        j = conv.support_index[i]
+        assert conv.supports[j] is support(*margin, CONV)
+        assert mid.supports[j] is support(*margin, MID)
+        assert conv.p[i] == exact(CONV, dist, row[0])
+        assert mid.p[i] == exact(MID, dist, row[0])
 
 
 @PROPERTY
@@ -110,7 +140,7 @@ def test_bh_plus_same_on_table_and_per_test_supports(rows, flavor, alpha):
 @PROPERTY
 @given(rows=INSTANCES, alpha=ALPHAS)
 def test_bh_plus_is_bh_and_contains_mid_run(rows, alpha):
-    conv, mid = table_of(rows, CONV), table_of(rows, MID)
+    conv, mid = tables_of(rows)
     res_bh = bh(conv.p, alpha)
     res_plus = bh_plus(conv, alpha)
     assert np.array_equal(res_bh.rejected, res_plus.rejected)
@@ -148,7 +178,7 @@ def test_pvalue_table_rejects_malformed_count_columns(c1, c2):
     """Its own message for empty columns (numpy's concatenate error before),
     and no broadcasting: a short c2 once made the tests (1, 3), (2, 3)."""
     with pytest.raises(ValueError, match="matching non-empty 1-D columns"):
-        pvalue_table(CONV, c1, c2)
+        pvalue_table(c1, c2)
 
 
 @pytest.mark.parametrize("columns, name", [
@@ -163,7 +193,9 @@ def test_fractional_counts_are_rejected_not_truncated(columns, name):
     """Both int64 casts of count columns refuse a value that is not an
     int64 integer, instead of truncating or wrapping it."""
     with pytest.raises(ValueError, match=rf"column {name} must hold integers"):
-        pvalue_table(CONV, *columns)
+        pvalue_table(*columns)
     with pytest.raises(ValueError, match=rf"column {name} must hold integers"):
         CountTable(("a",), *columns)
-    assert pvalue_table(CONV, [2.0], [1.0]).p[0] == pvalue_table(CONV, [2], [1]).p[0]
+    for from_float, from_int in zip(pvalue_table([2.0], [1.0]),
+                                    pvalue_table([2], [1])):
+        assert from_float.p[0] == from_int.p[0]

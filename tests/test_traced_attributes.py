@@ -16,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from stepfdr import pvalue
 from stepfdr.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 FIXTURE = ROOT / "fixtures" / "methylation_synthetic.csv"
+FET_FIXTURE = ROOT / "fixtures" / "hiv_synthetic.csv"
 
 
 @pytest.fixture
@@ -56,3 +58,27 @@ def test_traced_analyze_gives_finite_layer_metrics(spans, tmp_path):
     metrics = spans.layer_metrics(trace)
     assert metrics["ingest.report_rows.s"] > 0.0
     assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
+
+
+def test_traced_fet_analyze_builds_both_flavors_in_one_pass(spans, tmp_path):
+    """One `pvalue_tables` call serves BH, BH+ and MidPBH+, and each margin's
+    null is built once for both flavors."""
+    rows = [line.split(",") for line in
+            FET_FIXTURE.read_text(encoding="utf-8").splitlines()[1:]]
+    margins = {(n1, n2, int(c1) + int(c2)) for _, c1, c2, n1, n2 in rows}
+    pvalue._margin.cache_clear()   # so every margin is built in the traced run
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = main(["analyze", "--input", str(FET_FIXTURE), "--test", "fet",
+                     "--pvalue", "both",
+                     "--output", str(tmp_path / "summary.json")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    tracer.dump(tmp_path / "trace.npz")
+    trace = spans.load(tmp_path / "trace.npz")
+    code_of = trace["names"].index("ingest.pvalue_tables")
+    assert int((trace["name_of"] == code_of).sum()) == 1
+    metrics = spans.layer_metrics(trace, distinct_margins=len(margins))
+    assert metrics["pvalue.null_builds_per_margin"] == 1.0
