@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pvalue, stepup
 from .errors import DataError
-from .pvalue import count_column
+from .pvalue import count_column, count_total
 
 __all__ = [
     "CountTable",
@@ -71,7 +71,8 @@ class CountTable:
 
     @property
     def total(self) -> np.ndarray:
-        return self.c1 + self.c2
+        """c1 + c2, or a ValueError naming a row where it reaches 2**63."""
+        return count_total(self.c1, self.c2, self.ids)
 
     def select(self, mask) -> "CountTable":
         """The rows where the boolean `mask` is true, in their original order."""

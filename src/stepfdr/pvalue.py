@@ -13,12 +13,14 @@ step-ups' input.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, ne, truediv
 
 import numpy as np
 
-from .dist import DiscreteDistribution, binomial_null, hypergeometric_null
+from .dist import binomial_null, hypergeometric_null
 
 __all__ = [
     "PValueFlavor",
@@ -37,20 +39,37 @@ class PValueFlavor(str, enum.Enum):
     MID = "mid"
 
 
-def step_cdf(x, cdf, x_name: str, cdf_name: str) -> tuple[np.ndarray, np.ndarray]:
+def step_cdf(x, cdf, x_name="support points", cdf_name="cdf_values", ends=None,
+             flavor: PValueFlavor | None = None) -> tuple[np.ndarray, np.ndarray]:
     """`x` and `cdf` as read-only float arrays, or a ValueError naming them
-    unless they tabulate a step CDF: matching non-empty 1-D arrays, `x`
-    strictly increasing, `cdf` nondecreasing and ending at exactly 1.0."""
+    unless they tabulate step CDFs: matching 1-D arrays cut at `ends` (each
+    segment's exclusive end; one segment when None) into non-empty segments,
+    each with `x` strictly increasing and `cdf` nondecreasing to exactly 1.0.
+    With a `flavor` they are p-value supports: `x` lies in [0, 1], and `cdf`
+    equals `x` (conventional) or is at least `x` (mid)."""
     x = np.asarray(x, dtype=np.float64)
     cdf = np.asarray(cdf, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0 or cdf.shape != x.shape:
+    last = np.asarray([x.size] if ends is None else ends, dtype=np.intp) - 1
+    if (x.ndim != 1 or cdf.shape != x.shape or last.ndim != 1 or last.size == 0
+            or last[0] < 0 or last[-1] != x.size - 1 or (last[1:] <= last[:-1]).any()):
         raise ValueError(f"{x_name} and {cdf_name} must be matching 1-D arrays")
-    if x.size > 1 and not np.all(np.diff(x) > 0.0):
+    seams = last[:-1]   # the steps from one segment into the next
+    steps = np.subtract(x[1:], x[:-1])
+    steps[seams] = 1.0
+    if not (steps > 0.0).all():
         raise ValueError(f"{x_name} must be strictly increasing")
-    if x.size > 1 and not np.all(np.diff(cdf) >= 0.0):
+    np.subtract(cdf[1:], cdf[:-1], out=steps)
+    steps[seams] = 0.0
+    if not (steps >= 0.0).all():
         raise ValueError(f"{cdf_name} must be nondecreasing")
-    if cdf[-1] != 1.0:
+    if not (cdf[last] == 1.0).all():
         raise ValueError(f"the last of {cdf_name} must equal 1.0 exactly")
+    if flavor is not None and not ((x >= 0.0).all() and (x <= 1.0).all()):
+        raise ValueError(f"{x_name} must lie in [0, 1]")
+    if flavor is PValueFlavor.CONVENTIONAL and not (cdf == x).all():
+        raise ValueError("conventional supports must satisfy cdf_values == points")
+    if flavor is PValueFlavor.MID and not (cdf >= x).all():
+        raise ValueError("mid supports must satisfy cdf_values >= points")
     x.flags.writeable = False
     cdf.flags.writeable = False
     return x, cdf
@@ -74,110 +93,113 @@ class PValueSupport:
     cdf_values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flavor", PValueFlavor(self.flavor))
-        points, cdf = step_cdf(self.points, self.cdf_values,
-                               "support points", "cdf_values")
-        if not (np.all(points >= 0.0) and np.all(points <= 1.0)):
-            raise ValueError("support points must lie in [0, 1]")
-        if self.flavor is PValueFlavor.CONVENTIONAL and not np.array_equal(points, cdf):
-            raise ValueError("conventional supports must satisfy cdf_values == points")
-        if self.flavor is PValueFlavor.MID and not np.all(cdf >= points):
-            raise ValueError("mid supports must satisfy cdf_values >= points")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "cdf_values", cdf)
+        flavor = PValueFlavor(self.flavor)
+        self._set(flavor, *step_cdf(self.points, self.cdf_values, flavor=flavor))
+
+    def _set(self, *fields) -> PValueSupport:
+        """Set flavor, points and cdf_values, which `step_cdf` has checked."""
+        for name, value in zip(("flavor", "points", "cdf_values"), fields):
+            object.__setattr__(self, name, value)
+        return self
 
     def __len__(self) -> int:
         return int(self.points.size)
 
 
-@dataclass(frozen=True, eq=False)
-class _TieTable:
-    """Per-tie-class exact quantities of one null table, in ascending mass order."""
-
-    class_of: np.ndarray   # tie-class index for each outcome, support-aligned
-    p_conv: np.ndarray     # float P per class, strictly increasing
-    p_mid: np.ndarray      # float Q per class, strictly increasing
+# {flavor: (support, outcome -> point map)} per margin (total,) or (n1, n2, total)
+_margins: dict[tuple[int, ...], dict] = {}
+_BATCH = 512   # margins built together, which bounds a batch's buffers
 
 
-def _tie_table(dist: DiscreteDistribution) -> _TieTable:
-    nums = dist.numerators
-    den = dist.denominator
-    order = sorted(range(len(nums)), key=nums.__getitem__)
-    class_of = np.empty(len(nums), dtype=np.int64)
-    l_num: list[int] = []
-    e_num: list[int] = []
-    acc = 0
-    prev = None
-    for idx in order:
-        n = nums[idx]
-        if n != prev:
-            l_num.append(acc)
-            e_num.append(0)
-            prev = n
-        class_of[idx] = len(l_num) - 1
-        e_num[-1] += n
-        acc += n
-    two_den = 2 * den
-    p_conv = np.array([(ln + en) / den for ln, en in zip(l_num, e_num)])
-    p_mid = np.array([(2 * ln + en) / two_den for ln, en in zip(l_num, e_num)])
-    return _TieTable(class_of=class_of, p_conv=p_conv, p_mid=p_mid)
+def _build(keys: list[tuple[int, ...]]) -> None:
+    """Build and cache the margins `keys`, none cached yet, as read-only
+    views into flat arrays made (and their buffers freed) per batch."""
+    for start in range(0, len(keys), _BATCH):
+        batch = keys[start:start + _BATCH]
+        sizes, flats = _flatten(batch)
+        entries = [{} for _ in batch]
+        outcomes = list(accumulate(sizes, initial=0))
+        for flavor, points, cdf, ends, maps in flats:
+            for entry, a, b, o, n in zip(entries, [0, *ends], ends, outcomes, sizes):
+                view = object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
+                entry[flavor] = (view, maps[o:o + n])
+        _margins.update(zip(batch, entries))
 
 
-def _support_with_map(table: _TieTable,
-                      flavor: PValueFlavor) -> tuple[PValueSupport, np.ndarray]:
-    """Build one flavor's support plus the outcome -> point-index map.
+def _flatten(keys):
+    """Outcomes per margin, and per flavor (flavor, points, cdf, ends, maps):
+    the margins' supports, cut at `ends`, and outcome -> point maps.
 
-    Distinct tie classes have distinct rational p-values, but two of them can
-    collapse to the same float; collapsed classes are merged onto one support
-    point, keeping the largest (right-continuous) CDF value.
+    Per margin, the masses are sorted once (both null pmfs are unimodal, so
+    that merges two monotone runs) and summed once.  Then, for the whole
+    batch at once, classes whose p-values round to one float merge onto one
+    point, keeping the largest (right-continuous) CDF value, and the maps
+    are made and everything is checked.
     """
-    points = table.p_conv if flavor is PValueFlavor.CONVENTIONAL else table.p_mid
-    cdf = table.p_conv
-    keep = np.ones(points.size, dtype=bool)
-    keep[1:] = points[1:] > points[:-1]
-    point_index = np.cumsum(keep) - 1
-    n_points = int(point_index[-1]) + 1
-    # Right-continuous step CDF: a merged point carries its last class's mass.
-    last_class = np.searchsorted(point_index, np.arange(n_points), side="right") - 1
-    support = PValueSupport(flavor=flavor, points=points[keep],
-                            cdf_values=cdf[last_class])
-    outcome_to_point = point_index[table.class_of]
-    outcome_to_point.flags.writeable = False
-    return support, outcome_to_point
+    class_of = array("i")   # per outcome: its tie class, numbered across the batch
+    conv = array("d")       # per class: P = cum / den
+    mid = array("d")        # per class: Q = (cum_prev + cum) / (2 den)
+    sizes, counts = [], []  # outcomes and classes per margin
+    for key in keys:
+        dist = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
+        nums, den = dist.numerators, dist.denominator
+        masses = sorted(nums)
+        closes = [*map(ne, masses, masses[1:]), True]   # does a class end here?
+        rank = dict(zip(compress(masses, closes), count(len(conv))))
+        class_of.extend(map(rank.__getitem__, nums))
+        cum = list(compress(accumulate(masses), closes))   # mass up to each class
+        conv.extend(map(truediv, cum, repeat(den)))
+        mid.extend(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
+        sizes.append(len(nums))
+        counts.append(len(cum))
+    class_of = np.frombuffer(class_of, dtype=np.intc)
+    conv, mid = np.frombuffer(conv), np.frombuffer(mid)
+    opening = np.cumsum(counts) - counts              # each margin's first class
+    flats = []
+    for flavor, p in zip(PValueFlavor, (conv, mid)):  # conventional, then mid
+        keep = np.append(True, p[1:] > p[:-1])        # does a new point start?
+        keep[opening] = True
+        point_of = np.cumsum(keep) - 1
+        points = p[keep]
+        # A merged point's classes share one float, so the conventional CDF
+        # is its points; the mid CDF is P of each point's last class.
+        cdf = points if p is conv else conv[np.append(keep[1:], True)]
+        starts = point_of[opening]
+        ends = np.append(starts[1:], points.size)
+        points, cdf = step_cdf(points, cdf, ends=ends, flavor=flavor)
+        point_of -= np.repeat(starts, counts)         # now within its margin
+        maps = point_of[class_of]
+        maps.flags.writeable = False
+        flats.append((flavor, points, cdf, ends.tolist(), maps))
+    return sizes, flats
 
 
-# One entry per margin -- (total,) for bt, (n1, n2, total) for fet -- holds
-# both flavors' (support, outcome -> point map), so each margin's null table
-# is built and tie-classified once per process.
-@lru_cache(maxsize=None)
-def _margin(*key: int) -> dict:
-    dist = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
-    table = _tie_table(dist)
-    return {flavor: _support_with_map(table, flavor) for flavor in PValueFlavor}
+def _entry(key: tuple[int, ...], flavor) -> tuple[PValueSupport, np.ndarray]:
+    """One flavor's (support, outcome -> point map) of one margin."""
+    if key not in _margins:
+        _build([key])
+    return _margins[key][PValueFlavor(flavor)]
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
     """Cached binomial-test support for a fixed total count; interned per margin."""
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    return _margin(int(total))[PValueFlavor(flavor)][0]
+    return _entry((int(total),), flavor)[0]
 
 
 def fet_support(n1: int, n2: int, total: int, flavor) -> PValueSupport:
     """Cached Fisher-exact support for fixed margins; interned per margin triple."""
-    return _margin(int(n1), int(n2), int(total))[PValueFlavor(flavor)][0]
+    return _entry((int(n1), int(n2), int(total)), flavor)[0]
 
 
 def bt_outcome_pvalues(total: int, flavor) -> np.ndarray:
     """p-value of every outcome c1 = 0..total, as floats taken from the support."""
-    support, outcome_to_point = _margin(int(total))[PValueFlavor(flavor)]
+    support, outcome_to_point = _entry((int(total),), flavor)
     return support.points[outcome_to_point]
 
 
 def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
     """p-value of every feasible outcome c1, aligned with the hypergeometric support."""
-    support, outcome_to_point = _margin(int(n1), int(n2),
-                                        int(total))[PValueFlavor(flavor)]
+    support, outcome_to_point = _entry((int(n1), int(n2), int(total)), flavor)
     return support.points[outcome_to_point]
 
 
@@ -231,25 +253,33 @@ def count_column(name: str, values) -> np.ndarray:
     raise ValueError(f"column {name} must hold integers below 2**63")
 
 
+def count_total(c1: np.ndarray, c2: np.ndarray, ids) -> np.ndarray:
+    """c1 + c2 of int64 columns, or a ValueError naming, by its entry in
+    `ids`, the first row whose total wraps past 2**63."""
+    total = c1 + c2
+    wrapped = (c1 ^ total) & (c2 ^ total) < 0   # sign unlike both terms'
+    if wrapped.any():
+        i = int(np.argmax(wrapped))
+        raise ValueError(f"row {ids[i]!r}: total c1 + c2 must be below 2**63, "
+                         f"got {int(c1[i]) + int(c2[i])}")
+    return total
+
+
 def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     """Conventional and mid p-values of m count pairs, with their supports.
 
     Without n1 and n2 each pair gets the binomial test given its total; with
     them (arrays, or scalars shared by every test) it gets Fisher's exact
     test given (n1, n2, total).  The counts are checked and grouped by margin
-    once, each margin is looked up once, and each flavor's p-values are
-    gathered from its margins' outcome -> point maps into its own table.
+    once, the margins not cached yet are built together, and each flavor's
+    p-values are gathered from its margins' outcome -> point maps.
     """
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
         raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ValueError("counts must be >= 0")
-    total = c1 + c2
-    if np.any(total < 0):   # wrapped past the int64 range
-        i = int(np.argmax(total < 0))
-        raise ValueError(
-            f"total c1 + c2 must be below 2**63, got {int(c1[i]) + int(c2[i])}")
+    total = count_total(c1, c2, range(c1.size))
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
         margins, outcome = margins[:, None], c1
@@ -261,14 +291,14 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
         margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
                                    return_inverse=True)
         outcome = c1 - np.maximum(0, total - n2)
-    entries = [_margin(*key) for key in margins.tolist()]
+    keys = list(map(tuple, margins.tolist()))
+    _build([key for key in keys if key not in _margins])
+    entries = list(map(_margins.__getitem__, keys))
     group = group.reshape(-1)
-    # Both flavors' outcome maps of a margin have one entry per outcome.
-    sizes = np.array([entry[PValueFlavor.MID][1].size for entry in entries],
-                     dtype=np.int64)
-    at = (np.cumsum(sizes) - sizes)[group] + outcome
     tables = []
     for flavor in PValueFlavor:   # conventional, then mid
         supports, maps = zip(*(entry[flavor] for entry in entries))
-        tables.append(PValueTable(supports, group, np.concatenate(maps)[at]))
+        first = np.cumsum([0, *map(len, maps)])
+        tables.append(PValueTable(supports, group,
+                                  np.concatenate(maps)[first[group] + outcome]))
     return tuple(tables)

@@ -6,6 +6,13 @@ independently of `stepfdr.pvalue`, which the oracle checks.
 
 from fractions import Fraction
 
+from stepfdr.dist import binomial_null, hypergeometric_null
+
+
+def null_of(margin):
+    """The exact null of a margin: (total,) for bt, (n1, n2, total) for fet."""
+    return binomial_null(*margin) if len(margin) == 1 else hypergeometric_null(*margin)
+
 
 def tie_classes(dist):
     """(outcomes, l, e) per tie class of `dist`, in ascending mass order.

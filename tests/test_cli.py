@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -326,6 +327,26 @@ class TestLargeTotals:
             assert row["p_mid"] == ("" if flavor == "conventional" else repr(p_mid))
         if len(rows) > 1:
             assert got[1]["p_conv" if flavor != "mid" else "p_mid"] == "0.0"
+
+    def test_total_20000_matches_exact_tail_sums(self, tmp_path):
+        """The binomial null is symmetric, so for c1 = 10,123 of n = 20,000
+        the outcomes at most as likely are x <= 9,877 and x >= 10,123: P and
+        Q follow from one exact tail sum of binomial coefficients."""
+        n, c1 = 20000, 10123
+        src = tmp_path / "big.csv"
+        src.write_text(f"id,c1,c2\nbig,{c1},{n - c1}\n", encoding="utf-8")
+        details = tmp_path / "details.csv"
+        code = main(["analyze", "--input", str(src), "--test", "bt",
+                     "--details-out", str(details),
+                     "--output", str(tmp_path / "summary.json")])
+        assert code == 0
+        tail, coef = 0, 1   # sum of C(n, x) for x < n - c1, then C(n, n - c1)
+        for x in range(n - c1):
+            tail, coef = tail + coef, coef * (n - x) // (x + 1)
+        with open(details, newline="", encoding="utf-8") as handle:
+            row = next(csv.DictReader(handle))
+        assert row["p_conv"] == repr(float(Fraction(2 * tail + 2 * coef, 2**n)))
+        assert row["p_mid"] == repr(float(Fraction(2 * tail + coef, 2**n)))
 
 
 class TestDetailsCsv:

@@ -161,6 +161,20 @@ class TestFilters:
         assert rows_of(once.select(filter_methylation(once))) == rows_of(once)
         assert list(once.ids) == sorted(once.ids)
 
+    @pytest.mark.parametrize("row", [("big", 2**62, 2**62), ("big", 2**63 - 1, 1),
+                                     ("big", 1, 2**63 - 1)])
+    @pytest.mark.parametrize("keep", [filter_hiv, filter_methylation])
+    def test_total_past_int64_is_named_not_dropped(self, keep, row):
+        """A hand-built row whose c1 + c2 wraps in int64 once read as a
+        negative total, so both filters silently dropped it."""
+        counts = table(("small", 3, 4), row, ("after", 30, 1))
+        with pytest.raises(ValueError,
+                           match=r"row 'big': total c1 \+ c2 must be below 2\*\*63, "
+                                 r"got 9223372036854775808"):
+            keep(counts)
+        edge = table(("edge", 2**62, 2**62 - 1))   # 2**63 - 1 still fits
+        assert edge.total.tolist() == [2**63 - 1]
+
 
 class TestAnalyze:
     def records_bt(self):

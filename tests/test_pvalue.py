@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracle import exact_pvalues, tie_classes
-from stepfdr.dist import binomial_null, hypergeometric_null
+from exact_oracle import exact_pvalues, null_of, tie_classes
+from stepfdr.dist import binomial_null
 from stepfdr.errors import DataError
 from stepfdr.pvalue import (
     PValueFlavor,
@@ -16,15 +16,11 @@ from stepfdr.pvalue import (
     fet_outcome_pvalues,
     fet_support,
     pvalue_table,
+    step_cdf,
 )
 
 CONV = PValueFlavor.CONVENTIONAL
 MID = PValueFlavor.MID
-
-
-def null_of(margin):
-    """The exact null of a margin: (total,) for bt, (n1, n2, total) for fet."""
-    return binomial_null(*margin) if len(margin) == 1 else hypergeometric_null(*margin)
 
 
 def outcome_tables(margin, outcomes):
@@ -224,6 +220,37 @@ def test_support_constructor_validation():
     with pytest.raises(ValueError):
         PValueSupport(flavor=CONV, points=np.array([0.3, 1.0]),
                       cdf_values=np.array([0.4, 1.0]))
+
+
+@pytest.mark.parametrize("flavor, points, cdf", [
+    (CONV, [0.5, 0.5, 1.0], [0.5, 0.5, 1.0]),
+    (MID, [0.2, 0.6, 0.9], [0.5, 0.4, 1.0]),
+    (MID, [0.2, 0.6], [0.5, 0.9]),
+    (CONV, [-0.0625, 1.0], [-0.0625, 1.0]),
+    (MID, [0.5, np.nan], [0.7, 1.0]),
+    (CONV, [0.3, 1.0], [0.4, 1.0]),
+    (MID, [0.3, 0.6], [0.2, 1.0]),
+    (CONV, [], []),
+], ids=["points-repeat", "cdf-falls", "cdf-ends-below-one", "point-below-zero",
+        "point-nan", "conventional-cdf-off-points", "mid-cdf-below-points",
+        "empty"])
+def test_segmented_check_names_a_bad_middle_segment_like_one_support(
+        flavor, points, cdf):
+    """One `step_cdf` call checks a whole batch of supports cut at `ends`;
+    a corrupted middle segment fails with the message of that support
+    checked alone.  Across a seam, points may fall and the CDF restart."""
+    with pytest.raises(ValueError) as alone:
+        PValueSupport(flavor, np.array(points, dtype=float), np.array(cdf, dtype=float))
+    good = bt_support(6, flavor)
+    flat_points = np.concatenate([good.points, points, good.points])
+    flat_cdf = np.concatenate([good.cdf_values, cdf, good.cdf_values])
+    ends = np.cumsum([len(good), len(points), len(good)])
+    with pytest.raises(ValueError) as batched:
+        step_cdf(flat_points, flat_cdf, ends=ends, flavor=flavor)
+    assert str(batched.value) == str(alone.value)
+    three = np.concatenate([good.points] * 3), np.concatenate([good.cdf_values] * 3)
+    checked = step_cdf(*three, ends=np.cumsum([len(good)] * 3), flavor=flavor)
+    assert [a.tobytes() for a in checked] == [a.tobytes() for a in three]
 
 
 def test_mid_always_below_conventional():

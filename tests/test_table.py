@@ -4,12 +4,15 @@ Each property runs on random binomial-test totals (zero included) and
 Fisher-exact margins (empty groups included), drawn by hypothesis.
 """
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import exact_pvalues
+from exact_oracle import exact_pvalues, null_of, tie_classes
 from stepfdr import pvalue
 from stepfdr.dist import binomial_null, hypergeometric_null
 from stepfdr.ingest import CountTable
@@ -97,6 +100,102 @@ def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
     assert built == [(97, 89, 53)]
 
 
+@lru_cache(maxsize=None)
+def oracle_floats(margin):
+    """{outcome: (P, Q)} as the oracle's correctly rounded floats."""
+    return {x: (float(p), float(q))
+            for x, (p, q) in exact_pvalues(null_of(margin)).items()}
+
+
+def outcome_columns(margins):
+    """Count columns with one test per outcome of every margin, and the
+    (margin, outcome) of each test."""
+    tests = [(margin, x) for margin in margins
+             for x in null_of(margin).support.tolist()]
+    rows = [(x, margin[-1] - x, *margin[:-1]) for margin, x in tests]
+    return np.array(rows, dtype=np.int64).T, tests
+
+
+# Symmetric fet margins (n1 = n2, so tie classes are pairs), small bt
+# totals, and bt totals whose smallest classes round to 0.0, several of
+# them onto the same point at 2000 (2 / 2**n is below 2**-1074).
+TIED_FET = [(n, n, t) for n in (1, 2, 5, 10, 25, 60) for t in range(2 * n + 1)]
+SMALL_AND_HUGE_BT = [(t,) for t in (*range(61), 1075, 2000)]
+
+
+@pytest.mark.parametrize("batch", [512, 7], ids=["one-batch", "many-batches"])
+def test_fresh_margins_match_the_oracle_in_any_batching(monkeypatch, batch):
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "_BATCH", batch)
+    for margins in (SMALL_AND_HUGE_BT, TIED_FET):
+        columns, tests = outcome_columns(margins)
+        conv, mid = pvalue_table(*columns)
+        want = np.array([oracle_floats(margin)[x] for margin, x in tests])
+        assert np.array_equal(conv.p, want[:, 0])
+        assert np.array_equal(mid.p, want[:, 1])
+    assert len(pvalue._margins) == len(SMALL_AND_HUGE_BT) + len(TIED_FET)
+    assert bt_support(1075, MID).points[0] == 0.0   # one class rounds to 0.0
+    merged = bt_support(2000, MID)                   # several classes do
+    assert merged.points[0] == 0.0
+    assert len(merged) < len(tie_classes(binomial_null(2000)))
+    # A batch that mixes bt and fet margins builds the same arrays.
+    by_call = pvalue._margins
+    monkeypatch.setattr(pvalue, "_margins", {})
+    pvalue._build(SMALL_AND_HUGE_BT + TIED_FET)
+    for key, entry in by_call.items():
+        for flavor in (CONV, MID):
+            support, outcome_map = entry[flavor]
+            again, again_map = pvalue._margins[key][flavor]
+            assert support.points.tobytes() == again.points.tobytes()
+            assert support.cdf_values.tobytes() == again.cdf_values.tobytes()
+            assert np.array_equal(outcome_map, again_map)
+
+
+def test_a_call_builds_only_the_margins_not_yet_cached(monkeypatch):
+    built = []
+
+    def counting(null):
+        def build(*margin):
+            built.append(margin)
+            return null(*margin)
+        return build
+
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "binomial_null", counting(binomial_null))
+    monkeypatch.setattr(pvalue, "hypergeometric_null", counting(hypergeometric_null))
+    pvalue_table([1, 2, 3], [4, 0, 2])                     # totals 5, 2, 5
+    assert built == [(2,), (5,)]
+    cached = bt_support(5, CONV)
+    conv, _ = pvalue_table([0, 1, 9, 3, 2], [5, 6, 0, 3, 0])   # 5, 7, 9, 6, 2
+    assert built == [(2,), (5,), (6,), (7,), (9,)]
+    assert conv.supports[conv.support_index[0]] is cached
+    pvalue_table([4, 1], [3, 1], [9, 5], [9, 5])            # (9, 9, 7), (5, 5, 2)
+    pvalue_table([2, 0], [5, 2], [9, 2], [9, 2])            # (9, 9, 7), (2, 2, 2)
+    assert built[5:] == [(5, 5, 2), (9, 9, 7), (2, 2, 2)]
+
+
+def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
+    """A batch's typed buffers are freed before its views are made, so
+    building 1,000 fresh Fisher margins (two batches) peaks at most 1.25
+    times what the cache keeps afterwards; with the buffers still alive
+    while the views were made, the same build peaked at 1.28 times."""
+    rng = np.random.default_rng(29)
+    n = rng.integers(50, 401, size=(1500, 2))
+    c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1)))
+    margins = list(zip(n[:, 0].tolist(), n[:, 1].tolist(), c.sum(axis=1).tolist()))
+    rows = list(dict(zip(margins, range(len(margins)))).values())[:1000]
+    assert len(rows) == 1000
+    monkeypatch.setattr(pvalue, "_margins", {})
+    tracemalloc.start()
+    try:
+        pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pvalue._margins) == 1000
+    assert peak <= 1.25 * retained
+
+
 @PROPERTY
 @given(rows=INSTANCES)
 def test_one_call_builds_both_flavors_on_shared_slots(rows):
@@ -146,6 +245,34 @@ def test_bh_plus_is_bh_and_contains_mid_run(rows, alpha):
     assert np.array_equal(res_bh.rejected, res_plus.rejected)
     res_mid = mid_vs_conventional(res_plus, mid, alpha).mid_result
     assert np.isin(res_mid.rejected, res_plus.rejected).all()
+
+
+@st.composite
+def null_margin(draw):
+    """A bt total, or a Fisher margin (n1, n2, total)."""
+    if draw(st.booleans()):
+        return (draw(st.integers(0, 400)),)
+    n1, n2 = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    return n1, n2, draw(st.integers(0, n1 + n2))
+
+
+@PROPERTY
+@given(margin=null_margin())
+def test_null_pmfs_are_strictly_log_concave(margin):
+    """The fact the margin builder relies on: f(x+1)/f(x) strictly decreases,
+    checked exactly as f(x+1) f(x-1) < f(x)**2.  So each pmf strictly rises
+    to its mode, is flat there for at most two outcomes, and strictly falls:
+    every tie class holds at most two outcomes, one on each side of the
+    mode, and sorting the masses merges two monotone runs."""
+    dist = null_of(margin)
+    f = dist.numerators
+    assert all(f[x + 1] * f[x - 1] < f[x] ** 2 for x in range(1, len(f) - 1))
+    lo = int(dist.support[0])
+    for xs, _, _ in tie_classes(dist):
+        assert len(xs) <= 2
+        if len(xs) == 2:
+            a, b = xs[0] - lo, xs[1] - lo
+            assert all(f[x] > f[a] for x in range(a + 1, b))
 
 
 @pytest.mark.parametrize("support_index, point_index", [

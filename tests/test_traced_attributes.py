@@ -66,7 +66,7 @@ def test_traced_fet_analyze_builds_both_flavors_in_one_pass(spans, tmp_path):
     rows = [line.split(",") for line in
             FET_FIXTURE.read_text(encoding="utf-8").splitlines()[1:]]
     margins = {(n1, n2, int(c1) + int(c2)) for _, c1, c2, n1, n2 in rows}
-    pvalue._margin.cache_clear()   # so every margin is built in the traced run
+    pvalue._margins.clear()   # so every margin is built in the traced run
     tracer = spans.Tracer()
     tracer.install()
     try:
