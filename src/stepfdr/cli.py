@@ -142,7 +142,10 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
             if pi0 is not None or alpha is not None:
                 raise click.UsageError("--grid uses the built-in pi0/alpha grids; "
                                        "drop --pi0/--alpha")
-            workers = int(os.environ.get("STEPFDR_WORKERS", "1"))
+            try:
+                workers = int(raw := os.environ.get("STEPFDR_WORKERS", "1"))
+            except ValueError:
+                raise ValueError(f"STEPFDR_WORKERS must be an integer, got {raw!r}")
             etas = sim.DEFAULT_ETAS if eta is None else (eta,)
             ns = sim.DEFAULT_NS if n_trials is None else (n_trials,)
             summaries = sim.run_grid(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,39 +32,13 @@ def _check_nonneg_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
-    """A probability distribution on a strictly increasing integer support.
+class DiscreteDistribution(NamedTuple):
+    """Exact masses numerators[i] / denominator of the outcomes support[i],
+    each positive and summing to 1 (checked where `stepfdr.pvalue` sums them)."""
 
-    Parameters
-    ----------
-    support
-        Strictly increasing integer outcomes; every outcome has positive mass.
-    numerators, denominator
-        Exact masses ``numerators[i] / denominator``, in support order, with
-        ``sum(numerators) == denominator``.
-    """
-
-    support: np.ndarray
+    support: range
     numerators: tuple[int, ...]
     denominator: int
-
-    def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=np.int64)
-        numerators = tuple(self.numerators)
-        if support.ndim != 1 or support.size == 0:
-            raise ValueError("support must be a non-empty 1-D integer array")
-        if support.size > 1 and not np.all(np.diff(support) > 0):
-            raise ValueError("support must be strictly increasing")
-        if len(numerators) != support.size:
-            raise ValueError("numerators must align with the support")
-        if any(n <= 0 for n in numerators):
-            raise ValueError("every weight numerator must be positive")
-        if sum(numerators) != self.denominator:
-            raise ValueError("exact weights must sum to exactly 1")
-        support.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "numerators", numerators)
 
 
 @dataclass(frozen=True)
@@ -95,8 +70,7 @@ def binomial_null(n: int) -> DiscreteDistribution:
     n = _check_nonneg_int(n, "n")
     numerators = accumulate(range(n), lambda c, x: c * (n - x) // (x + 1),
                             initial=1)
-    return DiscreteDistribution(np.arange(n + 1, dtype=np.int64),
-                                numerators, 1 << n)
+    return DiscreteDistribution(range(n + 1), tuple(numerators), 1 << n)
 
 
 def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
@@ -120,5 +94,5 @@ def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
         range(lo, hi),
         lambda f, x: f * (n1 - x) * (m_total - x) // ((x + 1) * (rest + x + 1)),
         initial=math.comb(n1, lo) * math.comb(n2, m_total - lo))
-    return DiscreteDistribution(np.arange(lo, hi + 1, dtype=np.int64),
-                                numerators, math.comb(n1 + n2, m_total))
+    return DiscreteDistribution(range(lo, hi + 1), tuple(numerators),
+                                math.comb(n1 + n2, m_total))

@@ -21,6 +21,7 @@ from operator import add, ne, truediv
 import numpy as np
 
 from .dist import binomial_null, hypergeometric_null
+from .errors import InvariantViolation
 
 __all__ = [
     "PValueFlavor",
@@ -131,23 +132,25 @@ def _flatten(keys):
     the margins' supports, cut at `ends`, and outcome -> point maps.
 
     Per margin, the masses are sorted once (both null pmfs are unimodal, so
-    that merges two monotone runs) and summed once.  Then, for the whole
-    batch at once, classes whose p-values round to one float merge onto one
-    point, keeping the largest (right-continuous) CDF value, and the maps
-    are made and everything is checked.
+    that merges two monotone runs) and summed once, and the null's exactness
+    is checked there.  Then, for the whole batch at once, classes whose
+    p-values round to one float merge onto one point, keeping the largest
+    (right-continuous) CDF value, and the maps are made and checked.
     """
     class_of = array("i")   # per outcome: its tie class, numbered across the batch
     conv = array("d")       # per class: P = cum / den
     mid = array("d")        # per class: Q = (cum_prev + cum) / (2 den)
     sizes, counts = [], []  # outcomes and classes per margin
     for key in keys:
-        dist = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
-        nums, den = dist.numerators, dist.denominator
+        xs, nums, den = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
         masses = sorted(nums)
         closes = [*map(ne, masses, masses[1:]), True]   # does a class end here?
         rank = dict(zip(compress(masses, closes), count(len(conv))))
         class_of.extend(map(rank.__getitem__, nums))
         cum = list(compress(accumulate(masses), closes))   # mass up to each class
+        if not (masses[0] > 0 and cum[-1] == den and len(nums) == len(xs)):
+            raise InvariantViolation(f"margin {key}: the exact null needs one positive "
+                                     "mass per outcome, summing to its denominator")
         conv.extend(map(truediv, cum, repeat(den)))
         mid.extend(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
         sizes.append(len(nums))
@@ -219,8 +222,8 @@ class PValueTable:
 
     def __post_init__(self) -> None:
         supports = tuple(self.supports)
-        support_index = np.asarray(self.support_index, dtype=np.int64)
-        point_index = np.asarray(self.point_index, dtype=np.int64)
+        support_index = count_column("support_index", self.support_index)
+        point_index = count_column("point_index", self.point_index)
         if (support_index.ndim != 1 or support_index.size == 0
                 or point_index.shape != support_index.shape):
             raise ValueError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -351,6 +350,7 @@ def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
                 rho=rho, reps=reps, seed=seed, copula_sharing=copula_sharing)
             tasks.append((len(tasks), base, alphas))
     if workers > 1 and len(tasks) > 1:
+        from multiprocessing import get_context  # only a pool needs it
         with get_context("fork").Pool(min(workers, len(tasks))) as pool:
             results = dict(pool.imap_unordered(_grid_task, tasks))
     else:

@@ -21,7 +21,7 @@ def tie_classes(dist):
     class itself, both Fractions.
     """
     outcomes_of = {}
-    for num, x in zip(dist.numerators, dist.support.tolist()):
+    for num, x in zip(dist.numerators, list(dist.support)):
         outcomes_of.setdefault(num, []).append(x)
     classes = []
     below = Fraction(0)

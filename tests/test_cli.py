@@ -243,6 +243,14 @@ class TestSimulateCli:
         # 5 pi0 values x 1 n x 4 alphas x 3 procedures + header.
         assert len(lines) == 61
 
+    def test_bad_workers_env_is_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("STEPFDR_WORKERS", "abc")
+        code = main(["simulate", "--test", "bt", "--grid", "--eta", "3",
+                     "--m", "10", "--reps", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == ("stepfdr: error: usage: STEPFDR_WORKERS "
+                                           "must be an integer, got 'abc'\n")
+
     def test_block_dependence_flag(self, tmp_path):
         code, data = run_to_file(
             ["simulate", "--test", "bt", "--pi0", "0.5", "--alpha", "0.05",
@@ -384,12 +392,13 @@ class TestDetailsCsv:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the block-dependence simulation needs scipy, so importing the
-    command line must not load it."""
+    """Only the block-dependence simulation needs scipy, and only a worker
+    pool needs multiprocessing, so importing the command line loads neither."""
     src = str(pathlib.Path(stepfdr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, stepfdr.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, stepfdr.cli; "
+             "print([m in sys.modules for m in ('scipy', 'multiprocessing')])")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

@@ -45,7 +45,7 @@ def test_two_sided_matches_fraction_oracle(dist):
     support = null_of(dist).support
     oracle = exact_pvalues(null_of(dist))
     conv, mid = outcome_tables(dist, support)
-    for i, x in enumerate(support.tolist()):
+    for i, x in enumerate(list(support)):
         p_exact, q_exact = oracle[x]
         assert conv.p[i] == float(p_exact)
         assert mid.p[i] == float(q_exact)

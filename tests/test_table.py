@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from exact_oracle import exact_pvalues, null_of, tie_classes
 from stepfdr import pvalue
-from stepfdr.dist import binomial_null, hypergeometric_null
+from stepfdr.cli import main
+from stepfdr.dist import DiscreteDistribution, binomial_null, hypergeometric_null
+from stepfdr.errors import InvariantViolation
 from stepfdr.ingest import CountTable
 from stepfdr.pvalue import (
     PValueFlavor,
@@ -111,7 +113,7 @@ def outcome_columns(margins):
     """Count columns with one test per outcome of every margin, and the
     (margin, outcome) of each test."""
     tests = [(margin, x) for margin in margins
-             for x in null_of(margin).support.tolist()]
+             for x in list(null_of(margin).support)]
     rows = [(x, margin[-1] - x, *margin[:-1]) for margin, x in tests]
     return np.array(rows, dtype=np.int64).T, tests
 
@@ -172,6 +174,30 @@ def test_a_call_builds_only_the_margins_not_yet_cached(monkeypatch):
     pvalue_table([4, 1], [3, 1], [9, 5], [9, 5])            # (9, 9, 7), (5, 5, 2)
     pvalue_table([2, 0], [5, 2], [9, 2], [9, 2])            # (9, 9, 7), (2, 2, 2)
     assert built[5:] == [(5, 5, 2), (9, 9, 7), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("bad", [
+    DiscreteDistribution(range(3), (1, 3, 0), 4),
+    DiscreteDistribution(range(3), (1, 2, 1), 5),
+    DiscreteDistribution(range(2), (1, 2, 1), 4),
+], ids=["zero-mass", "sum-off-by-one", "more-masses-than-outcomes"])
+def test_a_bad_null_is_an_invariant_violation_naming_its_margin(
+        monkeypatch, tmp_path, capsys, bad):
+    """The builder checks each null where it sums the masses, so a null
+    builder's bug is ours: InvariantViolation, and exit 3 from the CLI."""
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "binomial_null", lambda *margin: bad)
+    monkeypatch.setattr(pvalue, "hypergeometric_null", lambda *margin: bad)
+    with pytest.raises(InvariantViolation, match=r"^margin \(2,\): "):
+        pvalue_table([1], [1])
+    with pytest.raises(InvariantViolation, match=r"^margin \(3, 4, 2\): "):
+        pvalue_table([1], [1], 3, 4)
+    assert pvalue._margins == {}
+    counts = tmp_path / "counts.csv"
+    counts.write_text("id,c1,c2\na,1,1\n")
+    assert main(["analyze", "--input", str(counts), "--test", "bt"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "stepfdr: error: internal: margin (2,): ")
 
 
 def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
@@ -275,23 +301,27 @@ def test_null_pmfs_are_strictly_log_concave(margin):
             assert all(f[x] > f[a] for x in range(a + 1, b))
 
 
-@pytest.mark.parametrize("support_index, point_index", [
-    ([-1, 0], [0, 0]),
-    ([0, 2], [0, 0]),
-    ([0, 1], [-1, 0]),
-    ([0, 1], [0, 2]),
-    ([0, 1], [1, 1]),
+@pytest.mark.parametrize("support_index, point_index, message", [
+    ([-1, 0], [0, 0], "index a point"),
+    ([0, 2], [0, 0], "index a point"),
+    ([0, 1], [-1, 0], "index a point"),
+    ([0, 1], [0, 2], "index a point"),
+    ([0, 1], [1, 1], "index a point"),
+    ([0.7, 1.2], [0, 0], "column support_index must hold integers"),
+    ([0, 1], [1.9, 0.5], "column point_index must hold integers"),
+    ([0.0, 1.0], [0.5, 0.0], "column point_index must hold integers"),
 ], ids=["support-negative", "support-past-end", "point-negative",
-        "point-past-end", "point-past-own-support"])
-def test_table_rejects_index_off_its_supports(support_index, point_index):
+        "point-past-end", "point-past-own-support", "support-fractional",
+        "point-fractional", "point-fractional-in-range"])
+def test_table_rejects_index_off_its_supports(support_index, point_index, message):
     """The constructor is what keeps every test on a point of its own support.
 
     Support 0 has two points and support 1 one point, so point 1 exists only
-    on support 0.
+    on support 0.  A fractional index is refused, not truncated onto a point.
     """
     supports = (bt_support(2, CONV), bt_support(0, CONV))
     assert [len(s) for s in supports] == [2, 1]
-    with pytest.raises(ValueError, match="index a point"):
+    with pytest.raises(ValueError, match=message):
         PValueTable(supports, support_index, point_index)
 
 
