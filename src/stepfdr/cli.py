@@ -146,6 +146,8 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                 workers = int(raw := os.environ.get("STEPFDR_WORKERS", "1"))
             except ValueError:
                 raise ValueError(f"STEPFDR_WORKERS must be an integer, got {raw!r}")
+            if workers < 1:
+                raise ValueError(f"STEPFDR_WORKERS must be >= 1, got {workers}")
             etas = sim.DEFAULT_ETAS if eta is None else (eta,)
             ns = sim.DEFAULT_NS if n_trials is None else (n_trials,)
             summaries = sim.run_grid(

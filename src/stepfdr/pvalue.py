@@ -40,33 +40,33 @@ class PValueFlavor(str, enum.Enum):
     MID = "mid"
 
 
-def step_cdf(x, cdf, x_name="support points", cdf_name="cdf_values", ends=None,
+def step_cdf(x, cdf, ends=None,
              flavor: PValueFlavor | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`x` and `cdf` as read-only float arrays, or a ValueError naming them
-    unless they tabulate step CDFs: matching 1-D arrays cut at `ends` (each
-    segment's exclusive end; one segment when None) into non-empty segments,
-    each with `x` strictly increasing and `cdf` nondecreasing to exactly 1.0.
-    With a `flavor` they are p-value supports: `x` lies in [0, 1], and `cdf`
-    equals `x` (conventional) or is at least `x` (mid)."""
+    """`x` and `cdf` as read-only float arrays, or a ValueError unless they
+    tabulate step CDFs: matching 1-D arrays cut at `ends` (each segment's
+    exclusive end; one segment when None) into non-empty segments, each with
+    `x` strictly increasing and `cdf` nondecreasing to exactly 1.0.  With a
+    `flavor` they are p-value supports: `x` lies in [0, 1], and `cdf` equals
+    `x` (conventional) or is at least `x` (mid)."""
     x = np.asarray(x, dtype=np.float64)
     cdf = np.asarray(cdf, dtype=np.float64)
     last = np.asarray([x.size] if ends is None else ends, dtype=np.intp) - 1
     if (x.ndim != 1 or cdf.shape != x.shape or last.ndim != 1 or last.size == 0
             or last[0] < 0 or last[-1] != x.size - 1 or (last[1:] <= last[:-1]).any()):
-        raise ValueError(f"{x_name} and {cdf_name} must be matching 1-D arrays")
+        raise ValueError("support points and cdf_values must be matching 1-D arrays")
     seams = last[:-1]   # the steps from one segment into the next
     steps = np.subtract(x[1:], x[:-1])
     steps[seams] = 1.0
     if not (steps > 0.0).all():
-        raise ValueError(f"{x_name} must be strictly increasing")
+        raise ValueError("support points must be strictly increasing")
     np.subtract(cdf[1:], cdf[:-1], out=steps)
     steps[seams] = 0.0
     if not (steps >= 0.0).all():
-        raise ValueError(f"{cdf_name} must be nondecreasing")
+        raise ValueError("cdf_values must be nondecreasing")
     if not (cdf[last] == 1.0).all():
-        raise ValueError(f"the last of {cdf_name} must equal 1.0 exactly")
+        raise ValueError("the last of cdf_values must equal 1.0 exactly")
     if flavor is not None and not ((x >= 0.0).all() and (x <= 1.0).all()):
-        raise ValueError(f"{x_name} must lie in [0, 1]")
+        raise ValueError("support points must lie in [0, 1]")
     if flavor is PValueFlavor.CONVENTIONAL and not (cdf == x).all():
         raise ValueError("conventional supports must satisfy cdf_values == points")
     if flavor is PValueFlavor.MID and not (cdf >= x).all():
@@ -107,8 +107,8 @@ class PValueSupport:
         return int(self.points.size)
 
 
-# {flavor: (support, outcome -> point map)} per margin (total,) or (n1, n2, total)
-_margins: dict[tuple[int, ...], dict] = {}
+# (first outcome, {flavor: (support, outcome -> point map)}) per margin key
+_margins: dict[tuple[int, ...], tuple[int, dict]] = {}
 _BATCH = 512   # margins built together, which bounds a batch's buffers
 
 
@@ -117,19 +117,19 @@ def _build(keys: list[tuple[int, ...]]) -> None:
     views into flat arrays made (and their buffers freed) per batch."""
     for start in range(0, len(keys), _BATCH):
         batch = keys[start:start + _BATCH]
-        sizes, flats = _flatten(batch)
+        sizes, firsts, flats = _flatten(batch)
         entries = [{} for _ in batch]
         outcomes = list(accumulate(sizes, initial=0))
         for flavor, points, cdf, ends, maps in flats:
             for entry, a, b, o, n in zip(entries, [0, *ends], ends, outcomes, sizes):
                 view = object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
                 entry[flavor] = (view, maps[o:o + n])
-        _margins.update(zip(batch, entries))
+        _margins.update(zip(batch, zip(firsts, entries)))
 
 
 def _flatten(keys):
-    """Outcomes per margin, and per flavor (flavor, points, cdf, ends, maps):
-    the margins' supports, cut at `ends`, and outcome -> point maps.
+    """Outcomes and first outcome per margin, and per flavor (flavor, points,
+    cdf, ends, maps): the supports, cut at `ends`, and outcome -> point maps.
 
     Per margin, the masses are sorted once (both null pmfs are unimodal, so
     that merges two monotone runs) and summed once, and the null's exactness
@@ -140,7 +140,7 @@ def _flatten(keys):
     class_of = array("i")   # per outcome: its tie class, numbered across the batch
     conv = array("d")       # per class: P = cum / den
     mid = array("d")        # per class: Q = (cum_prev + cum) / (2 den)
-    sizes, counts = [], []  # outcomes and classes per margin
+    sizes, firsts, counts = [], [], []  # per margin: outcomes, first one, classes
     for key in keys:
         xs, nums, den = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
         masses = sorted(nums)
@@ -154,6 +154,7 @@ def _flatten(keys):
         conv.extend(map(truediv, cum, repeat(den)))
         mid.extend(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
         sizes.append(len(nums))
+        firsts.append(xs.start)
         counts.append(len(cum))
     class_of = np.frombuffer(class_of, dtype=np.intc)
     conv, mid = np.frombuffer(conv), np.frombuffer(mid)
@@ -174,14 +175,14 @@ def _flatten(keys):
         maps = point_of[class_of]
         maps.flags.writeable = False
         flats.append((flavor, points, cdf, ends.tolist(), maps))
-    return sizes, flats
+    return sizes, firsts, flats
 
 
 def _entry(key: tuple[int, ...], flavor) -> tuple[PValueSupport, np.ndarray]:
     """One flavor's (support, outcome -> point map) of one margin."""
     if key not in _margins:
         _build([key])
-    return _margins[key][PValueFlavor(flavor)]
+    return _margins[key][1][PValueFlavor(flavor)]
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
@@ -228,14 +229,14 @@ class PValueTable:
                 or point_index.shape != support_index.shape):
             raise ValueError(
                 "support_index and point_index must be matching non-empty 1-D arrays")
-        sizes = np.array([len(s) for s in supports], dtype=np.int64)
+        points = [s.points for s in supports]
+        sizes = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
         if (support_index.min() < 0 or support_index.max() >= sizes.size
                 or point_index.min() < 0
                 or np.any(point_index >= sizes[support_index])):
             raise ValueError("every test must index a point of one of the supports")
         starts = np.cumsum(sizes) - sizes
-        p = np.concatenate([s.points for s in supports])[
-            starts[support_index] + point_index]
+        p = np.concatenate(points)[starts[support_index] + point_index]
         object.__setattr__(self, "supports", supports)
         for name, arr in (("support_index", support_index),
                           ("point_index", point_index), ("p", p)):
@@ -285,7 +286,6 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     total = count_total(c1, c2, range(c1.size))
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
-        margins, outcome = margins[:, None], c1
     else:
         n1, n2, total = np.broadcast_arrays(count_column("n1", n1),
                                             count_column("n2", n2), total)
@@ -293,15 +293,15 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
             raise ValueError("impossible table: a count exceeds its trial total")
         margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
                                    return_inverse=True)
-        outcome = c1 - np.maximum(0, total - n2)
-    keys = list(map(tuple, margins.tolist()))
+    keys = list(map(tuple, margins.reshape(len(margins), -1).tolist()))
     _build([key for key in keys if key not in _margins])
-    entries = list(map(_margins.__getitem__, keys))
+    firsts, entries = zip(*map(_margins.__getitem__, keys))
     group = group.reshape(-1)
+    outcome = c1 - np.array(firsts)[group]   # each test's index into its null
     tables = []
     for flavor in PValueFlavor:   # conventional, then mid
         supports, maps = zip(*(entry[flavor] for entry in entries))
-        first = np.cumsum([0, *map(len, maps)])
+        offsets = np.cumsum([0, *map(len, maps)])
         tables.append(PValueTable(supports, group,
-                                  np.concatenate(maps)[first[group] + outcome]))
+                                  np.concatenate(maps)[offsets[group] + outcome]))
     return tuple(tables)

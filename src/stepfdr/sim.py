@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -320,11 +321,6 @@ def run_cell(config: SimConfig) -> SimSummary:
     return _run_alphas(config, (config.alpha,))[0]
 
 
-def _grid_task(args) -> tuple[int, list[SimSummary]]:
-    index, base, alphas = args
-    return index, _run_alphas(base, alphas)
-
-
 def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
              etas=DEFAULT_ETAS, ns=DEFAULT_NS, m: int = 200,
              dependence: str = "independent", blocks: int = 5,
@@ -348,17 +344,14 @@ def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
                 n=param if test == "fet" else None,
                 dependence=dependence, blocks=blocks, block_size=block_size,
                 rho=rho, reps=reps, seed=seed, copula_sharing=copula_sharing)
-            tasks.append((len(tasks), base, alphas))
+            tasks.append((base, alphas))
     if workers > 1 and len(tasks) > 1:
         from multiprocessing import get_context  # only a pool needs it
         with get_context("fork").Pool(min(workers, len(tasks))) as pool:
-            results = dict(pool.imap_unordered(_grid_task, tasks))
+            results = pool.starmap(_run_alphas, tasks)
     else:
-        results = dict(map(_grid_task, tasks))
-    out: list[SimSummary] = []
-    for index in range(len(tasks)):
-        out.extend(results[index])
-    return out
+        results = starmap(_run_alphas, tasks)
+    return list(chain.from_iterable(results))
 
 
 SIM_ROW_FIELDS = ("test", "dependence", "copula_sharing", "m", "pi0", "alpha",

@@ -11,12 +11,12 @@ classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueSupport, PValueTable, step_cdf
+from .pvalue import PValueSupport, PValueTable
 
 __all__ = [
     "MaxCdf",
@@ -30,17 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MaxCdf:
-    """Pointwise maximum of several step CDFs, tabulated on their union grid."""
+class MaxCdf(NamedTuple):
+    """Pointwise maximum of several step CDFs, tabulated on their union grid:
+    a plain record that only `build_max_cdf` makes, valid by construction."""
 
     grid: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid, values = step_cdf(self.grid, self.values, "grid", "values")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
 
     def evaluate(self, t):
         """Right-continuous step evaluation; 0 below the first grid point."""
@@ -53,22 +48,22 @@ class MaxCdf:
 def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     """Tabulate max_i F_i over the sorted union of all support points.
 
-    Repeated support objects (tests sharing a margin) are collapsed before
-    the sweep; the result is unchanged because the maximum is idempotent.
+    Once all (point, CDF value) events are in point order, each test's
+    running CDF is the largest of its processed values, so F* is one running
+    maximum (and a support listed twice changes nothing).  Each run of equal
+    points keeps its last event: the grid strictly increases, and the values
+    never fall and end at 1.0, where every support ends.
     """
     if len(supports) == 0:
         raise ValueError("at least one support is required")
-    unique = list({id(s): s for s in supports}.values())
-    points = np.concatenate([s.points for s in unique])
-    cdfs = np.concatenate([s.cdf_values for s in unique])
+    points = np.concatenate([s.points for s in supports])
     order = np.argsort(points, kind="stable")
     points = points[order]
-    # Once events are in point order, each test's running CDF is the largest
-    # of its processed values, so the max over tests is one running maximum.
-    running = np.maximum.accumulate(cdfs[order])
-    grid = np.unique(points)
-    last = np.searchsorted(points, grid, side="right") - 1
-    return MaxCdf(grid=grid, values=running[last])
+    cdfs = np.concatenate([s.cdf_values for s in supports])[order]
+    last = np.append(points[1:] != points[:-1], True)   # does a run end here?
+    grid, values = points[last], np.maximum.accumulate(cdfs)[last]
+    grid.flags.writeable = values.flags.writeable = False
+    return MaxCdf(grid, values)
 
 
 def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:

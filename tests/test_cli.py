@@ -243,13 +243,18 @@ class TestSimulateCli:
         # 5 pi0 values x 1 n x 4 alphas x 3 procedures + header.
         assert len(lines) == 61
 
-    def test_bad_workers_env_is_named(self, monkeypatch, capsys):
-        monkeypatch.setenv("STEPFDR_WORKERS", "abc")
+    @pytest.mark.parametrize("raw, problem", [
+        ("abc", "must be an integer, got 'abc'"),
+        ("0", "must be >= 1, got 0"),
+        ("-3", "must be >= 1, got -3"),
+    ], ids=["abc", "zero", "negative"])
+    def test_bad_workers_env_is_named(self, monkeypatch, capsys, raw, problem):
+        monkeypatch.setenv("STEPFDR_WORKERS", raw)
         code = main(["simulate", "--test", "bt", "--grid", "--eta", "3",
                      "--m", "10", "--reps", "1"])
         assert code == 1
-        assert capsys.readouterr().err == ("stepfdr: error: usage: STEPFDR_WORKERS "
-                                           "must be an integer, got 'abc'\n")
+        assert capsys.readouterr().err == (
+            f"stepfdr: error: usage: STEPFDR_WORKERS {problem}\n")
 
     def test_block_dependence_flag(self, tmp_path):
         code, data = run_to_file(

@@ -60,23 +60,30 @@ def test_build_max_cdf_merges_two_supports():
 
 
 def test_max_cdf_matches_brute_force():
+    """Supports share points of the lattice k/16 and some are listed twice,
+    so runs of equal points hold events with different CDF values; F* at a
+    point is the running maximum at the last event of its run."""
     rng = np.random.default_rng(21)
+    lattice = np.arange(1, 16) / 16
     for _ in range(30):
         m = int(rng.integers(1, 20))
         supports = []
         for _ in range(m):
             k = int(rng.integers(1, 6))
-            pts = np.unique(np.append(rng.uniform(0.01, 0.99, k), 1.0))
+            pts = np.unique(np.append(rng.choice(lattice, k), 1.0))
             cdf = np.append(np.sort(rng.uniform(0.0, 1.0, len(pts) - 1)), 1.0)
             cdf = np.maximum(np.maximum.accumulate(cdf), pts)
             supports.append(make_support(pts, cdf, flavor=MID))
+        supports += [supports[i] for i in rng.integers(0, m, size=m // 2 + 1)]
+        supports = [supports[i] for i in rng.permutation(len(supports))]
         mc = build_max_cdf(supports)
-        for t in mc.grid:
-            assert mc.values[np.searchsorted(mc.grid, t)] == pytest.approx(
-                brute_max_cdf(supports, t))
+        assert np.array_equal(
+            mc.grid, np.unique(np.concatenate([s.points for s in supports])))
+        assert not mc.grid.flags.writeable and not mc.values.flags.writeable
+        for t, value in zip(mc.grid, mc.values):
+            assert value == brute_max_cdf(supports, t)
         for t in rng.uniform(0.0, 1.0, 50):
-            assert mc.evaluate(float(t)) == pytest.approx(
-                brute_max_cdf(supports, float(t)))
+            assert mc.evaluate(float(t)) == brute_max_cdf(supports, float(t))
 
 
 def test_max_cdf_evaluate_below_grid_is_zero():

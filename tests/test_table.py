@@ -144,10 +144,11 @@ def test_fresh_margins_match_the_oracle_in_any_batching(monkeypatch, batch):
     by_call = pvalue._margins
     monkeypatch.setattr(pvalue, "_margins", {})
     pvalue._build(SMALL_AND_HUGE_BT + TIED_FET)
-    for key, entry in by_call.items():
+    for key, (first, entry) in by_call.items():
+        assert pvalue._margins[key][0] == first
         for flavor in (CONV, MID):
             support, outcome_map = entry[flavor]
-            again, again_map = pvalue._margins[key][flavor]
+            again, again_map = pvalue._margins[key][1][flavor]
             assert support.points.tobytes() == again.points.tobytes()
             assert support.cdf_values.tobytes() == again.cdf_values.tobytes()
             assert np.array_equal(outcome_map, again_map)
