@@ -37,7 +37,6 @@ from .pvalue import (
     pvalue_table,
 )
 from .sim import (
-    PROCEDURES,
     ProcedureStats,
     SimConfig,
     SimSummary,
@@ -49,6 +48,7 @@ from .sim import (
     summaries_to_rows,
 )
 from .stepup import (
+    PROCEDURES,
     MaxCdf,
     MidComparison,
     StepUpResult,

@@ -24,10 +24,10 @@ from .errors import DataError, InvariantViolation
 
 _LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
-_FLAVOR_PROCEDURES = {
-    "conventional": ("BH", "BH+"),
-    "mid": ("MidPBH+",),
-    "both": ("BH", "BH+", "MidPBH+"),
+_FLAVOR_PROCEDURES = {   # BH and BH+ read conventional p-values, MidPBH+ mid ones
+    "conventional": stepup.PROCEDURES[:2],
+    "mid": stepup.PROCEDURES[2:],
+    "both": stepup.PROCEDURES,
 }
 
 
@@ -137,6 +137,9 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
     across processes (the output is identical for any worker count).
     """
     dependence = {"indep": "independent", "block": "block"}[dependence]
+    other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
+    if value is not None:
+        raise click.UsageError(f"--test {test} takes no {other}")
     try:
         if grid:
             if pi0 is not None or alpha is not None:

@@ -31,10 +31,7 @@ __all__ = [
     "report_summary",
     "DETAIL_FIELDS",
     "SUMMARY_FIELDS",
-    "PROCEDURE_CHOICES",
 ]
-
-PROCEDURE_CHOICES = ("BH", "BH+", "MidPBH+")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +198,13 @@ def pvalue_tables(table: CountTable,
 
 
 def analyze(table: CountTable, test: str, alpha: float,
-            procedures: tuple[str, ...] = PROCEDURE_CHOICES) -> AnalysisReport:
-    """Compute exact p-values and run the requested step-up procedures.
+            procedures: tuple[str, ...] = stepup.PROCEDURES) -> AnalysisReport:
+    """Compute exact p-values and run the step-up procedures.
 
-    "BH" and "BH+" run on conventional p-values, "MidPBH+" on mid p-values.
-    When both "BH+" and "MidPBH+" are requested, the report also carries the
+    All three run, through `stepup.run_procedures`, so every call checks both
+    of its invariants; `procedures` selects what the report holds.  "BH" and
+    "BH+" run on conventional p-values, "MidPBH+" on mid p-values.  When both
+    "BH+" and "MidPBH+" are requested, the report also carries the
     rejection-count comparison between the two runs.
     """
     if test not in ("bt", "fet"):
@@ -214,31 +213,19 @@ def analyze(table: CountTable, test: str, alpha: float,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not procedures:
         raise ValueError("at least one procedure is required")
-    bad = [name for name in procedures if name not in PROCEDURE_CHOICES]
+    bad = [name for name in procedures if name not in stepup.PROCEDURES]
     if bad:
         raise ValueError(f"unknown procedure {bad[0]!r}")
-    procedures = tuple(name for name in PROCEDURE_CHOICES if name in procedures)
+    procedures = tuple(name for name in stepup.PROCEDURES if name in procedures)
 
     conv, mid = pvalue_tables(table, test)
-
-    results: dict[str, stepup.StepUpResult] = {}
-    if "BH" in procedures:
-        results["BH"] = stepup.bh(conv.p, alpha)
-    if "BH+" in procedures:
-        results["BH+"] = stepup.bh_plus(conv, alpha)
-    comparison = None
-    if "MidPBH+" in procedures:
-        if "BH+" in procedures:
-            comparison = stepup.mid_vs_conventional(results["BH+"], mid, alpha)
-            results["MidPBH+"] = comparison.mid_result
-        else:
-            results["MidPBH+"] = stepup.bh_plus(mid, alpha)
-
+    results, comparison = stepup.run_procedures(conv, mid, alpha)
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures, ids=table.ids,
         p_conv=conv.p if "BH" in procedures or "BH+" in procedures else None,
         p_mid=mid.p if "MidPBH+" in procedures else None,
-        results=results, comparison=comparison)
+        results={name: results[name] for name in procedures},
+        comparison=comparison if {"BH+", "MidPBH+"} <= set(procedures) else None)
 
 
 DETAIL_FIELDS = ("id", "p_conv", "p_mid", "reject_bh", "reject_bhplus",
@@ -255,7 +242,7 @@ def report_rows(report: AnalysisReport) -> list[tuple]:
     columns = [report.ids]
     for p in (report.p_conv, report.p_mid):
         columns.append(blank if p is None else list(map(repr, p.tolist())))
-    for name in PROCEDURE_CHOICES:   # the order of the reject_* fields
+    for name in stepup.PROCEDURES:   # the order of the reject_* fields
         columns.append(report.rejected_mask(name).astype(np.int64).tolist()
                        if name in report.procedures else blank)
     return list(zip(*columns))

@@ -40,14 +40,14 @@ class PValueFlavor(str, enum.Enum):
     MID = "mid"
 
 
-def step_cdf(x, cdf, ends=None,
-             flavor: PValueFlavor | None = None) -> tuple[np.ndarray, np.ndarray]:
+def step_cdf(x, cdf, ends=None, *,
+             flavor: PValueFlavor) -> tuple[np.ndarray, np.ndarray]:
     """`x` and `cdf` as read-only float arrays, or a ValueError unless they
-    tabulate step CDFs: matching 1-D arrays cut at `ends` (each segment's
-    exclusive end; one segment when None) into non-empty segments, each with
-    `x` strictly increasing and `cdf` nondecreasing to exactly 1.0.  With a
-    `flavor` they are p-value supports: `x` lies in [0, 1], and `cdf` equals
-    `x` (conventional) or is at least `x` (mid)."""
+    tabulate p-value supports of `flavor`: matching 1-D arrays cut at `ends`
+    (each segment's exclusive end; one segment when None) into non-empty
+    segments, each with `x` strictly increasing in [0, 1] and `cdf`
+    nondecreasing to exactly 1.0, and `cdf` equal to `x` (conventional) or at
+    least `x` (mid)."""
     x = np.asarray(x, dtype=np.float64)
     cdf = np.asarray(cdf, dtype=np.float64)
     last = np.asarray([x.size] if ends is None else ends, dtype=np.intp) - 1
@@ -65,7 +65,7 @@ def step_cdf(x, cdf, ends=None,
         raise ValueError("cdf_values must be nondecreasing")
     if not (cdf[last] == 1.0).all():
         raise ValueError("the last of cdf_values must equal 1.0 exactly")
-    if flavor is not None and not ((x >= 0.0).all() and (x <= 1.0).all()):
+    if not ((x >= 0.0).all() and (x <= 1.0).all()):
         raise ValueError("support points must lie in [0, 1]")
     if flavor is PValueFlavor.CONVENTIONAL and not (cdf == x).all():
         raise ValueError("conventional supports must satisfy cdf_values == points")

@@ -35,7 +35,7 @@ __all__ = [
     "SIM_ROW_FIELDS",
 ]
 
-PROCEDURES = ("BH", "BH+", "MidPBH+")
+PROCEDURES = stepup.PROCEDURES
 
 # Default parameter grids of the simulation study.
 DEFAULT_PI0S = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -53,8 +53,8 @@ class SimConfig:
     Fisher's exact test.  Exactly one of eta (bt: Pareto scale of the mean
     law) and n (fet: per-group trial count) must be set.  Under "block"
     dependence, counts are driven through a Gaussian copula with
-    equicorrelation rho inside each of `blocks` blocks of `block_size`
-    tests; copula_sharing chooses whether both count columns reuse one
+    equicorrelation rho inside each of `blocks` equal blocks, which must
+    divide m; copula_sharing chooses whether both count columns reuse one
     uniform vector ("shared") or draw their own ("per-group").
     """
 
@@ -66,7 +66,6 @@ class SimConfig:
     n: int | None = None
     dependence: str = "independent"
     blocks: int = 5
-    block_size: int = 40
     rho: float = 0.2
     reps: int = 300
     seed: int = 0
@@ -98,10 +97,9 @@ class SimConfig:
             raise ValueError(
                 f"dependence must be 'independent' or 'block', got {self.dependence!r}")
         if self.dependence == "block":
-            if self.blocks * self.block_size != self.m:
-                raise ValueError(
-                    f"blocks * block_size must equal m, got "
-                    f"{self.blocks} * {self.block_size} != {self.m}")
+            if self.blocks < 1 or self.m % self.blocks:
+                raise ValueError(f"blocks must be >= 1 and divide m = {self.m}, "
+                                 f"got {self.blocks}")
             if not 0.0 <= self.rho < 1.0:
                 raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.copula_sharing not in ("shared", "per-group"):
@@ -143,10 +141,11 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
 
 
 def _copula_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    u1 = gen_copula_uniforms(config.blocks, config.block_size, config.rho, rng)
+    block_size = config.m // config.blocks
+    u1 = gen_copula_uniforms(config.blocks, block_size, config.rho, rng)
     if config.copula_sharing == "shared":
         return np.stack([u1, u1], axis=1)
-    u2 = gen_copula_uniforms(config.blocks, config.block_size, config.rho, rng)
+    u2 = gen_copula_uniforms(config.blocks, block_size, config.rho, rng)
     return np.stack([u1, u2], axis=1)
 
 
@@ -203,27 +202,14 @@ def gen_binomial_pair(config: SimConfig,
     return theta, counts.astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class _RepTables:
-    """Per-replication p-value tables and max-CDFs for both flavors."""
-
-    conv: pvalue.PValueTable
-    mid: pvalue.PValueTable
-    mc_conv: stepup.MaxCdf
-    mc_mid: stepup.MaxCdf
-
-
-def _rep_tables(counts: np.ndarray, n: int | None) -> _RepTables:
-    """Tables of one replication: bt when n is None, else fet with n per group."""
-    conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], n, n)
-    return _RepTables(conv, mid, stepup.build_max_cdf(conv.supports),
-                      stepup.build_max_cdf(mid.supports))
-
-
 def _generate(config: SimConfig, rng: np.random.Generator):
+    """Counts of one replication, and its (conv, mid, mc_conv, mc_mid)
+    p-value tables and max-CDFs: bt when config.n is None, else fet."""
     gen = gen_poisson_pair if config.test == "bt" else gen_binomial_pair
     _, counts = gen(config, rng)
-    return counts, _rep_tables(counts, config.n)
+    conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], config.n, config.n)
+    return counts, (conv, mid, stepup.build_max_cdf(conv.supports),
+                    stepup.build_max_cdf(mid.supports))
 
 
 def _fdp_tdp(rejected: np.ndarray, m0: int, m1: int) -> tuple[float, float]:
@@ -234,27 +220,17 @@ def _fdp_tdp(rejected: np.ndarray, m0: int, m1: int) -> tuple[float, float]:
     return fdp, tdp
 
 
-def _evaluate(tables: _RepTables, config: SimConfig,
+def _evaluate(tables, config: SimConfig,
               alpha: float) -> tuple[tuple[float, float], ...]:
-    """FDP and TDP of (BH, BH+, MidPBH+) on one replication.
+    """FDP and TDP of each of `PROCEDURES` on one replication's
+    (conv, mid, mc_conv, mc_mid) tables.
 
     The true nulls are the first config.m0 tests.
     """
-    res_bh = stepup.bh(tables.conv.p, alpha)
-    res_bhp = stepup.bh_plus(tables.conv, alpha, max_cdf=tables.mc_conv)
-    # Both sets are {i : p_i <= threshold} on the same p-values, so the
-    # classical set lies inside the adaptive one iff it is no larger.
-    if res_bh.rejection_count > res_bhp.rejection_count:
-        raise InvariantViolation(
-            f"adaptive step-up did not contain the classical rejection set at "
-            f"alpha={alpha}: BH rejected {res_bh.rejection_count}, "
-            f"BH+ {res_bhp.rejection_count}")
-    comparison = stepup.mid_vs_conventional(res_bhp, tables.mid, alpha,
-                                            max_cdf=tables.mc_mid)
-    m0, m1 = config.m0, config.m1
-    return (_fdp_tdp(res_bh.rejected, m0, m1),
-            _fdp_tdp(res_bhp.rejected, m0, m1),
-            _fdp_tdp(comparison.mid_result.rejected, m0, m1))
+    conv, mid, mc_conv, mc_mid = tables
+    results, _ = stepup.run_procedures(conv, mid, alpha, max_cdfs=(mc_conv, mc_mid))
+    return tuple(_fdp_tdp(results[name].rejected, config.m0, config.m1)
+                 for name in PROCEDURES)
 
 
 @dataclass(frozen=True)
@@ -272,7 +248,6 @@ class SimSummary:
     """All procedure estimates for one cell, keyed by procedure name."""
 
     config: SimConfig
-    reps: int
     stats: dict[str, ProcedureStats]
 
 
@@ -283,7 +258,7 @@ def _summarize(config: SimConfig, fdp: np.ndarray, tdp: np.ndarray) -> SimSummar
         tdp_sd = float(np.std(tdp[j], ddof=1)) if config.reps > 1 else 0.0
         stats[name] = ProcedureStats(fdr=float(np.mean(fdp[j])), fdp_sd=fdp_sd,
                                      power=float(np.mean(tdp[j])), tdp_sd=tdp_sd)
-    return SimSummary(config=config, reps=config.reps, stats=stats)
+    return SimSummary(config=config, stats=stats)
 
 
 def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
@@ -324,7 +299,7 @@ def run_cell(config: SimConfig) -> SimSummary:
 def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
              etas=DEFAULT_ETAS, ns=DEFAULT_NS, m: int = 200,
              dependence: str = "independent", blocks: int = 5,
-             block_size: int = 40, rho: float = 0.2, reps: int = 300,
+             rho: float = 0.2, reps: int = 300,
              seed: int = 0, copula_sharing: str = "shared",
              workers: int = 1) -> list[SimSummary]:
     """Full factorial over pi0 x (eta | n) x alpha, one test family.
@@ -342,8 +317,8 @@ def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
                 test=test, pi0=pi0, alpha=alphas[0], m=m,
                 eta=param if test == "bt" else None,
                 n=param if test == "fet" else None,
-                dependence=dependence, blocks=blocks, block_size=block_size,
-                rho=rho, reps=reps, seed=seed, copula_sharing=copula_sharing)
+                dependence=dependence, blocks=blocks, rho=rho, reps=reps,
+                seed=seed, copula_sharing=copula_sharing)
             tasks.append((base, alphas))
     if workers > 1 and len(tasks) > 1:
         from multiprocessing import get_context  # only a pool needs it
@@ -375,7 +350,7 @@ def summaries_to_rows(summaries) -> list[dict]:
                 "alpha": config.alpha,
                 "eta": "" if config.eta is None else config.eta,
                 "n": "" if config.n is None else config.n,
-                "reps": summary.reps,
+                "reps": config.reps,
                 "seed": config.seed,
                 "procedure": name,
                 "fdr": stats.fdr,

@@ -27,7 +27,11 @@ __all__ = [
     "bh_plus",
     "bh",
     "mid_vs_conventional",
+    "PROCEDURES",
+    "run_procedures",
 ]
+
+PROCEDURES = ("BH", "BH+", "MidPBH+")
 
 
 class MaxCdf(NamedTuple):
@@ -175,7 +179,7 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
             f"but got {m} mid p-values")
     if max_cdf is None:
         max_cdf = build_max_cdf(mid_table.supports)
-    mid_result = _scan(p_mid, critical_values(max_cdf, alpha, m))
+    mid_result = bh_plus(mid_table, alpha, max_cdf=max_cdf)
     r_cp = conv_result.rejection_count
     if r_cp == 0:
         condition = True
@@ -188,3 +192,26 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
             f"condition={condition}, r_cp={r_cp}, r_mp={mid_result.rejection_count}")
     return MidComparison(condition_holds=condition, r_cp=r_cp,
                          r_mp=mid_result.rejection_count, mid_result=mid_result)
+
+
+def run_procedures(conv: PValueTable, mid: PValueTable, alpha: float, *,
+                   max_cdfs: tuple[MaxCdf | None, MaxCdf | None] = (None, None)
+                   ) -> tuple[dict[str, StepUpResult], MidComparison]:
+    """BH and BH+ on `conv` and MidPBH+ on `mid`, one `pvalue_table` call's
+    two tables: the results keyed by `PROCEDURES`, and the mid comparison.
+
+    Both invariants are checked on every call: BH's set lies inside BH+'s,
+    and `mid_vs_conventional` checks the count-ordering condition.  Given
+    `max_cdfs` are reused; a missing one is built, and dropped after use.
+    """
+    res_bh = bh(conv.p, alpha)
+    res_bhp = bh_plus(conv, alpha, max_cdf=max_cdfs[0])
+    # Both sets are {i : p_i <= threshold} on the same p-values, so the
+    # classical set lies inside the adaptive one iff it is no larger.
+    if res_bh.rejection_count > res_bhp.rejection_count:
+        raise InvariantViolation(
+            f"adaptive step-up did not contain the classical rejection set at "
+            f"alpha={alpha}: BH rejected {res_bh.rejection_count}, "
+            f"BH+ {res_bhp.rejection_count}")
+    comparison = mid_vs_conventional(res_bhp, mid, alpha, max_cdf=max_cdfs[1])
+    return dict(zip(PROCEDURES, (res_bh, res_bhp, comparison.mid_result))), comparison

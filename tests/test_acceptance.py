@@ -253,7 +253,7 @@ def test_criterion_5_fet_simulation_study(fet_grid):
     mid_gaps = []
     for summary in fet_grid:
         cfg = summary.config
-        se = 3.0 / math.sqrt(summary.reps)
+        se = 3.0 / math.sqrt(cfg.reps)
         for name in ("BH", "BH+"):
             st = summary.stats[name]
             fdr_excess.append(st.fdr - (cfg.alpha + se * st.fdp_sd))

@@ -6,6 +6,7 @@ deterministic kernels and fixed serialization make exact comparison safe.
 
 import csv
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 import stepfdr
 from exact_oracle import exact_pvalues
-from stepfdr import ingest
+from stepfdr import ingest, stepup
 from stepfdr.cli import main
 from stepfdr.dist import binomial_null
 from stepfdr.errors import InvariantViolation
@@ -136,11 +137,20 @@ class TestExitCodes:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_usage_error_bt_with_n(self, capsys):
-        code = main(["simulate", "--test", "bt", "--pi0", "0.5",
-                     "--alpha", "0.05", "--n", "10"])
+    @pytest.mark.parametrize("mode", [["--pi0", "0.5", "--alpha", "0.05"],
+                                      ["--grid"]], ids=["cell", "grid"])
+    @pytest.mark.parametrize("family", [["bt", "--eta", "3", "--n", "10"],
+                                        ["fet", "--n", "10", "--eta", "3"]],
+                             ids=["bt-n", "fet-eta"])
+    def test_usage_error_other_family_parameter(self, capsys, family, mode):
+        """Both modes reject the other family's parameter (a grid run once
+        ignored it and ran)."""
+        test, *params = family
+        code = main(["simulate", "--test", test, *params, *mode,
+                     "--m", "10", "--reps", "1", "--output", os.devnull])
         assert code == 1
-        assert "usage" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"stepfdr: error: usage: --test {test} takes no {params[2]}\n")
 
     def test_usage_error_zero_reps(self, capsys):
         code = main(["simulate", "--test", "fet", "--pi0", "0.5",
@@ -209,6 +219,25 @@ class TestExitCodes:
         assert code == 3
         assert captured.err.startswith("stepfdr: error: internal:")
 
+    def test_over_rejecting_bh_is_an_internal_error(self, capsys, monkeypatch):
+        """Every analyze call checks BH's set against BH+'s, whichever
+        flavor it reports, and names alpha when they are out of order."""
+        bh = stepup.bh
+
+        def over_rejecting(pvalues, alpha):   # rejects all m
+            return bh([0.0] * len(pvalues), alpha)
+
+        monkeypatch.setattr(stepup, "bh", over_rejecting)
+        with pytest.raises(InvariantViolation, match="alpha=0.05"):
+            ingest.analyze(ingest.load_counts(METH), "bt", 0.05, ("MidPBH+",))
+        for flavor in ("conventional", "mid", "both"):
+            code = main(["analyze", "--input", METH, "--test", "bt",
+                         "--pvalue", flavor, "--output", os.devnull])
+            assert code == 3
+            assert capsys.readouterr().err.startswith(
+                "stepfdr: error: internal: adaptive step-up did not contain "
+                "the classical rejection set at alpha=0.05")
+
     def test_library_value_error_is_internal(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("alpha must lie in (0, 1), got 2.0")
@@ -265,12 +294,15 @@ class TestSimulateCli:
         assert code == 0
         assert b"bt,block,per-group,200" in data
 
-    def test_block_dependence_needs_full_m(self, capsys):
-        code = main(["simulate", "--test", "bt", "--pi0", "0.5",
-                     "--alpha", "0.05", "--eta", "3.0", "--m", "20",
-                     "--reps", "2", "--dependence", "block"])
-        assert code == 1
-        assert "usage" in capsys.readouterr().err
+    @pytest.mark.parametrize("m, code", [(20, 0), (100, 0), (22, 1)])
+    def test_block_dependence_needs_m_divisible_by_blocks(self, capsys, m, code):
+        """The 5 blocks take m / 5 tests each, so m must be a multiple of 5."""
+        assert main(["simulate", "--test", "bt", "--pi0", "0.5",
+                     "--alpha", "0.05", "--eta", "3.0", "--m", str(m),
+                     "--reps", "2", "--dependence", "block",
+                     "--output", os.devnull]) == code
+        if code:
+            assert "blocks must be >= 1 and divide m = 22" in capsys.readouterr().err
 
     def test_alpha_must_accompany_single_cell(self, capsys):
         code = main(["simulate", "--test", "fet", "--n", "10"])
@@ -340,6 +372,21 @@ class TestLargeTotals:
             assert row["p_mid"] == ("" if flavor == "conventional" else repr(p_mid))
         if len(rows) > 1:
             assert got[1]["p_conv" if flavor != "mid" else "p_mid"] == "0.0"
+        # A single flavor reports what --pvalue both reports for its procedures.
+        both = tmp_path / "both.csv"
+        assert main(["analyze", "--input", str(src), "--test", "bt",
+                     "--details-out", str(both),
+                     "--output", str(tmp_path / "both.json")]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())["procedures"]
+        full = json.loads((tmp_path / "both.json").read_text())["procedures"]
+        assert list(summary) == list(stepup.PROCEDURES[{"conventional": slice(2),
+                                                         "mid": slice(2, 3),
+                                                         "both": slice(3)}[flavor]])
+        assert summary == {name: full[name] for name in summary}
+        with open(both, newline="", encoding="utf-8") as handle:
+            for row, ref in zip(got, csv.DictReader(handle)):
+                assert {k: v for k, v in row.items() if v != ""} == \
+                    {k: ref[k] for k, v in row.items() if v != ""}
 
     def test_total_20000_matches_exact_tail_sums(self, tmp_path):
         """The binomial null is symmetric, so for c1 = 10,123 of n = 20,000
@@ -379,7 +426,7 @@ class TestDetailsCsv:
                      "--output", str(tmp_path / "summary.json")])
         assert code == 0
         report = ingest.analyze(ingest.load_counts(str(src)), "bt", 0.05)
-        masks = [report.rejected_mask(name) for name in ingest.PROCEDURE_CHOICES]
+        masks = [report.rejected_mask(name) for name in stepup.PROCEDURES]
         reference = io.StringIO()
         writer = csv.DictWriter(reference, fieldnames=ingest.DETAIL_FIELDS,
                                 lineterminator="\n")

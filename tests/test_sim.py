@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from exact_oracle import exact_pvalues
-from stepfdr import sim
+from stepfdr import pvalue, sim, stepup
 from stepfdr.dist import hypergeometric_null
 from stepfdr.errors import InvariantViolation
 from stepfdr.sim import (
@@ -65,10 +65,10 @@ class TestSimConfigValidation:
                 bt_config(alpha=bad)
 
     def test_block_geometry_must_match_m(self):
-        with pytest.raises(ValueError):
-            bt_config(dependence="block", blocks=3, block_size=10, m=20)
-        cfg = bt_config(dependence="block", blocks=4, block_size=5, m=20)
-        assert cfg.blocks * cfg.block_size == cfg.m
+        for blocks in (3, 0, -4):
+            with pytest.raises(ValueError, match="blocks must be >= 1 and divide m"):
+                bt_config(dependence="block", blocks=blocks, m=20)
+        assert bt_config(dependence="block", blocks=4, m=20).blocks == 4
 
     def test_choice_fields(self):
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ def test_run_cell_deterministic():
     cfg = fet_config(m=40, pi0=0.5, reps=4, seed=11)
     s1 = run_cell(cfg)
     s2 = run_cell(cfg)
-    assert s1.reps == 4
+    assert s1.config.reps == 4
     for name in PROCEDURES:
         assert s1.stats[name] == s2.stats[name]
 
@@ -195,12 +195,26 @@ def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
     assert p_a <= alpha / 2 < mid_cdf_b_at_q_a
     assert p_b > alpha
 
-    tables = sim._rep_tables(counts, n)
-    assert tables.conv.p.tolist() == [float(p_a), float(p_b)]
+    conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], n, n)
+    assert conv.p.tolist() == [float(p_a), float(p_b)]
+    tables = (conv, mid, stepup.build_max_cdf(conv.supports),
+              stepup.build_max_cdf(mid.supports))
     config = SimConfig(test="fet", pi0=0.0, alpha=float(alpha), m=2, n=n)
     bh, bh_plus, mid = sim._evaluate(tables, config, float(alpha))
     assert bh == bh_plus == (0.0, 0.5)
     assert mid == (0.0, 0.0)
+
+
+def test_cell_builds_two_max_cdfs_per_replication(monkeypatch):
+    """Each replication's two max-CDFs serve every alpha of its cell."""
+    calls = []
+    build = stepup.build_max_cdf
+    monkeypatch.setattr(stepup, "build_max_cdf",
+                        lambda supports: calls.append(1) or build(supports))
+    grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
+                    etas=(3.0,), ns=(), m=20, reps=3, seed=5)
+    assert len(grid) == 4
+    assert len(calls) == 2 * 3
 
 
 def test_run_grid_matches_run_cell_bitwise():
@@ -239,7 +253,7 @@ def test_run_grid_workers_do_not_change_output():
 
 def test_block_dependence_runs_both_sharing_modes():
     for sharing in ("shared", "per-group"):
-        cfg = fet_config(m=20, dependence="block", blocks=2, block_size=10,
+        cfg = fet_config(m=20, dependence="block", blocks=2,
                          copula_sharing=sharing, reps=2, seed=3)
         summary = run_cell(cfg)
         assert set(summary.stats) == set(PROCEDURES)
@@ -266,7 +280,7 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
     monkeypatch.setattr(sim, "_evaluate", failing_evaluate)
     with pytest.raises(InvariantViolation) as info:
         run_grid("fet", pi0s=(0.7,), alphas=alphas, ns=(20,), etas=(), m=40,
-                 dependence="block", blocks=4, block_size=10, rho=0.3,
+                 dependence="block", blocks=4, rho=0.3,
                  reps=5, seed=7, copula_sharing="per-group")
     monkeypatch.undo()
     assert len(calls) == fail_rep * len(alphas) + 2
