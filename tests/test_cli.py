@@ -379,9 +379,8 @@ class TestLargeTotals:
                      "--output", str(tmp_path / "both.json")]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())["procedures"]
         full = json.loads((tmp_path / "both.json").read_text())["procedures"]
-        assert list(summary) == list(stepup.PROCEDURES[{"conventional": slice(2),
-                                                         "mid": slice(2, 3),
-                                                         "both": slice(3)}[flavor]])
+        assert list(summary) == {"conventional": ["BH", "BH+"], "mid": ["MidPBH+"],
+                                 "both": ["BH", "BH+", "MidPBH+"]}[flavor]
         assert summary == {name: full[name] for name in summary}
         with open(both, newline="", encoding="utf-8") as handle:
             for row, ref in zip(got, csv.DictReader(handle)):
