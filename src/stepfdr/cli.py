@@ -21,12 +21,13 @@ import click
 
 from . import ingest, sim, stepup
 from .errors import DataError, InvariantViolation
+from .pvalue import PValueFlavor
 
 _LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
-_FLAVOR_PROCEDURES = {   # BH and BH+ read conventional p-values, MidPBH+ mid ones
-    "conventional": stepup.PROCEDURES[:2],
-    "mid": stepup.PROCEDURES[2:],
+_FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
+    **{flavor.value: tuple(name for name, read in stepup.PROCEDURE_FLAVORS.items()
+                           if read is flavor) for flavor in PValueFlavor},
     "both": stepup.PROCEDURES,
 }
 

@@ -202,8 +202,8 @@ def analyze(table: CountTable, test: str, alpha: float,
     """Compute exact p-values and run the step-up procedures.
 
     All three run, through `stepup.run_procedures`, so every call checks both
-    of its invariants; `procedures` selects what the report holds.  "BH" and
-    "BH+" run on conventional p-values, "MidPBH+" on mid p-values.  When both
+    of its invariants; `procedures` selects what the report holds, with the
+    p-values of each flavor they read (`stepup.PROCEDURE_FLAVORS`).  When both
     "BH+" and "MidPBH+" are requested, the report also carries the
     rejection-count comparison between the two runs.
     """
@@ -220,10 +220,11 @@ def analyze(table: CountTable, test: str, alpha: float,
 
     conv, mid = pvalue_tables(table, test)
     results, comparison = stepup.run_procedures(conv, mid, alpha)
+    read = {stepup.PROCEDURE_FLAVORS[name] for name in procedures}
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures, ids=table.ids,
-        p_conv=conv.p if "BH" in procedures or "BH+" in procedures else None,
-        p_mid=mid.p if "MidPBH+" in procedures else None,
+        p_conv=conv.p if pvalue.PValueFlavor.CONVENTIONAL in read else None,
+        p_mid=mid.p if pvalue.PValueFlavor.MID in read else None,
         results={name: results[name] for name in procedures},
         comparison=comparison if {"BH+", "MidPBH+"} <= set(procedures) else None)
 

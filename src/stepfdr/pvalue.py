@@ -13,6 +13,7 @@ step-ups' input.
 from __future__ import annotations
 
 import enum
+import functools
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
@@ -243,6 +244,14 @@ class PValueTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Indices that sort `p` ascending (stable), computed once per table
+        and shared by every step-up scan on it."""
+        order = np.argsort(self.p, kind="stable")
+        order.flags.writeable = False
+        return order
+
 
 def count_column(name: str, values) -> np.ndarray:
     """`values` as int64, or a ValueError naming column `name` if a value is
@@ -269,6 +278,19 @@ def count_total(c1: np.ndarray, c2: np.ndarray, ids) -> np.ndarray:
     return total
 
 
+def _group_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `columns`, sorted lexicographically, and each
+    row's index among them: np.unique(np.stack(columns, axis=1), axis=0,
+    return_inverse=True) from one lexsort."""
+    order = np.lexsort(columns[::-1])
+    rows = np.stack(columns)[:, order]
+    new = np.ones(order.size, dtype=bool)   # does a distinct row start here?
+    np.any(rows[:, 1:] != rows[:, :-1], axis=0, out=new[1:])
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return rows[:, new].T, group
+
+
 def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     """Conventional and mid p-values of m count pairs, with their supports.
 
@@ -291,8 +313,7 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
                                             count_column("n2", n2), total)
         if np.any(c1 > n1) or np.any(c2 > n2):
             raise ValueError("impossible table: a count exceeds its trial total")
-        margins, group = np.unique(np.stack([n1, n2, total], axis=1), axis=0,
-                                   return_inverse=True)
+        margins, group = _group_rows(n1, n2, total)
     keys = list(map(tuple, margins.reshape(len(margins), -1).tolist()))
     _build([key for key in keys if key not in _margins])
     firsts, entries = zip(*map(_margins.__getitem__, keys))

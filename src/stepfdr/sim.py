@@ -169,11 +169,37 @@ def gen_poisson_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.poisson(theta)
     else:
-        from scipy import stats
-
-        u = _copula_matrix(config, rng)
-        counts = stats.poisson.ppf(u, theta).astype(np.int64)
+        counts = _poisson_ppf(_copula_matrix(config, rng), theta)
     return theta, counts.astype(np.int64)
+
+
+def _poisson_ppf(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The Poisson(theta) inverse CDF by its definition: elementwise, the
+    smallest integer k >= 0 with pdtr(k, theta) >= u, as int64.
+
+    The Cornish-Fisher start floor(theta + sqrt(theta) z + (z^2 - 1) / 6 + 1/2),
+    z = ndtri(u) clipped to a finite range, is within a step or two of k; the
+    entries still off walk down while pdtr(k - 1) >= u, then up while
+    pdtr(k) < u.  pdtr reaches exactly 1.0, so u = 1 gives a finite k, and
+    u = 0 gives 0.
+    """
+    from scipy import special  # only the block-dependence path needs scipy
+
+    shape = np.shape(u)
+    u, theta = np.ravel(u), np.ravel(theta)
+    z = np.clip(special.ndtri(u), -10.0, 10.0)   # ndtri is -inf at 0, +inf at 1
+    start = np.floor(theta + np.sqrt(theta) * z + (z * z - 1.0) / 6.0 + 0.5)
+    k = np.maximum(start, 0.0).astype(np.int64)
+    walk = np.flatnonzero(k > 0)
+    while walk.size:
+        walk = walk[special.pdtr(k[walk] - 1, theta[walk]) >= u[walk]]
+        k[walk] -= 1
+        walk = walk[k[walk] > 0]
+    walk = np.flatnonzero(special.pdtr(k, theta) < u)
+    while walk.size:
+        k[walk] += 1
+        walk = walk[special.pdtr(k[walk], theta[walk]) < u[walk]]
+    return k.reshape(shape)
 
 
 def gen_binomial_pair(config: SimConfig,
@@ -195,7 +221,7 @@ def gen_binomial_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.binomial(config.n, theta)
     else:
-        from scipy import stats
+        from scipy import stats  # Boost's inverse beats a walk on cephes bdtr
 
         u = _copula_matrix(config, rng)
         counts = stats.binom.ppf(u, config.n, theta).astype(np.int64)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueSupport, PValueTable
+from .pvalue import PValueFlavor, PValueSupport, PValueTable
 
 __all__ = [
     "MaxCdf",
@@ -27,11 +27,18 @@ __all__ = [
     "bh_plus",
     "bh",
     "mid_vs_conventional",
+    "PROCEDURE_FLAVORS",
     "PROCEDURES",
     "run_procedures",
 ]
 
-PROCEDURES = ("BH", "BH+", "MidPBH+")
+# The p-value flavor each procedure reads, in the procedures' order.
+PROCEDURE_FLAVORS = {
+    "BH": PValueFlavor.CONVENTIONAL,
+    "BH+": PValueFlavor.CONVENTIONAL,
+    "MidPBH+": PValueFlavor.MID,
+}
+PROCEDURES = tuple(PROCEDURE_FLAVORS)
 
 
 class MaxCdf(NamedTuple):
@@ -105,14 +112,18 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):   # NaN fails both
         raise ValueError("pvalues must lie in [0, 1]")
     return p
 
 
-def _scan(p: np.ndarray, gamma: np.ndarray) -> StepUpResult:
-    """Shared step-up scan: R = max{k : p_(k) <= gamma_k}, reject p <= gamma_R."""
-    order = np.argsort(p, kind="stable")
+def _scan(p: np.ndarray, gamma: np.ndarray, order=None) -> StepUpResult:
+    """Shared step-up scan: R = max{k : p_(k) <= gamma_k}, reject p <= gamma_R.
+
+    `order` sorts `p` ascending; it is computed here when not given.
+    """
+    if order is None:
+        order = np.argsort(p, kind="stable")
     hits = np.flatnonzero(p[order] <= gamma)
     if hits.size == 0:
         return StepUpResult(gamma, 0, None, np.empty(0, dtype=np.int64))
@@ -131,11 +142,13 @@ def bh_plus(table: PValueTable, alpha: float, *,
 
     Every p-value of a PValueTable is a point of its own support by
     construction, so nothing is re-checked here.  A `max_cdf` built from
-    `table.supports` may be passed to reuse work across alpha levels.
+    `table.supports` may be passed to reuse work across alpha levels; the
+    table sorts its p-values once, for every alpha.
     """
     if max_cdf is None:
         max_cdf = build_max_cdf(table.supports)
-    return _scan(table.p, critical_values(max_cdf, alpha, table.p.size))
+    return _scan(table.p, critical_values(max_cdf, alpha, table.p.size),
+                 table.order)
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -184,7 +197,7 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     if r_cp == 0:
         condition = True
     else:
-        q_rcp = float(np.partition(p_mid, r_cp - 1)[r_cp - 1])
+        q_rcp = float(p_mid[mid_table.order[r_cp - 1]])
         condition = max_cdf.evaluate(q_rcp) <= alpha * r_cp / m
     if condition != (mid_result.rejection_count >= r_cp):
         raise InvariantViolation(

@@ -444,12 +444,21 @@ class TestDetailsCsv:
 
 def test_cli_import_leaves_scipy_unloaded():
     """Only the block-dependence simulation needs scipy, and only a worker
-    pool needs multiprocessing, so importing the command line loads neither."""
+    pool needs multiprocessing, so importing the command line loads neither.
+    A bt block grid loads `scipy.special` but not `scipy.stats`."""
     src = str(pathlib.Path(stepfdr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, stepfdr.cli; "
-             "print([m in sys.modules for m in ('scipy', 'multiprocessing')])")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    probes = {
+        "import sys, stepfdr.cli; "
+        "print([m in sys.modules for m in ('scipy', 'multiprocessing')])":
+            "[False, False]",
+        "import sys, stepfdr.cli; "
+        "stepfdr.sim.run_grid('bt', dependence='block', reps=2, m=20); "
+        "print([m in sys.modules for m in ('scipy.special', 'scipy.stats')])":
+            "[True, False]",
+    }
+    for probe, want in probes.items():
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want

@@ -8,6 +8,7 @@ import pytest
 from exact_oracle import exact_pvalues, null_of, tie_classes
 from stepfdr.dist import binomial_null
 from stepfdr.errors import DataError
+from stepfdr import pvalue
 from stepfdr.pvalue import (
     PValueFlavor,
     PValueSupport,
@@ -196,6 +197,19 @@ def test_fet_pvalues_validates_counts():
         pvalue_table([6], [0], 5, 5)
     with pytest.raises((ValueError, DataError)):
         pvalue_table([0], [6], 5, 5)
+
+
+@pytest.mark.parametrize("high", [4, 2**21, 2**21 + 3, 2**62])
+def test_fisher_margins_group_like_np_unique(high):
+    """Rows sharing prefixes, with values up to and past 2**21."""
+    rng = np.random.default_rng(high % 1000)
+    values = np.append(rng.integers(0, high, size=7), high - 1)
+    for size in (1, 2, 200, 5000):
+        cols = rng.choice(values, size=(3, size))
+        margins, group = pvalue._group_rows(*cols)
+        want, inverse = np.unique(cols.T, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(margins, want)
+        np.testing.assert_array_equal(group, inverse.reshape(-1))
 
 
 def test_support_caching_returns_same_object():

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo simulation harness."""
 
 import ast
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from exact_oracle import exact_pvalues
 from stepfdr import pvalue, sim, stepup
@@ -108,6 +112,42 @@ def test_gen_poisson_pair_theta_pattern():
         assert np.all((ratio >= 3.0) & (ratio <= 5.5))
     assert counts.dtype == np.int64
     assert np.all(counts >= 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(theta=st.floats(0.1, 500.0), spread=st.floats(-6.0, 12.0),
+       free=st.floats(0.0, 1.0))
+def test_poisson_ppf_is_the_smallest_k_reaching_u(theta, spread, free):
+    """u right at a CDF step and its float neighbours, 0, 1 and a free u."""
+    step = special.pdtr(max(0, int(theta + spread * np.sqrt(theta))), theta)
+    u = np.array([step, np.nextafter(step, 0.0), np.nextafter(step, 2.0),
+                  0.0, 1.0, free]).clip(0.0, 1.0)
+    ks = np.arange(int(theta + 20.0 * np.sqrt(theta) + 60.0))
+    cdf = special.pdtr(ks, theta)
+    assert cdf[-1] == 1.0
+    want = np.argmax(cdf >= u[:, None], axis=1)   # first k reaching u
+    got = sim._poisson_ppf(u, np.full(u.size, theta))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_poisson_ppf_matches_scipy_stats_on_harness_draws(monkeypatch):
+    from scipy import stats
+
+    seen = []
+    inverse = sim._poisson_ppf
+    monkeypatch.setattr(sim, "_poisson_ppf",
+                        lambda u, theta: seen.append((u, theta)) or inverse(u, theta))
+    for eta in (3.0, 4.5, 6.0):
+        for sharing in ("shared", "per-group"):
+            cfg = bt_config(eta=eta, m=200, dependence="block",
+                            copula_sharing=sharing)
+            for r in range(40):
+                gen_poisson_pair(cfg, np.random.default_rng([11, r]))
+    u, theta = map(np.concatenate, zip(*seen))
+    assert u.size == 3 * 2 * 40 * 400
+    np.testing.assert_array_equal(inverse(u, theta),
+                                  stats.poisson.ppf(u, theta).astype(np.int64))
 
 
 def test_gen_pair_rejects_wrong_test():
@@ -215,6 +255,24 @@ def test_cell_builds_two_max_cdfs_per_replication(monkeypatch):
                     etas=(3.0,), ns=(), m=20, reps=3, seed=5)
     assert len(grid) == 4
     assert len(calls) == 2 * 3
+
+
+def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
+    """A table's order is cached, and the step-ups of every alpha share it."""
+    conv, _ = pvalue.pvalue_table([3, 0, 7, 3], [1, 2, 2, 5])
+    assert conv.order is conv.order and not conv.order.flags.writeable
+    np.testing.assert_array_equal(conv.order, np.argsort(conv.p, kind="stable"))
+    sorted_tables = []
+    sort = pvalue.PValueTable.order.func
+    counting = functools.cached_property(
+        lambda table: sorted_tables.append(table) or sort(table))
+    counting.__set_name__(pvalue.PValueTable, "order")
+    monkeypatch.setattr(pvalue.PValueTable, "order", counting)
+    grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
+                    etas=(3.0,), ns=(), m=20, reps=3, seed=5)
+    assert len(grid) == 4
+    assert len(sorted_tables) == 2 * 3
+    assert len({id(table) for table in sorted_tables}) == 2 * 3
 
 
 def test_run_grid_matches_run_cell_bitwise():

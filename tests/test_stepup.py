@@ -129,6 +129,12 @@ def test_bh_rejects_nothing_at_one():
     assert res.rejected.size == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+def test_bh_rejects_pvalues_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"pvalues must lie in \[0, 1\]"):
+        bh(np.array([0.01, bad, 0.5]), alpha=0.05)
+
+
 def test_bh_plus_no_rejection_when_gamma_infeasible():
     sups = [make_support([0.5, 1.0], [0.5, 1.0]) for _ in range(2)]
     res = bh_plus(on_supports(sups, [0, 1]), alpha=0.6)
