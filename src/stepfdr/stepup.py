@@ -117,13 +117,11 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(p: np.ndarray, gamma: np.ndarray, order=None) -> StepUpResult:
+def _scan(p: np.ndarray, gamma: np.ndarray, order: np.ndarray) -> StepUpResult:
     """Shared step-up scan: R = max{k : p_(k) <= gamma_k}, reject p <= gamma_R.
 
-    `order` sorts `p` ascending; it is computed here when not given.
+    `order` sorts `p` ascending.
     """
-    if order is None:
-        order = np.argsort(p, kind="stable")
     hits = np.flatnonzero(p[order] <= gamma)
     if hits.size == 0:
         return StepUpResult(gamma, 0, None, np.empty(0, dtype=np.int64))
@@ -157,7 +155,8 @@ def bh(pvalues, alpha: float) -> StepUpResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     m = p.size
-    return _scan(p, alpha * np.arange(1, m + 1, dtype=np.float64) / m)
+    return _scan(p, alpha * np.arange(1, m + 1, dtype=np.float64) / m,
+                 np.argsort(p, kind="stable"))
 
 
 @dataclass(frozen=True, eq=False)
