@@ -221,7 +221,7 @@ def gen_binomial_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.binomial(config.n, theta)
     else:
-        from scipy import stats  # Boost's inverse beats a walk on cephes bdtr
+        from scipy import stats
 
         u = _copula_matrix(config, rng)
         counts = stats.binom.ppf(u, config.n, theta).astype(np.int64)
