@@ -23,10 +23,14 @@ __all__ = [
 ]
 
 
-def _check_nonneg_int(value, name: str) -> int:
+def _check_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    return int(value)
+
+
+def _check_nonneg_int(value, name: str) -> int:
+    value = _check_int(value, name)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value

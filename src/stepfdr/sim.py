@@ -18,7 +18,7 @@ from itertools import chain, starmap
 import numpy as np
 
 from . import pvalue, stepup
-from .dist import Pareto
+from .dist import Pareto, _check_int
 from .errors import InvariantViolation
 
 __all__ = [
@@ -74,6 +74,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.test not in ("bt", "fet"):
             raise ValueError(f"test must be 'bt' or 'fet', got {self.test!r}")
+        for name in ("m", "n", "blocks", "reps", "seed"):
+            value = getattr(self, name)
+            if value is not None:   # n is None in bt cells
+                _check_int(value, name)
         if self.test == "bt":
             if self.eta is None or self.n is not None:
                 raise ValueError("bt cells take eta and no n")
@@ -169,36 +173,45 @@ def gen_poisson_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.poisson(theta)
     else:
-        counts = _poisson_ppf(_copula_matrix(config, rng), theta)
+        counts = _count_ppf(_copula_matrix(config, rng), theta)
     return theta, counts.astype(np.int64)
 
 
-def _poisson_ppf(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The Poisson(theta) inverse CDF by its definition: elementwise, the
-    smallest integer k >= 0 with pdtr(k, theta) >= u, as int64.
+def _count_ppf(u: np.ndarray, theta: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The inverse CDF of Poisson(theta) counts when n is None, else of
+    Binomial(n, theta) counts, by its definition: elementwise, the smallest
+    integer k >= 0 with cdf(k) >= u, as int64, where cdf is the cephes
+    pdtr(k, theta) or bdtr(k, n, theta).
 
-    The Cornish-Fisher start floor(theta + sqrt(theta) z + (z^2 - 1) / 6 + 1/2),
-    z = ndtri(u) clipped to a finite range, is within a step or two of k; the
-    entries still off walk down while pdtr(k - 1) >= u, then up while
-    pdtr(k) < u.  pdtr reaches exactly 1.0, so u = 1 gives a finite k, and
-    u = 0 gives 0.
+    The Cornish-Fisher start floor(mean + sd z + (z^2 - 1) skew / 6 + 1/2),
+    z = ndtri(u) clipped to a finite range and skew = kappa3 / kappa2 (1 for
+    Poisson, 1 - 2 theta for binomial), clipped to [0, n], is within a step
+    or two of k; the entries still off walk down while cdf(k - 1) >= u, then
+    up while cdf(k) < u.  The CDF reaches exactly 1.0 (bdtr at k = n; it is
+    nan beyond), so u = 1 gives a finite k, and u = 0 gives 0.
     """
     from scipy import special  # only the block-dependence path needs scipy
 
     shape = np.shape(u)
     u, theta = np.ravel(u), np.ravel(theta)
+    if n is None:
+        cdf, mean, var, skew = special.pdtr, theta, theta, 1.0
+    else:
+        def cdf(k, p):
+            return special.bdtr(k, n, p)
+        mean, var, skew = n * theta, n * theta * (1.0 - theta), 1.0 - 2.0 * theta
     z = np.clip(special.ndtri(u), -10.0, 10.0)   # ndtri is -inf at 0, +inf at 1
-    start = np.floor(theta + np.sqrt(theta) * z + (z * z - 1.0) / 6.0 + 0.5)
-    k = np.maximum(start, 0.0).astype(np.int64)
+    start = np.floor(mean + np.sqrt(var) * z + (z * z - 1.0) * skew / 6.0 + 0.5)
+    k = np.clip(start, 0.0, n).astype(np.int64)
     walk = np.flatnonzero(k > 0)
     while walk.size:
-        walk = walk[special.pdtr(k[walk] - 1, theta[walk]) >= u[walk]]
+        walk = walk[cdf(k[walk] - 1, theta[walk]) >= u[walk]]
         k[walk] -= 1
         walk = walk[k[walk] > 0]
-    walk = np.flatnonzero(special.pdtr(k, theta) < u)
+    walk = np.flatnonzero(cdf(k, theta) < u)
     while walk.size:
         k[walk] += 1
-        walk = walk[special.pdtr(k[walk], theta[walk]) < u[walk]]
+        walk = walk[cdf(k[walk], theta[walk]) < u[walk]]
     return k.reshape(shape)
 
 
@@ -221,10 +234,7 @@ def gen_binomial_pair(config: SimConfig,
     if config.dependence == "independent":
         counts = rng.binomial(config.n, theta)
     else:
-        from scipy import stats
-
-        u = _copula_matrix(config, rng)
-        counts = stats.binom.ppf(u, config.n, theta).astype(np.int64)
+        counts = _count_ppf(_copula_matrix(config, rng), theta, config.n)
     return theta, counts.astype(np.int64)
 
 

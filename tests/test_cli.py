@@ -445,7 +445,7 @@ class TestDetailsCsv:
 def test_cli_import_leaves_scipy_unloaded():
     """Only the block-dependence simulation needs scipy, and only a worker
     pool needs multiprocessing, so importing the command line loads neither.
-    A bt block grid loads `scipy.special` but not `scipy.stats`."""
+    A bt or fet block grid loads `scipy.special` but not `scipy.stats`."""
     src = str(pathlib.Path(stepfdr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probes = {
@@ -454,6 +454,10 @@ def test_cli_import_leaves_scipy_unloaded():
             "[False, False]",
         "import sys, stepfdr.cli; "
         "stepfdr.sim.run_grid('bt', dependence='block', reps=2, m=20); "
+        "print([m in sys.modules for m in ('scipy.special', 'scipy.stats')])":
+            "[True, False]",
+        "import sys, stepfdr.cli; "
+        "stepfdr.sim.run_grid('fet', dependence='block', reps=2, m=20); "
         "print([m in sys.modules for m in ('scipy.special', 'scipy.stats')])":
             "[True, False]",
     }

@@ -73,6 +73,9 @@ class TestSimConfigValidation:
             with pytest.raises(ValueError, match="blocks must be >= 1 and divide m"):
                 bt_config(dependence="block", blocks=blocks, m=20)
         assert bt_config(dependence="block", blocks=4, m=20).blocks == 4
+        cfg = fet_config(dependence="block", n=np.int64(10), m=np.int64(20),
+                         blocks=np.int64(4))
+        assert cfg.m0 == 10
 
     def test_choice_fields(self):
         with pytest.raises(ValueError):
@@ -83,6 +86,13 @@ class TestSimConfigValidation:
             bt_config(reps=0)
         with pytest.raises(ValueError):
             bt_config(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.5), ("n", True), ("m", 20.0), ("reps", 2.5), ("reps", True),
+        ("blocks", 2.5), ("seed", 1.5), ("seed", False)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fet_config(dependence="block", **{field: value})
 
 
 def test_gen_binomial_pair_theta_pattern():
@@ -114,40 +124,57 @@ def test_gen_poisson_pair_theta_pattern():
     assert np.all(counts >= 0)
 
 
+@pytest.mark.parametrize("family", ["poisson", "binomial"])
 @settings(max_examples=200, deadline=None, database=None)
-@given(theta=st.floats(0.1, 500.0), spread=st.floats(-6.0, 12.0),
-       free=st.floats(0.0, 1.0))
-def test_poisson_ppf_is_the_smallest_k_reaching_u(theta, spread, free):
-    """u right at a CDF step and its float neighbours, 0, 1 and a free u."""
-    step = special.pdtr(max(0, int(theta + spread * np.sqrt(theta))), theta)
+@given(data=st.data(), spread=st.floats(-6.0, 12.0), free=st.floats(0.0, 1.0))
+def test_count_ppf_is_the_smallest_k_reaching_u(family, data, spread, free):
+    """u right at a CDF step and its float neighbours, 0, 1 and a free u,
+    against the first k whose float CDF reaches u."""
+    if family == "poisson":
+        theta, n = data.draw(st.floats(0.1, 500.0)), None
+        mean, sd = theta, np.sqrt(theta)
+        cdf = special.pdtr(np.arange(int(theta + 20.0 * sd + 60.0)), theta)
+    else:
+        theta, n = data.draw(st.floats(0.01, 0.99)), data.draw(st.integers(1, 500))
+        mean, sd = n * theta, np.sqrt(n * theta * (1.0 - theta))
+        cdf = special.bdtr(np.arange(n + 1), n, theta)
+    assert cdf[-1] == 1.0
+    step = cdf[min(max(0, int(mean + spread * sd)), cdf.size - 1)]
     u = np.array([step, np.nextafter(step, 0.0), np.nextafter(step, 2.0),
                   0.0, 1.0, free]).clip(0.0, 1.0)
-    ks = np.arange(int(theta + 20.0 * np.sqrt(theta) + 60.0))
-    cdf = special.pdtr(ks, theta)
-    assert cdf[-1] == 1.0
     want = np.argmax(cdf >= u[:, None], axis=1)   # first k reaching u
-    got = sim._poisson_ppf(u, np.full(u.size, theta))
+    got = sim._count_ppf(u, np.full(u.size, theta), n)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
 
 
-def test_poisson_ppf_matches_scipy_stats_on_harness_draws(monkeypatch):
+@pytest.mark.parametrize("test", ["bt", "fet"])
+def test_count_ppf_matches_scipy_stats_on_harness_draws(monkeypatch, test):
+    """40 replications of each block cell (eta or n, both sharing modes)."""
     from scipy import stats
 
     seen = []
-    inverse = sim._poisson_ppf
-    monkeypatch.setattr(sim, "_poisson_ppf",
-                        lambda u, theta: seen.append((u, theta)) or inverse(u, theta))
-    for eta in (3.0, 4.5, 6.0):
+    inverse = sim._count_ppf
+
+    def recorded(u, theta, n=None):
+        seen.append((u, theta, n, k := inverse(u, theta, n)))
+        return k
+
+    monkeypatch.setattr(sim, "_count_ppf", recorded)
+    config, gen, field, values = {
+        "bt": (bt_config, gen_poisson_pair, "eta", (3.0, 4.5, 6.0)),
+        "fet": (fet_config, gen_binomial_pair, "n", (10, 20, 30))}[test]
+    for value in values:
         for sharing in ("shared", "per-group"):
-            cfg = bt_config(eta=eta, m=200, dependence="block",
-                            copula_sharing=sharing)
+            cfg = config(m=200, dependence="block", copula_sharing=sharing,
+                         **{field: value})
             for r in range(40):
-                gen_poisson_pair(cfg, np.random.default_rng([11, r]))
-    u, theta = map(np.concatenate, zip(*seen))
-    assert u.size == 3 * 2 * 40 * 400
-    np.testing.assert_array_equal(inverse(u, theta),
-                                  stats.poisson.ppf(u, theta).astype(np.int64))
+                gen(cfg, np.random.default_rng([11, r]))
+    assert len(seen) == 3 * 2 * 40
+    for u, theta, n, k in seen:
+        assert u.shape == (200, 2)
+        want = stats.poisson.ppf(u, theta) if n is None else stats.binom.ppf(u, n, theta)
+        np.testing.assert_array_equal(k, want.astype(np.int64))
 
 
 def test_gen_pair_rejects_wrong_test():
