@@ -89,8 +89,8 @@ def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
         table = table.select(ingest.filter_hiv(table))
     report = ingest.analyze(table, test, alpha, _FLAVOR_PROCEDURES[flavor])
     if details_out is not None:
-        _write_output(details_out,
-                      _csv_text(ingest.DETAIL_FIELDS, ingest.report_rows(report)))
+        _write_output(details_out, _csv_text(ingest.DETAIL_FIELDS, ())
+                      + "".join(ingest.report_rows(report)))
     if fmt == "json":
         summary = ingest.report_summary(report)
         summary["filter"] = filter_name

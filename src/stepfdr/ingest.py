@@ -10,6 +10,7 @@ flatten results for CSV and JSON emission.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import compress
 
@@ -234,19 +235,72 @@ DETAIL_FIELDS = ("id", "p_conv", "p_mid", "reject_bh", "reject_bhplus",
 SUMMARY_FIELDS = ("test", "alpha", "m", "procedure", "rejections", "threshold")
 
 
-def report_rows(report: AnalysisReport) -> list[tuple]:
-    """One tuple per hypothesis, in `DETAIL_FIELDS` order.
+_QUOTED = (",", '"', "\r", "\n")   # characters csv.writer may quote
 
-    Columns for flavors or procedures that did not run are left empty.
+
+def _plain(rid) -> bool:
+    """Whether `rid` is a str holding none of `_QUOTED`, which csv.writer
+    writes as it is."""
+    return type(rid) is str and not any(map(rid.__contains__, _QUOTED))
+
+
+def _id_cells(ids) -> list[str]:
+    """Each id as csv.writer writes it in the first cell of a row.
+
+    A plain id is written as it is.  Every other id goes through csv.writer
+    itself, as the row (id, ""), whose trailing ",\n" is cut off, so
+    csv.writer stays the one quoting rule on any Python version.
     """
-    blank = ("",) * report.m
-    columns = [report.ids]
+    cells = list(ids)
+    if set(map(type, cells)) <= {str} and _plain("".join(cells)):
+        return cells
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for i, rid in enumerate(cells):
+        if not _plain(rid):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((rid, ""))
+            cells[i] = buffer.getvalue()[:-2]
+    return cells
+
+
+def report_rows(report: AnalysisReport) -> list[str]:
+    """The details CSV's data lines: one "\n"-terminated line per hypothesis,
+    its cells in `DETAIL_FIELDS` order, as csv.writer(lineterminator="\n")
+    writes them.
+
+    Columns for flavors or procedures that did not run are left empty.  Each
+    other column is a few distinct texts and one code per row: the p-values'
+    distinct floats, or "0" and "1" for a rejection flag.  The rows' distinct
+    code tuples are formatted once, as the lines' tails after the id cell.
+    """
+    columns = []   # (texts, codes) per non-id column
     for p in (report.p_conv, report.p_mid):
-        columns.append(blank if p is None else list(map(repr, p.tolist())))
+        if p is None:
+            columns.append((("",), 0))
+            continue
+        # Unique on the bits, not the floats, so 0.0 and -0.0 keep their reprs.
+        bits, codes = np.unique(np.asarray(p, dtype=np.float64).view(np.int64),
+                                return_inverse=True)
+        columns.append((list(map(repr, bits.view(np.float64).tolist())), codes))
     for name in stepup.PROCEDURES:   # the order of the reject_* fields
-        columns.append(report.rejected_mask(name).astype(np.int64).tolist()
-                       if name in report.procedures else blank)
-    return list(zip(*columns))
+        columns.append((("0", "1"), report.rejected_mask(name))
+                       if name in report.procedures else (("",), 0))
+    # Mixed radix: every code is below m, so a key is below 8 m**2, which
+    # fits int64 for every m below 2**30; a table that large would hold
+    # 2**30 id strings, over 50 GB by themselves.
+    key = np.zeros(report.m, dtype=np.int64)
+    for texts, codes in columns:
+        key = key * len(texts) + codes
+    keys, row_key = np.unique(key, return_inverse=True)
+    cells = []
+    for texts, _ in reversed(columns):
+        keys, codes = np.divmod(keys, len(texts))
+        cells.append(map(texts.__getitem__, codes.tolist()))
+    # No p-value repr or flag holds a character csv.writer would quote.
+    tails = [",".join(("", *row)) + "\n" for row in zip(*reversed(cells))]
+    return [cell + tails[k] for cell, k in zip(_id_cells(report.ids), row_key.tolist())]
 
 
 def report_summary(report: AnalysisReport) -> dict:

@@ -236,6 +236,14 @@ class PValueTable:
                 or point_index.min() < 0
                 or np.any(point_index >= sizes[support_index])):
             raise ValueError("every test must index a point of one of the supports")
+        self._set(supports, support_index, point_index)
+
+    def _set(self, supports: tuple[PValueSupport, ...], support_index: np.ndarray,
+             point_index: np.ndarray) -> PValueTable:
+        """Set the columns, which index points of `supports`, read-only, and
+        gather `p` from them."""
+        points = [s.points for s in supports]
+        sizes = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
         starts = np.cumsum(sizes) - sizes
         p = np.concatenate(points)[starts[support_index] + point_index]
         object.__setattr__(self, "supports", supports)
@@ -243,6 +251,7 @@ class PValueTable:
                           ("point_index", point_index), ("p", p)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        return self
 
     @functools.cached_property
     def order(self) -> np.ndarray:
@@ -323,6 +332,8 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     for flavor in PValueFlavor:   # conventional, then mid
         supports, maps = zip(*(entry[flavor] for entry in entries))
         offsets = np.cumsum([0, *map(len, maps)])
-        tables.append(PValueTable(supports, group,
-                                  np.concatenate(maps)[offsets[group] + outcome]))
+        # Valid by construction: each map sends an outcome to a point of its
+        # margin's support, so the public constructor's checks are skipped.
+        tables.append(object.__new__(PValueTable)._set(
+            supports, group, np.concatenate(maps)[offsets[group] + outcome]))
     return tuple(tables)

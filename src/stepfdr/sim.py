@@ -12,6 +12,7 @@ count.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from itertools import chain, starmap
 
@@ -76,8 +77,14 @@ class SimConfig:
             raise ValueError(f"test must be 'bt' or 'fet', got {self.test!r}")
         for name in ("m", "n", "blocks", "reps", "seed"):
             value = getattr(self, name)
-            if value is not None:   # n is None in bt cells
+            if not (name == "n" and value is None):   # bt cells take no n
                 _check_int(value, name)
+        for name in ("pi0", "alpha", "eta", "rho"):
+            value = getattr(self, name)
+            if name == "eta" and value is None:   # fet cells take no eta
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.test == "bt":
             if self.eta is None or self.n is not None:
                 raise ValueError("bt cells take eta and no n")

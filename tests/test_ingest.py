@@ -1,10 +1,15 @@
 """Tests for count-table loading, application filters, and analysis reports."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_oracle import exact_pvalues
-from stepfdr import ingest
+from stepfdr import ingest, stepup
 from stepfdr.dist import binomial_null, hypergeometric_null
 from stepfdr.errors import DataError
 from stepfdr.ingest import (
@@ -29,6 +34,35 @@ def rows_of(counts):
     columns = [c.tolist() for c in (counts.c1, counts.c2, counts.n1, counts.n2)
                if c is not None]
     return list(zip(counts.ids, *columns))
+
+
+def parse_lines(lines):
+    """The cells of each details line, as csv.reader reads them."""
+    return list(csv.reader(io.StringIO("".join(lines))))
+
+
+def old_layout(report):
+    """One tuple of cells per hypothesis, in `DETAIL_FIELDS` order: the
+    layout csv.writer was given before `report_rows` returned lines."""
+    blank = ("",) * report.m
+    columns = [report.ids]
+    for p in (report.p_conv, report.p_mid):
+        columns.append(blank if p is None else [repr(float(x)) for x in p])
+    for name in stepup.PROCEDURES:
+        columns.append(report.rejected_mask(name).astype(int).tolist()
+                       if name in report.procedures else blank)
+    return list(zip(*columns))
+
+
+def writer_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+# Ids that need quoting, or nearly do: separators, quotes, both line ends,
+# spaces and non-ASCII text.
+ID_TEXT = st.text(alphabet=st.sampled_from(',"\r\n \tab\'é日'), max_size=5)
 
 
 def write(tmp_path, name, text):
@@ -263,7 +297,9 @@ class TestAnalyze:
 class TestReports:
     def test_report_rows_layout_and_flags(self):
         report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)
-        rows = report_rows(report)
+        lines = report_rows(report)
+        assert all(line.endswith("\n") for line in lines)
+        rows = parse_lines(lines)
         assert [r[0] for r in rows] == ["a", "b"]
         for i, cells in enumerate(rows):
             assert len(cells) == len(ingest.DETAIL_FIELDS)
@@ -272,15 +308,46 @@ class TestReports:
             assert row["p_mid"] == repr(float(report.p_mid[i]))
             for name, col in (("BH", "reject_bh"), ("BH+", "reject_bhplus"),
                               ("MidPBH+", "reject_midpbhplus")):
-                assert row[col] == int(report.rejected_mask(name)[i])
+                assert row[col] == str(int(report.rejected_mask(name)[i]))
 
     def test_report_rows_blank_for_skipped_procedures(self):
         report = analyze(table(("a", 14, 0)), "bt", 0.05, procedures=("BH",))
-        row = dict(zip(ingest.DETAIL_FIELDS, report_rows(report)[0]))
+        [cells] = parse_lines(report_rows(report))
+        assert len(cells) == len(ingest.DETAIL_FIELDS)
+        row = dict(zip(ingest.DETAIL_FIELDS, cells))
+        assert row["p_conv"] == repr(float(report.p_conv[0]))
         assert row["p_mid"] == ""
         assert row["reject_bhplus"] == ""
         assert row["reject_midpbhplus"] == ""
-        assert row["reject_bh"] in (0, 1)
+        assert row["reject_bh"] in ("0", "1")
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=st.lists(st.tuples(ID_TEXT, st.integers(0, 30), st.integers(0, 30)),
+                         min_size=1, max_size=8),
+           big=st.tuples(ID_TEXT, st.integers(1076, 1200)),
+           procedures=st.sets(st.sampled_from(stepup.PROCEDURES), min_size=1))
+    def test_report_lines_are_what_csv_writer_writes(self, rows, big, procedures):
+        """One row's total is above 1075, and all of it is in c1, so its
+        p-values are at most 2**-1075 and print as 0.0."""
+        report = analyze(table(*rows, (big[0], big[1], 0)), "bt", 0.05,
+                         procedures=tuple(procedures))
+        text = "".join(report_rows(report))
+        assert text == writer_text(old_layout(report))
+        assert ",0.0," in text
+
+    def test_report_lines_quote_ids_as_csv_writer_does(self):
+        """Ids `load_counts` never gives (empty, not a str, a str subclass),
+        and carriage returns, which csv.writer leaves unquoted on some
+        Python versions."""
+        class Name(str):
+            pass
+
+        ids = ("", 7, None, 2.5, Name("x,y"), Name("plain"), "a\rb", "a\r\nb",
+               'q"', " lead", "naïve-日本")
+        counts = CountTable(ids, [3 * i for i in range(len(ids))],
+                            [12 - i for i in range(len(ids))])
+        report = analyze(counts, "bt", 0.05)
+        assert "".join(report_rows(report)) == writer_text(old_layout(report))
 
     def test_report_summary_structure(self):
         report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)

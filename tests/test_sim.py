@@ -89,10 +89,22 @@ class TestSimConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 10.5), ("n", True), ("m", 20.0), ("reps", 2.5), ("reps", True),
-        ("blocks", 2.5), ("seed", 1.5), ("seed", False)])
+        ("blocks", 2.5), ("seed", 1.5), ("seed", False), ("m", None),
+        ("blocks", None), ("reps", None), ("seed", None)])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             fet_config(dependence="block", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("pi0", True), ("alpha", False), ("eta", True), ("rho", False),
+        ("pi0", np.True_), ("alpha", "0.1"), ("eta", 3 + 0j), ("rho", None)])
+    def test_levels_must_be_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            bt_config(dependence="block", **{field: value})
+
+    def test_levels_take_numpy_and_integer_reals(self):
+        cfg = bt_config(pi0=np.float64(0.5), alpha=np.float32(0.125), eta=3, rho=0)
+        assert cfg.m0 == cfg.m // 2
 
 
 def test_gen_binomial_pair_theta_pattern():
