@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 import os
 import sys
@@ -23,7 +24,19 @@ from . import ingest, sim, stepup
 from .errors import DataError, InvariantViolation
 from .pvalue import PValueFlavor
 
-_LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+
+class _Level(click.FloatRange):
+    """A level strictly between 0 and 1.  NaN compares false with both ends,
+    so FloatRange alone would let it through."""
+
+    def convert(self, value, param, ctx):
+        level = super().convert(value, param, ctx)
+        if math.isnan(level):
+            self.fail(f"{level} is not in the range 0.0<x<1.0.", param, ctx)
+        return level
+
+
+_LEVEL = _Level(0.0, 1.0, min_open=True, max_open=True)
 
 _FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
     **{flavor.value: tuple(name for name, read in stepup.PROCEDURE_FLAVORS.items()

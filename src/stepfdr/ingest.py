@@ -74,7 +74,9 @@ class CountTable:
 
     def select(self, mask) -> "CountTable":
         """The rows where the boolean `mask` is true, in their original order."""
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise ValueError("mask must be a boolean array with one entry per row")
         columns = [None if col is None else col[mask]
                    for col in (self.c1, self.c2, self.n1, self.n2)]
         return CountTable(tuple(compress(self.ids, mask.tolist())), *columns)

@@ -108,8 +108,8 @@ class PValueSupport:
         return int(self.points.size)
 
 
-# (first outcome, {flavor: (support, outcome -> point map)}) per margin key
-_margins: dict[tuple[int, ...], tuple[int, dict]] = {}
+# key -> (first outcome, conv support, conv map, mid support, mid map)
+_margins: dict[tuple[int, ...], tuple] = {}
 _BATCH = 512   # margins built together, which bounds a batch's buffers
 
 
@@ -118,19 +118,19 @@ def _build(keys: list[tuple[int, ...]]) -> None:
     views into flat arrays made (and their buffers freed) per batch."""
     for start in range(0, len(keys), _BATCH):
         batch = keys[start:start + _BATCH]
-        sizes, firsts, flats = _flatten(batch)
-        entries = [{} for _ in batch]
-        outcomes = list(accumulate(sizes, initial=0))
+        cuts, firsts, flats = _flatten(batch)
+        fields = [firsts]
         for flavor, points, cdf, ends, maps in flats:
-            for entry, a, b, o, n in zip(entries, [0, *ends], ends, outcomes, sizes):
-                view = object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
-                entry[flavor] = (view, maps[o:o + n])
-        _margins.update(zip(batch, zip(firsts, entries)))
+            fields.append([object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
+                           for a, b in zip([0, *ends], ends)])
+            fields.append([maps[a:b] for a, b in zip(cuts, cuts[1:])])
+        _margins.update(zip(batch, zip(*fields)))
 
 
 def _flatten(keys):
-    """Outcomes and first outcome per margin, and per flavor (flavor, points,
-    cdf, ends, maps): the supports, cut at `ends`, and outcome -> point maps.
+    """Outcome cuts (margin k's outcomes are cuts[k]:cuts[k + 1]), first
+    outcome per margin, and per flavor (flavor, points, cdf, ends, maps): the
+    supports, cut at `ends`, and the outcome -> point maps, cut at `cuts`.
 
     Per margin, the masses are sorted once (both null pmfs are unimodal, so
     that merges two monotone runs) and summed once, and the null's exactness
@@ -141,7 +141,7 @@ def _flatten(keys):
     class_of = array("i")   # per outcome: its tie class, numbered across the batch
     conv = array("d")       # per class: P = cum / den
     mid = array("d")        # per class: Q = (cum_prev + cum) / (2 den)
-    sizes, firsts, counts = [], [], []  # per margin: outcomes, first one, classes
+    cuts, firsts, counts = [0], [], []  # per margin: outcomes' end, first one, classes
     for key in keys:
         xs, nums, den = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
         masses = sorted(nums)
@@ -154,7 +154,7 @@ def _flatten(keys):
                                      "mass per outcome, summing to its denominator")
         conv.extend(map(truediv, cum, repeat(den)))
         mid.extend(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
-        sizes.append(len(nums))
+        cuts.append(len(class_of))
         firsts.append(xs.start)
         counts.append(len(cum))
     class_of = np.frombuffer(class_of, dtype=np.intc)
@@ -176,14 +176,15 @@ def _flatten(keys):
         maps = point_of[class_of]
         maps.flags.writeable = False
         flats.append((flavor, points, cdf, ends.tolist(), maps))
-    return sizes, firsts, flats
+    return cuts, firsts, flats
 
 
 def _entry(key: tuple[int, ...], flavor) -> tuple[PValueSupport, np.ndarray]:
     """One flavor's (support, outcome -> point map) of one margin."""
     if key not in _margins:
         _build([key])
-    return _margins[key][1][PValueFlavor(flavor)]
+    at = 3 if PValueFlavor(flavor) is PValueFlavor.MID else 1
+    return _margins[key][at:at + 2]
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
@@ -269,9 +270,11 @@ def count_column(name: str, values) -> np.ndarray:
     if raw.dtype.kind != "f" or np.all((raw == np.trunc(raw))
                                        & (np.abs(raw) < 2.0**63)):
         try:
-            return raw.astype(np.int64, copy=False)
+            column = raw.astype(np.int64, copy=False)
         except OverflowError:
-            pass
+            column = None
+        if column is not None and (raw.dtype.kind != "u" or (column >= 0).all()):
+            return column   # no unsigned value of 2**63 or more wrapped
     raise ValueError(f"column {name} must hold integers below 2**63")
 
 
@@ -306,8 +309,8 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     Without n1 and n2 each pair gets the binomial test given its total; with
     them (arrays, or scalars shared by every test) it gets Fisher's exact
     test given (n1, n2, total).  The counts are checked and grouped by margin
-    once, the margins not cached yet are built together, and each flavor's
-    p-values are gathered from its margins' outcome -> point maps.
+    once, the margins not cached yet are built together, and one index per
+    test into its margin's outcome -> point maps gathers both flavors.
     """
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
@@ -325,15 +328,11 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
         margins, group = _group_rows(n1, n2, total)
     keys = list(map(tuple, margins.reshape(len(margins), -1).tolist()))
     _build([key for key in keys if key not in _margins])
-    firsts, entries = zip(*map(_margins.__getitem__, keys))
-    group = group.reshape(-1)
-    outcome = c1 - np.array(firsts)[group]   # each test's index into its null
-    tables = []
-    for flavor in PValueFlavor:   # conventional, then mid
-        supports, maps = zip(*(entry[flavor] for entry in entries))
-        offsets = np.cumsum([0, *map(len, maps)])
-        # Valid by construction: each map sends an outcome to a point of its
-        # margin's support, so the public constructor's checks are skipped.
-        tables.append(object.__new__(PValueTable)._set(
-            supports, group, np.concatenate(maps)[offsets[group] + outcome]))
-    return tuple(tables)
+    firsts, conv, conv_maps, mid, mid_maps = zip(*map(_margins.__getitem__, keys))
+    sizes = np.fromiter(map(len, conv_maps), dtype=np.int64, count=len(keys))
+    # One index per test serves both flavors, as a margin's two maps have one
+    # entry per outcome; each map sends an outcome to a point of its margin's
+    # support, so the public constructor's checks are skipped.
+    at = (np.cumsum(sizes) - sizes - np.array(firsts))[group] + c1
+    return tuple(object.__new__(PValueTable)._set(supports, group, np.concatenate(maps)[at])
+                 for supports, maps in ((conv, conv_maps), (mid, mid_maps)))

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert captured.err.startswith("stepfdr: error: usage:")
         assert "\n" not in captured.err.rstrip("\n")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--input", METH, "--test", "bt"],
+        ["compare", "--input", METH, "--test", "bt"],
+        ["simulate", "--test", "bt", "--pi0", "0.5", "--m", "10", "--reps", "1"],
+    ], ids=["analyze", "compare", "simulate"])
+    def test_usage_error_nan_alpha(self, capsys, command):
+        """NaN passes click.FloatRange, since it compares false with both
+        ends, so analyze and compare once ran it into an internal error."""
+        assert main([*command, "--alpha", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("stepfdr: error: usage: Invalid value for '--alpha': "
+                                "nan is not in the range 0.0<x<1.0.\n")
+
     def test_usage_error_unknown_option(self, capsys):
         assert main(["analyze", "--frobnicate"]) == 1
         assert capsys.readouterr().err.startswith("stepfdr: error: usage:")

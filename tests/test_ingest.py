@@ -189,6 +189,16 @@ class TestFilters:
         counts = table(drop, keep)
         assert rows_of(counts.select(filter_hiv(counts))) == [keep]
 
+    @pytest.mark.parametrize("mask", [[0, 1], [1, 1], np.array([1.0, 0.0]), [True],
+                                      [[True, False]]],
+                             ids=["indices", "ones", "floats", "short", "2-d"])
+    def test_select_takes_only_a_boolean_mask_per_row(self, mask):
+        """The indices [0, 1] were once cast to the mask [False, True]."""
+        counts = table(("a", 1, 3), ("b", 2, 4))
+        with pytest.raises(ValueError, match="boolean array with one entry per row"):
+            counts.select(mask)
+        assert rows_of(counts.select([True, False])) == [("a", 1, 3)]
+
     def test_filters_preserve_order_and_are_idempotent(self):
         counts = table(*[(f"r{i}", 10 + i, 3) for i in range(5)])
         once = counts.select(filter_methylation(counts))

@@ -17,11 +17,12 @@ from stepfdr import pvalue
 from stepfdr.cli import main
 from stepfdr.dist import DiscreteDistribution, binomial_null, hypergeometric_null
 from stepfdr.errors import InvariantViolation
-from stepfdr.ingest import CountTable
+from stepfdr.ingest import CountTable, filter_hiv, filter_methylation
 from stepfdr.pvalue import (
     PValueFlavor,
     PValueTable,
     bt_support,
+    count_column,
     fet_support,
     pvalue_table,
 )
@@ -144,11 +145,11 @@ def test_fresh_margins_match_the_oracle_in_any_batching(monkeypatch, batch):
     by_call = pvalue._margins
     monkeypatch.setattr(pvalue, "_margins", {})
     pvalue._build(SMALL_AND_HUGE_BT + TIED_FET)
-    for key, (first, entry) in by_call.items():
-        assert pvalue._margins[key][0] == first
-        for flavor in (CONV, MID):
-            support, outcome_map = entry[flavor]
-            again, again_map = pvalue._margins[key][1][flavor]
+    for key, record in by_call.items():
+        assert pvalue._margins[key][0] == record[0]
+        for at in (1, 3):   # each flavor's (support, outcome -> point map)
+            support, outcome_map = record[at:at + 2]
+            again, again_map = pvalue._margins[key][at:at + 2]
             assert support.points.tobytes() == again.points.tobytes()
             assert support.cdf_values.tobytes() == again.cdf_values.tobytes()
             assert np.array_equal(outcome_map, again_map)
@@ -202,23 +203,33 @@ def test_a_bad_null_is_an_invariant_violation_naming_its_margin(
 
 
 def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
-    """A batch's typed buffers are freed before its views are made, so
-    building 1,000 fresh Fisher margins (two batches) peaks at most 1.25
-    times what the cache keeps afterwards; with the buffers still alive
-    while the views were made, the same build peaked at 1.28 times."""
+    """Building 1,000 fresh Fisher margins (two batches) peaks near what the
+    cache keeps afterwards, because a batch's typed buffers are freed before
+    its views are made; with them still alive, the whole call once peaked at
+    1.28 times.  The first assertion measures `_build` alone, the second the
+    whole `pvalue_table` call, whose peak comes from gathering the tables'
+    columns from the concatenated maps.  Both stay within 1.25 times."""
     rng = np.random.default_rng(29)
     n = rng.integers(50, 401, size=(1500, 2))
     c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1)))
     margins = list(zip(n[:, 0].tolist(), n[:, 1].tolist(), c.sum(axis=1).tolist()))
     rows = list(dict(zip(margins, range(len(margins)))).values())[:1000]
     assert len(rows) == 1000
-    monkeypatch.setattr(pvalue, "_margins", {})
-    tracemalloc.start()
-    try:
-        pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def traced(call, *args):
+        """(retained, peak) bytes of `call(*args)` on an empty cache."""
+        monkeypatch.setattr(pvalue, "_margins", {})
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    retained, peak = traced(pvalue._build, [margins[i] for i in rows])
+    assert len(pvalue._margins) == 1000
+    assert peak <= 1.25 * retained
+    retained, peak = traced(pvalue_table, c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
     assert len(pvalue._margins) == 1000
     assert peak <= 1.25 * retained
 
@@ -357,3 +368,23 @@ def test_fractional_counts_are_rejected_not_truncated(columns, name):
     for from_float, from_int in zip(pvalue_table([2.0], [1.0]),
                                     pvalue_table([2], [1])):
         assert from_float.p[0] == from_int.p[0]
+
+
+@pytest.mark.parametrize("big", [[2**63], np.array([2**64 - 1], dtype=np.uint64)],
+                         ids=["list-2**63", "uint64-max"])
+def test_unsigned_counts_past_int64_are_rejected_not_wrapped(big):
+    """numpy reads the list [2**63] as uint64, and a cast to int64 once
+    wrapped it (and a uint64 2**64 - 1) to a negative count: the filters
+    dropped such a row and pvalue_table called the table impossible."""
+    message = r"column {} must hold integers below 2\*\*63"
+    with pytest.raises(ValueError, match=message.format("c1")):
+        count_column("c1", big)
+    for keep in (filter_hiv, filter_methylation):
+        with pytest.raises(ValueError, match=message.format("c1")):
+            keep(CountTable(("a",), big, [1]))
+    with pytest.raises(ValueError, match=message.format("c2")):
+        pvalue_table([1], big)
+    with pytest.raises(ValueError, match=message.format("n1")):
+        pvalue_table([1], [1], big, [5])
+    below = np.array([2**63 - 1], dtype=np.uint64)
+    assert count_column("c1", below).tolist() == [2**63 - 1]
