@@ -154,7 +154,8 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
     other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
     if value is not None:
         raise click.UsageError(f"--test {test} takes no {other}")
-    try:
+    workers = 1
+    try:   # only checking the parameters is a usage matter
         if grid:
             if pi0 is not None or alpha is not None:
                 raise click.UsageError("--grid uses the built-in pi0/alpha grids; "
@@ -167,10 +168,9 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                 raise ValueError(f"STEPFDR_WORKERS must be >= 1, got {workers}")
             etas = sim.DEFAULT_ETAS if eta is None else (eta,)
             ns = sim.DEFAULT_NS if n_trials is None else (n_trials,)
-            summaries = sim.run_grid(
-                test, etas=etas, ns=ns, m=m, dependence=dependence,
-                reps=reps, seed=seed, copula_sharing=copula_sharing,
-                workers=workers)
+            cells = sim._cells(test, sim.DEFAULT_PI0S, sim.DEFAULT_ALPHAS,
+                               etas if test == "bt" else ns, m=m, dependence=dependence,
+                               reps=reps, seed=seed, copula_sharing=copula_sharing)
         else:
             if pi0 is None or alpha is None:
                 raise click.UsageError("single-cell mode needs --pi0 and --alpha "
@@ -179,12 +179,13 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                 test=test, pi0=pi0, alpha=alpha, m=m, eta=eta, n=n_trials,
                 dependence=dependence, rho=0.2, reps=reps, seed=seed,
                 copula_sharing=copula_sharing)
-            summaries = [sim.run_cell(config)]
+            cells = [(config, (config.alpha,))]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    cells = operator.itemgetter(*sim.SIM_ROW_FIELDS)
+    summaries = sim._run_cells(cells, workers)
+    row = operator.itemgetter(*sim.SIM_ROW_FIELDS)
     _write_output(output, _csv_text(sim.SIM_ROW_FIELDS,
-                                    map(cells, sim.summaries_to_rows(summaries))))
+                                    map(row, sim.summaries_to_rows(summaries))))
 
 
 @cli.command()

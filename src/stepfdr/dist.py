@@ -58,7 +58,7 @@ class Pareto:
 
     def quantile(self, u):
         u_arr = np.asarray(u, dtype=np.float64)
-        if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+        if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):   # NaN fails both
             raise ValueError("u must lie in [0, 1)")
         out = self.eta * (1.0 - u_arr) ** (-1.0 / self.sigma)
         return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

@@ -222,7 +222,7 @@ def analyze(table: CountTable, test: str, alpha: float,
     procedures = tuple(name for name in stepup.PROCEDURES if name in procedures)
 
     conv, mid = pvalue_tables(table, test)
-    results, comparison = stepup.run_procedures(conv, mid, alpha)
+    results, comparison = stepup.run_procedures(conv, mid, (alpha,)).results(conv, mid)
     read = {stepup.PROCEDURE_FLAVORS[name] for name in procedures}
     return AnalysisReport(
         test=test, alpha=alpha, procedures=procedures, ids=table.ids,

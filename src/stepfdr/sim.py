@@ -44,6 +44,8 @@ DEFAULT_ALPHAS = (0.05, 0.1, 0.15, 0.2)
 DEFAULT_ETAS = (3.0, 4.5, 6.0)
 DEFAULT_NS = (10, 20, 30)
 
+_BLOCK = 4096   # tests per block of replications, which bounds its arrays
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -245,35 +247,18 @@ def gen_binomial_pair(config: SimConfig,
     return theta, counts.astype(np.int64)
 
 
-def _generate(config: SimConfig, rng: np.random.Generator):
-    """Counts of one replication, and its (conv, mid, mc_conv, mc_mid)
-    p-value tables and max-CDFs: bt when config.n is None, else fet."""
-    gen = gen_poisson_pair if config.test == "bt" else gen_binomial_pair
-    _, counts = gen(config, rng)
-    conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], config.n, config.n)
-    return counts, (conv, mid, stepup.build_max_cdf(conv.supports),
-                    stepup.build_max_cdf(mid.supports))
-
-
-def _fdp_tdp(rejected: np.ndarray, m0: int, m1: int) -> tuple[float, float]:
-    r = int(rejected.size)
-    false = int(np.count_nonzero(rejected < m0))
-    fdp = false / max(r, 1)
-    tdp = (r - false) / m1 if m1 else 0.0
-    return fdp, tdp
-
-
-def _evaluate(tables, config: SimConfig,
-              alpha: float) -> tuple[tuple[float, float], ...]:
-    """FDP and TDP of each of `PROCEDURES` on one replication's
-    (conv, mid, mc_conv, mc_mid) tables.
-
-    The true nulls are the first config.m0 tests.
-    """
-    conv, mid, mc_conv, mc_mid = tables
-    results, _ = stepup.run_procedures(conv, mid, alpha, max_cdfs=(mc_conv, mc_mid))
-    return tuple(_fdp_tdp(results[name].rejected, config.m0, config.m1)
-                 for name in PROCEDURES)
+def _fdp_tdp(runs, tables: dict, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """FDP and TDP of each of `PROCEDURES` (rows) for every replication and
+    alpha of `stepup.run_procedures`' `runs` on `tables` (keyed by flavor);
+    the true nulls are each replication's first m0 tests."""
+    fdp, tdp = [], []
+    for flavor, r, threshold in zip(stepup.PROCEDURE_FLAVORS.values(),
+                                    runs.rejection_count, runs.threshold):
+        p = tables[flavor].p.reshape(r.shape[0], 1, -1)
+        false = np.count_nonzero(p[..., :m0] <= threshold[..., None], axis=-1)
+        fdp.append(false / np.maximum(r, 1))
+        tdp.append((r - false) / m1 if m1 else np.zeros(r.shape))
+    return np.stack(fdp), np.stack(tdp)
 
 
 @dataclass(frozen=True)
@@ -304,32 +289,45 @@ def _summarize(config: SimConfig, fdp: np.ndarray, tdp: np.ndarray) -> SimSummar
     return SimSummary(config=config, stats=stats)
 
 
+def _block(base: SimConfig, alphas: tuple[float, ...], reps: range):
+    """FDP and TDP, each (procedure, replication, alpha), of the replications
+    `reps` of cell `base`: one `pvalue_table` call on their stacked counts
+    and one `stepup.run_procedures` call for every alpha.
+
+    An InvariantViolation is re-raised with the replication index and every
+    config field (alpha the failing one) appended as ``[replication=r
+    field=repr ...]``, enough to regenerate that replication's data.
+    """
+    gen = gen_poisson_pair if base.test == "bt" else gen_binomial_pair
+    counts = np.concatenate([gen(base, np.random.default_rng([base.seed, r]))[1]
+                             for r in reps])
+    tables = dict(zip(pvalue.PValueFlavor, pvalue.pvalue_table(
+        counts[:, 0], counts[:, 1], base.n, base.n)))
+    try:
+        runs = stepup.run_procedures(*tables.values(), alphas, len(reps))
+    except InvariantViolation as exc:
+        r, a = exc.pair
+        fields = dataclasses.asdict(dataclasses.replace(base, alpha=alphas[a]))
+        where = " ".join(f"{k}={v!r}" for k, v in fields.items())
+        raise InvariantViolation(f"{exc} [replication={reps[r]} {where}]") from exc
+    return _fdp_tdp(runs, tables, base.m0, base.m1)
+
+
 def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
     """Run one data cell, evaluating every alpha on the same replications.
 
     Valid because generation consumes no alpha-dependent randomness: the
     summaries are bit-identical to independent run_cell calls per alpha.
-    An InvariantViolation is re-raised with the replication index and every
-    config field (alpha the failing one) appended as ``[replication=r
-    field=repr ...]``, enough to regenerate that replication's data.
+    Replications run in blocks of about `_BLOCK` tests, which bounds the
+    stacked arrays and changes no output.
     """
-    n_alpha = len(alphas)
-    fdp = np.empty((n_alpha, 3, base.reps))
-    tdp = np.empty((n_alpha, 3, base.reps))
-    for r in range(base.reps):
-        rng = np.random.default_rng([base.seed, r])
-        _, tables = _generate(base, rng)
-        for a, alpha in enumerate(alphas):
-            try:
-                result = _evaluate(tables, base, alpha)
-            except InvariantViolation as exc:
-                fields = dataclasses.asdict(dataclasses.replace(base, alpha=alpha))
-                where = " ".join(f"{k}={v!r}" for k, v in fields.items())
-                raise InvariantViolation(
-                    f"{exc} [replication={r} {where}]") from exc
-            for j, (f, t) in enumerate(result):
-                fdp[a, j, r] = f
-                tdp[a, j, r] = t
+    fdp = np.empty((len(alphas), 3, base.reps))
+    tdp = np.empty((len(alphas), 3, base.reps))
+    block = max(1, _BLOCK // base.m)
+    for start in range(0, base.reps, block):
+        reps = range(start, min(start + block, base.reps))
+        for out, rates in zip((fdp, tdp), _block(base, alphas, reps)):
+            out[..., reps.start:reps.stop] = rates.transpose(2, 0, 1)
     return [_summarize(dataclasses.replace(base, alpha=alpha), fdp[a], tdp[a])
             for a, alpha in enumerate(alphas)]
 
@@ -337,6 +335,27 @@ def _run_alphas(base: SimConfig, alphas: tuple[float, ...]) -> list[SimSummary]:
 def run_cell(config: SimConfig) -> SimSummary:
     """Monte Carlo estimates of FDR and power for one cell."""
     return _run_alphas(config, (config.alpha,))[0]
+
+
+def _cells(test: str, pi0s, alphas, params, **fields) -> list[tuple[SimConfig, tuple]]:
+    """run_grid's data cells in (pi0, eta-or-n) order, each a SimConfig at
+    the first alpha, checked on construction, with every alpha."""
+    alphas = tuple(alphas)
+    param = "eta" if test == "bt" else "n"
+    return [(SimConfig(test=test, pi0=pi0, alpha=alphas[0], **{param: value}, **fields),
+             alphas) for pi0 in pi0s for value in params]
+
+
+def _run_cells(cells: list[tuple[SimConfig, tuple]], workers: int) -> list[SimSummary]:
+    """Summaries of `cells` in their order, alphas inner; `workers` > 1 fans
+    the cells out to a process pool without changing any output."""
+    if workers > 1 and len(cells) > 1:
+        from multiprocessing import get_context  # only a pool needs it
+        with get_context("fork").Pool(min(workers, len(cells))) as pool:
+            results = pool.starmap(_run_alphas, cells)
+    else:
+        results = starmap(_run_alphas, cells)
+    return list(chain.from_iterable(results))
 
 
 def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
@@ -352,24 +371,9 @@ def run_grid(test: str, *, pi0s=DEFAULT_PI0S, alphas=DEFAULT_ALPHAS,
     to a process pool without changing any output.
     """
     params = tuple(etas) if test == "bt" else tuple(ns)
-    alphas = tuple(alphas)
-    tasks = []
-    for pi0 in pi0s:
-        for param in params:
-            base = SimConfig(
-                test=test, pi0=pi0, alpha=alphas[0], m=m,
-                eta=param if test == "bt" else None,
-                n=param if test == "fet" else None,
-                dependence=dependence, blocks=blocks, rho=rho, reps=reps,
-                seed=seed, copula_sharing=copula_sharing)
-            tasks.append((base, alphas))
-    if workers > 1 and len(tasks) > 1:
-        from multiprocessing import get_context  # only a pool needs it
-        with get_context("fork").Pool(min(workers, len(tasks))) as pool:
-            results = pool.starmap(_run_alphas, tasks)
-    else:
-        results = starmap(_run_alphas, tasks)
-    return list(chain.from_iterable(results))
+    return _run_cells(_cells(test, pi0s, alphas, params, m=m, dependence=dependence,
+                             blocks=blocks, rho=rho, reps=reps, seed=seed,
+                             copula_sharing=copula_sharing), workers)
 
 
 SIM_ROW_FIELDS = ("test", "dependence", "copula_sharing", "m", "pi0", "alpha",

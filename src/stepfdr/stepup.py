@@ -6,6 +6,11 @@ CDFs of the p-values, then uses critical values
 of all support points.  Rejections follow the usual step-up scan.  With
 uniform p-values F* is the identity and the procedure reduces to the
 classical step-up of Benjamini and Hochberg, which `bh` implements directly.
+
+Every step runs on a batch: a block of replications, each at every alpha
+level.  F*, the critical values and the scan each have one kernel, and the
+single-run functions (`build_max_cdf`, `critical_values`, `bh_plus`, `bh`,
+`mid_vs_conventional`) run it on a batch of one.
 """
 
 from __future__ import annotations
@@ -51,28 +56,139 @@ class MaxCdf(NamedTuple):
     def evaluate(self, t):
         """Right-continuous step evaluation; 0 below the first grid point."""
         t_arr = np.asarray(t, dtype=np.float64)
+        if np.isnan(t_arr).any():
+            raise ValueError("t must not be NaN")
         idx = np.searchsorted(self.grid, t_arr, side="right") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
-    """Tabulate max_i F_i over the sorted union of all support points.
+class _Steps(NamedTuple):
+    """F* of each replication of a batch, flat, in (replication, point)
+    order.  Replication r's steps have keys r n_points <= run < (r + 1)
+    n_points and r n_levels <= top < (r + 1) n_levels, and each lies at
+    points[run - r n_points] with the value levels[top - r n_levels], where
+    n_points and n_levels are the sizes of the ascending arrays `points` and
+    `levels`.  `run` strictly ascends, and `top` ascends."""
 
-    Once all (point, CDF value) events are in point order, each test's
-    running CDF is the largest of its processed values, so F* is one running
-    maximum (and a support listed twice changes nothing).  Each run of equal
-    points keeps its last event: the grid strictly increases, and the values
-    never fall and end at 1.0, where every support ends.
+    points: np.ndarray
+    run: np.ndarray
+    levels: np.ndarray
+    top: np.ndarray
+    reps: int
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `x`, ascending, and each entry's index among
+    them: np.unique(x, return_inverse=True) with fewer buffers alive at once,
+    reusing the sorted copy's."""
+    order = np.argsort(x)
+    x = x[order]
+    new = np.empty(x.size, dtype=bool)   # does a distinct value start here?
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    distinct = x[new]
+    rank = np.cumsum(new, out=x.view(np.int64))
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return distinct, inverse
+
+
+def _sweep(supports: Sequence[PValueSupport], pairs=None, reps: int = 1) -> _Steps:
+    """F* of `reps` replications, where pairs = (rep, which) lists the
+    supports each pools: replication rep[j] pools supports[which[j]] (`rep`
+    nondecreasing).  With no pairs, one replication pools every support.
+
+    Ranks among the distinct points and CDF values of `supports` make each
+    (replication, point, value) event one int64 key, and one sort puts each
+    replication's events in point order.  There each test's running CDF is
+    the largest of its processed values, so F* is the running maximum of the
+    value ranks, offset per replication so that it restarts at each one (a
+    support listed twice changes nothing).  Each (replication, point) run
+    keeps its last event, which carries the run's largest value: the grid
+    strictly increases, and the values never fall and end at 1.0, where
+    every support ends.
     """
+    points, key = _ranks(np.concatenate([s.points for s in supports]))
+    if all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
+        levels, level_rank = points, key.copy()   # each CDF value is its point
+    else:
+        levels, level_rank = _ranks(np.concatenate([s.cdf_values for s in supports]))
+    n_points, n_levels = points.size, levels.size
+    if reps * n_points * n_levels >= 2**63:
+        raise ValueError(f"{reps} replications of {n_points} support points "
+                         "are too many for one batch")
+    if pairs is not None:   # gather each pair's events
+        rep, which = pairs
+        sizes = np.fromiter((s.points.size for s in supports), dtype=np.int64,
+                            count=len(supports))
+        lengths = sizes[which]
+        ends = np.cumsum(lengths)
+        events = np.arange(ends[-1]) + np.repeat(
+            (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
+        key, level_rank = key[events], level_rank[events]
+        key += np.repeat(rep * n_points, lengths)
+    key *= n_levels
+    key += level_rank
+    del level_rank
+    key.sort()
+    rank = key % n_levels
+    key //= n_levels   # now replication * n_points + point
+    last = np.append(key[1:] != key[:-1], True)   # does a run end here?
+    run, top = key[last], rank[last]
+    del key, rank
+    top += run // n_points * n_levels
+    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps)
+
+
+def _steps_of(max_cdf: MaxCdf) -> _Steps:
+    """One MaxCdf as a batch of one: its grid and values already ascend."""
+    at = np.arange(max_cdf.grid.size)
+    return _Steps(max_cdf.grid, at, max_cdf.values, at, 1)
+
+
+def _last_at_most(keys: np.ndarray, levels: np.ndarray, reps: int,
+                  queries: np.ndarray) -> np.ndarray:
+    """For each replication r and each query q of queries[r], the index of
+    the last step of r whose level, levels[keys - r levels.size], is at most
+    q, or -1 if none is.  `keys` ascend, and `queries` has one row per
+    replication or one row for all of them.
+
+    As each replication's keys are offset past the last one's, one
+    searchsorted serves the whole batch.
+    """
+    base = np.arange(reps).reshape((reps,) + (1,) * (np.ndim(queries) - 1)) * levels.size
+    idx = np.searchsorted(keys, base + np.searchsorted(levels, queries, side="right"))
+    idx -= 1
+    idx[keys[idx] < base] = -1   # before r's first step (keys[-1] is never below base)
+    return idx
+
+
+def _gammas(steps: _Steps, thresholds: np.ndarray) -> np.ndarray:
+    """Per replication, the largest grid point whose F* value is at most each
+    threshold, or NaN if none is."""
+    idx = _last_at_most(steps.top, steps.levels, steps.reps, thresholds)
+    none = idx < 0
+    idx = steps.run[idx]
+    idx %= steps.points.size
+    gamma = steps.points[idx]
+    gamma[none] = np.nan
+    return gamma
+
+
+def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
+    """alpha * k / m for each alpha (rows) and k = 1..m (columns)."""
+    return alphas[:, None] * np.arange(1, m + 1, dtype=np.float64) / m
+
+
+def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
+    """Tabulate max_i F_i over the sorted union of all support points, in one
+    sweep of a batch of one."""
     if len(supports) == 0:
         raise ValueError("at least one support is required")
-    points = np.concatenate([s.points for s in supports])
-    order = np.argsort(points, kind="stable")
-    points = points[order]
-    cdfs = np.concatenate([s.cdf_values for s in supports])[order]
-    last = np.append(points[1:] != points[:-1], True)   # does a run end here?
-    grid, values = points[last], np.maximum.accumulate(cdfs)[last]
+    steps = _sweep(supports)
+    grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
 
@@ -88,9 +204,7 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    thresholds = alpha * np.arange(1, m + 1, dtype=np.float64) / m
-    idx = np.searchsorted(max_cdf.values, thresholds, side="right") - 1
-    return np.where(idx >= 0, max_cdf.grid[np.maximum(idx, 0)], np.nan)
+    return _gammas(_steps_of(max_cdf), _thresholds(np.array([alpha]), m)[None])[0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +231,58 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(p: np.ndarray, gamma: np.ndarray, order: np.ndarray) -> StepUpResult:
-    """Shared step-up scan: R = max{k : p_(k) <= gamma_k}, reject p <= gamma_R.
+def _scan(sorted_p: np.ndarray, gamma: np.ndarray):
+    """The step-up scan of every (replication, alpha) row: R = max{k :
+    p_(k) <= gamma_k}, the threshold gamma_R (NaN when R = 0), and how many
+    p-values lie at or below it.
 
-    `order` sorts `p` ascending.
+    sorted_p is (replications, m), each row ascending; gamma is
+    (replications, alphas, m).
     """
-    hits = np.flatnonzero(p[order] <= gamma)
-    if hits.size == 0:
+    reps, n_alphas, m = gamma.shape
+    hits = sorted_p[:, None, :] <= gamma
+    r = np.where(hits.any(axis=-1), m - np.argmax(hits[..., ::-1], axis=-1), 0)
+    gamma_r = gamma[np.arange(reps)[:, None], np.arange(n_alphas), r - 1]
+    threshold = np.where(r > 0, gamma_r, np.nan)
+    rejected = (sorted_p[:, None, :] <= threshold[..., None]).sum(axis=-1)
+    return r, threshold, rejected
+
+
+def _count_check(r: np.ndarray, rejected: np.ndarray):
+    return rejected != r, lambda i: f"step-up rejected {rejected[i]} p-values but R = {r[i]}"
+
+
+def _order_check(condition: np.ndarray, r_cp: np.ndarray, r_mp: np.ndarray):
+    return condition != (r_mp >= r_cp), lambda i: (
+        "count-ordering condition disagrees with the realized counts: "
+        f"condition={bool(condition[i])}, r_cp={r_cp[i]}, r_mp={r_mp[i]}")
+
+
+def _raise_first(checks) -> None:
+    """Raise an InvariantViolation for the first (replication, alpha) pair,
+    in that order, that fails one of `checks`, each a (failed per pair,
+    message of a pair) tuple, with the message of its first failed check.
+    The error's `pair` attribute is that (replication, alpha index) pair."""
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    if failed.any():
+        pair = np.unravel_index(np.argmax(failed), failed.shape)
+        error = InvariantViolation(next(text(pair) for bad, text in checks if bad[pair]))
+        error.pair = tuple(map(int, pair))
+        raise error
+
+
+def _result(p: np.ndarray, gamma: np.ndarray, r, threshold) -> StepUpResult:
+    """The StepUpResult of one scanned row on the p-values `p`."""
+    if r == 0:
         return StepUpResult(gamma, 0, None, np.empty(0, dtype=np.int64))
-    r = int(hits[-1]) + 1
-    threshold = float(gamma[r - 1])
-    rejected = np.flatnonzero(p <= threshold)
-    if rejected.size != r:
-        raise InvariantViolation(
-            f"step-up rejected {rejected.size} p-values but R = {r}")
-    return StepUpResult(gamma, r, threshold, rejected)
+    return StepUpResult(gamma, int(r), float(threshold), np.flatnonzero(p <= threshold))
+
+
+def _step_up(p: np.ndarray, order: np.ndarray, gamma: np.ndarray) -> StepUpResult:
+    """One step-up run of `p`, which `order` sorts, against gamma_k."""
+    r, threshold, rejected = _scan(p[order][None], gamma[None, None])
+    _raise_first([_count_check(r, rejected)])
+    return _result(p, gamma, r[0, 0], threshold[0, 0])
 
 
 def bh_plus(table: PValueTable, alpha: float, *,
@@ -145,8 +296,7 @@ def bh_plus(table: PValueTable, alpha: float, *,
     """
     if max_cdf is None:
         max_cdf = build_max_cdf(table.supports)
-    return _scan(table.p, critical_values(max_cdf, alpha, table.p.size),
-                 table.order)
+    return _step_up(table.p, table.order, critical_values(max_cdf, alpha, table.p.size))
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -154,9 +304,7 @@ def bh(pvalues, alpha: float) -> StepUpResult:
     p = _validate_pvalues(pvalues)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    m = p.size
-    return _scan(p, alpha * np.arange(1, m + 1, dtype=np.float64) / m,
-                 np.argsort(p, kind="stable"))
+    return _step_up(p, np.argsort(p, kind="stable"), _thresholds(np.array([alpha]), p.size)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +320,16 @@ class MidComparison:
     r_cp: int
     r_mp: int
     mid_result: StepUpResult
+
+
+def _condition(steps: _Steps, sorted_q: np.ndarray, r_cp: np.ndarray,
+               alphas: np.ndarray) -> np.ndarray:
+    """Per (replication, alpha): whether the mid F* at the r_cp-th smallest
+    mid p-value is <= alpha * r_cp / m (vacuously, when r_cp = 0)."""
+    q = np.take_along_axis(sorted_q, np.maximum(r_cp - 1, 0), axis=1)
+    idx = _last_at_most(steps.run, steps.points, steps.reps, q)
+    f = np.where(idx >= 0, steps.levels[steps.top[idx] % steps.levels.size], 0.0)
+    return (r_cp == 0) | (f <= alphas * r_cp / sorted_q.shape[1])
 
 
 def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
@@ -192,38 +350,100 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     if max_cdf is None:
         max_cdf = build_max_cdf(mid_table.supports)
     mid_result = bh_plus(mid_table, alpha, max_cdf=max_cdf)
-    r_cp = conv_result.rejection_count
-    if r_cp == 0:
-        condition = True
-    else:
-        q_rcp = float(p_mid[mid_table.order[r_cp - 1]])
-        condition = max_cdf.evaluate(q_rcp) <= alpha * r_cp / m
-    if condition != (mid_result.rejection_count >= r_cp):
-        raise InvariantViolation(
-            "count-ordering condition disagrees with the realized counts: "
-            f"condition={condition}, r_cp={r_cp}, r_mp={mid_result.rejection_count}")
-    return MidComparison(condition_holds=condition, r_cp=r_cp,
-                         r_mp=mid_result.rejection_count, mid_result=mid_result)
+    r_cp = np.array([[conv_result.rejection_count]])
+    r_mp = np.array([[mid_result.rejection_count]])
+    condition = _condition(_steps_of(max_cdf), p_mid[mid_table.order][None], r_cp,
+                           np.array([alpha]))
+    _raise_first([_order_check(condition, r_cp, r_mp)])
+    return MidComparison(condition_holds=bool(condition[0, 0]), r_cp=int(r_cp[0, 0]),
+                         r_mp=int(r_mp[0, 0]), mid_result=mid_result)
 
 
-def run_procedures(conv: PValueTable, mid: PValueTable, alpha: float, *,
-                   max_cdfs: tuple[MaxCdf | None, MaxCdf | None] = (None, None)
-                   ) -> tuple[dict[str, StepUpResult], MidComparison]:
+def _sorted_rows(table: PValueTable, reps: int) -> np.ndarray:
+    """Each replication's p-values, ascending, as (reps, m) rows, from the
+    table's one sort."""
+    order = table.order
+    if reps > 1:   # group it by replication, keeping its order within each
+        order = order[np.argsort(order // (order.size // reps), kind="stable")]
+    return table.p[order].reshape(reps, -1)
+
+
+def _table_steps(table: PValueTable, reps: int) -> _Steps:
+    """F* of each replication, pooling the supports its own tests use."""
+    n = len(table.supports)
+    m = table.p.size // reps
+    pairs = np.sort(np.arange(reps).repeat(m) * n + table.support_index)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
+    if reps == 1 and pairs.size == n:   # one replication pooling every support
+        return _sweep(table.supports)
+    return _sweep(table.supports, np.divmod(pairs, n), reps)
+
+
+class _Runs(NamedTuple):
+    """`run_procedures` results, per procedure (in `PROCEDURES` order),
+    replication and alpha."""
+
+    critical_values: tuple[np.ndarray, ...]   # each (replications, alphas, m)
+    rejection_count: np.ndarray               # (procedures, replications, alphas)
+    threshold: np.ndarray                     # the same, NaN where R = 0
+    condition_holds: np.ndarray               # (replications, alphas)
+
+    def results(self, conv: PValueTable, mid: PValueTable
+                ) -> tuple[dict[str, StepUpResult], MidComparison]:
+        """The results keyed by `PROCEDURES`, and the mid comparison, of a
+        batch of one replication at one alpha."""
+        tables = {PValueFlavor.CONVENTIONAL: conv, PValueFlavor.MID: mid}
+        results = {name: _result(tables[flavor].p, gamma[0, 0], r[0, 0], threshold[0, 0])
+                   for (name, flavor), gamma, r, threshold in zip(
+                       PROCEDURE_FLAVORS.items(), self.critical_values,
+                       self.rejection_count, self.threshold)}
+        comparison = MidComparison(
+            condition_holds=bool(self.condition_holds[0, 0]),
+            r_cp=results["BH+"].rejection_count, r_mp=results["MidPBH+"].rejection_count,
+            mid_result=results["MidPBH+"])
+        return results, comparison
+
+
+def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
+                   reps: int = 1) -> _Runs:
     """BH and BH+ on `conv` and MidPBH+ on `mid`, one `pvalue_table` call's
-    two tables: the results keyed by `PROCEDURES`, and the mid comparison.
+    two tables, at every level of `alphas`, for each of `reps` replications:
+    replication r holds tests r m .. r m + m - 1 of both tables.
 
-    Both invariants are checked on every call: BH's set lies inside BH+'s,
-    and `mid_vs_conventional` checks the count-ordering condition.  Given
-    `max_cdfs` are reused; a missing one is built, and dropped after use.
+    Each replication's F* pools the supports its own tests use.  Every check
+    runs for every (replication, alpha) pair: each step-up's rejection
+    count, BH's set inside BH+'s, and the count-ordering condition against
+    r_mp >= r_cp.  The first failing pair, in (replication, alpha) order,
+    raises an InvariantViolation naming alpha, whose `pair` attribute is
+    (replication, alpha index).
     """
-    res_bh = bh(conv.p, alpha)
-    res_bhp = bh_plus(conv, alpha, max_cdf=max_cdfs[0])
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    size = conv.p.size
+    if len(alphas) == 0 or reps < 1 or size % reps or mid.p.size != size:
+        raise ValueError("run_procedures needs alphas, and two tables of `reps` "
+                         "replications of m tests each")
+    levels = np.asarray(alphas, dtype=np.float64)
+    thresholds = _thresholds(levels, size // reps)
+    gammas = (np.broadcast_to(thresholds, (reps, *thresholds.shape)),
+              _gammas(_table_steps(conv, reps), thresholds[None]))
+    mid_steps = _table_steps(mid, reps)   # after the conventional F* is dropped
+    gammas += (_gammas(mid_steps, thresholds[None]),)
+    sorted_p = _sorted_rows(conv, reps)
+    bh, plus = _scan(sorted_p, gammas[0]), _scan(sorted_p, gammas[1])
+    del sorted_p
+    sorted_q = _sorted_rows(mid, reps)
+    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(sorted_q, gammas[2]))
+    condition = _condition(mid_steps, sorted_q, r_cp, levels)
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
     # classical set lies inside the adaptive one iff it is no larger.
-    if res_bh.rejection_count > res_bhp.rejection_count:
-        raise InvariantViolation(
-            f"adaptive step-up did not contain the classical rejection set at "
-            f"alpha={alpha}: BH rejected {res_bh.rejection_count}, "
-            f"BH+ {res_bhp.rejection_count}")
-    comparison = mid_vs_conventional(res_bhp, mid, alpha, max_cdf=max_cdfs[1])
-    return dict(zip(PROCEDURES, (res_bh, res_bhp, comparison.mid_result))), comparison
+    _raise_first([
+        _count_check(r_bh, rejected[0]),
+        _count_check(r_cp, rejected[1]),
+        (r_bh > r_cp, lambda i: (
+            "adaptive step-up did not contain the classical rejection set at "
+            f"alpha={alphas[i[1]]}: BH rejected {r_bh[i]}, BH+ {r_cp[i]}")),
+        _count_check(r_mp, rejected[2]),
+        _order_check(condition, r_cp, r_mp)])
+    return _Runs(gammas, np.stack((r_bh, r_cp, r_mp)), np.stack(cutoffs), condition)

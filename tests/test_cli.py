@@ -235,12 +235,17 @@ class TestExitCodes:
     def test_over_rejecting_bh_is_an_internal_error(self, capsys, monkeypatch):
         """Every analyze call checks BH's set against BH+'s, whichever
         flavor it reports, and names alpha when they are out of order."""
-        bh = stepup.bh
+        scan, scans = stepup._scan, []
 
-        def over_rejecting(pvalues, alpha):   # rejects all m
-            return bh([0.0] * len(pvalues), alpha)
+        def over_rejecting(sorted_p, gamma):   # BH, each run's first scan, rejects all m
+            r, threshold, rejected = scan(sorted_p, gamma)
+            if len(scans) % 3 == 0:
+                r[...] = rejected[...] = gamma.shape[-1]
+                threshold[...] = 1.0
+            scans.append(1)
+            return r, threshold, rejected
 
-        monkeypatch.setattr(stepup, "bh", over_rejecting)
+        monkeypatch.setattr(stepup, "_scan", over_rejecting)
         with pytest.raises(InvariantViolation, match="alpha=0.05"):
             ingest.analyze(ingest.load_counts(METH), "bt", 0.05, ("MidPBH+",))
         for flavor in ("conventional", "mid", "both"):
@@ -316,6 +321,33 @@ class TestSimulateCli:
                      "--output", os.devnull]) == code
         if code:
             assert "blocks must be >= 1 and divide m = 22" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--pi0", "0.5", "--alpha", "0.05"],
+                                      ["--grid"]], ids=["cell", "grid"])
+    @pytest.mark.parametrize("bad, problem", [
+        (["--eta", "-1"], "eta must be > 0, got -1.0"),
+        (["--eta", "3", "--m", "22", "--dependence", "block"],
+         "blocks must be >= 1 and divide m = 22, got 5"),
+    ], ids=["eta", "blocks"])
+    def test_bad_parameters_are_usage_errors(self, capsys, mode, bad, problem):
+        code = main(["simulate", "--test", "bt", *mode, *bad, "--reps", "1",
+                     "--output", os.devnull])
+        assert code == 1
+        assert capsys.readouterr().err == f"stepfdr: error: usage: {problem}\n"
+
+    @pytest.mark.parametrize("mode", [["--pi0", "0.5", "--alpha", "0.05"],
+                                      ["--grid"]], ids=["cell", "grid"])
+    def test_library_error_mid_run_is_internal(self, capsys, monkeypatch, mode):
+        """A ValueError raised while replications run is our bug: exit 3."""
+        def boom(*args, **kwargs):
+            raise ValueError("alpha must lie in (0, 1), got 2.0")
+
+        monkeypatch.setattr(stepup, "run_procedures", boom)
+        code = main(["simulate", "--test", "bt", "--eta", "3", *mode,
+                     "--m", "10", "--reps", "1", "--output", os.devnull])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "stepfdr: error: internal: alpha must lie in (0, 1), got 2.0\n")
 
     def test_alpha_must_accompany_single_cell(self, capsys):
         code = main(["simulate", "--test", "fet", "--n", "10"])

@@ -87,6 +87,13 @@ def test_pareto_quantile():
         p.quantile(1.0)
 
 
+@pytest.mark.parametrize("u", [math.nan, [0.5, math.nan], np.array([[math.nan]])],
+                         ids=["scalar", "list", "array"])
+def test_pareto_quantile_rejects_nan(u):
+    with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+        Pareto(3.0, 5.0).quantile(u)
+
+
 def test_large_totals_build_exactly():
     """Totals whose smallest masses underflow a float still build exactly."""
     for d in (binomial_null(1075), binomial_null(2000),

@@ -276,28 +276,36 @@ def test_evaluate_mid_run_rejects_fewer_than_bh_plus_on_fixed_fet_instance():
 
     conv, mid = pvalue.pvalue_table(counts[:, 0], counts[:, 1], n, n)
     assert conv.p.tolist() == [float(p_a), float(p_b)]
-    tables = (conv, mid, stepup.build_max_cdf(conv.supports),
-              stepup.build_max_cdf(mid.supports))
-    config = SimConfig(test="fet", pi0=0.0, alpha=float(alpha), m=2, n=n)
-    bh, bh_plus, mid = sim._evaluate(tables, config, float(alpha))
+    runs = stepup.run_procedures(conv, mid, (float(alpha),))   # a batch of one
+    tables = {pvalue.PValueFlavor.CONVENTIONAL: conv, pvalue.PValueFlavor.MID: mid}
+    fdp, tdp = sim._fdp_tdp(runs, tables, m0=0, m1=2)
+    bh, bh_plus, mid = zip(fdp[:, 0, 0].tolist(), tdp[:, 0, 0].tolist())
     assert bh == bh_plus == (0.0, 0.5)
     assert mid == (0.0, 0.0)
 
 
-def test_cell_builds_two_max_cdfs_per_replication(monkeypatch):
-    """Each replication's two max-CDFs serve every alpha of its cell."""
-    calls = []
-    build = stepup.build_max_cdf
-    monkeypatch.setattr(stepup, "build_max_cdf",
-                        lambda supports: calls.append(1) or build(supports))
+def blocks_of(monkeypatch, reps_per_block, m):
+    """Make `sim` run `reps_per_block` replications of m tests per block."""
+    monkeypatch.setattr(sim, "_BLOCK", reps_per_block * m)
+
+
+def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
+    """One conventional and one mid F* sweep per block of replications
+    serve every alpha and every replication of the block."""
+    sweeps = []
+    sweep = stepup._sweep
+    monkeypatch.setattr(stepup, "_sweep", lambda supports, pairs=None, reps=1: (
+        sweeps.append(reps) or sweep(supports, pairs, reps)))
+    blocks_of(monkeypatch, 2, 20)
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
-                    etas=(3.0,), ns=(), m=20, reps=3, seed=5)
+                    etas=(3.0,), ns=(), m=20, reps=5, seed=5)
     assert len(grid) == 4
-    assert len(calls) == 2 * 3
+    assert sweeps == [2, 2, 2, 2, 1, 1]
 
 
 def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
-    """A table's order is cached, and the step-ups of every alpha share it."""
+    """A table's order is cached, and the step-ups of every alpha and every
+    replication of a block share it: one sort per flavor per block."""
     conv, _ = pvalue.pvalue_table([3, 0, 7, 3], [1, 2, 2, 5])
     assert conv.order is conv.order and not conv.order.flags.writeable
     np.testing.assert_array_equal(conv.order, np.argsort(conv.p, kind="stable"))
@@ -307,11 +315,52 @@ def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
         lambda table: sorted_tables.append(table) or sort(table))
     counting.__set_name__(pvalue.PValueTable, "order")
     monkeypatch.setattr(pvalue.PValueTable, "order", counting)
+    blocks_of(monkeypatch, 2, 20)
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
-                    etas=(3.0,), ns=(), m=20, reps=3, seed=5)
+                    etas=(3.0,), ns=(), m=20, reps=5, seed=5)
     assert len(grid) == 4
     assert len(sorted_tables) == 2 * 3
     assert len({id(table) for table in sorted_tables}) == 2 * 3
+    assert [table.p.size for table in sorted_tables] == [40, 40, 40, 40, 20, 20]
+
+
+@pytest.mark.parametrize("test, dependence", [
+    ("bt", "independent"), ("fet", "independent"), ("bt", "block"), ("fet", "block")])
+def test_block_size_does_not_change_summaries(monkeypatch, test, dependence):
+    """Blocks of 1 and 7 replications (the last block of 20 ragged) and one
+    block for the whole cell give bit-identical summaries."""
+    kwargs = dict(pi0s=(0.5, 0.8), alphas=(0.05, 0.2), etas=(3.0,), ns=(10,),
+                  m=20, dependence=dependence, blocks=4, reps=20, seed=13)
+    whole = run_grid(test, **kwargs)
+    for reps_per_block in (1, 7):
+        blocks_of(monkeypatch, reps_per_block, 20)
+        for a, b in zip(whole, run_grid(test, **kwargs), strict=True):
+            assert a.config == b.config
+            assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("test", ["bt", "fet"])
+def test_run_procedures_on_a_batch_equals_each_replication_alone(test):
+    """Every field of a batch's runs equals, bit for bit, that of the
+    replication run as a batch of one."""
+    m, reps, alphas = 30, 6, (0.05, 0.1, 0.3)
+    config = (bt_config if test == "bt" else fet_config)(m=m)
+    gen = gen_poisson_pair if test == "bt" else gen_binomial_pair
+    counts = [gen(config, np.random.default_rng([4, r]))[1] for r in range(reps)]
+    stacked = np.concatenate(counts)
+    batch = stepup.run_procedures(
+        *pvalue.pvalue_table(stacked[:, 0], stacked[:, 1], config.n, config.n),
+        alphas, reps)
+    assert batch.rejection_count.shape == batch.threshold.shape == (3, reps, 3)
+    assert batch.rejection_count.any()
+    for r, c in enumerate(counts):
+        alone = stepup.run_procedures(
+            *pvalue.pvalue_table(c[:, 0], c[:, 1], config.n, config.n), alphas)
+        for got, want in zip(batch.critical_values, alone.critical_values):
+            assert got[r].tobytes() == want[0].tobytes()
+        assert batch.rejection_count[:, r].tobytes() == alone.rejection_count[:, 0].tobytes()
+        assert batch.threshold[:, r].tobytes() == alone.threshold[:, 0].tobytes()
+        assert batch.condition_holds[r].tobytes() == alone.condition_holds[0].tobytes()
 
 
 def test_run_grid_matches_run_cell_bitwise():
@@ -357,42 +406,53 @@ def test_block_dependence_runs_both_sharing_modes():
 
 
 def test_invariant_violation_message_replays_its_replication(monkeypatch):
-    """The message alone regenerates the failing replication's counts."""
-    alphas, fail_rep, fail_alpha = (0.05, 0.1, 0.2), 2, 0.1
-    generated, calls = [], []
-    generate, evaluate = sim._generate, sim._evaluate
+    """A failure injected into one (replication, alpha) pair of a block is
+    reported for exactly that pair, the first failing one in (replication,
+    alpha) order, and the message alone regenerates its counts."""
+    alphas, m, per_block = (0.05, 0.1, 0.2), 40, 4
+    failing = {(6, 1), (6, 2), (7, 0)}   # (replication, alpha index)
+    generated, scans = [], []
+    generate, scan = sim.gen_binomial_pair, stepup._scan
 
     def recording_generate(config, rng):
         out = generate(config, rng)
-        generated.append(out[0])
+        generated.append(out[1])
         return out
 
-    def failing_evaluate(tables, config, alpha):
-        calls.append(alpha)
-        if len(generated) - 1 == fail_rep and alpha == fail_alpha:
-            raise InvariantViolation("injected")
-        return evaluate(tables, config, alpha)
+    def over_rejecting_bh(sorted_p, gamma):
+        """BH's scan, the first of each block's three, rejects all m tests
+        at the failing pairs, which BH+ then cannot contain."""
+        r, threshold, rejected = scan(sorted_p, gamma)
+        block, procedure = divmod(len(scans), 3)
+        scans.append(1)
+        for rep, a in failing:
+            if procedure == 0 and rep // per_block == block:
+                r[rep % per_block, a] = rejected[rep % per_block, a] = m
+                threshold[rep % per_block, a] = 1.0
+        return r, threshold, rejected
 
-    monkeypatch.setattr(sim, "_generate", recording_generate)
-    monkeypatch.setattr(sim, "_evaluate", failing_evaluate)
+    monkeypatch.setattr(sim, "gen_binomial_pair", recording_generate)
+    monkeypatch.setattr(stepup, "_scan", over_rejecting_bh)
+    blocks_of(monkeypatch, per_block, m)
     with pytest.raises(InvariantViolation) as info:
-        run_grid("fet", pi0s=(0.7,), alphas=alphas, ns=(20,), etas=(), m=40,
+        run_grid("fet", pi0s=(0.7,), alphas=alphas, ns=(20,), etas=(), m=m,
                  dependence="block", blocks=4, rho=0.3,
-                 reps=5, seed=7, copula_sharing="per-group")
+                 reps=10, seed=7, copula_sharing="per-group")
     monkeypatch.undo()
-    assert len(calls) == fail_rep * len(alphas) + 2
+    assert len(generated) == 2 * per_block and len(scans) == 2 * 3
 
     message = str(info.value)
-    assert message.startswith("injected [")
+    head = "adaptive step-up did not contain the classical rejection set at alpha=0.1: "
+    assert message.startswith(head + "BH rejected 40, BH+ ")
     fields = {key: ast.literal_eval(value) for key, value in
               (item.split("=", 1)
-               for item in message[len("injected ["):-1].split())}
+               for item in message[message.index(" [") + 2:-1].split())}
     r = fields.pop("replication")
     config = SimConfig(**fields)
-    assert (r, config.alpha) == (fail_rep, fail_alpha)
-    counts, _ = sim._generate(config, np.random.default_rng([config.seed, r]))
-    assert np.array_equal(counts, generated[fail_rep])
-    assert not np.array_equal(counts, generated[fail_rep - 1])
+    assert (r, config.alpha) == (6, 0.1)
+    _, counts = gen_binomial_pair(config, np.random.default_rng([config.seed, r]))
+    assert np.array_equal(counts, generated[r])
+    assert not np.array_equal(counts, generated[r - 1])
 
 
 def test_summaries_to_rows_layout():

@@ -95,6 +95,15 @@ def test_max_cdf_evaluate_below_grid_is_zero():
     assert np.array_equal(out, [0.0, 0.5, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("t", [math.nan, np.float64("nan"), np.array([0.5, math.nan])],
+                         ids=["float", "numpy-scalar", "array"])
+def test_max_cdf_evaluate_rejects_nan(t):
+    """F*(NaN) is undefined, not 1.0."""
+    mc = build_max_cdf([make_support([0.5, 1.0], [0.5, 1.0])])
+    with pytest.raises(ValueError, match="NaN"):
+        mc.evaluate(t)
+
+
 def test_critical_values_identity_supports():
     mc = build_max_cdf([make_support([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])])
     gammas = critical_values(mc, m=2, alpha=0.5)
