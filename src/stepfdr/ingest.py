@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
 from . import pvalue, stepup
 from .errors import DataError
-from .pvalue import count_column, count_total
+from .pvalue import count_column
 
 __all__ = [
     "CountTable",
@@ -39,10 +40,10 @@ __all__ = [
 class CountTable:
     """m hypotheses in columns: ids, count pairs and optional trial totals.
 
-    The constructor checks structure only: integer columns with one entry
-    per id, and n1 and n2 given together.  Count ranges are checked by
-    `load_counts` for file input and by `pvalue.pvalue_table` for tables
-    built by hand.
+    The constructor takes integer columns with one entry per id, and n1 and
+    n2 together, and checks the count range rules once
+    (`pvalue.checked_total`, naming a failing row by its id), keeping the
+    read-only `total` c1 + c2 it returns.
     """
 
     ids: tuple[str, ...]
@@ -50,6 +51,7 @@ class CountTable:
     c2: np.ndarray
     n1: np.ndarray | None = None
     n2: np.ndarray | None = None
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -63,14 +65,12 @@ class CountTable:
                 raise ValueError(f"column {name} must hold one entry per id")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        total = pvalue.checked_total(self.c1, self.c2, self.n1, self.n2, self.ids)
+        total.flags.writeable = False
+        object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def total(self) -> np.ndarray:
-        """c1 + c2, or a ValueError naming a row where it reaches 2**63."""
-        return count_total(self.c1, self.c2, self.ids)
 
     def select(self, mask) -> "CountTable":
         """The rows where the boolean `mask` is true, in their original order."""
@@ -87,15 +87,13 @@ _TOTALS_HEADER = ("id", "c1", "c2", "n1", "n2")
 
 
 def _bad_cell(names: tuple[str, ...], row: list[str], where: str) -> DataError:
-    """The error for the first count cell of `row` that is not an integer >= 0."""
+    """The error for the first count cell of `row` that is not an integer."""
     for column, raw in zip(names[1:], row[1:]):
         text = raw.strip()
         try:
-            value = int(text)
+            int(text)
         except ValueError:
             return DataError(f"{where}: column {column!r} is not an integer: {text!r}")
-        if value < 0:
-            return DataError(f"{where}: column {column!r} must be >= 0, got {value}")
     raise AssertionError("no bad count cell in row")
 
 
@@ -103,7 +101,10 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
     """Parse a count table, reporting malformed rows by file and line number.
 
     fmt is "csv" or "tsv"; None infers from the filename extension
-    (".tsv" means tab-delimited, anything else comma-delimited).
+    (".tsv" means tab-delimited, anything else comma-delimited).  Each line
+    is parsed as it is read; the int64 cast and the `CountTable` built from
+    the columns check the rest, and the first bad line in file order is the
+    one reported.
     """
     if fmt is None:
         fmt = "tsv" if str(path).lower().endswith(".tsv") else "csv"
@@ -121,33 +122,50 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
             raise DataError(
                 f"{path}:1: header must be 'id,c1,c2' or 'id,c1,c2,n1,n2', "
                 f"got {','.join(names)!r}")
-        width, with_totals = len(names), names == _TOTALS_HEADER
+        width = len(names)
         ids: list[str] = []
         counts: list[int] = []   # row-major, width - 1 cells per row
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            rid = row[0].strip()
-            if not rid:
-                raise DataError(f"{path}:{lineno}: empty id")
-            try:
-                cells = [int(cell) for cell in row[1:]]
-            except ValueError:
-                raise _bad_cell(names, row, f"{path}:{lineno}") from None
-            if min(cells) < 0:
-                raise _bad_cell(names, row, f"{path}:{lineno}")
-            if cells[0] + cells[1] >= 2**63 or with_totals and max(cells) >= 2**63:
-                raise DataError(
-                    f"{path}:{lineno}: counts and c1 + c2 must be below 2**63")
-            if with_totals and (cells[0] > cells[2] or cells[1] > cells[3]):
-                raise DataError(f"{path}:{lineno}: count exceeds its trial total")
-            ids.append(rid)
-            counts.extend(cells)
-    columns = np.array(counts, dtype=np.int64).reshape(len(ids), width - 1).T
-    return CountTable(tuple(ids), *columns)
+        skipped: list[int] = []  # per skipped blank line, the rows read before it
+        fault = None             # the error of the first malformed line
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        skipped.append(len(ids))
+                        continue
+                    raise DataError(
+                        f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                rid = row[0].strip()
+                if not rid:
+                    raise DataError(f"{path}:{lineno}: empty id")
+                try:
+                    cells = [int(cell) for cell in row[1:]]
+                except ValueError:
+                    raise _bad_cell(names, row, f"{path}:{lineno}") from None
+                ids.append(rid)
+                counts.extend(cells)
+        except (DataError, csv.Error) as error:
+            fault = error
+
+    def line(k: int) -> int:   # of row k: past the header and the blank lines before it
+        return k + 2 + bisect_right(skipped, k)
+
+    try:
+        columns = np.array(counts, dtype=np.int64)
+    except OverflowError:   # a cell past int64 comes before any fault found so far
+        j = next(j for j, cell in enumerate(counts) if not -2**63 <= cell < 2**63)
+        k, c = divmod(j, width - 1)
+        fault = DataError(f"{path}:{line(k)}: column {names[c + 1]!r} must hold "
+                          f"integers of magnitude below 2**63, got {counts[j]}")
+        del ids[k:], counts[k * (width - 1):]
+        columns = np.array(counts, dtype=np.int64)
+    try:   # the rows before the first malformed line, whose errors come first
+        table = CountTable(tuple(ids), *columns.reshape(len(ids), width - 1).T)
+    except ValueError as error:
+        raise DataError(f"{path}:{line(error.row)}: {error.rule}") from None
+    if fault is not None:
+        raise fault
+    return table
 
 
 def filter_methylation(table: CountTable) -> np.ndarray:
@@ -186,18 +204,20 @@ class AnalysisReport:
 def pvalue_tables(table: CountTable,
                   test: str) -> tuple[pvalue.PValueTable, pvalue.PValueTable]:
     """The conventional and mid p-value tables of `table` under `test`
-    ("bt" or "fet"), built in one pass.
+    ("bt" or "fet"), built in one pass from its checked columns.
 
-    The one place that rejects an empty table and Fisher-exact input
-    without trial totals.
+    The one place that checks `test` and rejects an empty table and
+    Fisher-exact input without trial totals.
     """
+    if test not in ("bt", "fet"):
+        raise ValueError(f"test must be 'bt' or 'fet', got {test!r}")
     if not len(table):
         raise DataError("no hypotheses to test")
     if test == "bt":
-        return pvalue.pvalue_table(table.c1, table.c2)
+        return pvalue._tables(table.c1, table.total)
     if table.n1 is None:
         raise DataError("Fisher-exact analysis needs trial totals (columns n1, n2)")
-    return pvalue.pvalue_table(table.c1, table.c2, table.n1, table.n2)
+    return pvalue._tables(table.c1, table.total, table.n1, table.n2)
 
 
 def analyze(table: CountTable, test: str, alpha: float,
@@ -210,10 +230,6 @@ def analyze(table: CountTable, test: str, alpha: float,
     "BH+" and "MidPBH+" are requested, the report also carries the
     rejection-count comparison between the two runs.
     """
-    if test not in ("bt", "fet"):
-        raise ValueError(f"test must be 'bt' or 'fet', got {test!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not procedures:
         raise ValueError("at least one procedure is required")
     bad = [name for name in procedures if name not in stepup.PROCEDURES]

@@ -278,15 +278,31 @@ def count_column(name: str, values) -> np.ndarray:
     raise ValueError(f"column {name} must hold integers below 2**63")
 
 
-def count_total(c1: np.ndarray, c2: np.ndarray, ids) -> np.ndarray:
-    """c1 + c2 of int64 columns, or a ValueError naming, by its entry in
-    `ids`, the first row whose total wraps past 2**63."""
+def checked_total(c1: np.ndarray, c2: np.ndarray, n1: np.ndarray | None = None,
+                  n2: np.ndarray | None = None, ids=None) -> np.ndarray:
+    """c1 + c2 of int64 count columns, with trial totals n1 and n2 or neither,
+    or a ValueError for the first row i that breaks a range rule: each count
+    is >= 0, c1 + c2 is below 2**63, and no count is above its trial total.
+    The error names the row by ids[i] (by i when ids is None); its `row` and
+    `rule` attributes are i and the rule's text."""
+    columns = {"c1": c1, "c2": c2} if n1 is None else {"c1": c1, "c2": c2, "n1": n1, "n2": n2}
     total = c1 + c2
     wrapped = (c1 ^ total) & (c2 ^ total) < 0   # sign unlike both terms'
-    if wrapped.any():
-        i = int(np.argmax(wrapped))
-        raise ValueError(f"row {ids[i]!r}: total c1 + c2 must be below 2**63, "
-                         f"got {int(c1[i]) + int(c2[i])}")
+    bad = np.logical_or.reduce([column < 0 for column in columns.values()]) | wrapped
+    if n1 is not None:
+        bad |= (c1 > n1) | (c2 > n2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        negative = [name for name, column in columns.items() if column[i] < 0]
+        if negative:
+            rule = f"column {negative[0]!r} must hold counts >= 0, got {columns[negative[0]][i]}"
+        elif wrapped[i]:
+            rule = f"total c1 + c2 must be below 2**63, got {int(c1[i]) + int(c2[i])}"
+        else:
+            rule = "count exceeds its trial total"
+        error = ValueError(f"row {i if ids is None else repr(ids[i])}: {rule}")
+        error.row, error.rule = i, rule
+        raise error
     return total
 
 
@@ -308,23 +324,26 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
 
     Without n1 and n2 each pair gets the binomial test given its total; with
     them (arrays, or scalars shared by every test) it gets Fisher's exact
-    test given (n1, n2, total).  The counts are checked and grouped by margin
-    once, the margins not cached yet are built together, and one index per
-    test into its margin's outcome -> point maps gathers both flavors.
+    test given (n1, n2, total).  The counts are cast and range-checked
+    (`checked_total`) once, and `_tables` builds the tables.
     """
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
         raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
-    if np.any(c1 < 0) or np.any(c2 < 0):
-        raise ValueError("counts must be >= 0")
-    total = count_total(c1, c2, range(c1.size))
+    if n1 is not None:
+        n1, n2 = (np.broadcast_to(count_column(name, n), c1.shape)
+                  for name, n in (("n1", n1), ("n2", n2)))
+    return _tables(c1, checked_total(c1, c2, n1, n2), n1, n2)
+
+
+def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
+    """`pvalue_table` of columns that `checked_total` has checked, with the
+    `total` it returned: the tests are grouped by margin once, the margins
+    not cached yet are built together, and one index per test into its
+    margin's outcome -> point maps gathers both flavors."""
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
     else:
-        n1, n2, total = np.broadcast_arrays(count_column("n1", n1),
-                                            count_column("n2", n2), total)
-        if np.any(c1 > n1) or np.any(c2 > n2):
-            raise ValueError("impossible table: a count exceeds its trial total")
         margins, group = _group_rows(n1, n2, total)
     keys = list(map(tuple, margins.reshape(len(margins), -1).tolist()))
     _build([key for key in keys if key not in _margins])

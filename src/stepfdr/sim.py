@@ -382,27 +382,14 @@ SIM_ROW_FIELDS = ("test", "dependence", "copula_sharing", "m", "pi0", "alpha",
 
 
 def summaries_to_rows(summaries) -> list[dict]:
-    """Flatten summaries to one row per (cell, procedure) for CSV emission."""
+    """Flatten summaries to one row per (cell, procedure) for CSV emission:
+    the `SIM_ROW_FIELDS` of the cell's config, the procedure and its stats,
+    with an unset eta or n left empty."""
     rows = []
     for summary in summaries:
-        config = summary.config
+        config = dataclasses.asdict(summary.config)
         for name in PROCEDURES:
-            stats = summary.stats[name]
-            rows.append({
-                "test": config.test,
-                "dependence": config.dependence,
-                "copula_sharing": config.copula_sharing,
-                "m": config.m,
-                "pi0": config.pi0,
-                "alpha": config.alpha,
-                "eta": "" if config.eta is None else config.eta,
-                "n": "" if config.n is None else config.n,
-                "reps": config.reps,
-                "seed": config.seed,
-                "procedure": name,
-                "fdr": stats.fdr,
-                "fdp_sd": stats.fdp_sd,
-                "power": stats.power,
-                "tdp_sd": stats.tdp_sd,
-            })
+            cells = {**config, "procedure": name, **dataclasses.asdict(summary.stats[name])}
+            rows.append({key: "" if cells[key] is None else cells[key]
+                         for key in SIM_ROW_FIELDS})
     return rows

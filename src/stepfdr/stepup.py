@@ -285,17 +285,23 @@ def _step_up(p: np.ndarray, order: np.ndarray, gamma: np.ndarray) -> StepUpResul
     return _result(p, gamma, r[0, 0], threshold[0, 0])
 
 
+def _used(table: PValueTable) -> list[PValueSupport]:
+    """The supports that `table`'s tests use, in their order in `supports`."""
+    return [table.supports[i] for i in np.flatnonzero(np.bincount(table.support_index))]
+
+
 def bh_plus(table: PValueTable, alpha: float, *,
             max_cdf: MaxCdf | None = None) -> StepUpResult:
     """Step-up run on `table.p` against critical values adapted to its supports.
 
     Every p-value of a PValueTable is a point of its own support by
-    construction, so nothing is re-checked here.  A `max_cdf` built from
-    `table.supports` may be passed to reuse work across alpha levels; the
-    table sorts its p-values once, for every alpha.
+    construction, so nothing is re-checked here.  F* pools the supports the
+    tests use (`_used`); a `max_cdf` built from them may be passed to reuse
+    work across alpha levels.  The table sorts its p-values once, for every
+    alpha.
     """
     if max_cdf is None:
-        max_cdf = build_max_cdf(table.supports)
+        max_cdf = build_max_cdf(_used(table))
     return _step_up(table.p, table.order, critical_values(max_cdf, alpha, table.p.size))
 
 
@@ -348,7 +354,7 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
             f"conventional run had m = {conv_result.critical_values.size}, "
             f"but got {m} mid p-values")
     if max_cdf is None:
-        max_cdf = build_max_cdf(mid_table.supports)
+        max_cdf = build_max_cdf(_used(mid_table))
     mid_result = bh_plus(mid_table, alpha, max_cdf=max_cdf)
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])

@@ -17,7 +17,7 @@ import pytest
 
 import stepfdr
 from exact_oracle import exact_pvalues
-from stepfdr import ingest, stepup
+from stepfdr import ingest, pvalue, stepup
 from stepfdr.cli import main
 from stepfdr.dist import binomial_null
 from stepfdr.errors import InvariantViolation
@@ -485,6 +485,30 @@ class TestDetailsCsv:
         with open(details, newline="", encoding="utf-8") as handle:
             parsed = list(csv.reader(handle))
         assert [row[0] for row in parsed[1:]] == self.IDS
+
+
+@pytest.mark.parametrize("fixture, test", [(METH, "bt"), (HIV, "bt"), (HIV, "fet"),
+                                           (SAFETY, "bt"), (SAFETY, "fet")],
+                         ids=["methylation-bt", "hiv-bt", "hiv-fet", "safety-bt",
+                              "safety-fet"])
+def test_analyze_range_checks_the_counts_once(monkeypatch, fixture, test):
+    """`load_counts` runs the count range rules on the file's columns, and
+    the p-value tables are built from them without running the rules again."""
+    calls = []
+    check, tables = pvalue.checked_total, ingest.pvalue_tables
+    monkeypatch.setattr(pvalue, "checked_total",
+                        lambda *args, **kwargs: calls.append("check") or check(*args, **kwargs))
+
+    def traced(*args):
+        calls.append("pvalue_tables")
+        result = tables(*args)
+        calls.append("built")
+        return result
+
+    monkeypatch.setattr(ingest, "pvalue_tables", traced)
+    code = main(["analyze", "--input", fixture, "--test", test, "--output", os.devnull])
+    assert code == 0
+    assert calls == ["check", "pvalue_tables", "built"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -21,6 +21,7 @@ from stepfdr.ingest import (
     report_rows,
     report_summary,
 )
+from stepfdr.pvalue import pvalue_table
 
 
 def table(*rows):
@@ -139,6 +140,28 @@ class TestLoadCounts:
         with pytest.raises(DataError, match=r"a\.csv:3: .*below 2\*\*63"):
             load_counts(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("id,c1,c2\nx,-1,2\ny,one,2\n", "2: column 'c1' must hold counts >= 0, got -1"),
+        ("id,c1,c2,n1,n2\nx,6,0,5,5\ny,1,2,9223372036854775808,5\n",
+         "2: count exceeds its trial total"),
+        ("id,c1,c2\nx,one,2\ny,-1,2\n", "2: column 'c1' is not an integer: 'one'"),
+        ("id,c1,c2\n\nx,1,2\n \ny,1,-2\nz,one,2\n",
+         "5: column 'c2' must hold counts >= 0, got -2"),
+        ("id,c1,c2\nx,99999999999999999999,2\ny,-1,2\n",
+         "2: column 'c1' must hold integers of magnitude below 2**63, got 99999999999999999999"),
+        ("id,c1,c2\nx,1,2\n\ny,1,-99999999999999999999\nz,one,2\n",
+         "4: column 'c2' must hold integers of magnitude below 2**63, "
+         "got -99999999999999999999"),
+    ], ids=["range-then-cell", "range-then-int64", "cell-then-range", "after-blank-lines",
+            "int64-then-range", "int64-then-cell"])
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, body, message):
+        """The range rules run on the columns once the file is read, yet the
+        first bad line is the one reported, under its own line number."""
+        path = write(tmp_path, "a.csv", body)
+        with pytest.raises(DataError) as error:
+            load_counts(path)
+        assert str(error.value) == f"{path}:{message}"
+
     def test_count_above_total_rejected(self, tmp_path):
         path = write(tmp_path, "a.csv", "id,c1,c2,n1,n2\nx,6,0,5,5\n")
         with pytest.raises(DataError, match=r"a\.csv:2"):
@@ -159,18 +182,95 @@ class TestCountTable:
             CountTable(("x", "y"), [1, 2], [3])
 
     def test_negative_counts_rejected(self):
-        # The constructor checks structure only; pvalue_table guards the range.
+        # The constructor checks the count range rules, once.
         with pytest.raises(ValueError, match=">= 0"):
             ingest.pvalue_tables(table(("x", -1, 2)), "bt")
 
+    @pytest.mark.parametrize("rows, message", [
+        ((("a", 1, 2), ("b", 3, -4)), "row 'b': column 'c2' must hold counts >= 0, got -4"),
+        ((("a", 1, 2, 3, 3), ("b", 1, 2, -3, 3)),
+         "row 'b': column 'n1' must hold counts >= 0, got -3"),
+        ((("a", 1, 2), ("b", 2**62, 2**62)),
+         "row 'b': total c1 + c2 must be below 2**63, got 9223372036854775808"),
+        ((("a", 1, 2, 3, 3), ("b", 1, 4, 3, 3)), "row 'b': count exceeds its trial total"),
+    ], ids=["negative-count", "negative-trial-total", "wrapping-total", "above-trial-total"])
+    def test_bad_counts_are_refused_when_built(self, rows, message):
+        """Once, such a table was built, and its counts were refused only when
+        a filter read `total` or the p-value tables were made."""
+        with pytest.raises(ValueError) as error:
+            table(*rows)
+        assert str(error.value) == message
+
     def test_total_property(self):
         assert table(("x", 3, 4)).total.tolist() == [7]
+        counts = table(("x", 3, 4), ("y", 2, 0), ("z", 9, 1))
+        assert counts.select(np.array([True, False, True])).total.tolist() == [7, 10]
 
     def test_columns_are_read_only(self):
         counts = table(("x", 3, 4, 5, 5))
         for column in (counts.c1, counts.c2, counts.n1, counts.n2):
             with pytest.raises(ValueError):
                 column[0] = 0
+
+
+RANGE_RULES = {"negative": "must hold counts >= 0",
+               "wrapping": "total c1 + c2 must be below 2**63",
+               "above-trial-total": "count exceeds its trial total"}
+COUNT = st.integers(0, 2**62 - 1)   # two of them never wrap
+
+
+@st.composite
+def one_bad_row(draw):
+    """Columns c1, c2 and, or not, n1, n2 of int64 rows, row k of which
+    breaks the range rule `kind` (and later rows may break any rule), as
+    (rows, k, kind)."""
+    with_totals = draw(st.booleans())
+    kinds = list(RANGE_RULES)[:3 if with_totals else 2]
+
+    def row(kind=None):
+        c1, c2 = draw(COUNT), draw(COUNT)
+        if kind == "wrapping":
+            c1 = draw(st.integers(1, 2**63 - 1))
+            c2 = draw(st.integers(2**63 - c1, 2**63 - 1))
+        cells = [c1, c2]
+        if with_totals:
+            cells += [draw(st.integers(c, 2**63 - 1)) for c in cells]
+        if kind == "negative":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.integers(-2**63 + 1, -1))
+        if kind == "above-trial-total":
+            j = draw(st.integers(0, 1))
+            cells[j] = max(cells[j], 1)
+            cells[j + 2] = draw(st.integers(0, cells[j] - 1))
+        return cells
+
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(kinds))
+    rows = [row() for _ in range(k)] + [row(kind)]
+    rows += [row(draw(st.sampled_from([None, *kinds]))) for _ in range(k + 1, m)]
+    return rows, k, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=one_bad_row())
+def test_a_bad_row_is_named_alike_by_every_entry(tmp_path_factory, case):
+    """A file, a hand-built table and the p-value tables name the first bad
+    row, each in its own terms (line, id, index), with one rule text."""
+    rows, k, kind = case
+    path = tmp_path_factory.getbasetemp() / "one_bad_row.csv"
+    header = "id,c1,c2,n1,n2" if len(rows[0]) == 4 else "id,c1,c2"
+    path.write_text("\n".join([header] + [",".join(map(str, (f"r{i}", *cells)))
+                                          for i, cells in enumerate(rows)]) + "\n")
+    errors = []
+    for build in (lambda: load_counts(str(path)),
+                  lambda: CountTable([f"r{i}" for i in range(len(rows))], *zip(*rows)),
+                  lambda: pvalue_table(*zip(*rows))):
+        with pytest.raises(ValueError) as error:
+            build()
+        errors.append(str(error.value))
+    rule = errors[2].removeprefix(f"row {k}: ")
+    assert RANGE_RULES[kind] in rule
+    assert errors == [f"{path}:{k + 2}: {rule}", f"row 'r{k}': {rule}", f"row {k}: {rule}"]
 
 
 class TestFilters:
@@ -210,12 +310,12 @@ class TestFilters:
     @pytest.mark.parametrize("keep", [filter_hiv, filter_methylation])
     def test_total_past_int64_is_named_not_dropped(self, keep, row):
         """A hand-built row whose c1 + c2 wraps in int64 once read as a
-        negative total, so both filters silently dropped it."""
-        counts = table(("small", 3, 4), row, ("after", 30, 1))
+        negative total, so both filters silently dropped it; the table now
+        refuses it when it is built."""
         with pytest.raises(ValueError,
                            match=r"row 'big': total c1 \+ c2 must be below 2\*\*63, "
                                  r"got 9223372036854775808"):
-            keep(counts)
+            keep(table(("small", 3, 4), row, ("after", 30, 1)))
         edge = table(("edge", 2**62, 2**62 - 1))   # 2**63 - 1 still fits
         assert edge.total.tolist() == [2**63 - 1]
 
@@ -292,6 +392,18 @@ class TestAnalyze:
             analyze(self.records_bt(), "bt", 1.5)
         with pytest.raises(ValueError):
             analyze(self.records_bt(), "chisq", 0.05)
+
+    @pytest.mark.parametrize("rows, test", [
+        ((("a", 3, 0),), "BT"),
+        ((("a", 3, 0, 5, 5),), "xyz"),
+    ], ids=["bt-table-BT", "fet-table-xyz"])
+    def test_pvalue_tables_checks_test(self, rows, test):
+        """"BT" once raised the data error asking for trial totals, and "xyz"
+        on a table with trial totals ran Fisher's exact test."""
+        with pytest.raises(ValueError) as error:
+            ingest.pvalue_tables(table(*rows), test)
+        assert type(error.value) is ValueError
+        assert str(error.value) == f"test must be 'bt' or 'fet', got {test!r}"
 
     def test_mid_count_ordering_matches_condition_flag(self):
         rng = np.random.default_rng(14)

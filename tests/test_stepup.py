@@ -11,6 +11,7 @@ from stepfdr.pvalue import (
     PValueTable,
     bt_support,
     fet_support,
+    pvalue_table,
 )
 from stepfdr.stepup import (
     MaxCdf,
@@ -19,6 +20,7 @@ from stepfdr.stepup import (
     build_max_cdf,
     critical_values,
     mid_vs_conventional,
+    run_procedures,
 )
 
 CONV = PValueFlavor.CONVENTIONAL
@@ -315,6 +317,20 @@ def test_mid_vs_conventional_validates_mid_pvalues_once(monkeypatch):
     assert calls == []
     bh(cs.p, alpha=0.2)
     assert len(calls) == 1
+
+
+def test_single_run_step_ups_pool_only_the_supports_their_tests_use():
+    """A hand-built table that lists a support no test uses once pooled its
+    CDF into F*: MidPBH+ rejected 4 here through `bh_plus` and
+    `mid_vs_conventional`, but 5 through `run_procedures` on the same tests."""
+    conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])
+    unused = pvalue_table([0], [2])[1].supports[0]
+    padded = PValueTable(mid.supports + (unused,), mid.support_index, mid.point_index)
+    alpha = 0.455
+    r_mp = run_procedures(conv, mid, (alpha,)).rejection_count[2, 0, 0]
+    assert r_mp == bh_plus(mid, alpha).rejection_count == 5
+    assert bh_plus(padded, alpha).rejection_count == r_mp
+    assert mid_vs_conventional(bh_plus(conv, alpha), padded, alpha).r_mp == r_mp
 
 
 def test_mid_never_accepts_larger_rank_than_conventional():
