@@ -73,13 +73,20 @@ class CountTable:
         return len(self.ids)
 
     def select(self, mask) -> "CountTable":
-        """The rows where the boolean `mask` is true, in their original order."""
+        """The rows where the boolean `mask` is true, in their original order:
+        read-only slices of the checked columns, not cast or checked again."""
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (len(self),):
             raise ValueError("mask must be a boolean array with one entry per row")
-        columns = [None if col is None else col[mask]
-                   for col in (self.c1, self.c2, self.n1, self.n2)]
-        return CountTable(tuple(compress(self.ids, mask.tolist())), *columns)
+        kept = object.__new__(CountTable)
+        object.__setattr__(kept, "ids", tuple(compress(self.ids, mask.tolist())))
+        for name in ("c1", "c2", "n1", "n2", "total"):
+            column = getattr(self, name)
+            if column is not None:
+                column = column[mask]
+                column.flags.writeable = False
+            object.__setattr__(kept, name, column)
+        return kept
 
 
 _BARE_HEADER = ("id", "c1", "c2")

@@ -3,18 +3,18 @@
 For an observed outcome x0 with null pmf f, the conventional two-sided
 p-value is P(x0) = l(x0) + e(x0) where l is the total mass of outcomes with
 f(x) < f(x0) and e is the total mass of the tie class f(x) = f(x0).  The mid
-p-value is Q(x0) = l(x0) + e(x0) / 2.  Both are computed on big-integer mass
-numerators over the table's common denominator and converted to float once,
-so equal rationals always produce bit-identical floats.  `pvalue_table`
-turns count columns into one `PValueTable` per flavor, the adaptive
-step-ups' input.
+p-value is Q(x0) = l(x0) + e(x0) / 2.  Each is the correctly rounded float
+of its exact rational: `_walk` computes a Fisher margin's in double-double
+and keeps them only where it proves that rounding; every other margin's come
+from big-integer numerators (`_exact`).  `pvalue_table` turns count columns
+into one `PValueTable` per flavor, the adaptive step-ups' input.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from array import array
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, ne, truediv
@@ -115,51 +115,42 @@ _BATCH = 512   # margins built together, which bounds a batch's buffers
 
 def _build(keys: list[tuple[int, ...]]) -> None:
     """Build and cache the margins `keys`, none cached yet, as read-only
-    views into flat arrays made (and their buffers freed) per batch."""
-    for start in range(0, len(keys), _BATCH):
-        batch = keys[start:start + _BATCH]
-        cuts, firsts, flats = _flatten(batch)
-        fields = [firsts]
-        for flavor, points, cdf, ends, maps in flats:
-            fields.append([object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
-                           for a, b in zip([0, *ends], ends)])
-            fields.append([maps[a:b] for a, b in zip(cuts, cuts[1:])])
-        _margins.update(zip(batch, zip(*fields)))
+    views into flat arrays made (and their buffers freed) per batch, the
+    ones `_walk` takes apart from the rest (n1 = n2 is symmetric: tied)."""
+    for walk in (True, False):
+        group = [key for key in keys if (len(key) == 3 and key[0] != key[1] and min(key) >= 0
+                                         and key[2] <= key[0] + key[1] < _WALKED) is walk]
+        for start in range(0, len(group), _BATCH):
+            batch = group[start:start + _BATCH]
+            cuts, firsts, flats = _flatten(batch, walk)
+            fields = [firsts]
+            for flavor, points, cdf, ends, maps in flats:
+                fields.append([object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
+                               for a, b in zip([0, *ends], ends)])
+                fields.append([maps[a:b] for a, b in zip(cuts, cuts[1:])])
+            _margins.update(zip(batch, zip(*fields)))
 
 
-def _flatten(keys):
+def _flatten(keys, walk):
     """Outcome cuts (margin k's outcomes are cuts[k]:cuts[k + 1]), first
     outcome per margin, and per flavor (flavor, points, cdf, ends, maps): the
     supports, cut at `ends`, and the outcome -> point maps, cut at `cuts`.
 
-    Per margin, the masses are sorted once (both null pmfs are unimodal, so
-    that merges two monotone runs) and summed once, and the null's exactness
-    is checked there.  Then, for the whole batch at once, classes whose
-    p-values round to one float merge onto one point, keeping the largest
-    (right-continuous) CDF value, and the maps are made and checked.
+    Each margin has one class slot per outcome, for its classes in
+    ascending mass order.  If `walk`, `_walk` fills those of the margins it
+    certifies; `_exact` fills the others, in key order.  Then, for the whole
+    batch at once, classes whose p-values round to one float merge onto one
+    point, keeping the largest (right-continuous) CDF value, and the maps
+    are made and checked.
     """
-    class_of = array("i")   # per outcome: its tie class, numbered across the batch
-    conv = array("d")       # per class: P = cum / den
-    mid = array("d")        # per class: Q = (cum_prev + cum) / (2 den)
-    cuts, firsts, counts = [0], [], []  # per margin: outcomes' end, first one, classes
-    for key in keys:
-        xs, nums, den = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
-        masses = sorted(nums)
-        closes = [*map(ne, masses, masses[1:]), True]   # does a class end here?
-        rank = dict(zip(compress(masses, closes), count(len(conv))))
-        class_of.extend(map(rank.__getitem__, nums))
-        cum = list(compress(accumulate(masses), closes))   # mass up to each class
-        if not (masses[0] > 0 and cum[-1] == den and len(nums) == len(xs)):
-            raise InvariantViolation(f"margin {key}: the exact null needs one positive "
-                                     "mass per outcome, summing to its denominator")
-        conv.extend(map(truediv, cum, repeat(den)))
-        mid.extend(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
-        cuts.append(len(class_of))
-        firsts.append(xs.start)
-        counts.append(len(cum))
-    class_of = np.frombuffer(class_of, dtype=np.intc)
-    conv, mid = np.frombuffer(conv), np.frombuffer(mid)
-    opening = np.cumsum(counts) - counts              # each margin's first class
+    firsts = [max(0, key[2] - key[1]) if len(key) == 3 else 0 for key in keys]
+    widths = [max(0, min(key[0], key[-1]) - first + 1) for key, first in zip(keys, firsts)]
+    cuts = [0, *accumulate(widths)]
+    certified, conv, mid, class_of = _walk(*np.array(keys, dtype=np.int64).T) if walk else (
+        [False] * len(keys), np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], np.intc))
+    for k in np.flatnonzero(np.logical_not(certified)).tolist():
+        _exact(keys[k], slice(cuts[k], cuts[k + 1]), conv, mid, class_of)
+    opening = np.array(cuts[:-1], dtype=np.intp)      # each margin's first class
     flats = []
     for flavor, p in zip(PValueFlavor, (conv, mid)):  # conventional, then mid
         keep = np.append(True, p[1:] > p[:-1])        # does a new point start?
@@ -169,14 +160,166 @@ def _flatten(keys):
         # A merged point's classes share one float, so the conventional CDF
         # is its points; the mid CDF is P of each point's last class.
         cdf = points if p is conv else conv[np.append(keep[1:], True)]
+        del keep
         starts = point_of[opening]
         ends = np.append(starts[1:], points.size)
         points, cdf = step_cdf(points, cdf, ends=ends, flavor=flavor)
-        point_of -= np.repeat(starts, counts)         # now within its margin
+        point_of -= np.repeat(starts, widths)         # now within its margin
         maps = point_of[class_of]
         maps.flags.writeable = False
         flats.append((flavor, points, cdf, ends.tolist(), maps))
     return cuts, firsts, flats
+
+
+def _exact(key, slots, conv, mid, class_of):
+    """Fill margin `key`'s `slots` from its exact null, its masses sorted
+    (merging the pmf's two monotone runs), summed and checked once; a
+    margin with ties repeats its last class, which merges onto its point."""
+    xs, nums, den = binomial_null(*key) if len(key) == 1 else hypergeometric_null(*key)
+    masses = sorted(nums)
+    closes = [*map(ne, masses, masses[1:]), True]   # does a class end here?
+    cum = list(compress(accumulate(masses), closes))   # mass up to each class
+    if not (masses[0] > 0 and cum[-1] == den and len(nums) == len(xs) == len(conv[slots])):
+        raise InvariantViolation(f"margin {key}: the exact null needs one positive "
+                                 "mass per outcome, summing to its denominator")
+    rank = dict(zip(compress(masses, closes), count(slots.start)))
+    class_of[slots] = list(map(rank.__getitem__, nums))
+    last = slots.start + len(cum)
+    conv[slots.start:last] = list(map(truediv, cum, repeat(den)))
+    mid[slots.start:last] = list(map(truediv, map(add, chain((0,), cum), cum), repeat(2 * den)))
+    conv[last:slots.stop], mid[last:slots.stop] = conv[last - 1], mid[last - 1]
+
+
+# The certified walk (`_walk`); u = 2**-53 is float64's unit roundoff.
+_U = 2.0**-53
+_REL = 64 * _U * _U   # times n**2 (n outcomes): the relative bound of every walked value
+_GAP = 1 + 2.0**-44   # sorted masses closer than this ratio may tie
+_TINY = 2.0**-900     # the least mass walked, relative to f(lo), and the inverse of the most
+_WALKED = 2**13       # n1 + n2 below this keeps every ratio term's factors below 2**13
+_SLICE = 4096         # about this many outcomes per block of margins walked together
+
+
+def _ratio(n1, n2, t, x):
+    """f(x + 1) / f(x) of the hypergeometric null of (n1, n2, t), as integers."""
+    return (n1 - x) * (t - x), (x + 1) * (n2 - t + x + 1)
+
+
+def _product_error(a, b, p):
+    """a b - p exactly, for p = fl(a b): Dekker's split and TwoProduct."""
+    ah, bh = a * (2.0**27 + 1), b * (2.0**27 + 1)
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _sum_error(a, b, s):
+    """a + b - s exactly, for s = fl(a + b): Knuth's TwoSum."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+def _rounds(high, low, err):
+    """Does every real within err of high + low round to high, barring ties?"""
+    half = (high.view(np.int64) & 0x7FF0000000000000).view(np.float64) * _U   # an ulp / 2
+    half[(low < 0) & (high == 2**53 * half)] *= 0.5   # below a power of two
+    return np.abs(low) + err < half
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")   # in cells never kept
+def _walk(n1, n2, t):
+    """(certified, conv, mid, class_of) of the Fisher margins (n1, n2, t),
+    int64 columns: margin j's w[j] outcomes take the next w[j] slots, for P
+    and Q per class in ascending mass order and each outcome's class slot.
+
+    Margins go in blocks of similar width, one row each, along which masses
+    relative to f(lo) are walked in double-double, sorted, summed and
+    divided into P and Q.  A margin is certified if its masses and their
+    sum lie in [2**-900, 2**900], no two sorted neighbours are closer than
+    `_GAP` (a possible tie), and every P's and Q's error interval rounds to
+    one float, which is then the correctly rounded one.
+
+    The bound, for n outcomes: a ratio term num / den (integers below
+    2**26) is q (1 + d), num - q den is exact, so d is known to 2 u**2.
+    p_k = fl(p_(k-1) q_k) is p_(k-1) q_k / (1 + e_k), e_k exact by TwoProduct
+    and known to u**2.  The mass k terms up is p_k prod (1 + d)(1 + e), and
+    p_k (1 + c_k), c_k the float running sum of the d and e, is within
+    (2ku)**2 (dropped products) + 3ku**2 (known d, e) + (2ku)**2 (summing)
+    + 2ku**2 (rounding p_k c_k) <= 16 n**2 u**2 of it, relatively.  The
+    sorted masses' running sums (TwoSum on the high parts, the rest in
+    float) add 4 n**2 u**2, relative to each sum as all terms are positive.
+    P = cum / total adds 22 u**2 (Dekker's division) to twice that, and
+    Q = (P_prev + P) / 2 another 3 u**2: `_REL` n**2 bounds them all.
+    """
+    lo = np.maximum(t - n2, 0)
+    w = np.minimum(n1, t) - lo + 1
+    local = np.cumsum(w) - w                        # each margin's first slot
+    conv, mid, class_of = np.empty(w.sum()), np.empty(w.sum()), np.empty(w.sum(), dtype=np.intc)
+    certified, walked = np.empty(w.size, dtype=bool), np.empty((2, w.size))
+    rel = _REL * w.astype(np.float64) ** 2          # the bound of each margin's values
+    by_width = np.argsort(w, kind="stable")
+    for rows in np.split(by_width, np.flatnonzero(np.diff(np.cumsum(w[by_width]) // _SLICE)) + 1):
+        ix, width, first = np.arange(rows.size)[:, None], w[rows, None], local[rows, None]
+        columns = np.arange(w[rows].max())
+        num, den = _ratio(*(c[rows, None].astype(np.float64) for c in (n1, n2, t)),
+                          lo[rows, None] + columns[:-1])
+        q = num / den
+        high = q * (2.0**27 + 1)
+        high -= high - q                            # Dekker's high half of q
+        d = ((num - high * den) - (q - high) * den) / num   # exact numerator: den < 2**26
+        p = np.multiply.accumulate(q, axis=1)
+        d[:, 1:] += _product_error(p[:, :-1], q[:, 1:], p[:, 1:]) / p[:, 1:]
+        d = np.cumsum(d, axis=1) * p
+        mass = np.concatenate([np.ones((ix.size, 1)), p + d], axis=1)
+        mass_low = np.concatenate([np.zeros((ix.size, 1)), (p - mass[:, 1:]) + d], axis=1)
+        del num, den, q, d, p
+        inside = columns < width
+        mass[~inside] = np.inf                      # past the margin's outcomes
+        walked[0, rows] = mass[ix, width - 1][:, 0]
+        order = np.argsort(mass, axis=1, kind="stable")
+        slots = (first + columns)[inside]
+        class_of[(first + order)[inside]] = slots   # the outcome in sorted place j is in class j
+        high, low = mass[ix, order], mass_low[ix, order]
+        del mass, mass_low, order
+        apart = (high[:, 1:] > high[:, :-1] * _GAP) | ~inside[:, 1:]
+        # Running sums along the rows, then P and Q.
+        cum = np.cumsum(high, axis=1)
+        low[:, 1:] += _sum_error(cum[:, :-1], high[:, 1:], cum[:, 1:])
+        low = np.cumsum(low, axis=1)
+        high = cum + low
+        low += cum - high
+        th, tl = high[ix, width - 1], low[ix, width - 1]
+        ph = high / th                              # Dekker's division of cum by total
+        pl = (((high - ph * th) - _product_error(ph, th, ph * th)) + (low - ph * tl)) / th
+        ph, pl = ph + pl, (ph - (ph + pl)) + pl
+        qh, ql = (np.concatenate([np.zeros((ix.size, 1)), v[:, :-1]], axis=1) for v in (ph, pl))
+        both = qh + ph
+        ql += pl + _sum_error(qh, ph, both)
+        qh = both + ql
+        ql += both - qh
+        good = (_rounds(ph, pl, rel[rows, None] * ph) & _rounds(qh, ql, rel[rows, None] * qh))
+        certified[rows] = (apart.all(1) & (good | ~inside).all(1) & (high[:, 0] >= _TINY)
+                           & (th[:, 0] <= 1 / _TINY))
+        walked[1, rows] = th[:, 0]
+        conv[slots], mid[slots] = ph[inside], qh[inside] * 0.5
+        del high, low, cum, ph, pl, qh, ql, both, good
+    _bracket(*(column[certified] for column in (n1, n2, t, *walked, rel)))
+    return certified, conv, mid, class_of
+
+
+def _bracket(n1, n2, t, at_hi, total, rel):
+    """Raise unless each walked f(hi)/f(lo) and sum of f/f(lo) (f(lo) walks
+    as 1) is within the bound plus one ulp of one `math.comb` int / int."""
+    comb, exact = math.comb, []
+    for a, b, c in zip(n1.tolist(), n2.tolist(), t.tolist()):
+        f_lo = comb(a, c - b) if c > b else comb(b, c)   # one factor of f is 1 at an end
+        exact += [(comb(b, c - a) if c > a else comb(a, c)) / f_lo, comb(a + b, c) / f_lo]
+    exact, walked = np.array(exact).reshape(-1, 2).T, np.stack([at_hi, total])
+    larger = np.maximum(walked, exact)
+    off = ~(np.abs(walked - exact) <= rel * larger + np.spacing(larger)).all(axis=0)
+    if off.any():
+        j = np.argmax(off)
+        raise InvariantViolation(f"margin {(int(n1[j]), int(n2[j]), int(t[j]))}: the walked "
+                                 "null's masses and sum must match its exact ones")
 
 
 def _entry(key: tuple[int, ...], flavor) -> tuple[PValueSupport, np.ndarray]:

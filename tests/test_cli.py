@@ -487,13 +487,16 @@ class TestDetailsCsv:
         assert [row[0] for row in parsed[1:]] == self.IDS
 
 
-@pytest.mark.parametrize("fixture, test", [(METH, "bt"), (HIV, "bt"), (HIV, "fet"),
-                                           (SAFETY, "bt"), (SAFETY, "fet")],
-                         ids=["methylation-bt", "hiv-bt", "hiv-fet", "safety-bt",
-                              "safety-fet"])
-def test_analyze_range_checks_the_counts_once(monkeypatch, fixture, test):
+@pytest.mark.parametrize("fixture, test, keep", [
+    (METH, "bt", "none"), (HIV, "bt", "none"), (HIV, "fet", "none"), (SAFETY, "bt", "none"),
+    (SAFETY, "fet", "none"), (METH, "bt", "methylation"), (HIV, "bt", "hiv"),
+    (HIV, "fet", "hiv"),
+], ids=["methylation-bt", "hiv-bt", "hiv-fet", "safety-bt", "safety-fet",
+        "methylation-bt-filtered", "hiv-bt-filtered", "hiv-fet-filtered"])
+def test_analyze_range_checks_the_counts_once(monkeypatch, fixture, test, keep):
     """`load_counts` runs the count range rules on the file's columns, and
-    the p-value tables are built from them without running the rules again."""
+    neither a `--filter` (`CountTable.select`) nor the p-value tables run
+    them again."""
     calls = []
     check, tables = pvalue.checked_total, ingest.pvalue_tables
     monkeypatch.setattr(pvalue, "checked_total",
@@ -506,7 +509,8 @@ def test_analyze_range_checks_the_counts_once(monkeypatch, fixture, test):
         return result
 
     monkeypatch.setattr(ingest, "pvalue_tables", traced)
-    code = main(["analyze", "--input", fixture, "--test", test, "--output", os.devnull])
+    code = main(["analyze", "--input", fixture, "--test", test, "--filter", keep,
+                 "--output", os.devnull])
     assert code == 0
     assert calls == ["check", "pvalue_tables", "built"]
 

@@ -89,18 +89,29 @@ def test_fet_table_matches_per_record_pvalues(rows, flavor):
 
 
 def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
-    built = []
+    """A tied margin (n1 = n2) is built from its exact null once, and never
+    walked; an untied one is walked once and never builds its null."""
+    built, walked = [], []
 
     def counting_null(*margin):
         built.append(margin)
         return hypergeometric_null(*margin)
 
+    def counting_walk(n1, n2, t):
+        walked.extend(zip(n1.tolist(), n2.tolist(), t.tolist()))
+        return walk(n1, n2, t)
+
+    walk = pvalue._walk
+    monkeypatch.setattr(pvalue, "_margins", {})
     monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
-    rows = [(10, 43, 97, 89), (20, 33, 97, 89), (1, 52, 97, 89)]
-    conv, mid = tables_of(rows)
-    assert conv.supports == (fet_support(97, 89, 53, CONV),)
-    assert mid.supports == (fet_support(97, 89, 53, MID),)
-    assert built == [(97, 89, 53)]
+    monkeypatch.setattr(pvalue, "_walk", counting_walk)
+    for n2 in (97, 89):
+        rows = [(10, 43, 97, n2), (20, 33, 97, n2), (1, 52, 97, n2)]
+        conv, mid = tables_of(rows)
+        assert conv.supports == (fet_support(97, n2, 53, CONV),)
+        assert mid.supports == (fet_support(97, n2, 53, MID),)
+    assert built == [(97, 97, 53)]
+    assert walked == [(97, 89, 53)]
 
 
 @lru_cache(maxsize=None)
@@ -124,27 +135,32 @@ def outcome_columns(margins):
 # them onto the same point at 2000 (2 / 2**n is below 2**-1074).
 TIED_FET = [(n, n, t) for n in (1, 2, 5, 10, 25, 60) for t in range(2 * n + 1)]
 SMALL_AND_HUGE_BT = [(t,) for t in (*range(61), 1075, 2000)]
+# Untied Fisher margins, which the certified walk builds: small and lopsided
+# ones, every total of (7, 30), and wide supports up to 401 outcomes.
+WALKED_FET = [margin for margin in [(3, 4, 2), (1, 0, 1), (0, 5, 3), (97, 89, 53), (400, 50, 300),
+                                    (400, 399, 400), *((7, 30, t) for t in range(38))]
+              if len(set(null_of(margin).numerators)) == len(null_of(margin).numerators)]
 
 
 @pytest.mark.parametrize("batch", [512, 7], ids=["one-batch", "many-batches"])
 def test_fresh_margins_match_the_oracle_in_any_batching(monkeypatch, batch):
     monkeypatch.setattr(pvalue, "_margins", {})
     monkeypatch.setattr(pvalue, "_BATCH", batch)
-    for margins in (SMALL_AND_HUGE_BT, TIED_FET):
+    for margins in (SMALL_AND_HUGE_BT, TIED_FET, WALKED_FET):
         columns, tests = outcome_columns(margins)
         conv, mid = pvalue_table(*columns)
         want = np.array([oracle_floats(margin)[x] for margin, x in tests])
         assert np.array_equal(conv.p, want[:, 0])
         assert np.array_equal(mid.p, want[:, 1])
-    assert len(pvalue._margins) == len(SMALL_AND_HUGE_BT) + len(TIED_FET)
+    assert len(pvalue._margins) == len(SMALL_AND_HUGE_BT) + len(TIED_FET) + len(WALKED_FET)
     assert bt_support(1075, MID).points[0] == 0.0   # one class rounds to 0.0
     merged = bt_support(2000, MID)                   # several classes do
     assert merged.points[0] == 0.0
     assert len(merged) < len(tie_classes(binomial_null(2000)))
-    # A batch that mixes bt and fet margins builds the same arrays.
+    # A call that mixes bt, tied and walked margins builds the same arrays.
     by_call = pvalue._margins
     monkeypatch.setattr(pvalue, "_margins", {})
-    pvalue._build(SMALL_AND_HUGE_BT + TIED_FET)
+    pvalue._build(SMALL_AND_HUGE_BT + TIED_FET + WALKED_FET)
     for key, record in by_call.items():
         assert pvalue._margins[key][0] == record[0]
         for at in (1, 3):   # each flavor's (support, outcome -> point map)
@@ -192,14 +208,145 @@ def test_a_bad_null_is_an_invariant_violation_naming_its_margin(
     monkeypatch.setattr(pvalue, "hypergeometric_null", lambda *margin: bad)
     with pytest.raises(InvariantViolation, match=r"^margin \(2,\): "):
         pvalue_table([1], [1])
-    with pytest.raises(InvariantViolation, match=r"^margin \(3, 4, 2\): "):
-        pvalue_table([1], [1], 3, 4)
+    with pytest.raises(InvariantViolation, match=r"^margin \(3, 3, 2\): "):
+        pvalue_table([1], [1], 3, 3)   # tied, so it falls back to its exact null
     assert pvalue._margins == {}
     counts = tmp_path / "counts.csv"
     counts.write_text("id,c1,c2\na,1,1\n")
     assert main(["analyze", "--input", str(counts), "--test", "bt"]) == 3
     assert capsys.readouterr().err.startswith(
         "stepfdr: error: internal: margin (2,): ")
+
+
+def test_a_corrupted_walk_is_an_invariant_violation_naming_its_margin(
+        monkeypatch, tmp_path, capsys):
+    """A walk that certifies wrong masses misses its exact bracket: doubling
+    every ratio term of the untied margin (3, 4, 2) walks the masses 1, 4, 2
+    for the exact 1, 2, 1/2, which are apart and round cleanly, but f(hi)
+    and the sum miss their `math.comb` values."""
+    ratio = pvalue._ratio
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "_ratio", lambda *args: (2 * ratio(*args)[0], ratio(*args)[1]))
+    with pytest.raises(InvariantViolation, match=r"^margin \(3, 4, 2\): "):
+        pvalue_table([1], [1], 3, 4)
+    assert pvalue._margins == {}
+    counts = tmp_path / "counts.csv"
+    counts.write_text("id,c1,c2,n1,n2\na,1,1,3,4\n")
+    assert main(["analyze", "--input", str(counts), "--test", "fet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "stepfdr: error: internal: margin (3, 4, 2): ")
+
+
+def random_margins(seed, count):
+    """`count` distinct Fisher margins with n1, n2 up to 400, drawn a
+    quarter tied (n1 = n2), a quarter with the benchmark's totals (rates
+    0.01 to 0.2) and half with any total."""
+    draws = count + count // 10
+    rng = np.random.default_rng(seed)
+    n = rng.integers(0, 401, size=(draws, 2))
+    n[: draws // 4, 1] = n[: draws // 4, 0]
+    t = rng.binomial(n, rng.uniform(0.01, 0.2, size=(draws, 1))).sum(axis=1)
+    t[draws // 2:] = rng.integers(0, n[draws // 2:].sum(axis=1) + 1)
+    return list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:count]
+
+
+def fresh_records(monkeypatch, keys, **settings):
+    """The cache records of `keys` built fresh under `settings`."""
+    monkeypatch.setattr(pvalue, "_margins", {})
+    for name, value in settings.items():
+        monkeypatch.setattr(pvalue, name, value)
+    pvalue._build(keys)
+    return pvalue._margins
+
+
+def assert_same_records(got, want):
+    """Byte-identical first outcomes, supports and outcome -> point maps."""
+    assert got.keys() == want.keys()
+    for key, record in want.items():
+        assert got[key][0] == record[0]
+        for at in (1, 3):   # each flavor's (support, outcome -> point map)
+            assert got[key][at].points.tobytes() == record[at].points.tobytes()
+            assert got[key][at].cdf_values.tobytes() == record[at].cdf_values.tobytes()
+            assert got[key][at + 1].tobytes() == record[at + 1].tobytes()
+
+
+@pytest.fixture(scope="module")
+def exact_records():
+    """20,000 random Fisher margins and their records from a forced exact
+    build (no margin walked)."""
+    keys = random_margins(18, 20_000)
+    saved = pvalue._margins, pvalue._WALKED
+    pvalue._margins, pvalue._WALKED = {}, 0
+    try:
+        pvalue._build(keys)
+        return keys, pvalue._margins
+    finally:
+        pvalue._margins, pvalue._WALKED = saved
+
+
+@pytest.mark.parametrize("batch", [512, 7], ids=["batches-of-512", "batches-of-7"])
+def test_walked_margins_match_a_forced_exact_build(monkeypatch, exact_records, batch):
+    """Walked or fallen back, every margin's supports and maps are the exact
+    build's, byte for byte, in any batching; the batches cut the 20,000
+    margins (a quarter of them tied) at many places."""
+    keys, want = exact_records
+    assert len(keys) == 20_000 and len(keys) % batch
+    assert_same_records(fresh_records(monkeypatch, keys, _BATCH=batch), want)
+
+
+def test_only_tied_margins_reach_the_exact_null(monkeypatch):
+    """On 1,000 benchmark-style margins the exact null is built for the
+    margins with ties and for no other: every untied one is certified."""
+    calls = []
+
+    def counting_null(*margin):
+        calls.append(margin)
+        return hypergeometric_null(*margin)
+
+    rng = np.random.default_rng(31)
+    n = rng.integers(50, 401, size=(1500, 2))
+    t = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1))).sum(axis=1)
+    keys = list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:1000]
+    tied = [key for key in keys
+            if len(set(null_of(key).numerators)) < len(null_of(key).numerators)]
+    monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
+    fresh_records(monkeypatch, keys)
+    assert len(keys) == 1000 and tied
+    assert sorted(calls) == sorted(tied)
+
+
+def test_a_bound_that_certifies_nothing_sends_every_margin_to_the_exact_path(monkeypatch):
+    """With an error bound too wide to certify any class, every margin
+    falls back to its exact null and builds the same records."""
+    calls = []
+
+    def counting_null(*margin):
+        calls.append(margin)
+        return hypergeometric_null(*margin)
+
+    keys = random_margins(47, 400)
+    want = dict(fresh_records(monkeypatch, keys))
+    monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
+    assert_same_records(fresh_records(monkeypatch, keys, _REL=1.0), want)
+    assert sorted(calls) == sorted(keys)
+
+
+def test_walking_a_batch_peaks_no_higher_than_building_it_exactly():
+    """The walk's blocks keep its temporaries below the exact build's peak
+    on the same 512 benchmark-style margins."""
+    rng = np.random.default_rng(29)
+    n = rng.integers(50, 401, size=(1500, 2))
+    t = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1))).sum(axis=1)
+    keys = list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:512]
+    peaks = []
+    for walk in (True, False):
+        tracemalloc.start()
+        try:
+            pvalue._flatten(keys, walk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
