@@ -115,15 +115,24 @@ _BATCH = 512   # margins built together, which bounds a batch's buffers
 
 def _build(keys: list[tuple[int, ...]]) -> None:
     """Build and cache the margins `keys`, none cached yet, as read-only
-    views into flat arrays made (and their buffers freed) per batch, the
-    ones `_walk` takes apart from the rest (n1 = n2 is symmetric: tied)."""
+    views into flat arrays made (and their buffers freed) per batch, with
+    one class slot per outcome for its classes in ascending mass order.
+    `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
+    tied), batched apart, that it certifies; `_exact` the rest, in key order."""
     for walk in (True, False):
         group = [key for key in keys if (len(key) == 3 and key[0] != key[1] and min(key) >= 0
                                          and key[2] <= key[0] + key[1] < _WALKED) is walk]
         for start in range(0, len(group), _BATCH):
             batch = group[start:start + _BATCH]
-            cuts, firsts, flats = _flatten(batch, walk)
-            fields = [firsts]
+            firsts = [max(0, key[2] - key[1]) if len(key) == 3 else 0 for key in batch]
+            cuts = [0, *accumulate(max(0, min(key[0], key[-1]) - first + 1)
+                                   for key, first in zip(batch, firsts))]
+            classes = np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], dtype=np.intc)
+            for k in (np.flatnonzero(~_walk(batch, firsts, cuts, *classes)).tolist() if walk
+                      else range(len(batch))):
+                _exact(batch[k], slice(cuts[k], cuts[k + 1]), *classes)
+            fields, flats = [firsts], _flatten(cuts, *classes)
+            del classes
             for flavor, points, cdf, ends, maps in flats:
                 fields.append([object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
                                for a, b in zip([0, *ends], ends)])
@@ -131,25 +140,12 @@ def _build(keys: list[tuple[int, ...]]) -> None:
             _margins.update(zip(batch, zip(*fields)))
 
 
-def _flatten(keys, walk):
-    """Outcome cuts (margin k's outcomes are cuts[k]:cuts[k + 1]), first
-    outcome per margin, and per flavor (flavor, points, cdf, ends, maps): the
-    supports, cut at `ends`, and the outcome -> point maps, cut at `cuts`.
-
-    Each margin has one class slot per outcome, for its classes in
-    ascending mass order.  If `walk`, `_walk` fills those of the margins it
-    certifies; `_exact` fills the others, in key order.  Then, for the whole
+def _flatten(cuts, conv, mid, class_of):
+    """Per flavor (flavor, points, cdf, ends, maps) of a batch whose class
+    slots are filled, margin k's at cuts[k]:cuts[k + 1]: the supports, cut
+    at `ends`, and the outcome -> point maps, cut at `cuts`.  For the whole
     batch at once, classes whose p-values round to one float merge onto one
-    point, keeping the largest (right-continuous) CDF value, and the maps
-    are made and checked.
-    """
-    firsts = [max(0, key[2] - key[1]) if len(key) == 3 else 0 for key in keys]
-    widths = [max(0, min(key[0], key[-1]) - first + 1) for key, first in zip(keys, firsts)]
-    cuts = [0, *accumulate(widths)]
-    certified, conv, mid, class_of = _walk(*np.array(keys, dtype=np.int64).T) if walk else (
-        [False] * len(keys), np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], np.intc))
-    for k in np.flatnonzero(np.logical_not(certified)).tolist():
-        _exact(keys[k], slice(cuts[k], cuts[k + 1]), conv, mid, class_of)
+    point, keeping the largest (right-continuous) CDF value."""
     opening = np.array(cuts[:-1], dtype=np.intp)      # each margin's first class
     flats = []
     for flavor, p in zip(PValueFlavor, (conv, mid)):  # conventional, then mid
@@ -164,11 +160,11 @@ def _flatten(keys, walk):
         starts = point_of[opening]
         ends = np.append(starts[1:], points.size)
         points, cdf = step_cdf(points, cdf, ends=ends, flavor=flavor)
-        point_of -= np.repeat(starts, widths)         # now within its margin
+        point_of -= np.repeat(starts, np.diff(cuts))  # now within its margin
         maps = point_of[class_of]
         maps.flags.writeable = False
         flats.append((flavor, points, cdf, ends.tolist(), maps))
-    return cuts, firsts, flats
+    return flats
 
 
 def _exact(key, slots, conv, mid, class_of):
@@ -193,7 +189,6 @@ def _exact(key, slots, conv, mid, class_of):
 # The certified walk (`_walk`); u = 2**-53 is float64's unit roundoff.
 _U = 2.0**-53
 _REL = 64 * _U * _U   # times n**2 (n outcomes): the relative bound of every walked value
-_GAP = 1 + 2.0**-44   # sorted masses closer than this ratio may tie
 _TINY = 2.0**-900     # the least mass walked, relative to f(lo), and the inverse of the most
 _WALKED = 2**13       # n1 + n2 below this keeps every ratio term's factors below 2**13
 _SLICE = 4096         # about this many outcomes per block of margins walked together
@@ -226,17 +221,17 @@ def _rounds(high, low, err):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")   # in cells never kept
-def _walk(n1, n2, t):
-    """(certified, conv, mid, class_of) of the Fisher margins (n1, n2, t),
-    int64 columns: margin j's w[j] outcomes take the next w[j] slots, for P
-    and Q per class in ascending mass order and each outcome's class slot.
+def _walk(keys, lo, cuts, conv, mid, class_of):
+    """Fill the class slots of the Fisher margins `keys`, margin k's
+    outcomes running up from lo[k] into cuts[k]:cuts[k + 1], and return
+    which it certifies: their slots hold P, Q and classes, correctly rounded.
 
     Margins go in blocks of similar width, one row each, along which masses
     relative to f(lo) are walked in double-double, sorted, summed and
     divided into P and Q.  A margin is certified if its masses and their
-    sum lie in [2**-900, 2**900], no two sorted neighbours are closer than
-    `_GAP` (a possible tie), and every P's and Q's error interval rounds to
-    one float, which is then the correctly rounded one.
+    sum lie in [2**-900, 2**900], no two sorted neighbours' error intervals
+    overlap (a possible tie), and every P's and Q's error interval rounds
+    to one float, which is then the correctly rounded one.
 
     The bound, for n outcomes: a ratio term num / den (integers below
     2**26) is q (1 + d), num - q den is exact, so d is known to 2 u**2.
@@ -248,12 +243,15 @@ def _walk(n1, n2, t):
     sorted masses' running sums (TwoSum on the high parts, the rest in
     float) add 4 n**2 u**2, relative to each sum as all terms are positive.
     P = cum / total adds 22 u**2 (Dekker's division) to twice that, and
-    Q = (P_prev + P) / 2 another 3 u**2: `_REL` n**2 bounds them all.
+    Q = (P_prev + P) / 2 another 3 u**2: rel = `_REL` n**2 bounds them all.
+
+    The masses are within rel / 4, so sorted neighbours a, b are apart if
+    b - a > rel b / 2.  Their double-double difference (high parts exact by
+    Sterbenz unless b > 2 a; low parts below u b) tops rel times b's high
+    part only if b - a > (rel - 3 u**2) b, which no tie reaches.
     """
-    lo = np.maximum(t - n2, 0)
-    w = np.minimum(n1, t) - lo + 1
-    local = np.cumsum(w) - w                        # each margin's first slot
-    conv, mid, class_of = np.empty(w.sum()), np.empty(w.sum()), np.empty(w.sum(), dtype=np.intc)
+    n1, n2, t = np.array(keys, dtype=np.int64).T
+    lo, local, w = np.array(lo), np.array(cuts[:-1]), np.diff(cuts)
     certified, walked = np.empty(w.size, dtype=bool), np.empty((2, w.size))
     rel = _REL * w.astype(np.float64) ** 2          # the bound of each margin's values
     by_width = np.argsort(w, kind="stable")
@@ -273,14 +271,16 @@ def _walk(n1, n2, t):
         mass_low = np.concatenate([np.zeros((ix.size, 1)), (p - mass[:, 1:]) + d], axis=1)
         del num, den, q, d, p
         inside = columns < width
-        mass[~inside] = np.inf                      # past the margin's outcomes
+        # Padding and nan (an overflowed walk) sort after a row's own outcomes.
+        mass[~inside | np.isnan(mass)] = np.inf
         walked[0, rows] = mass[ix, width - 1][:, 0]
         order = np.argsort(mass, axis=1, kind="stable")
         slots = (first + columns)[inside]
         class_of[(first + order)[inside]] = slots   # the outcome in sorted place j is in class j
         high, low = mass[ix, order], mass_low[ix, order]
         del mass, mass_low, order
-        apart = (high[:, 1:] > high[:, :-1] * _GAP) | ~inside[:, 1:]
+        apart = (((high[:, 1:] - high[:, :-1]) + (low[:, 1:] - low[:, :-1])
+                  > rel[rows, None] * high[:, 1:]) | ~inside[:, 1:])
         # Running sums along the rows, then P and Q.
         cum = np.cumsum(high, axis=1)
         low[:, 1:] += _sum_error(cum[:, :-1], high[:, 1:], cum[:, 1:])
@@ -302,17 +302,17 @@ def _walk(n1, n2, t):
         walked[1, rows] = th[:, 0]
         conv[slots], mid[slots] = ph[inside], qh[inside] * 0.5
         del high, low, cum, ph, pl, qh, ql, both, good
-    _bracket(*(column[certified] for column in (n1, n2, t, *walked, rel)))
-    return certified, conv, mid, class_of
+    _bracket(*(column[certified] for column in (n1, n2, t, lo, lo + w - 1, *walked, rel)))
+    return certified
 
 
-def _bracket(n1, n2, t, at_hi, total, rel):
+def _bracket(n1, n2, t, lo, hi, at_hi, total, rel):
     """Raise unless each walked f(hi)/f(lo) and sum of f/f(lo) (f(lo) walks
     as 1) is within the bound plus one ulp of one `math.comb` int / int."""
     comb, exact = math.comb, []
-    for a, b, c in zip(n1.tolist(), n2.tolist(), t.tolist()):
-        f_lo = comb(a, c - b) if c > b else comb(b, c)   # one factor of f is 1 at an end
-        exact += [(comb(b, c - a) if c > a else comb(a, c)) / f_lo, comb(a + b, c) / f_lo]
+    for a, b, c, x, y in zip(*(column.tolist() for column in (n1, n2, t, lo, hi))):
+        f_lo = comb(a, x) * comb(b, c - x)   # at an end one factor is 1
+        exact += [comb(a, y) * comb(b, c - y) / f_lo, comb(a + b, c) / f_lo]
     exact, walked = np.array(exact).reshape(-1, 2).T, np.stack([at_hi, total])
     larger = np.maximum(walked, exact)
     off = ~(np.abs(walked - exact) <= rel * larger + np.spacing(larger)).all(axis=0)

@@ -97,9 +97,9 @@ def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
         built.append(margin)
         return hypergeometric_null(*margin)
 
-    def counting_walk(n1, n2, t):
-        walked.extend(zip(n1.tolist(), n2.tolist(), t.tolist()))
-        return walk(n1, n2, t)
+    def counting_walk(keys, *slots):
+        walked.extend(keys)
+        return walk(keys, *slots)
 
     walk = pvalue._walk
     monkeypatch.setattr(pvalue, "_margins", {})
@@ -294,6 +294,30 @@ def test_walked_margins_match_a_forced_exact_build(monkeypatch, exact_records, b
     assert_same_records(fresh_records(monkeypatch, keys, _BATCH=batch), want)
 
 
+# Untied margins with n1 + n2 in the thousands.  Walked from f(lo), the
+# first four leave [2**-900, 2**900]: past float's range mid-range, below it
+# when lopsided (200, 7900, 200), so they fall back; the last two stay in it.
+OVERFLOWING_FET = [(999, 1002, 1000), (1000, 1001, 900), (200, 7900, 200), (3001, 4000, 3500)]
+WIDE_FET = [(2500, 4000, 60), (6000, 2000, 7900)]
+
+
+def test_walks_out_of_range_fall_back_beside_narrow_margins(monkeypatch):
+    """Margins whose walk overflows or underflows into nan fall back to
+    their exact nulls, and the narrow margins after them in key order and
+    in their block, such as (1000, 1002, 5), keep their own class slots."""
+    calls = []
+
+    def counting_null(*margin):
+        calls.append(margin)
+        return hypergeometric_null(*margin)
+
+    keys = [*OVERFLOWING_FET[:2], (1000, 1002, 5), *OVERFLOWING_FET[2:], *WIDE_FET, *WALKED_FET]
+    monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
+    got = dict(fresh_records(monkeypatch, keys))
+    assert sorted(calls) == sorted(OVERFLOWING_FET)
+    assert_same_records(got, fresh_records(monkeypatch, keys, _WALKED=0))
+
+
 def test_only_tied_margins_reach_the_exact_null(monkeypatch):
     """On 1,000 benchmark-style margins the exact null is built for the
     margins with ties and for no other: every untied one is certified."""
@@ -331,18 +355,20 @@ def test_a_bound_that_certifies_nothing_sends_every_margin_to_the_exact_path(mon
     assert sorted(calls) == sorted(keys)
 
 
-def test_walking_a_batch_peaks_no_higher_than_building_it_exactly():
+def test_walking_a_batch_peaks_no_higher_than_building_it_exactly(monkeypatch):
     """The walk's blocks keep its temporaries below the exact build's peak
-    on the same 512 benchmark-style margins."""
+    on the same 512 benchmark-style margins, one batch."""
     rng = np.random.default_rng(29)
     n = rng.integers(50, 401, size=(1500, 2))
     t = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1))).sum(axis=1)
     keys = list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:512]
     peaks = []
-    for walk in (True, False):
+    for walked in (pvalue._WALKED, 0):
+        monkeypatch.setattr(pvalue, "_margins", {})
+        monkeypatch.setattr(pvalue, "_WALKED", walked)
         tracemalloc.start()
         try:
-            pvalue._flatten(keys, walk)
+            pvalue._build(keys)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
