@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["DataError", "InvariantViolation"]
+
 
 class DataError(ValueError):
     """Input data violates the documented schema or is impossible (e.g. c1 > n1)."""

@@ -13,7 +13,6 @@ into one `PValueTable` per flavor, the adaptive step-ups' input.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
@@ -396,14 +395,6 @@ class PValueTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         return self
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        """Indices that sort `p` ascending (stable), computed once per table
-        and shared by every step-up scan on it."""
-        order = np.argsort(self.p, kind="stable")
-        order.flags.writeable = False
-        return order
 
 
 def count_column(name: str, values) -> np.ndarray:

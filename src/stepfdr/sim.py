@@ -104,8 +104,7 @@ class SimConfig:
         m0 = self.pi0 * self.m
         if abs(m0 - round(m0)) > 1e-9:
             raise ValueError(f"pi0 * m must be an integer, got {m0}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        stepup._check_alpha(self.alpha)
         if self.dependence not in ("independent", "block"):
             raise ValueError(
                 f"dependence must be 'independent' or 'block', got {self.dependence!r}")

@@ -46,6 +46,12 @@ PROCEDURE_FLAVORS = {
 PROCEDURES = tuple(PROCEDURE_FLAVORS)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise a ValueError unless `alpha` lies in (0, 1): the rule's one statement."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 class MaxCdf(NamedTuple):
     """Pointwise maximum of several step CDFs, tabulated on their union grid:
     a plain record that only `build_max_cdf` makes, valid by construction."""
@@ -193,6 +199,14 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     return MaxCdf(grid, values)
 
 
+def _critical(steps: _Steps, alpha: float, m: int) -> np.ndarray:
+    """gamma_k for k = 1..m from the F* of a batch of one."""
+    _check_alpha(alpha)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return _gammas(steps, _thresholds(np.array([alpha]), m)[None])[0, 0]
+
+
 def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     """gamma_k for k = 1..m; NaN marks ranks with no feasible grid point.
 
@@ -200,11 +214,7 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     NaN (rather than 0) is the none-feasible marker, so a literal p-value of
     0 can never pass a comparison against an infeasible rank.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _gammas(_steps_of(max_cdf), _thresholds(np.array([alpha]), m)[None])[0, 0]
+    return _critical(_steps_of(max_cdf), alpha, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,16 +288,11 @@ def _result(p: np.ndarray, gamma: np.ndarray, r, threshold) -> StepUpResult:
     return StepUpResult(gamma, int(r), float(threshold), np.flatnonzero(p <= threshold))
 
 
-def _step_up(p: np.ndarray, order: np.ndarray, gamma: np.ndarray) -> StepUpResult:
-    """One step-up run of `p`, which `order` sorts, against gamma_k."""
-    r, threshold, rejected = _scan(p[order][None], gamma[None, None])
+def _step_up(p: np.ndarray, sorted_p: np.ndarray, gamma: np.ndarray) -> StepUpResult:
+    """One step-up run of `p`, whose values ascend in `sorted_p`, against gamma_k."""
+    r, threshold, rejected = _scan(sorted_p[None], gamma[None, None])
     _raise_first([_count_check(r, rejected)])
     return _result(p, gamma, r[0, 0], threshold[0, 0])
-
-
-def _used(table: PValueTable) -> list[PValueSupport]:
-    """The supports that `table`'s tests use, in their order in `supports`."""
-    return [table.supports[i] for i in np.flatnonzero(np.bincount(table.support_index))]
 
 
 def bh_plus(table: PValueTable, alpha: float, *,
@@ -296,21 +301,18 @@ def bh_plus(table: PValueTable, alpha: float, *,
 
     Every p-value of a PValueTable is a point of its own support by
     construction, so nothing is re-checked here.  F* pools the supports the
-    tests use (`_used`); a `max_cdf` built from them may be passed to reuse
-    work across alpha levels.  The table sorts its p-values once, for every
-    alpha.
+    tests use; a `max_cdf` built from them may be passed to reuse work across
+    alpha levels.
     """
-    if max_cdf is None:
-        max_cdf = build_max_cdf(_used(table))
-    return _step_up(table.p, table.order, critical_values(max_cdf, alpha, table.p.size))
+    steps = _table_steps(table, 1) if max_cdf is None else _steps_of(max_cdf)
+    return _step_up(table.p, np.sort(table.p), _critical(steps, alpha, table.p.size))
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
     """Classical step-up with critical values alpha * k / m."""
     p = _validate_pvalues(pvalues)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return _step_up(p, np.argsort(p, kind="stable"), _thresholds(np.array([alpha]), p.size)[0])
+    _check_alpha(alpha)
+    return _step_up(p, np.sort(p), _thresholds(np.array([alpha]), p.size)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,25 +355,15 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
         raise ValueError(
             f"conventional run had m = {conv_result.critical_values.size}, "
             f"but got {m} mid p-values")
-    if max_cdf is None:
-        max_cdf = build_max_cdf(_used(mid_table))
-    mid_result = bh_plus(mid_table, alpha, max_cdf=max_cdf)
+    steps = _table_steps(mid_table, 1) if max_cdf is None else _steps_of(max_cdf)
+    sorted_q = np.sort(p_mid)
+    mid_result = _step_up(p_mid, sorted_q, _critical(steps, alpha, m))
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
-    condition = _condition(_steps_of(max_cdf), p_mid[mid_table.order][None], r_cp,
-                           np.array([alpha]))
+    condition = _condition(steps, sorted_q[None], r_cp, np.array([alpha]))
     _raise_first([_order_check(condition, r_cp, r_mp)])
     return MidComparison(condition_holds=bool(condition[0, 0]), r_cp=int(r_cp[0, 0]),
                          r_mp=int(r_mp[0, 0]), mid_result=mid_result)
-
-
-def _sorted_rows(table: PValueTable, reps: int) -> np.ndarray:
-    """Each replication's p-values, ascending, as (reps, m) rows, from the
-    table's one sort."""
-    order = table.order
-    if reps > 1:   # group it by replication, keeping its order within each
-        order = order[np.argsort(order // (order.size // reps), kind="stable")]
-    return table.p[order].reshape(reps, -1)
 
 
 def _table_steps(table: PValueTable, reps: int) -> _Steps:
@@ -424,8 +416,7 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     (replication, alpha index).
     """
     for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        _check_alpha(alpha)
     size = conv.p.size
     if len(alphas) == 0 or reps < 1 or size % reps or mid.p.size != size:
         raise ValueError("run_procedures needs alphas, and two tables of `reps` "
@@ -436,10 +427,10 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
               _gammas(_table_steps(conv, reps), thresholds[None]))
     mid_steps = _table_steps(mid, reps)   # after the conventional F* is dropped
     gammas += (_gammas(mid_steps, thresholds[None]),)
-    sorted_p = _sorted_rows(conv, reps)
+    sorted_p = np.sort(conv.p.reshape(reps, -1))
     bh, plus = _scan(sorted_p, gammas[0]), _scan(sorted_p, gammas[1])
     del sorted_p
-    sorted_q = _sorted_rows(mid, reps)
+    sorted_q = np.sort(mid.p.reshape(reps, -1))
     (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(sorted_q, gammas[2]))
     condition = _condition(mid_steps, sorted_q, r_cp, levels)
     # Both sets are {i : p_i <= threshold} on the same p-values, so the

@@ -1,6 +1,7 @@
-"""Each count range rule is written once in the package: the text that
-`pvalue.checked_total` writes for it occurs in exactly one place in the
-package's source, so no second copy of the rule can drift from it."""
+"""Each count range rule, and the alpha rule, is written once in the
+package: the text that `pvalue.checked_total` writes for a count rule, and
+the text of `stepup._check_alpha`, occur in exactly one place in the
+package's source, so no second copy of a rule can drift from it."""
 
 from pathlib import Path
 
@@ -8,8 +9,16 @@ import pytest
 
 import stepfdr
 from stepfdr.pvalue import pvalue_table
+from stepfdr.sim import SimConfig
+from stepfdr.stepup import bh, build_max_cdf, critical_values, run_procedures
 
 SOURCES = sorted(Path(stepfdr.__file__).parent.glob("*.py"))
+
+
+def places(rule):
+    return [f"{path.name}:{lineno}" for path in SOURCES
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if rule in line]
 
 
 @pytest.mark.parametrize("columns, rule", [
@@ -21,7 +30,21 @@ def test_each_range_rule_is_written_once(columns, rule):
     with pytest.raises(ValueError) as error:
         pvalue_table(*columns)
     assert str(error.value).startswith("row 1: ") and rule in str(error.value)
-    places = [f"{path.name}:{lineno}" for path in SOURCES
-              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-              if rule in line]
-    assert len(places) == 1, places
+    found = places(rule)
+    assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("call", [
+    lambda: critical_values(build_max_cdf(pvalue_table([1], [2])[0].supports), 2.0, 0),
+    lambda: bh([0.5], 2.0),
+    # alpha first, before the mismatched table sizes
+    lambda: run_procedures(pvalue_table([1], [2])[0], pvalue_table([1, 2], [2, 3])[1],
+                           (0.05, 2.0)),
+    lambda: SimConfig(test="bt", pi0=0.5, alpha=2.0, eta=3.0, dependence="neither"),
+], ids=["critical_values", "bh", "run_procedures", "SimConfig"])
+def test_the_alpha_rule_is_written_once(call):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == "alpha must lie in (0, 1), got 2.0"
+    found = places("alpha must lie in (0, 1)")
+    assert len(found) == 1, found

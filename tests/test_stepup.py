@@ -333,6 +333,24 @@ def test_single_run_step_ups_pool_only_the_supports_their_tests_use():
     assert mid_vs_conventional(bh_plus(conv, alpha), padded, alpha).r_mp == r_mp
 
 
+def test_single_run_step_ups_sweep_the_table_without_a_max_cdf(monkeypatch):
+    """With no `max_cdf` passed, `bh_plus` and `mid_vs_conventional` take F*
+    from the table's supports directly, never through a MaxCdf, and count as
+    `run_procedures` does."""
+    from stepfdr import stepup
+
+    def refuse(supports):
+        raise AssertionError("build_max_cdf called")
+
+    conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])
+    alpha = 0.455
+    want = run_procedures(conv, mid, (alpha,)).rejection_count[1:, 0, 0].tolist()
+    monkeypatch.setattr(stepup, "build_max_cdf", refuse)
+    conv_result = bh_plus(conv, alpha)
+    assert [conv_result.rejection_count,
+            mid_vs_conventional(conv_result, mid, alpha).r_mp] == want
+
+
 def test_mid_never_accepts_larger_rank_than_conventional():
     """On paired exact supports the mid rejection count never exceeds
     the conventional one."""
