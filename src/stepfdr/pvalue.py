@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, ne, truediv
 
@@ -49,7 +50,7 @@ def step_cdf(x, cdf, ends=None, *,
     nondecreasing to exactly 1.0, and `cdf` equal to `x` (conventional) or at
     least `x` (mid)."""
     x = np.asarray(x, dtype=np.float64)
-    cdf = np.asarray(cdf, dtype=np.float64)
+    cdf = x if cdf is None else np.asarray(cdf, dtype=np.float64)
     last = np.asarray([x.size] if ends is None else ends, dtype=np.intp) - 1
     if (x.ndim != 1 or cdf.shape != x.shape or last.ndim != 1 or last.size == 0
             or last[0] < 0 or last[-1] != x.size - 1 or (last[1:] <= last[:-1]).any()):
@@ -107,63 +108,237 @@ class PValueSupport:
         return int(self.points.size)
 
 
-# key -> (first outcome, conv support, conv map, mid support, mid map)
-_margins: dict[tuple[int, ...], tuple] = {}
-_BATCH = 512   # margins built together, which bounds a batch's buffers
+class _Flat(NamedTuple):
+    """One flavor's supports of a run of margins, flat.  Margin k's points
+    are points[starts[k]:starts[k + 1]].  Their CDF values are the points
+    themselves when `levels` is None, and otherwise, with (values,
+    level_starts) = `levels`, values[level_starts[k] + at[j]] for its point
+    j, or values[j] when `at` is None.  A registry mid flat's levels are
+    the conventional flat's points: each mid CDF value is P of a class, a
+    point of its margin's conventional support.  `made` keeps the supports
+    made on request."""
+
+    flavor: PValueFlavor | None
+    points: np.ndarray
+    starts: np.ndarray
+    levels: tuple[np.ndarray, np.ndarray] | None
+    at: np.ndarray | None
+    made: dict
+
+    def support(self, k: int) -> PValueSupport:
+        """Margin k's support, made on first request and kept."""
+        support = self.made.get(k)
+        if support is None:
+            a, b = self.starts[k], self.starts[k + 1]
+            cdf = points = self.points[a:b]
+            if self.levels is not None:
+                values, level_starts = self.levels
+                cdf = values[a:b] if self.at is None else values[level_starts[k] + self.at[a:b]]
+                cdf.flags.writeable = False
+            support = self.made[k] = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
+        return support
 
 
-def _build(keys: list[tuple[int, ...]]) -> None:
-    """Build and cache the margins `keys`, none cached yet, as read-only
-    views into flat arrays made (and their buffers freed) per batch, with
+def _flat_of(supports) -> _Flat:
+    """`supports` flat, their CDF values beside them unless every one is
+    the identity on its points (conventional)."""
+    points = [s.points for s in supports]
+    starts = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, points), dtype=np.int64, count=len(points)), out=starts[1:])
+    levels = None
+    if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
+        levels = np.concatenate([s.cdf_values for s in supports]), starts
+    return _Flat(None, np.concatenate(points), starts, levels, None, {})
+
+
+class _Chunk(NamedTuple):
+    """One build batch of margins, or several merged, immutable: margin k
+    has registry id first + k, and its outcomes run up from firsts[k],
+    mapped to points of its supports by maps[flavor][cuts[k]:cuts[k + 1]].
+    `level` counts merges, and is None for a chunk that never merges."""
+
+    first: int
+    firsts: np.ndarray
+    cuts: np.ndarray
+    flats: tuple[_Flat, _Flat]         # conventional, mid
+    maps: tuple[np.ndarray, np.ndarray]
+    level: int | None
+
+
+def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
+    """Chunk b, whose ids follow a's, appended to chunk a; the supports
+    either made on request are kept."""
+    def shifted(x, y):   # offsets of y's margins follow x's
+        return np.append(x, y[1:] + x[-1])
+
+    conv, mid = (_Flat(f.flavor, np.append(f.points, g.points), shifted(f.starts, g.starts),
+                       None, None if f.at is None else np.append(f.at, g.at),
+                       {**f.made, **{k + len(a.firsts): s for k, s in g.made.items()}})
+                 for f, g in zip(a.flats, b.flats))
+    mid = mid._replace(levels=(conv.points, conv.starts))
+    for column in (*conv[1:3], *mid[1:3], mid.at):
+        column.flags.writeable = False
+    maps = tuple(np.append(x, y) for x, y in zip(a.maps, b.maps))
+    for column in maps:
+        column.flags.writeable = False
+    return _Chunk(a.first, np.append(a.firsts, b.firsts), shifted(a.cuts, b.cuts),
+                  (conv, mid), maps, a.level + 1)
+
+
+# The registry: margin key -> id, and the chunks holding the ids from
+# _chunk_ids[i] on.  Ids are never reused, so an id below _live (from
+# before the last reset) counts as not registered.
+_margins: dict[tuple[int, ...], int] = {}
+_chunks: list[_Chunk] = []
+_chunk_ids = np.zeros(0, dtype=np.int64)
+_next_id = _live = _stored = 0   # _stored: outcomes registered since the reset
+_CAP = 2**20      # a build that would store more outcomes first resets the registry
+_BATCH = 512      # margins built together, which bounds a batch's buffers
+_MERGED = 2**16   # the most outcomes of a merged chunk
+
+
+def _spans(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each margin's first outcome and number of outcomes (0 if invalid)."""
+    t = margins[:, -1]
+    if margins.shape[1] == 1:
+        return np.zeros_like(t), np.maximum(t + 1, 0)
+    first = np.maximum(t - margins[:, 1], 0)
+    return first, np.maximum(np.minimum(margins[:, 0], t) - first + 1, 0)
+
+
+def _reset() -> None:
+    """Empty the registry; tables made before keep their own chunks."""
+    global _chunk_ids, _live, _stored
+    _margins.clear()
+    _chunks.clear()
+    _chunk_ids, _live, _stored = _chunk_ids[:0], _next_id, 0
+
+
+def _register(margins: np.ndarray) -> np.ndarray:
+    """The registry id of each margin, a row of `margins` ((total,) or
+    (n1, n2, total), one width), building the ones not registered.  If they
+    would take the registry past `_CAP` outcomes, it is reset first, and
+    every margin is built; tables made before keep their own chunks."""
+    keys = list(map(tuple, margins.tolist()))
+    ids = np.fromiter(map(_margins.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    fresh = ids < _live
+    if fresh.any():
+        if _stored and _stored + _spans(margins[fresh])[1].sum() > _CAP:
+            _reset()
+            fresh[:] = True
+        if fresh.all():   # no copies of the margins and keys
+            return _build(margins, keys)
+        ids[fresh] = _build(margins[fresh], list(compress(keys, fresh)))
+    return ids
+
+
+def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
+    """Register the margins, rows of one width, none registered yet, as
+    `keys` (their tuples), and return their ids: one chunk per batch, with
     one class slot per outcome for its classes in ascending mass order.
     `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
-    tied), batched apart, that it certifies; `_exact` the rest, in key order."""
-    for walk in (True, False):
-        group = [key for key in keys if (len(key) == 3 and key[0] != key[1] and min(key) >= 0
-                                         and key[2] <= key[0] + key[1] < _WALKED) is walk]
-        for start in range(0, len(group), _BATCH):
-            batch = group[start:start + _BATCH]
-            firsts = [max(0, key[2] - key[1]) if len(key) == 3 else 0 for key in batch]
-            cuts = [0, *accumulate(max(0, min(key[0], key[-1]) - first + 1)
-                                   for key, first in zip(batch, firsts))]
-            classes = np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], dtype=np.intc)
-            for k in (np.flatnonzero(~_walk(batch, firsts, cuts, *classes)).tolist() if walk
-                      else range(len(batch))):
-                _exact(batch[k], slice(cuts[k], cuts[k + 1]), *classes)
-            fields, flats = [firsts], _flatten(cuts, *classes)
-            del classes
-            for flavor, points, cdf, ends, maps in flats:
-                fields.append([object.__new__(PValueSupport)._set(flavor, points[a:b], cdf[a:b])
-                               for a, b in zip([0, *ends], ends)])
-                fields.append([maps[a:b] for a, b in zip(cuts, cuts[1:])])
-            _margins.update(zip(batch, zip(*fields)))
+    tied) that it certifies, and `_exact` the rest, in row order.  A call
+    of one batch merges its chunk into the last ones (`_compact`)."""
+    global _chunk_ids, _next_id, _stored
+    keys = list(map(tuple, margins.tolist())) if keys is None else keys
+    firsts, widths = _spans(margins)
+    walk = np.zeros(len(keys), dtype=bool)
+    if margins.shape[1] == 3:
+        n1, n2, t = margins.T
+        walk = (n1 != n2) & (margins >= 0).all(axis=1) & (t <= n1 + n2) & (n1 + n2 < _WALKED)
+        walk[walk] = _in_range(*(column[walk] for column in (n1, n2, t, firsts, widths)))
+    ids = np.arange(_next_id, _next_id + len(keys))
+    for start in range(0, len(keys), _BATCH):
+        batch = slice(start, start + _BATCH)
+        cuts = np.append(0, np.cumsum(widths[batch]))
+        classes = [np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], dtype=np.intc)]
+        exact = ~walk[batch]
+        walked = np.flatnonzero(walk[batch])
+        if walked.size:
+            exact[walked] = ~_walk(margins[batch][walked], firsts[batch][walked], cuts[walked],
+                                   widths[batch][walked], *classes)
+        for k in np.flatnonzero(exact).tolist():
+            _exact(keys[start + k], slice(cuts[k], cuts[k + 1]), *classes)
+        flats, maps = _flatten(cuts, classes)
+        _chunks.append(_Chunk(_next_id, firsts[batch], cuts, flats, maps,
+                              0 if len(keys) <= _BATCH else None))
+        _chunk_ids = np.append(_chunk_ids, _next_id)
+        _margins.update(zip(keys[batch], ids[batch].tolist()))
+        _next_id += len(keys[batch])
+        _stored += int(cuts[-1])
+    _compact()
+    return ids
 
 
-def _flatten(cuts, conv, mid, class_of):
-    """Per flavor (flavor, points, cdf, ends, maps) of a batch whose class
-    slots are filled, margin k's at cuts[k]:cuts[k + 1]: the supports, cut
-    at `ends`, and the outcome -> point maps, cut at `cuts`.  For the whole
-    batch at once, classes whose p-values round to one float merge onto one
-    point, keeping the largest (right-continuous) CDF value."""
-    opening = np.array(cuts[:-1], dtype=np.intp)      # each margin's first class
-    flats = []
-    for flavor, p in zip(PValueFlavor, (conv, mid)):  # conventional, then mid
-        keep = np.append(True, p[1:] > p[:-1])        # does a new point start?
+def _compact() -> None:
+    """Merge the last two chunks while they have merged equally often and
+    fit `_MERGED` outcomes together, like a binary counter: a run of small
+    builds leaves a few chunks, not one each, and each outcome is copied
+    once per merge level."""
+    global _chunk_ids
+    while (len(_chunks) > 1 and _chunks[-1].level is not None
+           and _chunks[-2].level == _chunks[-1].level
+           and _chunks[-2].first + len(_chunks[-2].firsts) == _chunks[-1].first
+           and _chunks[-2].cuts[-1] + _chunks[-1].cuts[-1] <= _MERGED):
+        last = _chunks.pop()
+        _chunks[-1] = _merged(_chunks[-1], last)
+        _chunk_ids = _chunk_ids[:-1]
+
+
+def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray, np.ndarray]]:
+    """Per flavor, the flat supports and the outcome -> point maps (cut at
+    `cuts`) of a batch whose class slots, classes = [conv, mid, class_of],
+    are filled, margin k's at cuts[k]:cuts[k + 1].  For the whole batch at
+    once, classes whose p-values round to one float merge onto one point,
+    keeping the largest (right-continuous) CDF value.  Each buffer is freed
+    (`classes` emptied) once read for the last time, which bounds the peak."""
+    conv, mid, class_of = classes
+    classes.clear()
+    opening = cuts[:-1]                                # each margin's first class
+
+    def new_points(p):
+        """Does a new point start at each class?"""
+        keep = np.append(True, p[1:] > p[:-1])
         keep[opening] = True
-        point_of = np.cumsum(keep) - 1
-        points = p[keep]
-        # A merged point's classes share one float, so the conventional CDF
-        # is its points; the mid CDF is P of each point's last class.
-        cdf = points if p is conv else conv[np.append(keep[1:], True)]
-        del keep
-        starts = point_of[opening]
-        ends = np.append(starts[1:], points.size)
-        points, cdf = step_cdf(points, cdf, ends=ends, flavor=flavor)
-        point_of -= np.repeat(starts, np.diff(cuts))  # now within its margin
-        maps = point_of[class_of]
-        maps.flags.writeable = False
-        flats.append((flavor, points, cdf, ends.tolist(), maps))
-    return flats
+        return keep
+
+    def points_at(keep):
+        """Each margin's first point (and the end), and each class's point
+        within its margin: a running count of `keep` restarting per margin,
+        made in place."""
+        at = keep.astype(np.int64)
+        np.cumsum(at, out=at)
+        starts = np.append(0, at[cuts[1:] - 1])
+        at[...] = keep
+        at[opening[1:]] -= np.diff(starts)[:-1]
+        np.cumsum(at, out=at)
+        at -= 1
+        return starts, at
+
+    # A merged point's classes share one float, so the conventional CDF is
+    # its points; the mid CDF is P of each point's last class, kept as that
+    # class's conventional point.
+    keep = new_points(mid)
+    last = np.append(keep[1:], True)                   # does a mid point end here?
+    mid_starts, point_of = points_at(keep)
+    maps = [point_of[class_of]]
+    del point_of
+    mid_points = mid[keep]
+    del mid
+    mid_points, _ = step_cdf(mid_points, conv[last], ends=mid_starts[1:], flavor=PValueFlavor.MID)
+    kept = new_points(conv)
+    starts, point_of = points_at(kept)
+    points = conv[kept]
+    del conv, kept
+    points, _ = step_cdf(points, None, ends=starts[1:], flavor=PValueFlavor.CONVENTIONAL)
+    maps.insert(0, point_of[class_of])
+    del class_of
+    at = point_of[last]
+    del point_of, last, keep
+    for column in (*maps, at):
+        column.flags.writeable = False
+    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None, None, {}),
+            _Flat(PValueFlavor.MID, mid_points, mid_starts, (points, starts), at, {})), tuple(maps)
 
 
 def _exact(key, slots, conv, mid, class_of):
@@ -193,6 +368,24 @@ _WALKED = 2**13       # n1 + n2 below this keeps every ratio term's factors belo
 _SLICE = 4096         # about this many outcomes per block of margins walked together
 
 
+def _in_range(n1, n2, t, lo, width) -> np.ndarray:
+    """Whether each untied Fisher margin's walk may stay in [2**-900, 2**900]
+    (`_TINY`).  False only where a `math.lgamma` estimate puts f(mode) / f(lo)
+    or f(lo) / f(hi) past 2**(900 + 32), where the walk must fail.  Every f
+    is an integer below 2**(n1 + n2), so margins with n1 + n2 <= 932 pass
+    unestimated."""
+    inside = np.ones(n1.size, dtype=bool)
+    bits = -math.log2(_TINY) + 32
+    for j in np.flatnonzero(n1 + n2 > bits).tolist():
+        a, b, c, x = int(n1[j]), int(n2[j]), int(t[j]), int(lo[j])
+        hi = x + int(width[j]) - 1
+        mode = min(max((c + 1) * (a + 1) // (a + b + 2), x), hi)
+        log_f = [-(math.lgamma(y + 1) + math.lgamma(a - y + 1) + math.lgamma(c - y + 1)
+                   + math.lgamma(b - c + y + 1)) for y in (x, mode, hi)]
+        inside[j] = max(log_f[1] - log_f[0], log_f[0] - log_f[2]) <= bits * math.log(2)
+    return inside
+
+
 def _ratio(n1, n2, t, x):
     """f(x + 1) / f(x) of the hypergeometric null of (n1, n2, t), as integers."""
     return (n1 - x) * (t - x), (x + 1) * (n2 - t + x + 1)
@@ -220,10 +413,11 @@ def _rounds(high, low, err):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")   # in cells never kept
-def _walk(keys, lo, cuts, conv, mid, class_of):
-    """Fill the class slots of the Fisher margins `keys`, margin k's
-    outcomes running up from lo[k] into cuts[k]:cuts[k + 1], and return
-    which it certifies: their slots hold P, Q and classes, correctly rounded.
+def _walk(keys, lo, local, w, conv, mid, class_of):
+    """Fill the class slots of the Fisher margins `keys`, margin k's w[k]
+    outcomes running up from lo[k] into local[k]:local[k] + w[k], and
+    return which it certifies: their slots hold P, Q and classes, correctly
+    rounded.
 
     Margins go in blocks of similar width, one row each, along which masses
     relative to f(lo) are walked in double-double, sorted, summed and
@@ -250,7 +444,6 @@ def _walk(keys, lo, cuts, conv, mid, class_of):
     part only if b - a > (rel - 3 u**2) b, which no tie reaches.
     """
     n1, n2, t = np.array(keys, dtype=np.int64).T
-    lo, local, w = np.array(lo), np.array(cuts[:-1]), np.diff(cuts)
     certified, walked = np.empty(w.size, dtype=bool), np.empty((2, w.size))
     rel = _REL * w.astype(np.float64) ** 2          # the bound of each margin's values
     by_width = np.argsort(w, kind="stable")
@@ -321,80 +514,173 @@ def _bracket(n1, n2, t, lo, hi, at_hi, total, rel):
                                  "null's masses and sum must match its exact ones")
 
 
-def _entry(key: tuple[int, ...], flavor) -> tuple[PValueSupport, np.ndarray]:
-    """One flavor's (support, outcome -> point map) of one margin."""
-    if key not in _margins:
-        _build([key])
-    at = 3 if PValueFlavor(flavor) is PValueFlavor.MID else 1
-    return _margins[key][at:at + 2]
+def _margin(key: tuple[int, ...]) -> tuple[_Chunk, int]:
+    """The chunk of one margin, built if need be, and its index there."""
+    at = int(_register(np.array([key], dtype=np.int64))[0])
+    chunk = _chunks[np.searchsorted(_chunk_ids, at, side="right") - 1]
+    return chunk, at - chunk.first
+
+
+def _flavored(key: tuple[int, ...], flavor) -> tuple[_Flat, np.ndarray, int]:
+    """One flavor's flat supports and outcome -> point maps holding margin
+    `key`, and its index there."""
+    chunk, k = _margin(key)
+    at = 1 if PValueFlavor(flavor) is PValueFlavor.MID else 0
+    return chunk.flats[at], chunk.maps[at][chunk.cuts[k]:chunk.cuts[k + 1]], k
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
     """Cached binomial-test support for a fixed total count; interned per margin."""
-    return _entry((int(total),), flavor)[0]
+    flat, _, k = _flavored((int(total),), flavor)
+    return flat.support(k)
 
 
 def fet_support(n1: int, n2: int, total: int, flavor) -> PValueSupport:
     """Cached Fisher-exact support for fixed margins; interned per margin triple."""
-    return _entry((int(n1), int(n2), int(total)), flavor)[0]
+    flat, _, k = _flavored((int(n1), int(n2), int(total)), flavor)
+    return flat.support(k)
 
 
 def bt_outcome_pvalues(total: int, flavor) -> np.ndarray:
     """p-value of every outcome c1 = 0..total, as floats taken from the support."""
-    support, outcome_to_point = _entry((int(total),), flavor)
-    return support.points[outcome_to_point]
+    flat, outcome_to_point, k = _flavored((int(total),), flavor)
+    return flat.points[flat.starts[k] + outcome_to_point]
 
 
 def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
     """p-value of every feasible outcome c1, aligned with the hypergeometric support."""
-    support, outcome_to_point = _entry((int(n1), int(n2), int(total)), flavor)
-    return support.points[outcome_to_point]
+    flat, outcome_to_point, k = _flavored((int(n1), int(n2), int(total)), flavor)
+    return flat.points[flat.starts[k] + outcome_to_point]
 
 
-@dataclass(frozen=True, eq=False)
+class _Pool(NamedTuple):
+    """The supports of a table's slots, flat, slot after slot: their points,
+    each slot's number of points and, unless every CDF is the identity on
+    its points, the slots' CDF levels, point j's being levels[at[j]], or
+    levels[j] when `at` is None (`levels` may be left out beside `at`)."""
+
+    points: np.ndarray
+    sizes: np.ndarray
+    levels: np.ndarray | None
+    at: np.ndarray | None
+
+
+def _segments(starts: np.ndarray, ks: np.ndarray):
+    """An index of the segments starts[k]:starts[k + 1], for k in the
+    ascending `ks`, one after another (a slice when they are adjacent), and
+    their sizes."""
+    if ks.size == starts.size - 1:   # every segment
+        return slice(None), np.diff(starts)
+    sizes = starts[ks + 1] - starts[ks]
+    if ks[-1] - ks[0] + 1 == ks.size:
+        return slice(starts[ks[0]], starts[ks[-1] + 1]), sizes
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts[ks] - (ends - sizes), sizes), sizes
+
+
+def _gather(pieces, counts: list[int]) -> np.ndarray:
+    """values[index] of each (values, index) piece, one after another, taken
+    straight into one buffer; piece j has counts[j] entries."""
+    if len(pieces) == 1:
+        values, index = pieces[0]
+        return values[index]
+    out, start = np.empty(sum(counts), dtype=pieces[0][0].dtype), 0
+    for (values, index), count in zip(pieces, counts):
+        out[start:start + count] = values[index]
+        start += count
+    return out
+
+
 class PValueTable:
     """p-values of m tests in columns, each distinct support held once.
 
     Test i lives on supports[support_index[i]], and its p-value p[i] is that
     support's point_index[i]-th point, so every p-value is a point of its own
-    support by construction.
+    support by construction.  A table from `pvalue_table` reads its supports
+    from the registry's flat columns, which it keeps alive without copying,
+    and makes the `PValueSupport` objects only when `supports` is read.
     """
 
-    supports: tuple[PValueSupport, ...]
-    support_index: np.ndarray
-    point_index: np.ndarray
-    p: np.ndarray = field(init=False)
+    __slots__ = ("support_index", "point_index", "p", "_parts", "_supports")
 
-    def __post_init__(self) -> None:
-        supports = tuple(self.supports)
-        support_index = count_column("support_index", self.support_index)
-        point_index = count_column("point_index", self.point_index)
+    def __init__(self, supports, support_index, point_index) -> None:
+        supports = tuple(supports)
+        support_index = count_column("support_index", support_index)
+        point_index = count_column("point_index", point_index)
         if (support_index.ndim != 1 or support_index.size == 0
                 or point_index.shape != support_index.shape):
             raise ValueError(
                 "support_index and point_index must be matching non-empty 1-D arrays")
-        points = [s.points for s in supports]
-        sizes = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
+        flat = _flat_of(supports) if supports else None
+        sizes = np.diff(flat.starts) if supports else np.zeros(0, dtype=np.int64)
         if (support_index.min() < 0 or support_index.max() >= sizes.size
                 or point_index.min() < 0
                 or np.any(point_index >= sizes[support_index])):
             raise ValueError("every test must index a point of one of the supports")
-        self._set(supports, support_index, point_index)
+        self._set(((flat, np.arange(len(supports))),), support_index, point_index,
+                  flat.points[flat.starts[support_index] + point_index], supports)
 
-    def _set(self, supports: tuple[PValueSupport, ...], support_index: np.ndarray,
-             point_index: np.ndarray) -> PValueTable:
-        """Set the columns, which index points of `supports`, read-only, and
-        gather `p` from them."""
-        points = [s.points for s in supports]
-        sizes = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
-        starts = np.cumsum(sizes) - sizes
-        p = np.concatenate(points)[starts[support_index] + point_index]
-        object.__setattr__(self, "supports", supports)
-        for name, arr in (("support_index", support_index),
-                          ("point_index", point_index), ("p", p)):
+    def _set(self, parts, support_index: np.ndarray, point_index: np.ndarray,
+             p: np.ndarray, supports=None) -> PValueTable:
+        """Set the columns read-only; `parts` lists (flat supports, margin
+        indices there), the slots numbered part after part."""
+        for arr in (support_index, point_index, p):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, value in zip(self.__slots__, (support_index, point_index, p, parts, supports)):
+            object.__setattr__(self, name, value)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PValueTable is read-only: cannot set {name!r}")
+
+    @property
+    def supports(self) -> tuple[PValueSupport, ...]:
+        """The support of each slot, made on first request and kept."""
+        if self._supports is None:
+            supports = []
+            for flat, ks in self._parts:
+                ks = ks.tolist()
+                supports += [flat.support(k) if made is None else made
+                             for made, k in zip(map(flat.made.get, ks), ks)]
+            object.__setattr__(self, "_supports", tuple(supports))
+        return self._supports
+
+
+def _pool(parts, levels: bool = True) -> _Pool:
+    """The supports of `parts`, (flat supports, margin indices there) in
+    slot order, flat: one gather per part, none for a run of adjacent
+    margins of one part.  With levels=False the levels are left out, but
+    not `at`."""
+    segments = [_segments(flat.starts, ks) for flat, ks in parts]
+    counts = [int(n.sum()) for _, n in segments]
+    points = _gather([(flat.points, index) for (flat, _), (index, _) in zip(parts, segments)],
+                     counts)
+    sizes = np.concatenate([n for _, n in segments])
+    flat = parts[0][0]
+    if flat.levels is None:
+        return _Pool(points, sizes, None, None)
+    if flat.at is None:   # levels beside the points
+        return _Pool(points, sizes, _gather([(f.levels[0], index) for (f, _), (index, _)
+                                             in zip(parts, segments)], counts), None)
+    level_segments = [_segments(f.levels[1], ks) for f, ks in parts]
+    level_sizes = np.concatenate([n for _, n in level_segments])
+    at, start = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes), 0
+    for (f, _), (index, _), count in zip(parts, segments, counts):
+        at[start:start + count] += f.at[index]
+        start += count
+    values = None
+    if levels:
+        values = _gather([(f.levels[0], index) for (f, _), (index, _)
+                          in zip(parts, level_segments)], [int(n.sum()) for _, n in level_segments])
+    return _Pool(points, sizes, values, at)
+
+
+def _shares_levels(mid: PValueTable, conv: PValueTable) -> bool:
+    """Are the pooled levels of `mid` the pooled points of `conv`, as for
+    the two tables of one `pvalue_table` call?"""
+    return len(mid._parts) == len(conv._parts) and all(
+        m.levels is not None and m.levels[0] is c.points and mk is ck
+        for (m, mk), (c, ck) in zip(mid._parts, conv._parts))
 
 
 def count_column(name: str, values) -> np.ndarray:
@@ -473,19 +759,38 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
 def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     """`pvalue_table` of columns that `checked_total` has checked, with the
     `total` it returned: the tests are grouped by margin once, the margins
-    not cached yet are built together, and one index per test into its
-    margin's outcome -> point maps gathers both flavors."""
+    not registered yet are built together, and one index per test into its
+    margin's outcome -> point maps gathers both flavors, chunk by chunk."""
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
+        margins = margins[:, None]
     else:
         margins, group = _group_rows(n1, n2, total)
-    keys = list(map(tuple, margins.reshape(len(margins), -1).tolist()))
-    _build([key for key in keys if key not in _margins])
-    firsts, conv, conv_maps, mid, mid_maps = zip(*map(_margins.__getitem__, keys))
-    sizes = np.fromiter(map(len, conv_maps), dtype=np.int64, count=len(keys))
-    # One index per test serves both flavors, as a margin's two maps have one
-    # entry per outcome; each map sends an outcome to a point of its margin's
-    # support, so the public constructor's checks are skipped.
-    at = (np.cumsum(sizes) - sizes - np.array(firsts))[group] + c1
-    return tuple(object.__new__(PValueTable)._set(supports, group, np.concatenate(maps)[at])
-                 for supports, maps in ((conv, conv_maps), (mid, mid_maps)))
+    ids = _register(margins)
+    order = np.argsort(ids)   # slots by id: grouped by chunk, ascending within
+    ids = ids[order]
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    support_index = slot[group]
+    chunk_of = np.searchsorted(_chunk_ids, ids, side="right") - 1
+    bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ids.size]
+    point_index, p = np.empty((2, c1.size), dtype=np.int64), np.empty((2, c1.size))
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        chunk = _chunks[chunk_of[a]]
+        ks = ids[a:b] - chunk.first
+        rows = (slice(None) if b - a == ids.size
+                else np.flatnonzero((support_index >= a) & (support_index < b)))
+        k = ks[support_index[rows] - a]
+        # One index per test serves both flavors, as a margin's two maps
+        # have one entry per outcome.
+        at = chunk.cuts[k] - chunk.firsts[k] + c1[rows]
+        for f, (flat, maps) in enumerate(zip(chunk.flats, chunk.maps)):
+            point_index[f, rows] = maps[at]
+            p[f, rows] = flat.points[flat.starts[k] + point_index[f, rows]]
+        parts.append((chunk, ks))
+    # Each map sends an outcome to a point of its margin's support, so the
+    # public constructor's checks are skipped.
+    return tuple(object.__new__(PValueTable)._set(
+        tuple((chunk.flats[f], ks) for chunk, ks in parts), support_index, point_index[f], p[f])
+        for f in range(2))

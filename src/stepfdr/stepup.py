@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueFlavor, PValueSupport, PValueTable
+from .pvalue import PValueFlavor, PValueSupport, PValueTable, _Pool, _pool, _shares_levels
 
 __all__ = [
     "MaxCdf",
@@ -101,41 +101,71 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-def _sweep(supports: Sequence[PValueSupport], pairs=None, reps: int = 1) -> _Steps:
-    """F* of `reps` replications, where pairs = (rep, which) lists the
-    supports each pools: replication rep[j] pools supports[which[j]] (`rep`
-    nondecreasing).  With no pairs, one replication pools every support.
+def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
+           ranked: list | None = None) -> tuple[_Steps, list]:
+    """F* of `reps` replications of a table whose supports `parts` hold
+    (`pvalue._pool`; or a `_Pool` of them, for one replication), where
+    slots[r m + i] is the slot of test i of replication r, and, in a list,
+    `_ranks` of the pooled points when every CDF is the identity.  Each
+    replication pools the slots its own tests use; with no `slots`, one
+    replication pools every slot.  `ranked`, when given, holds `_ranks` of
+    the pooled levels (a conventional table's pooled points, as this call
+    returns them), and is emptied as it is read.
 
-    Ranks among the distinct points and CDF values of `supports` make each
-    (replication, point, value) event one int64 key, and one sort puts each
-    replication's events in point order.  There each test's running CDF is
-    the largest of its processed values, so F* is the running maximum of the
-    value ranks, offset per replication so that it restarts at each one (a
-    support listed twice changes nothing).  Each (replication, point) run
-    keeps its last event, which carries the run's largest value: the grid
-    strictly increases, and the values never fall and end at 1.0, where
-    every support ends.
+    Ranks among the distinct pooled points make each (replication, point)
+    event one int64 key, and one sort puts each replication's events in
+    point order.  When every CDF is the identity on its points, so is F* on
+    the grid: the steps are the distinct keys, each at its own point.
+    Otherwise ranks among the distinct levels join each event's value to
+    its key.  There each test's running CDF is the largest of its processed
+    values, so F* is the running maximum of the value ranks, offset per
+    replication so that it restarts at each one.  Each (replication, point)
+    run keeps its last event, which carries the run's largest value: the
+    grid strictly increases, and the values never fall and end at 1.0,
+    where every support ends.
     """
-    points, key = _ranks(np.concatenate([s.points for s in supports]))
-    if all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
-        levels, level_rank = points, key.copy()   # each CDF value is its point
-    else:
-        levels, level_rank = _ranks(np.concatenate([s.cdf_values for s in supports]))
-    n_points, n_levels = points.size, levels.size
+    pool = parts if isinstance(parts, _Pool) else _pool(parts, ranked is None)
+    identity = pool.levels is None and pool.at is None   # is every CDF its points?
+    n_levels = 1
+    if not identity:   # each pooled point's level rank, then drop the levels
+        levels, level_rank = ranked or _ranks(pool.levels)
+        if ranked:
+            ranked.clear()
+        if pool.at is not None:
+            level_rank = level_rank[pool.at]
+        n_levels, pool = levels.size, pool._replace(levels=None, at=None)
+    points, key = _ranks(pool.points)
+    sizes = pool.sizes
+    del pool
+    n_points = points.size
     if reps * n_points * n_levels >= 2**63:
         raise ValueError(f"{reps} replications of {n_points} support points "
                          "are too many for one batch")
-    if pairs is not None:   # gather each pair's events
-        rep, which = pairs
-        sizes = np.fromiter((s.points.size for s in supports), dtype=np.int64,
-                            count=len(supports))
+    ranks = [points, key] if identity else []
+    if slots is not None:
+        n = sizes.size
+        pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
+        if pairs.size == n:   # one replication pooling every slot
+            slots = None
+    if slots is not None:   # gather each (replication, slot) pair's events
+        rep, which = np.divmod(pairs, n)
         lengths = sizes[which]
         ends = np.cumsum(lengths)
         events = np.arange(ends[-1]) + np.repeat(
             (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
-        key, level_rank = key[events], level_rank[events]
-        key += np.repeat(rep * n_points, lengths)
-    key *= n_levels
+        key = key[events] + np.repeat(rep * n_points, lengths)
+        if not identity:
+            level_rank = level_rank[events]
+        del events
+    if identity:
+        if slots is None:   # every point is a step
+            run = np.arange(n_points)
+        else:
+            key.sort()
+            run = key[np.append(key[1:] != key[:-1], True)]
+        return _Steps(points, run, points, run, reps), ranks
+    key = key * n_levels
     key += level_rank
     del level_rank
     key.sort()
@@ -145,7 +175,7 @@ def _sweep(supports: Sequence[PValueSupport], pairs=None, reps: int = 1) -> _Ste
     run, top = key[last], rank[last]
     del key, rank
     top += run // n_points * n_levels
-    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps)
+    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps), ranks
 
 
 def _steps_of(max_cdf: MaxCdf) -> _Steps:
@@ -193,7 +223,10 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     sweep of a batch of one."""
     if len(supports) == 0:
         raise ValueError("at least one support is required")
-    steps = _sweep(supports)
+    cdf = None
+    if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
+        cdf = np.concatenate([s.cdf_values for s in supports])
+    steps = _sweep(_Pool(np.concatenate([s.points for s in supports]), None, cdf, None))[0]
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
@@ -304,7 +337,8 @@ def bh_plus(table: PValueTable, alpha: float, *,
     tests use; a `max_cdf` built from them may be passed to reuse work across
     alpha levels.
     """
-    steps = _table_steps(table, 1) if max_cdf is None else _steps_of(max_cdf)
+    steps = (_sweep(table._parts, table.support_index)[0] if max_cdf is None
+             else _steps_of(max_cdf))
     return _step_up(table.p, np.sort(table.p), _critical(steps, alpha, table.p.size))
 
 
@@ -355,7 +389,8 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
         raise ValueError(
             f"conventional run had m = {conv_result.critical_values.size}, "
             f"but got {m} mid p-values")
-    steps = _table_steps(mid_table, 1) if max_cdf is None else _steps_of(max_cdf)
+    steps = (_sweep(mid_table._parts, mid_table.support_index)[0] if max_cdf is None
+             else _steps_of(max_cdf))
     sorted_q = np.sort(p_mid)
     mid_result = _step_up(p_mid, sorted_q, _critical(steps, alpha, m))
     r_cp = np.array([[conv_result.rejection_count]])
@@ -364,17 +399,6 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     _raise_first([_order_check(condition, r_cp, r_mp)])
     return MidComparison(condition_holds=bool(condition[0, 0]), r_cp=int(r_cp[0, 0]),
                          r_mp=int(r_mp[0, 0]), mid_result=mid_result)
-
-
-def _table_steps(table: PValueTable, reps: int) -> _Steps:
-    """F* of each replication, pooling the supports its own tests use."""
-    n = len(table.supports)
-    m = table.p.size // reps
-    pairs = np.sort(np.arange(reps).repeat(m) * n + table.support_index)
-    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-    if reps == 1 and pairs.size == n:   # one replication pooling every support
-        return _sweep(table.supports)
-    return _sweep(table.supports, np.divmod(pairs, n), reps)
 
 
 class _Runs(NamedTuple):
@@ -423,9 +447,15 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
                          "replications of m tests each")
     levels = np.asarray(alphas, dtype=np.float64)
     thresholds = _thresholds(levels, size // reps)
+    # The conventional points' ranks serve the mid sweep's levels too when,
+    # as for one `pvalue_table` call's tables, they are the mid CDF values.
+    steps, ranked = _sweep(conv._parts, conv.support_index, reps)
     gammas = (np.broadcast_to(thresholds, (reps, *thresholds.shape)),
-              _gammas(_table_steps(conv, reps), thresholds[None]))
-    mid_steps = _table_steps(mid, reps)   # after the conventional F* is dropped
+              _gammas(steps, thresholds[None]))
+    del steps
+    mid_steps = _sweep(mid._parts, mid.support_index, reps,
+                       ranked if _shares_levels(mid, conv) else None)[0]
+    del ranked
     gammas += (_gammas(mid_steps, thresholds[None]),)
     sorted_p = np.sort(conv.p.reshape(reps, -1))
     bh, plus = _scan(sorted_p, gammas[0]), _scan(sorted_p, gammas[1])

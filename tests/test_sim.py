@@ -293,8 +293,8 @@ def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     serve every alpha and every replication of the block."""
     sweeps = []
     sweep = stepup._sweep
-    monkeypatch.setattr(stepup, "_sweep", lambda supports, pairs=None, reps=1: (
-        sweeps.append(reps) or sweep(supports, pairs, reps)))
+    monkeypatch.setattr(stepup, "_sweep", lambda parts, slots=None, reps=1, ranked=None: (
+        sweeps.append(reps) or sweep(parts, slots, reps, ranked)))
     blocks_of(monkeypatch, 2, 20)
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
                     etas=(3.0,), ns=(), m=20, reps=5, seed=5)

@@ -4,8 +4,10 @@ Each property runs on random binomial-test totals (zero included) and
 Fisher-exact margins (empty groups included), drawn by hypothesis.
 """
 
+import re
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from stepfdr.pvalue import (
     fet_support,
     pvalue_table,
 )
-from stepfdr.stepup import bh, bh_plus, mid_vs_conventional
+from stepfdr import stepup
+from stepfdr.stepup import bh, bh_plus, build_max_cdf, mid_vs_conventional, run_procedures
 
 CONV = PValueFlavor.CONVENTIONAL
 MID = PValueFlavor.MID
@@ -98,7 +101,7 @@ def test_each_margin_null_is_built_once_for_both_flavors(monkeypatch):
         return hypergeometric_null(*margin)
 
     def counting_walk(keys, *slots):
-        walked.extend(keys)
+        walked.extend(map(tuple, keys.tolist()))
         return walk(keys, *slots)
 
     walk = pvalue._walk
@@ -152,23 +155,15 @@ def test_fresh_margins_match_the_oracle_in_any_batching(monkeypatch, batch):
         want = np.array([oracle_floats(margin)[x] for margin, x in tests])
         assert np.array_equal(conv.p, want[:, 0])
         assert np.array_equal(mid.p, want[:, 1])
-    assert len(pvalue._margins) == len(SMALL_AND_HUGE_BT) + len(TIED_FET) + len(WALKED_FET)
+    keys = SMALL_AND_HUGE_BT + TIED_FET + WALKED_FET
+    assert sorted(pvalue._margins) == sorted(keys)
     assert bt_support(1075, MID).points[0] == 0.0   # one class rounds to 0.0
     merged = bt_support(2000, MID)                   # several classes do
     assert merged.points[0] == 0.0
     assert len(merged) < len(tie_classes(binomial_null(2000)))
-    # A call that mixes bt, tied and walked margins builds the same arrays.
-    by_call = pvalue._margins
-    monkeypatch.setattr(pvalue, "_margins", {})
-    pvalue._build(SMALL_AND_HUGE_BT + TIED_FET + WALKED_FET)
-    for key, record in by_call.items():
-        assert pvalue._margins[key][0] == record[0]
-        for at in (1, 3):   # each flavor's (support, outcome -> point map)
-            support, outcome_map = record[at:at + 2]
-            again, again_map = pvalue._margins[key][at:at + 2]
-            assert support.points.tobytes() == again.points.tobytes()
-            assert support.cdf_values.tobytes() == again.cdf_values.tobytes()
-            assert np.array_equal(outcome_map, again_map)
+    # Building them all at once, each width in one call, makes the same arrays.
+    by_call = records(keys)
+    assert_same_records(fresh_records(monkeypatch, keys), by_call)
 
 
 def test_a_call_builds_only_the_margins_not_yet_cached(monkeypatch):
@@ -250,24 +245,43 @@ def random_margins(seed, count):
     return list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:count]
 
 
+def build(keys):
+    """`pvalue._build` of margin keys of either width, a width at a time."""
+    for width in (1, 3):
+        rows = [key for key in keys if len(key) == width]
+        if rows:
+            pvalue._build(np.array(rows, dtype=np.int64))
+
+
+def records(keys):
+    """Each registered margin's first outcome and, per flavor, its support's
+    points and CDF values and its outcome -> point map, as bytes."""
+    out = {}
+    for key in keys:
+        assert type(pvalue._margins[key]) is int
+        chunk, k = pvalue._margin(key)
+        out[key] = (int(chunk.firsts[k]), *(
+            (flat.support(k).points.tobytes(), flat.support(k).cdf_values.tobytes(),
+             maps[chunk.cuts[k]:chunk.cuts[k + 1]].tobytes())
+            for flat, maps in zip(chunk.flats, chunk.maps)))
+    return out
+
+
 def fresh_records(monkeypatch, keys, **settings):
-    """The cache records of `keys` built fresh under `settings`."""
+    """The records of `keys` built fresh under `settings`."""
     monkeypatch.setattr(pvalue, "_margins", {})
     for name, value in settings.items():
         monkeypatch.setattr(pvalue, name, value)
-    pvalue._build(keys)
-    return pvalue._margins
+    build(keys)
+    assert len(pvalue._margins) == len(keys)
+    return records(keys)
 
 
 def assert_same_records(got, want):
     """Byte-identical first outcomes, supports and outcome -> point maps."""
     assert got.keys() == want.keys()
     for key, record in want.items():
-        assert got[key][0] == record[0]
-        for at in (1, 3):   # each flavor's (support, outcome -> point map)
-            assert got[key][at].points.tobytes() == record[at].points.tobytes()
-            assert got[key][at].cdf_values.tobytes() == record[at].cdf_values.tobytes()
-            assert got[key][at + 1].tobytes() == record[at + 1].tobytes()
+        assert got[key] == record, key
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +292,8 @@ def exact_records():
     saved = pvalue._margins, pvalue._WALKED
     pvalue._margins, pvalue._WALKED = {}, 0
     try:
-        pvalue._build(keys)
-        return keys, pvalue._margins
+        build(keys)
+        return keys, records(keys)
     finally:
         pvalue._margins, pvalue._WALKED = saved
 
@@ -302,19 +316,70 @@ WIDE_FET = [(2500, 4000, 60), (6000, 2000, 7900)]
 
 
 def test_walks_out_of_range_fall_back_beside_narrow_margins(monkeypatch):
-    """Margins whose walk overflows or underflows into nan fall back to
-    their exact nulls, and the narrow margins after them in key order and
-    in their block, such as (1000, 1002, 5), keep their own class slots."""
-    calls = []
+    """Margins whose walk must leave [2**-900, 2**900] go straight to their
+    exact nulls, never walked, and the narrow margins after them in key
+    order and in their block, such as (1000, 1002, 5), keep their own class
+    slots.  Forced through the walk, they overflow or underflow into nan and
+    fall back, with the same records."""
+    calls, walked = [], []
 
     def counting_null(*margin):
         calls.append(margin)
         return hypergeometric_null(*margin)
 
+    def counting_walk(keys, *slots):
+        walked.extend(map(tuple, keys.tolist()))
+        return walk(keys, *slots)
+
+    walk = pvalue._walk
     keys = [*OVERFLOWING_FET[:2], (1000, 1002, 5), *OVERFLOWING_FET[2:], *WIDE_FET, *WALKED_FET]
     monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
-    got = dict(fresh_records(monkeypatch, keys))
+    monkeypatch.setattr(pvalue, "_walk", counting_walk)
+    got = fresh_records(monkeypatch, keys)
     assert sorted(calls) == sorted(OVERFLOWING_FET)
+    assert sorted(walked) == sorted(set(keys) - set(OVERFLOWING_FET))
+    calls.clear()
+    walked.clear()
+    with monkeypatch.context() as forced:
+        forced.setattr(pvalue, "_in_range", lambda n1, *rest: np.ones(n1.size, dtype=bool))
+        assert_same_records(fresh_records(forced, keys), got)
+    assert sorted(calls) == sorted(OVERFLOWING_FET)
+    assert sorted(walked) == sorted(keys)
+    assert_same_records(got, fresh_records(monkeypatch, keys, _WALKED=0))
+
+
+def test_wide_margins_match_a_forced_exact_build(monkeypatch):
+    """600 random Fisher margins, 30% with n1 and n2 up to 4,095 and the
+    rest up to 400, build the same records byte for byte whether the range
+    estimate sends them to the exact build, the walk certifies them or
+    they fall back, as with every margin built exactly (`_WALKED = 0`)."""
+    rng = np.random.default_rng(59)
+    n = rng.integers(0, 401, size=(660, 2))
+    wide = rng.random(660) < 0.3
+    n[wide] = rng.integers(0, 4096, size=(wide.sum(), 2))
+    t = rng.integers(0, n.sum(axis=1) + 1)
+    keys = list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:600]
+    assert len(keys) == 600
+    calls, walked = [], []
+
+    def counting_null(*margin):
+        calls.append(margin)
+        return hypergeometric_null(*margin)
+
+    def counting_walk(keys, *slots):
+        walked.extend(map(tuple, keys.tolist()))
+        return walk(keys, *slots)
+
+    walk = pvalue._walk
+    monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
+    monkeypatch.setattr(pvalue, "_walk", counting_walk)
+    got = fresh_records(monkeypatch, keys)
+    margins = np.array(keys)
+    routed = ((margins[:, 0] != margins[:, 1])
+              & ~pvalue._in_range(*margins.T, *pvalue._spans(margins)))
+    routed = {key for key, out in zip(keys, routed.tolist()) if out}
+    assert routed and routed <= set(calls) and not routed & set(walked)
+    assert len(walked) > len(keys) // 2
     assert_same_records(got, fresh_records(monkeypatch, keys, _WALKED=0))
 
 
@@ -361,7 +426,7 @@ def test_walking_a_batch_peaks_no_higher_than_building_it_exactly(monkeypatch):
     rng = np.random.default_rng(29)
     n = rng.integers(50, 401, size=(1500, 2))
     t = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1))).sum(axis=1)
-    keys = list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:512]
+    keys = np.array(list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:512])
     peaks = []
     for walked in (pvalue._WALKED, 0):
         monkeypatch.setattr(pvalue, "_margins", {})
@@ -399,7 +464,7 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    retained, peak = traced(pvalue._build, [margins[i] for i in rows])
+    retained, peak = traced(pvalue._build, np.array([margins[i] for i in rows]))
     assert len(pvalue._margins) == 1000
     assert peak <= 1.25 * retained
     retained, peak = traced(pvalue_table, c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
@@ -561,3 +626,75 @@ def test_unsigned_counts_past_int64_are_rejected_not_wrapped(big):
         pvalue_table([1], [1], big, [5])
     below = np.array([2**63 - 1], dtype=np.uint64)
     assert count_column("c1", below).tolist() == [2**63 - 1]
+
+
+def test_the_registry_holds_only_integers_and_nothing_keys_on_support_ids():
+    """Each registered margin is an integer id into a chunk of flat columns,
+    not a record of support objects or array views, and no code in the
+    package tells supports apart by `id()`."""
+    pvalue_table([1, 2, 3], [4, 0, 2], [9, 5, 6], [7, 3, 8])
+    pvalue_table([1, 2, 3], [4, 0, 2])
+    assert pvalue._margins and all(type(v) is int for v in pvalue._margins.values())
+    src = Path(pvalue.__file__).parent
+    assert not [path.name for path in src.glob("*.py") if re.search(r"\bid\(", path.read_text())]
+
+
+def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
+    """Streaming 10^5 distinct small Fisher margins, 1,000 per call, never
+    leaves more than `_CAP` outcomes registered, and the registry resets on
+    the way; a table made before the reset keeps its chunks, its p-values,
+    its supports and its step-up results."""
+    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
+                        ("_next_id", 0), ("_live", 0), ("_stored", 0)):
+        monkeypatch.setattr(pvalue, name, empty)
+    conv, mid = pvalue_table([3, 0, 7, 2], [5, 2, 1, 2], [20, 9, 30, 9], [20, 9, 31, 9])
+    before = conv.p.copy(), mid.p.copy(), run_procedures(conv, mid, (0.05, 0.3))
+    first = pvalue._chunks[0]
+    rng = np.random.default_rng(61)
+    n = rng.integers(0, 61, size=(200_000, 2))
+    t = rng.integers(0, n.sum(axis=1) + 1)
+    margins = np.array(list(dict.fromkeys(zip(*n.T.tolist(), t.tolist())))[:100_000])
+    assert len(margins) == 100_000
+    live = pvalue._live
+    for rows in np.split(margins, 100):
+        pvalue._register(rows)
+        assert pvalue._stored == sum(int(chunk.cuts[-1]) for chunk in pvalue._chunks)
+        assert pvalue._stored <= pvalue._CAP
+        assert sum(flat.points.size for chunk in pvalue._chunks
+                   for flat in chunk.flats) <= 2 * pvalue._stored
+    assert pvalue._live > live and first not in pvalue._chunks
+    assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
+    again = run_procedures(conv, mid, (0.05, 0.3))
+    for was, now in zip(before[2], again):
+        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (was, now))):
+            assert a.tobytes() == b.tobytes()
+    assert [s.points.tobytes() for s in conv.supports] == [
+        fet_support(*margin, CONV).points.tobytes()
+        for margin in ((9, 9, 2), (9, 9, 4), (20, 20, 8), (30, 31, 8))]
+
+
+def assert_same_runs(got, want):
+    for a, b in zip(got, want):
+        for x, y in zip(*(v if isinstance(v, tuple) else (v,) for v in (a, b))):
+            assert x.tobytes() == y.tobytes()
+
+
+@PROPERTY
+@given(rows=INSTANCES, alphas=st.lists(ALPHAS, min_size=1, max_size=3))
+def test_registry_tables_match_tables_rebuilt_from_their_supports(rows, alphas):
+    """A registry-backed table and the same table rebuilt from its supports
+    (made on request) give equal p-values and identical `run_procedures`
+    arrays, for one replication and a stack of three; `build_max_cdf` on
+    its supports gives the grid and values of the flat sweep."""
+    for reps in (1, 3):
+        tables = tables_of(rows * reps)
+        rebuilt = [PValueTable(t.supports, t.support_index, t.point_index) for t in tables]
+        for table, copy in zip(tables, rebuilt):
+            assert table.p.tobytes() == copy.p.tobytes()
+        assert_same_runs(run_procedures(*rebuilt, alphas, reps),
+                         run_procedures(*tables, alphas, reps))
+    for table in tables_of(rows):
+        steps = stepup._sweep(table._parts)[0]
+        max_cdf = build_max_cdf(table.supports)
+        assert max_cdf.grid.tobytes() == steps.points[steps.run].tobytes()
+        assert max_cdf.values.tobytes() == steps.levels[steps.top].tobytes()
