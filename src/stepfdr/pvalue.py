@@ -131,9 +131,9 @@ class _Flat(NamedTuple):
         if support is None:
             a, b = self.starts[k], self.starts[k + 1]
             cdf = points = self.points[a:b]
-            if self.levels is not None:
+            if self.levels is not None:   # a registry mid flat
                 values, level_starts = self.levels
-                cdf = values[a:b] if self.at is None else values[level_starts[k] + self.at[a:b]]
+                cdf = values[level_starts[k] + self.at[a:b]]
                 cdf.flags.writeable = False
             support = self.made[k] = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
         return support
@@ -185,13 +185,12 @@ def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
                   (conv, mid), maps, a.level + 1)
 
 
-# The registry: margin key -> id, and the chunks holding the ids from
-# _chunk_ids[i] on.  Ids are never reused, so an id below _live (from
-# before the last reset) counts as not registered.
+# The registry: margin key -> id, and the chunks, in id order.  Ids are
+# never reused, so an id below _live (from before the last reset) counts as
+# not registered.
 _margins: dict[tuple[int, ...], int] = {}
 _chunks: list[_Chunk] = []
-_chunk_ids = np.zeros(0, dtype=np.int64)
-_next_id = _live = _stored = 0   # _stored: outcomes registered since the reset
+_next_id = _live = 0
 _CAP = 2**20      # a build that would store more outcomes first resets the registry
 _BATCH = 512      # margins built together, which bounds a batch's buffers
 _MERGED = 2**16   # the most outcomes of a merged chunk
@@ -208,10 +207,21 @@ def _spans(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reset() -> None:
     """Empty the registry; tables made before keep their own chunks."""
-    global _chunk_ids, _live, _stored
+    global _live
     _margins.clear()
     _chunks.clear()
-    _chunk_ids, _live, _stored = _chunk_ids[:0], _next_id, 0
+    _live = _next_id
+
+
+def _stored() -> int:
+    """Outcomes registered since the last reset."""
+    return sum(int(chunk.cuts[-1]) for chunk in _chunks)
+
+
+def _chunk_of(ids) -> np.ndarray:
+    """Which of `_chunks` holds each registered id."""
+    firsts = np.fromiter((chunk.first for chunk in _chunks), dtype=np.int64, count=len(_chunks))
+    return np.searchsorted(firsts, ids, side="right") - 1
 
 
 def _register(margins: np.ndarray) -> np.ndarray:
@@ -223,7 +233,8 @@ def _register(margins: np.ndarray) -> np.ndarray:
     ids = np.fromiter(map(_margins.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
     fresh = ids < _live
     if fresh.any():
-        if _stored and _stored + _spans(margins[fresh])[1].sum() > _CAP:
+        stored = _stored()
+        if stored and stored + _spans(margins[fresh])[1].sum() > _CAP:
             _reset()
             fresh[:] = True
         if fresh.all():   # no copies of the margins and keys
@@ -239,7 +250,7 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
     `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
     tied) that it certifies, and `_exact` the rest, in row order.  A call
     of one batch merges its chunk into the last ones (`_compact`)."""
-    global _chunk_ids, _next_id, _stored
+    global _next_id
     keys = list(map(tuple, margins.tolist())) if keys is None else keys
     firsts, widths = _spans(margins)
     walk = np.zeros(len(keys), dtype=bool)
@@ -262,10 +273,8 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
         flats, maps = _flatten(cuts, classes)
         _chunks.append(_Chunk(_next_id, firsts[batch], cuts, flats, maps,
                               0 if len(keys) <= _BATCH else None))
-        _chunk_ids = np.append(_chunk_ids, _next_id)
         _margins.update(zip(keys[batch], ids[batch].tolist()))
         _next_id += len(keys[batch])
-        _stored += int(cuts[-1])
     _compact()
     return ids
 
@@ -275,14 +284,12 @@ def _compact() -> None:
     fit `_MERGED` outcomes together, like a binary counter: a run of small
     builds leaves a few chunks, not one each, and each outcome is copied
     once per merge level."""
-    global _chunk_ids
     while (len(_chunks) > 1 and _chunks[-1].level is not None
            and _chunks[-2].level == _chunks[-1].level
            and _chunks[-2].first + len(_chunks[-2].firsts) == _chunks[-1].first
            and _chunks[-2].cuts[-1] + _chunks[-1].cuts[-1] <= _MERGED):
         last = _chunks.pop()
         _chunks[-1] = _merged(_chunks[-1], last)
-        _chunk_ids = _chunk_ids[:-1]
 
 
 def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray, np.ndarray]]:
@@ -517,7 +524,7 @@ def _bracket(n1, n2, t, lo, hi, at_hi, total, rel):
 def _margin(key: tuple[int, ...]) -> tuple[_Chunk, int]:
     """The chunk of one margin, built if need be, and its index there."""
     at = int(_register(np.array([key], dtype=np.int64))[0])
-    chunk = _chunks[np.searchsorted(_chunk_ids, at, side="right") - 1]
+    chunk = _chunks[_chunk_of(at)]
     return chunk, at - chunk.first
 
 
@@ -578,17 +585,8 @@ def _segments(starts: np.ndarray, ks: np.ndarray):
     return np.arange(ends[-1]) + np.repeat(starts[ks] - (ends - sizes), sizes), sizes
 
 
-def _gather(pieces, counts: list[int]) -> np.ndarray:
-    """values[index] of each (values, index) piece, one after another, taken
-    straight into one buffer; piece j has counts[j] entries."""
-    if len(pieces) == 1:
-        values, index = pieces[0]
-        return values[index]
-    out, start = np.empty(sum(counts), dtype=pieces[0][0].dtype), 0
-    for (values, index), count in zip(pieces, counts):
-        out[start:start + count] = values[index]
-        start += count
-    return out
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class PValueTable:
@@ -652,26 +650,21 @@ def _pool(parts, levels: bool = True) -> _Pool:
     margins of one part.  With levels=False the levels are left out, but
     not `at`."""
     segments = [_segments(flat.starts, ks) for flat, ks in parts]
-    counts = [int(n.sum()) for _, n in segments]
-    points = _gather([(flat.points, index) for (flat, _), (index, _) in zip(parts, segments)],
-                     counts)
-    sizes = np.concatenate([n for _, n in segments])
-    flat = parts[0][0]
-    if flat.levels is None:
+    points = _join([flat.points[index] for (flat, _), (index, _) in zip(parts, segments)])
+    sizes = _join([n for _, n in segments])
+    if parts[0][0].levels is None:
         return _Pool(points, sizes, None, None)
-    if flat.at is None:   # levels beside the points
-        return _Pool(points, sizes, _gather([(f.levels[0], index) for (f, _), (index, _)
-                                             in zip(parts, segments)], counts), None)
-    level_segments = [_segments(f.levels[1], ks) for f, ks in parts]
-    level_sizes = np.concatenate([n for _, n in level_segments])
-    at, start = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes), 0
-    for (f, _), (index, _), count in zip(parts, segments, counts):
-        at[start:start + count] += f.at[index]
-        start += count
+    if parts[0][0].at is None:   # levels beside the points
+        return _Pool(points, sizes, _join([flat.levels[0][index] for (flat, _), (index, _)
+                                           in zip(parts, segments)]), None)
+    level_segments = [_segments(flat.levels[1], ks) for flat, ks in parts]
+    level_sizes = _join([n for _, n in level_segments])
+    at = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes)
+    at += _join([flat.at[index] for (flat, _), (index, _) in zip(parts, segments)])
     values = None
     if levels:
-        values = _gather([(f.levels[0], index) for (f, _), (index, _)
-                          in zip(parts, level_segments)], [int(n.sum()) for _, n in level_segments])
+        values = _join([flat.levels[0][index]
+                        for (flat, _), (index, _) in zip(parts, level_segments)])
     return _Pool(points, sizes, values, at)
 
 
@@ -772,7 +765,7 @@ def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     support_index = slot[group]
-    chunk_of = np.searchsorted(_chunk_ids, ids, side="right") - 1
+    chunk_of = _chunk_of(ids)
     bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ids.size]
     point_index, p = np.empty((2, c1.size), dtype=np.int64), np.empty((2, c1.size))
     parts = []

@@ -644,8 +644,7 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
     leaves more than `_CAP` outcomes registered, and the registry resets on
     the way; a table made before the reset keeps its chunks, its p-values,
     its supports and its step-up results."""
-    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
-                        ("_next_id", 0), ("_live", 0), ("_stored", 0)):
+    for name, empty in (("_margins", {}), ("_chunks", []), ("_next_id", 0), ("_live", 0)):
         monkeypatch.setattr(pvalue, name, empty)
     conv, mid = pvalue_table([3, 0, 7, 2], [5, 2, 1, 2], [20, 9, 30, 9], [20, 9, 31, 9])
     before = conv.p.copy(), mid.p.copy(), run_procedures(conv, mid, (0.05, 0.3))
@@ -658,10 +657,9 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
     live = pvalue._live
     for rows in np.split(margins, 100):
         pvalue._register(rows)
-        assert pvalue._stored == sum(int(chunk.cuts[-1]) for chunk in pvalue._chunks)
-        assert pvalue._stored <= pvalue._CAP
-        assert sum(flat.points.size for chunk in pvalue._chunks
-                   for flat in chunk.flats) <= 2 * pvalue._stored
+        stored = pvalue._stored()
+        assert stored <= pvalue._CAP
+        assert sum(flat.points.size for chunk in pvalue._chunks for flat in chunk.flats) <= 2 * stored
     assert pvalue._live > live and first not in pvalue._chunks
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
