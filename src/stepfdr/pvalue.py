@@ -115,19 +115,20 @@ class _Flat(NamedTuple):
     level_starts) = `levels`, values[level_starts[k] + at[j]] for its point
     j, or values[j] when `at` is None.  A registry mid flat's levels are
     the conventional flat's points: each mid CDF value is P of a class, a
-    point of its margin's conventional support.  `made` keeps the supports
-    made on request."""
+    point of its margin's conventional support.  `made[k]` keeps margin k's
+    support once made on request (None before; no column for a flat of
+    given supports)."""
 
     flavor: PValueFlavor | None
     points: np.ndarray
     starts: np.ndarray
     levels: tuple[np.ndarray, np.ndarray] | None
     at: np.ndarray | None
-    made: dict
+    made: np.ndarray | None
 
     def support(self, k: int) -> PValueSupport:
         """Margin k's support, made on first request and kept."""
-        support = self.made.get(k)
+        support = self.made[k]
         if support is None:
             a, b = self.starts[k], self.starts[k + 1]
             cdf = points = self.points[a:b]
@@ -135,7 +136,8 @@ class _Flat(NamedTuple):
                 values, level_starts = self.levels
                 cdf = values[level_starts[k] + self.at[a:b]]
                 cdf.flags.writeable = False
-            support = self.made[k] = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
+            support = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
+            self.made[k] = support
         return support
 
 
@@ -148,7 +150,7 @@ def _flat_of(supports) -> _Flat:
     levels = None
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
         levels = np.concatenate([s.cdf_values for s in supports]), starts
-    return _Flat(None, np.concatenate(points), starts, levels, None, {})
+    return _Flat(None, np.concatenate(points), starts, levels, None, None)
 
 
 class _Chunk(NamedTuple):
@@ -166,14 +168,14 @@ class _Chunk(NamedTuple):
 
 
 def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
-    """Chunk b, whose ids follow a's, appended to chunk a; the supports
-    either made on request are kept."""
+    """Chunk b, whose ids follow a's, appended to chunk a, keeping the
+    supports made on request so far."""
     def shifted(x, y):   # offsets of y's margins follow x's
         return np.append(x, y[1:] + x[-1])
 
     conv, mid = (_Flat(f.flavor, np.append(f.points, g.points), shifted(f.starts, g.starts),
                        None, None if f.at is None else np.append(f.at, g.at),
-                       {**f.made, **{k + len(a.firsts): s for k, s in g.made.items()}})
+                       np.concatenate([f.made, g.made]))
                  for f, g in zip(a.flats, b.flats))
     mid = mid._replace(levels=(conv.points, conv.starts))
     for column in (*conv[1:3], *mid[1:3], mid.at):
@@ -344,8 +346,10 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
     del point_of, last, keep
     for column in (*maps, at):
         column.flags.writeable = False
-    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None, None, {}),
-            _Flat(PValueFlavor.MID, mid_points, mid_starts, (points, starts), at, {})), tuple(maps)
+    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None, None,
+                  np.full(len(opening), None)),
+            _Flat(PValueFlavor.MID, mid_points, mid_starts, (points, starts), at,
+                  np.full(len(opening), None))), tuple(maps)
 
 
 def _exact(key, slots, conv, mid, class_of):
@@ -637,9 +641,10 @@ class PValueTable:
         if self._supports is None:
             supports = []
             for flat, ks in self._parts:
-                ks = ks.tolist()
-                supports += [flat.support(k) if made is None else made
-                             for made, k in zip(map(flat.made.get, ks), ks)]
+                made = flat.made[ks]
+                for j in np.flatnonzero(np.equal(made, None)).tolist():
+                    made[j] = flat.support(int(ks[j]))
+                supports += made.tolist()
             object.__setattr__(self, "_supports", tuple(supports))
         return self._supports
 

@@ -124,19 +124,20 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     grid strictly increases, and the values never fall and end at 1.0,
     where every support ends.
     """
-    pool = parts if isinstance(parts, _Pool) else _pool(parts, ranked is None)
-    identity = pool.levels is None and pool.at is None   # is every CDF its points?
+    values, sizes, levels, at = (parts if isinstance(parts, _Pool)
+                                 else _pool(parts, ranked is None))
+    identity = levels is None and at is None   # is every CDF its points?
     n_levels = 1
     if not identity:   # each pooled point's level rank, then drop the levels
-        levels, level_rank = ranked or _ranks(pool.levels)
+        levels, level_rank = ranked or _ranks(levels)
         if ranked:
             ranked.clear()
-        if pool.at is not None:
-            level_rank = level_rank[pool.at]
-        n_levels, pool = levels.size, pool._replace(levels=None, at=None)
-    points, key = _ranks(pool.points)
-    sizes = pool.sizes
-    del pool
+        if at is not None:
+            level_rank = level_rank[at]
+        n_levels = levels.size
+    del at
+    points, key = _ranks(values)
+    del values
     n_points = points.size
     if reps * n_points * n_levels >= 2**63:
         raise ValueError(f"{reps} replications of {n_points} support points "

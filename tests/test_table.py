@@ -659,7 +659,8 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
         pvalue._register(rows)
         stored = pvalue._stored()
         assert stored <= pvalue._CAP
-        assert sum(flat.points.size for chunk in pvalue._chunks for flat in chunk.flats) <= 2 * stored
+        points = sum(flat.points.size for chunk in pvalue._chunks for flat in chunk.flats)
+        assert points <= 2 * stored
     assert pvalue._live > live and first not in pvalue._chunks
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
