@@ -187,11 +187,12 @@ def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
                   (conv, mid), maps, a.level + 1)
 
 
-# The registry: margin key -> id, and the chunks, in id order.  Ids are
-# never reused, so an id below _live (from before the last reset) counts as
-# not registered.
+# The registry: margin key -> id, and the chunks, in id order, with the
+# first id of each.  Ids are never reused, so an id below _live (from before
+# the last reset) counts as not registered.
 _margins: dict[tuple[int, ...], int] = {}
 _chunks: list[_Chunk] = []
+_chunk_ids = np.zeros(0, dtype=np.int64)
 _next_id = _live = 0
 _CAP = 2**20      # a build that would store more outcomes first resets the registry
 _BATCH = 512      # margins built together, which bounds a batch's buffers
@@ -209,21 +210,15 @@ def _spans(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reset() -> None:
     """Empty the registry; tables made before keep their own chunks."""
-    global _live
+    global _chunk_ids, _live
     _margins.clear()
     _chunks.clear()
-    _live = _next_id
+    _chunk_ids, _live = _chunk_ids[:0], _next_id
 
 
 def _stored() -> int:
     """Outcomes registered since the last reset."""
     return sum(int(chunk.cuts[-1]) for chunk in _chunks)
-
-
-def _chunk_of(ids) -> np.ndarray:
-    """Which of `_chunks` holds each registered id."""
-    firsts = np.fromiter((chunk.first for chunk in _chunks), dtype=np.int64, count=len(_chunks))
-    return np.searchsorted(firsts, ids, side="right") - 1
 
 
 def _register(margins: np.ndarray) -> np.ndarray:
@@ -252,7 +247,7 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
     `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
     tied) that it certifies, and `_exact` the rest, in row order.  A call
     of one batch merges its chunk into the last ones (`_compact`)."""
-    global _next_id
+    global _chunk_ids, _next_id
     keys = list(map(tuple, margins.tolist())) if keys is None else keys
     firsts, widths = _spans(margins)
     walk = np.zeros(len(keys), dtype=bool)
@@ -275,6 +270,7 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
         flats, maps = _flatten(cuts, classes)
         _chunks.append(_Chunk(_next_id, firsts[batch], cuts, flats, maps,
                               0 if len(keys) <= _BATCH else None))
+        _chunk_ids = np.append(_chunk_ids, _next_id)
         _margins.update(zip(keys[batch], ids[batch].tolist()))
         _next_id += len(keys[batch])
     _compact()
@@ -286,12 +282,14 @@ def _compact() -> None:
     fit `_MERGED` outcomes together, like a binary counter: a run of small
     builds leaves a few chunks, not one each, and each outcome is copied
     once per merge level."""
+    global _chunk_ids
     while (len(_chunks) > 1 and _chunks[-1].level is not None
            and _chunks[-2].level == _chunks[-1].level
            and _chunks[-2].first + len(_chunks[-2].firsts) == _chunks[-1].first
            and _chunks[-2].cuts[-1] + _chunks[-1].cuts[-1] <= _MERGED):
         last = _chunks.pop()
         _chunks[-1] = _merged(_chunks[-1], last)
+        _chunk_ids = _chunk_ids[:-1]
 
 
 def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray, np.ndarray]]:
@@ -528,7 +526,7 @@ def _bracket(n1, n2, t, lo, hi, at_hi, total, rel):
 def _margin(key: tuple[int, ...]) -> tuple[_Chunk, int]:
     """The chunk of one margin, built if need be, and its index there."""
     at = int(_register(np.array([key], dtype=np.int64))[0])
-    chunk = _chunks[_chunk_of(at)]
+    chunk = _chunks[np.searchsorted(_chunk_ids, at, side="right") - 1]
     return chunk, at - chunk.first
 
 
@@ -770,7 +768,7 @@ def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     support_index = slot[group]
-    chunk_of = _chunk_of(ids)
+    chunk_of = np.searchsorted(_chunk_ids, ids, side="right") - 1
     bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ids.size]
     point_index, p = np.empty((2, c1.size), dtype=np.int64), np.empty((2, c1.size))
     parts = []

@@ -644,7 +644,8 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
     leaves more than `_CAP` outcomes registered, and the registry resets on
     the way; a table made before the reset keeps its chunks, its p-values,
     its supports and its step-up results."""
-    for name, empty in (("_margins", {}), ("_chunks", []), ("_next_id", 0), ("_live", 0)):
+    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
+                        ("_next_id", 0), ("_live", 0)):
         monkeypatch.setattr(pvalue, name, empty)
     conv, mid = pvalue_table([3, 0, 7, 2], [5, 2, 1, 2], [20, 9, 30, 9], [20, 9, 31, 9])
     before = conv.p.copy(), mid.p.copy(), run_procedures(conv, mid, (0.05, 0.3))
