@@ -4,8 +4,9 @@ Subcommands: analyze (count table in, rejection report out), simulate
 (Monte Carlo cells or the full study grid), support (p-value supports and
 the pooled max-CDF of a dataset), compare (mid versus conventional
 rejection counts).  Exit codes: 0 success, 1 usage error, 2 data error,
-3 internal error (an invariant violation or any other ValueError from the
-library).  Identical inputs and seeds produce byte-identical outputs.
+3 internal error (an invariant violation, any other ValueError from the
+library, or a MemoryError).  Identical inputs and seeds produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -276,8 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
         print(_diagnostic("data", str(exc)), file=sys.stderr)
         return 2
-    except (InvariantViolation, ValueError) as exc:
-        print(_diagnostic("internal", str(exc)), file=sys.stderr)
+    except (InvariantViolation, ValueError, MemoryError) as exc:
+        print(_diagnostic("internal", str(exc) or "out of memory"), file=sys.stderr)
         return 3
     return 0
 

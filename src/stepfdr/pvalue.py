@@ -113,18 +113,16 @@ class _Flat(NamedTuple):
     are points[starts[k]:starts[k + 1]].  Their CDF values are the points
     themselves when `levels` is None, and otherwise, with (values,
     level_starts) = `levels`, values[level_starts[k] + at[j]] for its point
-    j, or values[j] when `at` is None.  A registry mid flat's levels are
-    the conventional flat's points: each mid CDF value is P of a class, a
-    point of its margin's conventional support.  `made[k]` keeps margin k's
-    support once made on request (None before; no column for a flat of
-    given supports)."""
+    j.  A registry mid flat's levels are the conventional flat's points:
+    each mid CDF value is P of a class, a point of its margin's conventional
+    support.  `made[k]` keeps margin k's support once made (None before)."""
 
     flavor: PValueFlavor | None
     points: np.ndarray
     starts: np.ndarray
     levels: tuple[np.ndarray, np.ndarray] | None
     at: np.ndarray | None
-    made: np.ndarray | None
+    made: np.ndarray
 
     def support(self, k: int) -> PValueSupport:
         """Margin k's support, made on first request and kept."""
@@ -132,7 +130,7 @@ class _Flat(NamedTuple):
         if support is None:
             a, b = self.starts[k], self.starts[k + 1]
             cdf = points = self.points[a:b]
-            if self.levels is not None:   # a registry mid flat
+            if self.levels is not None:
                 values, level_starts = self.levels
                 cdf = values[level_starts[k] + self.at[a:b]]
                 cdf.flags.writeable = False
@@ -142,15 +140,17 @@ class _Flat(NamedTuple):
 
 
 def _flat_of(supports) -> _Flat:
-    """`supports` flat, their CDF values beside them unless every one is
-    the identity on its points (conventional)."""
-    points = [s.points for s in supports]
-    starts = np.zeros(len(points) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, points), dtype=np.int64, count=len(points)), out=starts[1:])
-    levels = None
+    """`supports` flat, already made, their CDF values as levels indexed
+    like a registry mid flat's unless every one is the identity on its
+    points (conventional)."""
+    sizes = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
+    starts = np.append(0, np.cumsum(sizes))
+    levels = at = None
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
         levels = np.concatenate([s.cdf_values for s in supports]), starts
-    return _Flat(None, np.concatenate(points), starts, levels, None, None)
+        at = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+    made = np.fromiter(supports, dtype=object, count=len(supports))
+    return _Flat(None, np.concatenate([s.points for s in supports]), starts, levels, at, made)
 
 
 class _Chunk(NamedTuple):
@@ -246,7 +246,8 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
     one class slot per outcome for its classes in ascending mass order.
     `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
     tied) that it certifies, and `_exact` the rest, in row order.  A call
-    of one batch merges its chunk into the last ones (`_compact`)."""
+    of one batch merges its chunk into the last ones (`_compact`).  A batch
+    that runs out of memory raises a MemoryError naming its widest margin."""
     global _chunk_ids, _next_id
     keys = list(map(tuple, margins.tolist())) if keys is None else keys
     firsts, widths = _spans(margins)
@@ -259,15 +260,20 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
     for start in range(0, len(keys), _BATCH):
         batch = slice(start, start + _BATCH)
         cuts = np.append(0, np.cumsum(widths[batch]))
-        classes = [np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], dtype=np.intc)]
-        exact = ~walk[batch]
-        walked = np.flatnonzero(walk[batch])
-        if walked.size:
-            exact[walked] = ~_walk(margins[batch][walked], firsts[batch][walked], cuts[walked],
-                                   widths[batch][walked], *classes)
-        for k in np.flatnonzero(exact).tolist():
-            _exact(keys[start + k], slice(cuts[k], cuts[k + 1]), *classes)
-        flats, maps = _flatten(cuts, classes)
+        try:
+            classes = [np.empty(cuts[-1]), np.empty(cuts[-1]), np.empty(cuts[-1], dtype=np.intc)]
+            exact = ~walk[batch]
+            walked = np.flatnonzero(walk[batch])
+            if walked.size:
+                exact[walked] = ~_walk(margins[batch][walked], firsts[batch][walked],
+                                       cuts[walked], widths[batch][walked], *classes)
+            for k in np.flatnonzero(exact).tolist():
+                _exact(keys[start + k], slice(cuts[k], cuts[k + 1]), *classes)
+            flats, maps = _flatten(cuts, classes)
+        except MemoryError as error:
+            widest = keys[start + int(np.argmax(widths[batch]))]
+            raise MemoryError(f"margin {widest}: out of memory building its batch's "
+                              f"{int(cuts[-1])} outcomes") from error
         _chunks.append(_Chunk(_next_id, firsts[batch], cuts, flats, maps,
                               0 if len(keys) <= _BATCH else None))
         _chunk_ids = np.append(_chunk_ids, _next_id)
@@ -523,43 +529,34 @@ def _bracket(n1, n2, t, lo, hi, at_hi, total, rel):
                                  "null's masses and sum must match its exact ones")
 
 
-def _margin(key: tuple[int, ...]) -> tuple[_Chunk, int]:
-    """The chunk of one margin, built if need be, and its index there."""
-    at = int(_register(np.array([key], dtype=np.int64))[0])
-    chunk = _chunks[np.searchsorted(_chunk_ids, at, side="right") - 1]
-    return chunk, at - chunk.first
-
-
-def _flavored(key: tuple[int, ...], flavor) -> tuple[_Flat, np.ndarray, int]:
-    """One flavor's flat supports and outcome -> point maps holding margin
-    `key`, and its index there."""
-    chunk, k = _margin(key)
-    at = 1 if PValueFlavor(flavor) is PValueFlavor.MID else 0
-    return chunk.flats[at], chunk.maps[at][chunk.cuts[k]:chunk.cuts[k + 1]], k
+def _of_flavor(flavor, *columns) -> PValueTable:
+    """The `flavor` table of `pvalue_table(*columns)`."""
+    conv, mid = pvalue_table(*columns)
+    return mid if PValueFlavor(flavor) is PValueFlavor.MID else conv
 
 
 def bt_support(total: int, flavor) -> PValueSupport:
-    """Cached binomial-test support for a fixed total count; interned per margin."""
-    flat, _, k = _flavored((int(total),), flavor)
-    return flat.support(k)
+    """Binomial-test support for a fixed total count; interned per margin."""
+    return _of_flavor(flavor, [0], [total]).supports[0]
 
 
 def fet_support(n1: int, n2: int, total: int, flavor) -> PValueSupport:
-    """Cached Fisher-exact support for fixed margins; interned per margin triple."""
-    flat, _, k = _flavored((int(n1), int(n2), int(total)), flavor)
-    return flat.support(k)
+    """Fisher-exact support for fixed margins; interned per margin triple."""
+    c1 = max(0, total - n2)   # the first outcome, or an infeasible margin's bad row
+    return _of_flavor(flavor, [c1], [total - c1], [n1], [n2]).supports[0]
 
 
 def bt_outcome_pvalues(total: int, flavor) -> np.ndarray:
-    """p-value of every outcome c1 = 0..total, as floats taken from the support."""
-    flat, outcome_to_point, k = _flavored((int(total),), flavor)
-    return flat.points[flat.starts[k] + outcome_to_point]
+    """p-value of every outcome c1 = 0..total, read-only."""
+    c1 = np.arange(max(total, 0) + 1)
+    return _of_flavor(flavor, c1, total - c1).p
 
 
 def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
-    """p-value of every feasible outcome c1, aligned with the hypergeometric support."""
-    flat, outcome_to_point, k = _flavored((int(n1), int(n2), int(total)), flavor)
-    return flat.points[flat.starts[k] + outcome_to_point]
+    """p-value of every feasible outcome c1, ascending, read-only."""
+    first = max(0, total - n2)   # an infeasible margin's one row breaks a count rule
+    c1 = np.arange(first, max(first, min(n1, total)) + 1)
+    return _of_flavor(flavor, c1, total - c1, n1, n2).p
 
 
 class _Pool(NamedTuple):
@@ -578,8 +575,6 @@ def _segments(starts: np.ndarray, ks: np.ndarray):
     """An index of the segments starts[k]:starts[k + 1], for k in the
     ascending `ks`, one after another (a slice when they are adjacent), and
     their sizes."""
-    if ks.size == starts.size - 1:   # every segment
-        return slice(None), np.diff(starts)
     sizes = starts[ks + 1] - starts[ks]
     if ks[-1] - ks[0] + 1 == ks.size:
         return slice(starts[ks[0]], starts[ks[-1] + 1]), sizes
@@ -598,15 +593,17 @@ class PValueTable:
     support's point_index[i]-th point, so every p-value is a point of its own
     support by construction.  A table from `pvalue_table` reads its supports
     from the registry's flat columns, which it keeps alive without copying,
-    and makes the `PValueSupport` objects only when `supports` is read.
+    and makes the `PValueSupport` objects only when `supports` is read; a
+    hand-made table indexes its given supports in the same layout.
     """
 
-    __slots__ = ("support_index", "point_index", "p", "_parts", "_supports")
+    __slots__ = ("support_index", "point_index", "p", "_parts")
 
     def __init__(self, supports, support_index, point_index) -> None:
         supports = tuple(supports)
-        support_index = count_column("support_index", support_index)
-        point_index = count_column("point_index", point_index)
+        # Copies, so that the caller's arrays stay writeable.
+        support_index = count_column("support_index", support_index).copy()
+        point_index = count_column("point_index", point_index).copy()
         if (support_index.ndim != 1 or support_index.size == 0
                 or point_index.shape != support_index.shape):
             raise ValueError(
@@ -618,15 +615,15 @@ class PValueTable:
                 or np.any(point_index >= sizes[support_index])):
             raise ValueError("every test must index a point of one of the supports")
         self._set(((flat, np.arange(len(supports))),), support_index, point_index,
-                  flat.points[flat.starts[support_index] + point_index], supports)
+                  flat.points[flat.starts[support_index] + point_index])
 
     def _set(self, parts, support_index: np.ndarray, point_index: np.ndarray,
-             p: np.ndarray, supports=None) -> PValueTable:
+             p: np.ndarray) -> PValueTable:
         """Set the columns read-only; `parts` lists (flat supports, margin
         indices there), the slots numbered part after part."""
         for arr in (support_index, point_index, p):
             arr.flags.writeable = False
-        for name, value in zip(self.__slots__, (support_index, point_index, p, parts, supports)):
+        for name, value in zip(self.__slots__, (support_index, point_index, p, parts)):
             object.__setattr__(self, name, value)
         return self
 
@@ -635,16 +632,14 @@ class PValueTable:
 
     @property
     def supports(self) -> tuple[PValueSupport, ...]:
-        """The support of each slot, made on first request and kept."""
-        if self._supports is None:
-            supports = []
-            for flat, ks in self._parts:
-                made = flat.made[ks]
-                for j in np.flatnonzero(np.equal(made, None)).tolist():
-                    made[j] = flat.support(int(ks[j]))
-                supports += made.tolist()
-            object.__setattr__(self, "_supports", tuple(supports))
-        return self._supports
+        """The support of each slot, made on first request and kept by its flat."""
+        supports = []
+        for flat, ks in self._parts:
+            made = flat.made[ks]
+            for j in np.flatnonzero(np.equal(made, None)).tolist():
+                made[j] = flat.support(int(ks[j]))
+            supports += made.tolist()
+        return tuple(supports)
 
 
 def _pool(parts, levels: bool = True) -> _Pool:
@@ -657,9 +652,6 @@ def _pool(parts, levels: bool = True) -> _Pool:
     sizes = _join([n for _, n in segments])
     if parts[0][0].levels is None:
         return _Pool(points, sizes, None, None)
-    if parts[0][0].at is None:   # levels beside the points
-        return _Pool(points, sizes, _join([flat.levels[0][index] for (flat, _), (index, _)
-                                           in zip(parts, segments)]), None)
     level_segments = [_segments(flat.levels[1], ks) for flat, ks in parts]
     level_sizes = _join([n for _, n in level_segments])
     at = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes)

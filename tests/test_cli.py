@@ -265,6 +265,34 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("stepfdr: error: internal:")
 
+    def test_out_of_memory_is_internal(self, tmp_path, capsys, monkeypatch):
+        def boom(margins, keys=None):
+            raise MemoryError(f"margin {tuple(margins[0].tolist())}: out of memory")
+
+        src = tmp_path / "one.csv"
+        src.write_text("id,c1,c2\na,3,4\n")
+        monkeypatch.setattr(pvalue, "_margins", {})   # so the margin is built
+        monkeypatch.setattr(pvalue, "_build", boom)
+        code = main(["analyze", "--input", str(src), "--test", "bt"])
+        assert code == 3
+        assert capsys.readouterr().err == "stepfdr: error: internal: margin (7,): out of memory\n"
+
+    def test_a_build_past_an_address_space_limit_is_internal(self, tmp_path):
+        """One schema-valid bt row whose class buffers need about 2 GB, in a
+        child process limited to 1.5 GB of address space.  numpy reserves
+        the buffers without touching their pages, so the child stays small."""
+        src = tmp_path / "huge.csv"
+        src.write_text("id,c1,c2\nhuge,50000000,50000000\n")
+        probe = ("import resource, sys; from stepfdr.cli import main; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+                 f"sys.exit(main(['analyze', '--input', {str(src)!r}, '--test', 'bt']))")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(stepfdr.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("stepfdr: error: internal: margin (100000000,): out of memory "
+                               "building its batch's 100000001 outcomes\n")
+
     @pytest.mark.parametrize("body", [b"m\xe9,1,2\n", b"x" * 200_000 + b",1,2\n"],
                              ids=["not-utf8", "oversized-field"])
     def test_data_error_unreadable_input(self, tmp_path, capsys, body):

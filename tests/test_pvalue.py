@@ -221,6 +221,26 @@ def test_support_caching_returns_same_object():
     assert c is d
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bt_support(2.5, CONV), "column c2 must hold integers below 2\\*\\*63"),
+    (lambda: bt_outcome_pvalues(2.5, MID), "column c2 must hold integers below 2\\*\\*63"),
+    (lambda: fet_support(3, 3, 7, CONV), "count exceeds its trial total"),
+    (lambda: fet_outcome_pvalues(3, 3, 7, MID), "count exceeds its trial total"),
+    (lambda: bt_support(-1, CONV), "column 'c2' must hold counts >= 0"),
+], ids=["bt-fractional-total", "bt-outcomes-fractional-total", "fet-infeasible",
+        "fet-outcomes-infeasible", "bt-negative-total"])
+def test_helpers_check_their_counts_like_pvalue_table(call, message):
+    """The helpers are `pvalue_table` calls, so a fractional total is
+    refused, not truncated, and an infeasible margin breaks a count rule."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_outcome_helpers_return_read_only_columns():
+    for pvalues in (bt_outcome_pvalues(9, CONV), fet_outcome_pvalues(4, 6, 5, MID)):
+        assert not pvalues.flags.writeable
+
+
 def test_support_constructor_validation():
     with pytest.raises(ValueError):
         PValueSupport(flavor=CONV, points=np.array([-0.0625, 1.0]),

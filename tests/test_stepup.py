@@ -64,7 +64,9 @@ def test_build_max_cdf_merges_two_supports():
 def test_max_cdf_matches_brute_force():
     """Supports share points of the lattice k/16 and some are listed twice,
     so runs of equal points hold events with different CDF values; F* at a
-    point is the running maximum at the last event of its run."""
+    point is the running maximum at the last event of its run.  About a
+    third are conventional among the mid ones, and a hand-made table of all
+    of them sweeps to the same F*."""
     rng = np.random.default_rng(21)
     lattice = np.arange(1, 16) / 16
     for _ in range(30):
@@ -73,6 +75,9 @@ def test_max_cdf_matches_brute_force():
         for _ in range(m):
             k = int(rng.integers(1, 6))
             pts = np.unique(np.append(rng.choice(lattice, k), 1.0))
+            if rng.uniform() < 1 / 3:
+                supports.append(make_support(pts, pts))
+                continue
             cdf = np.append(np.sort(rng.uniform(0.0, 1.0, len(pts) - 1)), 1.0)
             cdf = np.maximum(np.maximum.accumulate(cdf), pts)
             supports.append(make_support(pts, cdf, flavor=MID))
@@ -86,6 +91,10 @@ def test_max_cdf_matches_brute_force():
             assert value == brute_max_cdf(supports, t)
         for t in rng.uniform(0.0, 1.0, 50):
             assert mc.evaluate(float(t)) == brute_max_cdf(supports, float(t))
+        table = on_supports(supports, np.zeros(len(supports), dtype=np.int64))
+        for alpha in (0.05, 0.3, 0.9):
+            np.testing.assert_array_equal(bh_plus(table, alpha).critical_values,
+                                          critical_values(mc, alpha, len(supports)))
 
 
 def test_max_cdf_evaluate_below_grid_is_zero():

@@ -189,6 +189,18 @@ def test_a_call_builds_only_the_margins_not_yet_cached(monkeypatch):
     assert built[5:] == [(5, 5, 2), (9, 9, 7), (2, 2, 2)]
 
 
+def test_a_build_out_of_memory_names_its_batchs_widest_margin(monkeypatch):
+    def boom(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "_exact", boom)
+    with pytest.raises(MemoryError, match=r"^margin \(50,\): out of memory building its "
+                                          r"batch's 63 outcomes$"):
+        pvalue_table([0, 0, 0], [3, 50, 7])
+    assert pvalue._margins == {}
+
+
 @pytest.mark.parametrize("bad", [
     DiscreteDistribution(range(3), (1, 3, 0), 4),
     DiscreteDistribution(range(3), (1, 2, 1), 5),
@@ -259,7 +271,9 @@ def records(keys):
     out = {}
     for key in keys:
         assert type(pvalue._margins[key]) is int
-        chunk, k = pvalue._margin(key)
+        at = pvalue._margins[key]
+        chunk = pvalue._chunks[np.searchsorted(pvalue._chunk_ids, at, side="right") - 1]
+        k = at - chunk.first
         out[key] = (int(chunk.firsts[k]), *(
             (flat.support(k).points.tobytes(), flat.support(k).cdf_values.tobytes(),
              maps[chunk.cuts[k]:chunk.cuts[k + 1]].tobytes())
@@ -549,6 +563,31 @@ def test_null_pmfs_are_strictly_log_concave(margin):
         if len(xs) == 2:
             a, b = xs[0] - lo, xs[1] - lo
             assert all(f[x] > f[a] for x in range(a + 1, b))
+
+
+@pytest.mark.parametrize("flavors", [(CONV, CONV), (MID, MID), (CONV, MID)],
+                         ids=["conventional", "mid", "mixed"])
+def test_hand_made_table_hands_back_its_given_supports(flavors):
+    """A hand-made table indexes its supports in the registry's layout and
+    keeps the given objects, a repeated one included, in their slots."""
+    supports = tuple(bt_support(total, flavor) for total, flavor in zip((3, 6), flavors))
+    supports += supports[:1]
+    table = PValueTable(supports, [2, 1, 0, 1], [0, 3, 1, 0])
+    assert len(table.supports) == len(supports)
+    assert all(got is given for got, given in zip(table.supports, supports))
+    np.testing.assert_array_equal(table.p, [supports[2].points[0], supports[1].points[3],
+                                            supports[0].points[1], supports[1].points[0]])
+
+
+def test_hand_made_table_leaves_the_callers_arrays_writeable():
+    """The constructor copies the index columns it sets read-only."""
+    si, pi = np.array([0, 0]), np.array([0, 1])
+    table = PValueTable((bt_support(2, CONV),), si, pi)
+    assert si.flags.writeable and pi.flags.writeable
+    assert not any(column.flags.writeable
+                   for column in (table.support_index, table.point_index, table.p))
+    si[0] = pi[0] = 1
+    assert table.support_index[0] == table.point_index[0] == 0
 
 
 @pytest.mark.parametrize("support_index, point_index, message", [
