@@ -53,8 +53,8 @@ class Pareto:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.eta > 0 or not self.sigma > 0:
-            raise ValueError("Pareto requires eta > 0 and sigma > 0")
+        if not (0 < self.eta < np.inf and 0 < self.sigma < np.inf):   # NaN fails too
+            raise ValueError("Pareto requires finite eta > 0 and sigma > 0")
 
     def quantile(self, u):
         u_arr = np.asarray(u, dtype=np.float64)

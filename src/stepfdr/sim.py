@@ -92,6 +92,8 @@ class SimConfig:
                 raise ValueError("bt cells take eta and no n")
             if not self.eta > 0:
                 raise ValueError(f"eta must be > 0, got {self.eta}")
+            if self.eta == np.inf:
+                raise ValueError(f"eta must be finite, got {self.eta}")
         else:
             if self.n is None or self.eta is not None:
                 raise ValueError("fet cells take n and no eta")
@@ -132,13 +134,18 @@ class SimConfig:
         return self.m - self.m0
 
 
+def _generators(rng) -> list[np.random.Generator]:
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
 def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One draw from a block-equicorrelated Gaussian copula, as uniforms.
+                        rng) -> np.ndarray:
+    """Draws from a block-equicorrelated Gaussian copula, as uniforms.
 
     Inside each block, latent normals share one factor:
     z = sqrt(rho) * g_block + sqrt(1 - rho) * eps, mapped through the normal
-    CDF.  Distinct blocks are independent.
+    CDF.  Distinct blocks are independent.  rng is one generator, or a
+    sequence of them giving one row each, in order; each only draws normals.
     """
     if blocks < 1 or block_size < 1:
         raise ValueError("blocks and block_size must be >= 1")
@@ -146,50 +153,66 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     from scipy import special  # only the block-dependence path needs scipy
 
-    g = rng.standard_normal(blocks)
-    eps = rng.standard_normal(blocks * block_size)
-    z = np.sqrt(rho) * np.repeat(g, block_size) + np.sqrt(1.0 - rho) * eps
-    return special.ndtr(z)
+    rngs = _generators(rng)
+    normals = np.empty((len(rngs), blocks * (block_size + 1)))
+    for g, row in zip(rngs, normals):
+        g.standard_normal(out=row)   # the block factors g, then eps
+    z = (np.sqrt(rho) * np.repeat(normals[:, :blocks], block_size, axis=1)
+         + np.sqrt(1.0 - rho) * normals[:, blocks:])
+    u = special.ndtr(z)
+    return u[0] if isinstance(rng, np.random.Generator) else u
 
 
-def _copula_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    block_size = config.m // config.blocks
-    u1 = gen_copula_uniforms(config.blocks, block_size, config.rho, rng)
-    if config.copula_sharing == "shared":
-        return np.stack([u1, u1], axis=1)
-    u2 = gen_copula_uniforms(config.blocks, block_size, config.rho, rng)
-    return np.stack([u1, u2], axis=1)
+def _counts(config: SimConfig, rngs: list, theta: np.ndarray, draw,
+            n: int | None = None) -> np.ndarray:
+    """The (len(rngs) * m, 2) counts of stacked replications with means or
+    proportions theta: `draw(generator, theta)` per replication under
+    independence, else one `_count_ppf` call on all their copula uniforms,
+    where a row with equal (u, theta) in both columns (every null row of a
+    shared copula) inverts column 0 only."""
+    if config.dependence == "independent":
+        return np.concatenate(list(map(draw, rngs, np.split(theta, len(rngs)))),
+                              dtype=np.int64)
+    copies = 1 if config.copula_sharing == "shared" else 2   # per-group: u1, then u2
+    u = gen_copula_uniforms(config.blocks, config.m // config.blocks, config.rho,
+                            [g for g in rngs for _ in range(copies)])
+    u = u.reshape(len(rngs), copies, -1)
+    u0, u1 = u[:, 0].ravel(), u[:, -1].ravel()   # equal when shared
+    apart = (u0 != u1) | (theta[:, 0] != theta[:, 1])
+    k = _count_ppf(np.append(u0, u1[apart]), np.append(theta[:, 0], theta[apart, 1]), n)
+    counts = np.repeat(k[:len(theta), None], 2, axis=1)
+    counts[apart, 1] = k[len(theta):]
+    return counts
 
 
-def gen_poisson_pair(config: SimConfig,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Means and Poisson counts for one binomial-test replication.
+def gen_poisson_pair(config: SimConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Means and Poisson counts, each (m, 2), of a binomial-test replication.
 
     Every test draws a base mean from Pareto(eta, 5); alternatives multiply
     one side by an enrichment factor from Uniform(3, 5.5), the first half of
-    them in column 2 and the rest in column 1.
+    them in column 2 and the rest in column 1.  A sequence of generators
+    gives their replications stacked in order, each bit-identical to the
+    call on its generator alone.
     """
     if config.test != "bt":
         raise ValueError("gen_poisson_pair requires a bt config")
-    m, m0, m1 = config.m, config.m0, config.m1
-    base = Pareto(config.eta, 5.0).quantile(rng.random(m))
-    enrich = rng.uniform(3.0, 5.5, m1)
+    m0, m1, rngs = config.m0, config.m1, _generators(rng)
+    draws = [(g.random(config.m), g.uniform(3.0, 5.5, m1)) for g in rngs]
+    base = Pareto(config.eta, 5.0).quantile(np.array([u for u, _ in draws]))
+    enrich = np.array([e for _, e in draws])
     k = m1 // 2
-    theta = np.stack([base, base.copy()], axis=1)
-    theta[m0:m0 + k, 1] = enrich[:k] * base[m0:m0 + k]
-    theta[m0 + k:, 0] = enrich[k:] * base[m0 + k:]
-    if config.dependence == "independent":
-        counts = rng.poisson(theta)
-    else:
-        counts = _count_ppf(_copula_matrix(config, rng), theta)
-    return theta, counts.astype(np.int64)
+    theta = np.stack([base, base], axis=-1)
+    theta[:, m0:m0 + k, 1] = enrich[:, :k] * base[:, m0:m0 + k]
+    theta[:, m0 + k:, 0] = enrich[:, k:] * base[:, m0 + k:]
+    theta = theta.reshape(-1, 2)
+    return theta, _counts(config, rngs, theta, np.random.Generator.poisson)
 
 
 def _count_ppf(u: np.ndarray, theta: np.ndarray, n: int | None = None) -> np.ndarray:
     """The inverse CDF of Poisson(theta) counts when n is None, else of
-    Binomial(n, theta) counts, by its definition: elementwise, the smallest
-    integer k >= 0 with cdf(k) >= u, as int64, where cdf is the cephes
-    pdtr(k, theta) or bdtr(k, n, theta).
+    Binomial(n, theta) counts, by its definition: for each entry of the 1-D
+    u and theta, the smallest integer k >= 0 with cdf(k) >= u, as int64,
+    where cdf is the cephes pdtr(k, theta) or bdtr(k, n, theta).
 
     The Cornish-Fisher start floor(mean + sd z + (z^2 - 1) skew / 6 + 1/2),
     z = ndtri(u) clipped to a finite range and skew = kappa3 / kappa2 (1 for
@@ -200,8 +223,6 @@ def _count_ppf(u: np.ndarray, theta: np.ndarray, n: int | None = None) -> np.nda
     """
     from scipy import special  # only the block-dependence path needs scipy
 
-    shape = np.shape(u)
-    u, theta = np.ravel(u), np.ravel(theta)
     if n is None:
         cdf, mean, var, skew = special.pdtr, theta, theta, 1.0
     else:
@@ -209,8 +230,12 @@ def _count_ppf(u: np.ndarray, theta: np.ndarray, n: int | None = None) -> np.nda
             return special.bdtr(k, n, p)
         mean, var, skew = n * theta, n * theta * (1.0 - theta), 1.0 - 2.0 * theta
     z = np.clip(special.ndtri(u), -10.0, 10.0)   # ndtri is -inf at 0, +inf at 1
-    start = np.floor(mean + np.sqrt(var) * z + (z * z - 1.0) * skew / 6.0 + 0.5)
-    k = np.clip(start, 0.0, n).astype(np.int64)
+    start = np.clip(np.floor(mean + np.sqrt(var) * z + (z * z - 1.0) * skew / 6.0 + 0.5),
+                    0.0, n)
+    if not np.all(start < 2.0 ** 63):   # NaN fails too
+        raise ValueError("counts must stay below 2**63, but the largest mean is "
+                         f"{float(np.max(mean))!r}")
+    k = start.astype(np.int64)
     walk = np.flatnonzero(k > 0)
     while walk.size:
         walk = walk[cdf(k[walk] - 1, theta[walk]) >= u[walk]]
@@ -220,12 +245,12 @@ def _count_ppf(u: np.ndarray, theta: np.ndarray, n: int | None = None) -> np.nda
     while walk.size:
         k[walk] += 1
         walk = walk[cdf(k[walk], theta[walk]) < u[walk]]
-    return k.reshape(shape)
+    return k
 
 
-def gen_binomial_pair(config: SimConfig,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Proportions and Binomial counts for one Fisher-exact replication.
+def gen_binomial_pair(config: SimConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Proportions and Binomial counts, each (m, 2), of a Fisher-exact
+    replication, stacked over a sequence of generators as `gen_poisson_pair`.
 
     Null tests share one proportion drawn from Uniform(0.2, 0.3);
     alternatives use (0.3, 0.75) for their first half and (0.75, 0.3) for
@@ -233,17 +258,15 @@ def gen_binomial_pair(config: SimConfig,
     """
     if config.test != "fet":
         raise ValueError("gen_binomial_pair requires a fet config")
-    m, m0, m1 = config.m, config.m0, config.m1
-    theta = np.empty((m, 2))
-    theta[:m0, 0] = theta[:m0, 1] = rng.uniform(0.2, 0.3, m0)
+    m0, m1, rngs = config.m0, config.m1, _generators(rng)
+    theta = np.empty((len(rngs), config.m, 2))
+    theta[:, :m0, 0] = theta[:, :m0, 1] = [g.uniform(0.2, 0.3, m0) for g in rngs]
     k = m1 // 2
-    theta[m0:m0 + k] = (0.3, 0.75)
-    theta[m0 + k:] = (0.75, 0.3)
-    if config.dependence == "independent":
-        counts = rng.binomial(config.n, theta)
-    else:
-        counts = _count_ppf(_copula_matrix(config, rng), theta, config.n)
-    return theta, counts.astype(np.int64)
+    theta[:, m0:m0 + k] = (0.3, 0.75)
+    theta[:, m0 + k:] = (0.75, 0.3)
+    theta = theta.reshape(-1, 2)
+    return theta, _counts(config, rngs, theta,
+                          lambda g, t: g.binomial(config.n, t), config.n)
 
 
 def _fdp_tdp(runs, tables: dict, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,16 +313,16 @@ def _summarize(config: SimConfig, fdp: np.ndarray, tdp: np.ndarray) -> SimSummar
 
 def _block(base: SimConfig, alphas: tuple[float, ...], reps: range):
     """FDP and TDP, each (procedure, replication, alpha), of the replications
-    `reps` of cell `base`: one `pvalue_table` call on their stacked counts
-    and one `stepup.run_procedures` call for every alpha.
+    `reps` of cell `base`: one generation call for all of them, one
+    `pvalue_table` call on their stacked counts and one
+    `stepup.run_procedures` call for every alpha.
 
     An InvariantViolation is re-raised with the replication index and every
     config field (alpha the failing one) appended as ``[replication=r
     field=repr ...]``, enough to regenerate that replication's data.
     """
     gen = gen_poisson_pair if base.test == "bt" else gen_binomial_pair
-    counts = np.concatenate([gen(base, np.random.default_rng([base.seed, r]))[1]
-                             for r in reps])
+    counts = gen(base, [np.random.default_rng([base.seed, r]) for r in reps])[1]
     tables = dict(zip(pvalue.PValueFlavor, pvalue.pvalue_table(
         counts[:, 0], counts[:, 1], base.n, base.n)))
     try:

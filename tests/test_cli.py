@@ -354,9 +354,11 @@ class TestSimulateCli:
                                       ["--grid"]], ids=["cell", "grid"])
     @pytest.mark.parametrize("bad, problem", [
         (["--eta", "-1"], "eta must be > 0, got -1.0"),
+        (["--eta", "inf"], "eta must be finite, got inf"),
+        (["--eta", "inf", "--dependence", "block"], "eta must be finite, got inf"),
         (["--eta", "3", "--m", "22", "--dependence", "block"],
          "blocks must be >= 1 and divide m = 22, got 5"),
-    ], ids=["eta", "blocks"])
+    ], ids=["eta", "eta-inf", "eta-inf-block", "blocks"])
     def test_bad_parameters_are_usage_errors(self, capsys, mode, bad, problem):
         code = main(["simulate", "--test", "bt", *mode, *bad, "--reps", "1",
                      "--output", os.devnull])

@@ -87,6 +87,13 @@ def test_pareto_quantile():
         p.quantile(1.0)
 
 
+@pytest.mark.parametrize("eta, sigma", [(math.inf, 5.0), (3.0, math.inf), (math.nan, 5.0),
+                                        (3.0, math.nan), (0.0, 5.0), (3.0, -1.0)])
+def test_pareto_requires_finite_positive_parameters(eta, sigma):
+    with pytest.raises(ValueError, match="finite eta > 0 and sigma > 0"):
+        Pareto(eta, sigma)
+
+
 @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan], np.array([[math.nan]])],
                          ids=["scalar", "list", "array"])
 def test_pareto_quantile_rejects_nan(u):

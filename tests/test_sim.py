@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulation harness."""
 
 import ast
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,12 @@ class TestSimConfigValidation:
     def test_unknown_test_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(test="tt", pi0=0.5, alpha=0.05, m=20, eta=3.0)
+
+    @pytest.mark.parametrize("eta, problem", [(np.inf, "finite"), (np.nan, "> 0"),
+                                              (-np.inf, "> 0"), (0.0, "> 0")])
+    def test_eta_must_be_finite_and_positive(self, eta, problem):
+        with pytest.raises(ValueError, match=f"eta must be {problem}, got {eta}"):
+            bt_config(eta=eta)
 
     def test_pi0_m_must_be_integral(self):
         with pytest.raises(ValueError):
@@ -161,7 +168,8 @@ def test_count_ppf_is_the_smallest_k_reaching_u(family, data, spread, free):
 
 @pytest.mark.parametrize("test", ["bt", "fet"])
 def test_count_ppf_matches_scipy_stats_on_harness_draws(monkeypatch, test):
-    """40 replications of each block cell (eta or n, both sharing modes)."""
+    """40 replications of each block cell (eta or n, both sharing modes),
+    generated by one block call per cell."""
     from scipy import stats
 
     seen = []
@@ -179,13 +187,57 @@ def test_count_ppf_matches_scipy_stats_on_harness_draws(monkeypatch, test):
         for sharing in ("shared", "per-group"):
             cfg = config(m=200, dependence="block", copula_sharing=sharing,
                          **{field: value})
-            for r in range(40):
-                gen(cfg, np.random.default_rng([11, r]))
-    assert len(seen) == 3 * 2 * 40
+            gen(cfg, [np.random.default_rng([11, r]) for r in range(40)])
+    assert len(seen) == 3 * 2
+    # Per-group inverts both columns; shared inverts each null row once.
+    per_group = sum(u.size for u, *_ in seen[1::2])
+    shared = sum(u.size for u, *_ in seen[::2])
+    assert per_group == 3 * 40 * 200 * 2 and shared == 3 * 40 * (200 + 100)
     for u, theta, n, k in seen:
-        assert u.shape == (200, 2)
         want = stats.poisson.ppf(u, theta) if n is None else stats.binom.ppf(u, n, theta)
         np.testing.assert_array_equal(k, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("test", ["bt", "fet"])
+@pytest.mark.parametrize("dependence", ["independent", "block"])
+@pytest.mark.parametrize("sharing", ["shared", "per-group"])
+@pytest.mark.parametrize("pi0", [0.0, 0.5, 1.0])
+def test_stacked_generation_equals_each_replication_alone(test, dependence, sharing, pi0):
+    """A sequence of generators gives each one's replication, byte for byte,
+    stacked in order."""
+    config, gen = {"bt": (bt_config, gen_poisson_pair),
+                   "fet": (fet_config, gen_binomial_pair)}[test]
+    cfg = config(pi0=pi0, dependence=dependence, copula_sharing=sharing)
+    for reps in (1, 7, 20):
+        theta, counts = gen(cfg, [np.random.default_rng([9, r]) for r in range(reps)])
+        alone = [gen(cfg, np.random.default_rng([9, r])) for r in range(reps)]
+        for got, want in ((theta, np.concatenate([t for t, _ in alone])),
+                          (counts, np.concatenate([c for _, c in alone]))):
+            assert got.dtype == want.dtype and got.shape == (reps * cfg.m, 2)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("reps", [1, 7, 20])
+def test_stacked_copula_uniforms_equal_each_generator_alone(reps):
+    got = gen_copula_uniforms(4, 5, 0.3, [np.random.default_rng([2, r]) for r in range(reps)])
+    want = np.stack([gen_copula_uniforms(4, 5, 0.3, np.random.default_rng([2, r]))
+                     for r in range(reps)])
+    assert got.shape == (reps, 20) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta, n, largest", [(1e30, None, "1e+30"),
+                                               (np.inf, None, "inf"),
+                                               (np.nan, None, "nan"),
+                                               (0.5, 2 ** 64, "9.223372036854776e+18")])
+def test_count_ppf_rejects_counts_beyond_int64(theta, n, largest):
+    """A start that int64 cannot hold once wrapped to -2**63."""
+    with pytest.raises(ValueError, match=re.escape(f"largest mean is {largest}") + "$"):
+        sim._count_ppf(np.array([0.5, 0.9]), np.array([0.2, theta]), n)
+
+
+def test_huge_eta_block_cell_fails_in_generation():
+    with pytest.raises(ValueError, match="counts must stay below 2\\*\\*63"):
+        run_cell(bt_config(eta=1e30, dependence="block"))
 
 
 def test_gen_pair_rejects_wrong_test():
@@ -411,8 +463,8 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
     generated, scans = [], []
     generate, scan = sim.gen_binomial_pair, stepup._scan
 
-    def recording_generate(config, rng):
-        out = generate(config, rng)
+    def recording_generate(config, rngs):
+        out = generate(config, rngs)
         generated.append(out[1])
         return out
 
@@ -436,7 +488,7 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
                  dependence="block", blocks=4, rho=0.3,
                  reps=10, seed=7, copula_sharing="per-group")
     monkeypatch.undo()
-    assert len(generated) == 2 * per_block and len(scans) == 2 * 3
+    assert sum(len(c) for c in generated) == 2 * per_block * m and len(scans) == 2 * 3
 
     message = str(info.value)
     head = "adaptive step-up did not contain the classical rejection set at alpha=0.1: "
@@ -448,8 +500,9 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
     config = SimConfig(**fields)
     assert (r, config.alpha) == (6, 0.1)
     _, counts = gen_binomial_pair(config, np.random.default_rng([config.seed, r]))
-    assert np.array_equal(counts, generated[r])
-    assert not np.array_equal(counts, generated[r - 1])
+    generated = np.concatenate(generated)
+    assert np.array_equal(counts, generated[r * m:(r + 1) * m])
+    assert not np.array_equal(counts, generated[(r - 1) * m:r * m])
 
 
 def test_summaries_to_rows_layout():

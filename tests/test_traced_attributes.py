@@ -82,3 +82,31 @@ def test_traced_fet_analyze_builds_both_flavors_in_one_pass(spans, tmp_path):
     assert int((trace["name_of"] == code_of).sum()) == 1
     metrics = spans.layer_metrics(trace, distinct_margins=len(margins))
     assert metrics["pvalue.null_builds_per_margin"] == 1.0
+
+
+def test_traced_block_grid_measures_generation(spans, tmp_path):
+    """Generation runs once per block of replications, and the sim spans
+    still time it and see every replication's counts."""
+    import numpy as np
+
+    from stepfdr import sim
+
+    grid = dict(pi0s=(0.5, 0.9), etas=(3.0,), m=20, dependence="block",
+                reps=3, seed=4)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sim.run_grid("bt", **grid)
+    finally:
+        tracer.remove()
+    tracer.dump(tmp_path / "trace.npz")
+    metrics = spans.layer_metrics(spans.load(tmp_path / "trace.npz"))
+    assert metrics["sim.gen.s"] > 0.0 and metrics["sim.gen_copula_uniforms.s"] > 0.0
+    totals = set()
+    for pi0 in grid["pi0s"]:
+        config = sim.SimConfig(test="bt", pi0=pi0, alpha=0.05, eta=3.0, m=20,
+                               dependence="block", reps=3, seed=4)
+        for r in range(config.reps):
+            _, counts = sim.gen_poisson_pair(config, np.random.default_rng([4, r]))
+            totals.update((counts[:, 0] + counts[:, 1]).tolist())
+    assert metrics["pvalue.distinct_margins"] == len(totals)
