@@ -163,8 +163,7 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
     return u[0] if isinstance(rng, np.random.Generator) else u
 
 
-def _counts(config: SimConfig, rngs: list, theta: np.ndarray, draw,
-            n: int | None = None) -> np.ndarray:
+def _counts(config: SimConfig, rngs: list, theta: np.ndarray, draw) -> np.ndarray:
     """The (len(rngs) * m, 2) counts of stacked replications with means or
     proportions theta: `draw(generator, theta)` per replication under
     independence, else one `_count_ppf` call on all their copula uniforms,
@@ -179,7 +178,8 @@ def _counts(config: SimConfig, rngs: list, theta: np.ndarray, draw,
     u = u.reshape(len(rngs), copies, -1)
     u0, u1 = u[:, 0].ravel(), u[:, -1].ravel()   # equal when shared
     apart = (u0 != u1) | (theta[:, 0] != theta[:, 1])
-    k = _count_ppf(np.append(u0, u1[apart]), np.append(theta[:, 0], theta[apart, 1]), n)
+    k = _count_ppf(np.append(u0, u1[apart]), np.append(theta[:, 0], theta[apart, 1]),
+                   config.n)
     counts = np.repeat(k[:len(theta), None], 2, axis=1)
     counts[apart, 1] = k[len(theta):]
     return counts
@@ -265,8 +265,7 @@ def gen_binomial_pair(config: SimConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     theta[:, m0:m0 + k] = (0.3, 0.75)
     theta[:, m0 + k:] = (0.75, 0.3)
     theta = theta.reshape(-1, 2)
-    return theta, _counts(config, rngs, theta,
-                          lambda g, t: g.binomial(config.n, t), config.n)
+    return theta, _counts(config, rngs, theta, lambda g, t: g.binomial(config.n, t))
 
 
 def _fdp_tdp(runs, tables: dict, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
