@@ -14,9 +14,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stepfdr import pvalue
+from stepfdr import pvalue, sim
 from stepfdr.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,12 +86,9 @@ def test_traced_fet_analyze_builds_both_flavors_in_one_pass(spans, tmp_path):
 
 
 def test_traced_block_grid_measures_generation(spans, tmp_path):
-    """Generation runs once per block of replications, and the sim spans
-    still time it and see every replication's counts."""
-    import numpy as np
-
-    from stepfdr import sim
-
+    """Generation runs once per block of replications (one block per cell
+    here), and the sim spans still time it and see every replication's
+    counts."""
     grid = dict(pi0s=(0.5, 0.9), etas=(3.0,), m=20, dependence="block",
                 reps=3, seed=4)
     tracer = spans.Tracer()
@@ -100,7 +98,10 @@ def test_traced_block_grid_measures_generation(spans, tmp_path):
     finally:
         tracer.remove()
     tracer.dump(tmp_path / "trace.npz")
-    metrics = spans.layer_metrics(spans.load(tmp_path / "trace.npz"))
+    trace = spans.load(tmp_path / "trace.npz")
+    code_of = trace["names"].index("sim.gen_poisson_pair")
+    assert int((trace["name_of"] == code_of).sum()) == len(grid["pi0s"])
+    metrics = spans.layer_metrics(trace)
     assert metrics["sim.gen.s"] > 0.0 and metrics["sim.gen_copula_uniforms.s"] > 0.0
     totals = set()
     for pi0 in grid["pi0s"]:
