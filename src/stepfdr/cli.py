@@ -202,8 +202,9 @@ def support(input_path, test, flavor, fmt, output) -> None:
     counts = ingest.load_counts(input_path)
     conv, mid = ingest.pvalue_tables(counts, test)
     table = mid if flavor == "mid" else conv
-    max_cdf = stepup.build_max_cdf(table.supports)
-    supports = [table.supports[j] for j in table.support_index]
+    slots = table.supports   # a property that builds its tuple on each read
+    max_cdf = stepup.build_max_cdf(slots)
+    supports = [slots[j] for j in table.support_index]
     if fmt == "json":
         payload = {
             "schema_version": 1,

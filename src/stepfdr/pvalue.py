@@ -155,11 +155,11 @@ def _flat_of(supports) -> _Flat:
 
 class _Chunk(NamedTuple):
     """One build batch of margins, or several merged, immutable: margin k
-    has registry id first + k, and its outcomes run up from firsts[k],
-    mapped to points of its supports by maps[flavor][cuts[k]:cuts[k + 1]].
-    `level` counts merges, and is None for a chunk that never merges."""
+    of chunk c has registry id _chunk_ids[c] + k, and its outcomes run up
+    from firsts[k], mapped to points of its supports by
+    maps[flavor][cuts[k]:cuts[k + 1]].  `level` counts merges, and is None
+    for a chunk that never merges."""
 
-    first: int
     firsts: np.ndarray
     cuts: np.ndarray
     flats: tuple[_Flat, _Flat]         # conventional, mid
@@ -183,7 +183,7 @@ def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
     maps = tuple(np.append(x, y) for x, y in zip(a.maps, b.maps))
     for column in maps:
         column.flags.writeable = False
-    return _Chunk(a.first, np.append(a.firsts, b.firsts), shifted(a.cuts, b.cuts),
+    return _Chunk(np.append(a.firsts, b.firsts), shifted(a.cuts, b.cuts),
                   (conv, mid), maps, a.level + 1)
 
 
@@ -197,15 +197,29 @@ _next_id = _live = 0
 _CAP = 2**20      # a build that would store more outcomes first resets the registry
 _BATCH = 512      # margins built together, which bounds a batch's buffers
 _MERGED = 2**16   # the most outcomes of a merged chunk
+_MOST = 2**60     # outcomes no float64 buffer holds; sums of fewer stay below 2**63
+
+
+def _out_of_memory(margin: tuple, outcomes: int) -> MemoryError:
+    return MemoryError(f"margin {margin}: out of memory building its batch's "
+                       f"{outcomes} outcomes")
 
 
 def _spans(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each margin's first outcome and number of outcomes (0 if invalid)."""
+    """Each margin's first outcome and number of outcomes (0 if invalid).
+    Margins of `_MOST` outcomes or more in all raise the MemoryError of the
+    widest one's batch first, so no count or sum of counts wraps."""
     t = margins[:, -1]
     if margins.shape[1] == 1:
-        return np.zeros_like(t), np.maximum(t + 1, 0)
-    first = np.maximum(t - margins[:, 1], 0)
-    return first, np.maximum(np.minimum(margins[:, 0], t) - first + 1, 0)
+        first, last = np.zeros_like(t), t
+    else:
+        first, last = np.maximum(t - margins[:, 1], 0), np.minimum(margins[:, 0], t)
+    span = np.maximum(last - first, -1)   # outcomes - 1, which cannot wrap
+    if sum(span.tolist()) + span.size >= _MOST:
+        j = int(np.argmax(span))
+        batch = span[j - j % _BATCH:][:_BATCH].tolist()
+        raise _out_of_memory(tuple(margins[j].tolist()), sum(batch) + len(batch))
+    return first, span + 1
 
 
 def _reset() -> None:
@@ -234,8 +248,6 @@ def _register(margins: np.ndarray) -> np.ndarray:
         if stored and stored + _spans(margins[fresh])[1].sum() > _CAP:
             _reset()
             fresh[:] = True
-        if fresh.all():   # no copies of the margins and keys
-            return _build(margins, keys)
         ids[fresh] = _build(margins[fresh], list(compress(keys, fresh)))
     return ids
 
@@ -255,7 +267,6 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
     if margins.shape[1] == 3:
         n1, n2, t = margins.T
         walk = (n1 != n2) & (margins >= 0).all(axis=1) & (t <= n1 + n2) & (n1 + n2 < _WALKED)
-        walk[walk] = _in_range(*(column[walk] for column in (n1, n2, t, firsts, widths)))
     ids = np.arange(_next_id, _next_id + len(keys))
     for start in range(0, len(keys), _BATCH):
         batch = slice(start, start + _BATCH)
@@ -272,9 +283,8 @@ def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
             flats, maps = _flatten(cuts, classes)
         except MemoryError as error:
             widest = keys[start + int(np.argmax(widths[batch]))]
-            raise MemoryError(f"margin {widest}: out of memory building its batch's "
-                              f"{int(cuts[-1])} outcomes") from error
-        _chunks.append(_Chunk(_next_id, firsts[batch], cuts, flats, maps,
+            raise _out_of_memory(widest, int(cuts[-1])) from error
+        _chunks.append(_Chunk(firsts[batch], cuts, flats, maps,
                               0 if len(keys) <= _BATCH else None))
         _chunk_ids = np.append(_chunk_ids, _next_id)
         _margins.update(zip(keys[batch], ids[batch].tolist()))
@@ -287,11 +297,11 @@ def _compact() -> None:
     """Merge the last two chunks while they have merged equally often and
     fit `_MERGED` outcomes together, like a binary counter: a run of small
     builds leaves a few chunks, not one each, and each outcome is copied
-    once per merge level."""
+    once per merge level.  Their ids follow on, as ids are handed out in
+    order and a reset empties `_chunks`."""
     global _chunk_ids
     while (len(_chunks) > 1 and _chunks[-1].level is not None
            and _chunks[-2].level == _chunks[-1].level
-           and _chunks[-2].first + len(_chunks[-2].firsts) == _chunks[-1].first
            and _chunks[-2].cuts[-1] + _chunks[-1].cuts[-1] <= _MERGED):
         last = _chunks.pop()
         _chunks[-1] = _merged(_chunks[-1], last)
@@ -381,24 +391,6 @@ _REL = 64 * _U * _U   # times n**2 (n outcomes): the relative bound of every wal
 _TINY = 2.0**-900     # the least mass walked, relative to f(lo), and the inverse of the most
 _WALKED = 2**13       # n1 + n2 below this keeps every ratio term's factors below 2**13
 _SLICE = 4096         # about this many outcomes per block of margins walked together
-
-
-def _in_range(n1, n2, t, lo, width) -> np.ndarray:
-    """Whether each untied Fisher margin's walk may stay in [2**-900, 2**900]
-    (`_TINY`).  False only where a `math.lgamma` estimate puts f(mode) / f(lo)
-    or f(lo) / f(hi) past 2**(900 + 32), where the walk must fail.  Every f
-    is an integer below 2**(n1 + n2), so margins with n1 + n2 <= 932 pass
-    unestimated."""
-    inside = np.ones(n1.size, dtype=bool)
-    bits = -math.log2(_TINY) + 32
-    for j in np.flatnonzero(n1 + n2 > bits).tolist():
-        a, b, c, x = int(n1[j]), int(n2[j]), int(t[j]), int(lo[j])
-        hi = x + int(width[j]) - 1
-        mode = min(max((c + 1) * (a + 1) // (a + b + 2), x), hi)
-        log_f = [-(math.lgamma(y + 1) + math.lgamma(a - y + 1) + math.lgamma(c - y + 1)
-                   + math.lgamma(b - c + y + 1)) for y in (x, mode, hi)]
-        inside[j] = max(log_f[1] - log_f[0], log_f[0] - log_f[2]) <= bits * math.log(2)
-    return inside
 
 
 def _ratio(n1, n2, t, x):
@@ -766,7 +758,7 @@ def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     parts = []
     for a, b in zip(bounds, bounds[1:]):
         chunk = _chunks[chunk_of[a]]
-        ks = ids[a:b] - chunk.first
+        ks = ids[a:b] - _chunk_ids[chunk_of[a]]
         rows = (slice(None) if b - a == ids.size
                 else np.flatnonzero((support_index >= a) & (support_index < b)))
         k = ks[support_index[rows] - a]

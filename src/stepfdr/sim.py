@@ -23,7 +23,6 @@ from .dist import Pareto, _check_int
 from .errors import InvariantViolation
 
 __all__ = [
-    "PROCEDURES",
     "SimConfig",
     "ProcedureStats",
     "SimSummary",
@@ -35,8 +34,6 @@ __all__ = [
     "summaries_to_rows",
     "SIM_ROW_FIELDS",
 ]
-
-PROCEDURES = stepup.PROCEDURES
 
 # Default parameter grids of the simulation study.
 DEFAULT_PI0S = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -94,6 +91,8 @@ class SimConfig:
                 raise ValueError(f"eta must be > 0, got {self.eta}")
             if self.eta == np.inf:
                 raise ValueError(f"eta must be finite, got {self.eta}")
+            if self.eta >= 2**63:   # every Pareto mean is >= eta, and counts are int64
+                raise ValueError(f"eta must be below 2**63, got {self.eta}")
         else:
             if self.n is None or self.eta is not None:
                 raise ValueError("fet cells take n and no eta")
@@ -269,9 +268,9 @@ def gen_binomial_pair(config: SimConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fdp_tdp(runs, tables: dict, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-    """FDP and TDP of each of `PROCEDURES` (rows) for every replication and
-    alpha of `stepup.run_procedures`' `runs` on `tables` (keyed by flavor);
-    the true nulls are each replication's first m0 tests."""
+    """FDP and TDP of each of `stepup.PROCEDURES` (rows) for every
+    replication and alpha of `stepup.run_procedures`' `runs` on `tables`
+    (keyed by flavor); the true nulls are each replication's first m0 tests."""
     fdp, tdp = [], []
     for flavor, r, threshold in zip(stepup.PROCEDURE_FLAVORS.values(),
                                     runs.rejection_count, runs.threshold):
@@ -302,7 +301,7 @@ class SimSummary:
 
 def _summarize(config: SimConfig, fdp: np.ndarray, tdp: np.ndarray) -> SimSummary:
     stats = {}
-    for j, name in enumerate(PROCEDURES):
+    for j, name in enumerate(stepup.PROCEDURES):
         fdp_sd = float(np.std(fdp[j], ddof=1)) if config.reps > 1 else 0.0
         tdp_sd = float(np.std(tdp[j], ddof=1)) if config.reps > 1 else 0.0
         stats[name] = ProcedureStats(fdr=float(np.mean(fdp[j])), fdp_sd=fdp_sd,
@@ -409,7 +408,7 @@ def summaries_to_rows(summaries) -> list[dict]:
     rows = []
     for summary in summaries:
         config = dataclasses.asdict(summary.config)
-        for name in PROCEDURES:
+        for name in stepup.PROCEDURES:
             cells = {**config, "procedure": name, **dataclasses.asdict(summary.stats[name])}
             rows.append({key: "" if cells[key] is None else cells[key]
                          for key in SIM_ROW_FIELDS})

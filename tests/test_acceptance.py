@@ -288,7 +288,7 @@ def test_criterion_6_block_dependence_fdr(bt_block_grid):
     assert len(bt_block_grid) == 60
     worst = -math.inf
     for summary in bt_block_grid:
-        for name in sim.PROCEDURES:
+        for name in stepup.PROCEDURES:
             worst = max(worst, summary.stats[name].fdr - summary.config.alpha)
     ok = worst <= 0.0
     report(6, ok, f"estimated FDR <= alpha for all procedures in all 60 "
@@ -392,7 +392,7 @@ def test_criterion_8_degenerate_cases():
     for test, extra in (("fet", {"n": 10}), ("bt", {"eta": 3.0})):
         summary = sim.run_cell(sim.SimConfig(
             test=test, pi0=1.0, alpha=0.05, m=20, reps=5, seed=0, **extra))
-        for name in sim.PROCEDURES:
+        for name in stepup.PROCEDURES:
             st = summary.stats[name]
             checks.append(st.power == 0.0 and 0.0 <= st.fdr <= 1.0)
 

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,6 +36,16 @@ TINY = "id,c1,c2\na,2,0\nb,0,3\nc,1,1\n"
 
 def golden_bytes(name: str) -> bytes:
     return (GOLDEN / name).read_bytes()
+
+
+def main_in_limited_child(args) -> subprocess.CompletedProcess:
+    """`main(args)` in a child process limited to 1.5 GB of address space."""
+    probe = ("import resource, sys; from stepfdr.cli import main; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+             f"sys.exit(main({args!r}))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(stepfdr.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def run_to_file(args, tmp_path, name="out"):
@@ -283,15 +294,31 @@ class TestExitCodes:
         the buffers without touching their pages, so the child stays small."""
         src = tmp_path / "huge.csv"
         src.write_text("id,c1,c2\nhuge,50000000,50000000\n")
-        probe = ("import resource, sys; from stepfdr.cli import main; "
-                 "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
-                 f"sys.exit(main(['analyze', '--input', {str(src)!r}, '--test', 'bt']))")
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(stepfdr.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = main_in_limited_child(["analyze", "--input", str(src), "--test", "bt"])
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == ("stepfdr: error: internal: margin (100000000,): out of memory "
                                "building its batch's 100000001 outcomes\n")
+
+    def test_an_outcome_count_past_int64_is_out_of_memory(self, tmp_path):
+        """Total 2**63 - 1 has 2**63 outcomes, which an int64 width would
+        wrap to 0; the build is refused up front with the true count."""
+        src = tmp_path / "widest.csv"
+        src.write_text(f"id,c1,c2\nwidest,{2**63 - 1},0\n")
+        proc = main_in_limited_child(["analyze", "--input", str(src), "--test", "bt"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (f"stepfdr: error: internal: margin ({2**63 - 1},): out of "
+                               f"memory building its batch's {2**63} outcomes\n")
+
+    def test_a_batch_whose_outcomes_sum_past_int64_is_out_of_memory(self):
+        """eta = 1e17 draws bt totals near 10**18, ten of which in one batch
+        sum past 2**63, which an int64 cumsum would wrap negative."""
+        proc = main_in_limited_child(["simulate", "--test", "bt", "--pi0", "0.5",
+                                      "--alpha", "0.1", "--eta", "1e17", "--m", "10",
+                                      "--reps", "2", "--dependence", "block"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        found = re.fullmatch(r"stepfdr: error: internal: margin \((\d+),\): out of memory "
+                             r"building its batch's (\d+) outcomes\n", proc.stderr)
+        assert found and int(found[2]) >= 2**63 > int(found[1])
 
     @pytest.mark.parametrize("body", [b"m\xe9,1,2\n", b"x" * 200_000 + b",1,2\n"],
                              ids=["not-utf8", "oversized-field"])
@@ -356,9 +383,11 @@ class TestSimulateCli:
         (["--eta", "-1"], "eta must be > 0, got -1.0"),
         (["--eta", "inf"], "eta must be finite, got inf"),
         (["--eta", "inf", "--dependence", "block"], "eta must be finite, got inf"),
+        (["--eta", "1e19"], "eta must be below 2**63, got 1e+19"),
+        (["--eta", "1e19", "--dependence", "block"], "eta must be below 2**63, got 1e+19"),
         (["--eta", "3", "--m", "22", "--dependence", "block"],
          "blocks must be >= 1 and divide m = 22, got 5"),
-    ], ids=["eta", "eta-inf", "eta-inf-block", "blocks"])
+    ], ids=["eta", "eta-inf", "eta-inf-block", "eta-huge", "eta-huge-block", "blocks"])
     def test_bad_parameters_are_usage_errors(self, capsys, mode, bad, problem):
         code = main(["simulate", "--test", "bt", *mode, *bad, "--reps", "1",
                      "--output", os.devnull])
@@ -401,6 +430,18 @@ class TestSupportCli:
         assert doc["m"] == 3
         assert [s["id"] for s in doc["supports"]] == ["a", "b", "c"]
         assert doc["max_cdf"]["grid"] == sorted(doc["max_cdf"]["grid"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reads_the_tables_supports_once(self, monkeypatch, fmt):
+        """`supports` builds a tuple over every slot on each read, so one
+        read per table keeps the command linear in m."""
+        reads = []
+        supports = pvalue.PValueTable.supports
+        monkeypatch.setattr(pvalue.PValueTable, "supports",
+                            property(lambda table: reads.append(table) or supports.fget(table)))
+        assert main(["support", "--input", HIV, "--test", "fet", "--format", fmt,
+                     "--output", os.devnull]) == 0
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("command", ["support", "compare"])
     def test_empty_table_is_a_data_error(self, tmp_path, capsys, command):

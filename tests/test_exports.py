@@ -60,3 +60,12 @@ def test_every_private_module_level_name_is_used():
                         for other, found in tokens.items() for string, line in found):
                     unused.append(f"{module}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    """Each public name is exported from the one module that defines it."""
+    owners = {}
+    for name in MODULES[1:]:
+        for attr in getattr(importlib.import_module(name), "__all__", []):
+            owners.setdefault(attr, []).append(name)
+    assert {attr: found for attr, found in owners.items() if len(found) > 1} == {}

@@ -15,7 +15,6 @@ from stepfdr import pvalue, sim, stepup
 from stepfdr.dist import hypergeometric_null
 from stepfdr.errors import InvariantViolation
 from stepfdr.sim import (
-    PROCEDURES,
     SIM_ROW_FIELDS,
     SimConfig,
     gen_binomial_pair,
@@ -25,6 +24,7 @@ from stepfdr.sim import (
     run_grid,
     summaries_to_rows,
 )
+from stepfdr.stepup import PROCEDURES
 
 
 def bt_config(**kwargs):
@@ -236,8 +236,12 @@ def test_count_ppf_rejects_counts_beyond_int64(theta, n, largest):
 
 
 def test_huge_eta_block_cell_fails_in_generation():
+    """`SimConfig` refuses an eta of 2**63 or more; below it, alternatives
+    3 to 5.5 times a Pareto mean >= 5e18 still pass int64 in generation."""
+    with pytest.raises(ValueError, match=re.escape("eta must be below 2**63, got 1e+30")):
+        bt_config(eta=1e30, dependence="block")
     with pytest.raises(ValueError, match="counts must stay below 2\\*\\*63"):
-        run_cell(bt_config(eta=1e30, dependence="block"))
+        run_cell(bt_config(eta=5e18, dependence="block"))
 
 
 def test_gen_pair_rejects_wrong_test():

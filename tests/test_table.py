@@ -272,8 +272,8 @@ def records(keys):
     for key in keys:
         assert type(pvalue._margins[key]) is int
         at = pvalue._margins[key]
-        chunk = pvalue._chunks[np.searchsorted(pvalue._chunk_ids, at, side="right") - 1]
-        k = at - chunk.first
+        c = np.searchsorted(pvalue._chunk_ids, at, side="right") - 1
+        chunk, k = pvalue._chunks[c], at - pvalue._chunk_ids[c]
         out[key] = (int(chunk.firsts[k]), *(
             (flat.support(k).points.tobytes(), flat.support(k).cdf_values.tobytes(),
              maps[chunk.cuts[k]:chunk.cuts[k + 1]].tobytes())
@@ -330,11 +330,11 @@ WIDE_FET = [(2500, 4000, 60), (6000, 2000, 7900)]
 
 
 def test_walks_out_of_range_fall_back_beside_narrow_margins(monkeypatch):
-    """Margins whose walk must leave [2**-900, 2**900] go straight to their
-    exact nulls, never walked, and the narrow margins after them in key
-    order and in their block, such as (1000, 1002, 5), keep their own class
-    slots.  Forced through the walk, they overflow or underflow into nan and
-    fall back, with the same records."""
+    """Margins whose walk leaves [2**-900, 2**900] overflow or underflow
+    into nan and fall back to their exact nulls, once each, and the narrow
+    margins after them in key order and in their block, such as
+    (1000, 1002, 5), keep their own class slots: every record is the exact
+    build's."""
     calls, walked = [], []
 
     def counting_null(*margin):
@@ -351,22 +351,15 @@ def test_walks_out_of_range_fall_back_beside_narrow_margins(monkeypatch):
     monkeypatch.setattr(pvalue, "_walk", counting_walk)
     got = fresh_records(monkeypatch, keys)
     assert sorted(calls) == sorted(OVERFLOWING_FET)
-    assert sorted(walked) == sorted(set(keys) - set(OVERFLOWING_FET))
-    calls.clear()
-    walked.clear()
-    with monkeypatch.context() as forced:
-        forced.setattr(pvalue, "_in_range", lambda n1, *rest: np.ones(n1.size, dtype=bool))
-        assert_same_records(fresh_records(forced, keys), got)
-    assert sorted(calls) == sorted(OVERFLOWING_FET)
     assert sorted(walked) == sorted(keys)
     assert_same_records(got, fresh_records(monkeypatch, keys, _WALKED=0))
 
 
 def test_wide_margins_match_a_forced_exact_build(monkeypatch):
     """600 random Fisher margins, 30% with n1 and n2 up to 4,095 and the
-    rest up to 400, build the same records byte for byte whether the range
-    estimate sends them to the exact build, the walk certifies them or
-    they fall back, as with every margin built exactly (`_WALKED = 0`)."""
+    rest up to 400, build the same records byte for byte whether the walk
+    certifies them or they fall back, as with every margin built exactly
+    (`_WALKED = 0`)."""
     rng = np.random.default_rng(59)
     n = rng.integers(0, 401, size=(660, 2))
     wide = rng.random(660) < 0.3
@@ -388,12 +381,9 @@ def test_wide_margins_match_a_forced_exact_build(monkeypatch):
     monkeypatch.setattr(pvalue, "hypergeometric_null", counting_null)
     monkeypatch.setattr(pvalue, "_walk", counting_walk)
     got = fresh_records(monkeypatch, keys)
-    margins = np.array(keys)
-    routed = ((margins[:, 0] != margins[:, 1])
-              & ~pvalue._in_range(*margins.T, *pvalue._spans(margins)))
-    routed = {key for key, out in zip(keys, routed.tolist()) if out}
-    assert routed and routed <= set(calls) and not routed & set(walked)
     assert len(walked) > len(keys) // 2
+    untied = [key for key in keys if key[0] != key[1]]
+    assert sorted(walked) == sorted(untied) and set(untied) & set(calls)
     assert_same_records(got, fresh_records(monkeypatch, keys, _WALKED=0))
 
 
@@ -701,7 +691,7 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
         assert stored <= pvalue._CAP
         points = sum(flat.points.size for chunk in pvalue._chunks for flat in chunk.flats)
         assert points <= 2 * stored
-    assert pvalue._live > live and first not in pvalue._chunks
+    assert pvalue._live > live and not any(chunk is first for chunk in pvalue._chunks)
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
     for was, now in zip(before[2], again):
