@@ -245,24 +245,26 @@ def _register(margins: np.ndarray) -> np.ndarray:
     fresh = ids < _live
     if fresh.any():
         stored = _stored()
-        if stored and stored + _spans(margins[fresh])[1].sum() > _CAP:
+        spans = _spans(margins[fresh]) if stored else None
+        if stored and stored + spans[1].sum() > _CAP:
             _reset()
-            fresh[:] = True
-        ids[fresh] = _build(margins[fresh], list(compress(keys, fresh)))
+            fresh[:], spans = True, None
+        ids[fresh] = _build(margins[fresh], list(compress(keys, fresh)), spans)
     return ids
 
 
-def _build(margins: np.ndarray, keys: list | None = None) -> np.ndarray:
+def _build(margins: np.ndarray, keys: list | None = None, spans=None) -> np.ndarray:
     """Register the margins, rows of one width, none registered yet, as
     `keys` (their tuples), and return their ids: one chunk per batch, with
     one class slot per outcome for its classes in ascending mass order.
+    `spans` is their `_spans`, if the caller has it.
     `_walk` fills those of the untied Fisher margins (n1 = n2 is symmetric:
     tied) that it certifies, and `_exact` the rest, in row order.  A call
     of one batch merges its chunk into the last ones (`_compact`).  A batch
     that runs out of memory raises a MemoryError naming its widest margin."""
     global _chunk_ids, _next_id
     keys = list(map(tuple, margins.tolist())) if keys is None else keys
-    firsts, widths = _spans(margins)
+    firsts, widths = _spans(margins) if spans is None else spans
     walk = np.zeros(len(keys), dtype=bool)
     if margins.shape[1] == 3:
         n1, n2, t = margins.T

@@ -300,13 +300,13 @@ class SimSummary:
 
 
 def _summarize(config: SimConfig, fdp: np.ndarray, tdp: np.ndarray) -> SimSummary:
-    stats = {}
-    for j, name in enumerate(stepup.PROCEDURES):
-        fdp_sd = float(np.std(fdp[j], ddof=1)) if config.reps > 1 else 0.0
-        tdp_sd = float(np.std(tdp[j], ddof=1)) if config.reps > 1 else 0.0
-        stats[name] = ProcedureStats(fdr=float(np.mean(fdp[j])), fdp_sd=fdp_sd,
-                                     power=float(np.mean(tdp[j])), tdp_sd=tdp_sd)
-    return SimSummary(config=config, stats=stats)
+    """Each procedure's stats from its row of `fdp` and `tdp`, each
+    (procedures, replications): one mean and one sd reduction per array."""
+    def sd(x):
+        return np.std(x, axis=1, ddof=1) if config.reps > 1 else np.zeros(len(x))
+    rows = np.column_stack([np.mean(fdp, axis=1), sd(fdp), np.mean(tdp, axis=1), sd(tdp)])
+    return SimSummary(config=config, stats={
+        name: ProcedureStats(*row) for name, row in zip(stepup.PROCEDURES, rows.tolist())})
 
 
 def _block(base: SimConfig, alphas: tuple[float, ...], reps: range):

@@ -3,7 +3,9 @@
 The adaptive procedure takes the pointwise maximum F* of the per-test null
 CDFs of the p-values, then uses critical values
 ``gamma_k = max{t in grid : F*(t) <= alpha * k / m}`` over the sorted union
-of all support points.  Rejections follow the usual step-up scan.  With
+of all support points, and rejects the R smallest p-values, R = max{k :
+p_(k) <= gamma_k}.  As every p-value is a grid point and F* never falls,
+that is max{k : F*(p_(k)) <= alpha * k / m}, which the scan reads.  With
 uniform p-values F* is the identity and the procedure reduces to the
 classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 
@@ -147,7 +149,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
         n = sizes.size
         pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
         pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-        if pairs.size == n:   # one replication pooling every slot
+        if reps == 1 and pairs.size == n:   # one replication pooling every slot
             slots = None
     if slots is not None:   # gather each (replication, slot) pair's events
         rep, which = np.divmod(pairs, n)
@@ -202,6 +204,21 @@ def _last_at_most(keys: np.ndarray, levels: np.ndarray, reps: int,
     return idx
 
 
+def _cdf_at(steps: _Steps, values: np.ndarray) -> np.ndarray:
+    """F* of each replication at each value of its row of `values`, 0 below
+    its first step.  Identity steps (`_sweep`'s, where every CDF is its
+    points) give back the values, which must be grid points."""
+    if steps.levels is steps.points:
+        return values
+    idx = _last_at_most(steps.run, steps.points, steps.reps, values)
+    none = idx < 0
+    idx = steps.top[idx]
+    idx %= steps.levels.size
+    f = steps.levels[idx]
+    f[none] = 0.0
+    return f
+
+
 def _gammas(steps: _Steps, thresholds: np.ndarray) -> np.ndarray:
     """Per replication, the largest grid point whose F* value is at most each
     threshold, or NaN if none is."""
@@ -233,14 +250,6 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     return MaxCdf(grid, values)
 
 
-def _critical(steps: _Steps, alpha: float, m: int) -> np.ndarray:
-    """gamma_k for k = 1..m from the F* of a batch of one."""
-    _check_alpha(alpha)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _gammas(steps, _thresholds(np.array([alpha]), m)[None])[0, 0]
-
-
 def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     """gamma_k for k = 1..m; NaN marks ranks with no feasible grid point.
 
@@ -248,7 +257,10 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     NaN (rather than 0) is the none-feasible marker, so a literal p-value of
     0 can never pass a comparison against an infeasible rank.
     """
-    return _critical(_steps_of(max_cdf), alpha, m)
+    _check_alpha(alpha)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return _gammas(_steps_of(max_cdf), _thresholds(np.array([alpha]), m)[None])[0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,20 +287,24 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(sorted_p: np.ndarray, gamma: np.ndarray):
-    """The step-up scan of every (replication, alpha) row: R = max{k :
-    p_(k) <= gamma_k}, the threshold gamma_R (NaN when R = 0), and how many
+def _scan(p: np.ndarray, f: np.ndarray, thresholds: np.ndarray,
+          steps: _Steps | None = None):
+    """The step-up scan of every (replication, alpha) pair: R = max{k :
+    f_(k) <= alpha k / m}, the threshold (NaN when R = 0), and how many
     p-values lie at or below it.
 
-    sorted_p is (replications, m), each row ascending; gamma is
-    (replications, alphas, m).
+    p is (replications, m), f the CDF at each row's sorted values (F*, or
+    the sorted p-values for BH), and thresholds is `_thresholds`' (alphas,
+    m).  The threshold is alpha R / m, or gamma_R on the F* `steps`.
     """
-    reps, n_alphas, m = gamma.shape
-    hits = sorted_p[:, None, :] <= gamma
+    m = p.shape[1]
+    hits = f[:, None, :] <= thresholds
     r = np.where(hits.any(axis=-1), m - np.argmax(hits[..., ::-1], axis=-1), 0)
-    gamma_r = gamma[np.arange(reps)[:, None], np.arange(n_alphas), r - 1]
-    threshold = np.where(r > 0, gamma_r, np.nan)
-    rejected = (sorted_p[:, None, :] <= threshold[..., None]).sum(axis=-1)
+    cutoff = thresholds[np.arange(thresholds.shape[0]), r - 1]
+    if steps is not None:
+        cutoff = _gammas(steps, cutoff)
+    threshold = np.where(r > 0, cutoff, np.nan)
+    rejected = (p[:, None, :] <= threshold[..., None]).sum(axis=-1)
     return r, threshold, rejected
 
 
@@ -322,11 +338,17 @@ def _result(p: np.ndarray, gamma: np.ndarray, r, threshold) -> StepUpResult:
     return StepUpResult(gamma, int(r), float(threshold), np.flatnonzero(p <= threshold))
 
 
-def _step_up(p: np.ndarray, sorted_p: np.ndarray, gamma: np.ndarray) -> StepUpResult:
-    """One step-up run of `p`, whose values ascend in `sorted_p`, against gamma_k."""
-    r, threshold, rejected = _scan(sorted_p[None], gamma[None, None])
+def _step_up(p: np.ndarray, alpha: float, steps: _Steps | None = None):
+    """One step-up run of `p` at `alpha` on the F* `steps` (None for BH),
+    and the CDF at the sorted p-values, one row."""
+    _check_alpha(alpha)
+    thresholds = _thresholds(np.array([alpha]), p.size)
+    f = np.sort(p)[None]
+    f = f if steps is None else _cdf_at(steps, f)
+    r, threshold, rejected = _scan(p[None], f, thresholds, steps)
     _raise_first([_count_check(r, rejected)])
-    return _result(p, gamma, r[0, 0], threshold[0, 0])
+    gamma = thresholds[0] if steps is None else _gammas(steps, thresholds[None])[0, 0]
+    return _result(p, gamma, r[0, 0], threshold[0, 0]), f
 
 
 def bh_plus(table: PValueTable, alpha: float, *,
@@ -340,14 +362,12 @@ def bh_plus(table: PValueTable, alpha: float, *,
     """
     steps = (_sweep(table._parts, table.support_index)[0] if max_cdf is None
              else _steps_of(max_cdf))
-    return _step_up(table.p, np.sort(table.p), _critical(steps, alpha, table.p.size))
+    return _step_up(table.p, alpha, steps)[0]
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
     """Classical step-up with critical values alpha * k / m."""
-    p = _validate_pvalues(pvalues)
-    _check_alpha(alpha)
-    return _step_up(p, np.sort(p), _thresholds(np.array([alpha]), p.size)[0])
+    return _step_up(_validate_pvalues(pvalues), alpha)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,14 +385,12 @@ class MidComparison:
     mid_result: StepUpResult
 
 
-def _condition(steps: _Steps, sorted_q: np.ndarray, r_cp: np.ndarray,
-               alphas: np.ndarray) -> np.ndarray:
+def _condition(f_mid: np.ndarray, r_cp: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Per (replication, alpha): whether the mid F* at the r_cp-th smallest
-    mid p-value is <= alpha * r_cp / m (vacuously, when r_cp = 0)."""
-    q = np.take_along_axis(sorted_q, np.maximum(r_cp - 1, 0), axis=1)
-    idx = _last_at_most(steps.run, steps.points, steps.reps, q)
-    f = np.where(idx >= 0, steps.levels[steps.top[idx] % steps.levels.size], 0.0)
-    return (r_cp == 0) | (f <= alphas * r_cp / sorted_q.shape[1])
+    mid p-value, f_mid's column r_cp - 1, is <= alpha * r_cp / m
+    (vacuously, when r_cp = 0)."""
+    f = np.take_along_axis(f_mid, np.maximum(r_cp - 1, 0), axis=1)
+    return (r_cp == 0) | (f <= alphas * r_cp / f_mid.shape[1])
 
 
 def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
@@ -392,11 +410,10 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
             f"but got {m} mid p-values")
     steps = (_sweep(mid_table._parts, mid_table.support_index)[0] if max_cdf is None
              else _steps_of(max_cdf))
-    sorted_q = np.sort(p_mid)
-    mid_result = _step_up(p_mid, sorted_q, _critical(steps, alpha, m))
+    mid_result, f_mid = _step_up(p_mid, alpha, steps)
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
-    condition = _condition(steps, sorted_q[None], r_cp, np.array([alpha]))
+    condition = _condition(f_mid, r_cp, np.array([alpha]))
     _raise_first([_order_check(condition, r_cp, r_mp)])
     return MidComparison(condition_holds=bool(condition[0, 0]), r_cp=int(r_cp[0, 0]),
                          r_mp=int(r_mp[0, 0]), mid_result=mid_result)
@@ -406,7 +423,7 @@ class _Runs(NamedTuple):
     """`run_procedures` results, per procedure (in `PROCEDURES` order),
     replication and alpha."""
 
-    critical_values: tuple[np.ndarray, ...]   # each (replications, alphas, m)
+    critical_values: tuple[np.ndarray, ...] | None   # each (1, alphas, m), or None if reps > 1
     rejection_count: np.ndarray               # (procedures, replications, alphas)
     threshold: np.ndarray                     # the same, NaN where R = 0
     condition_holds: np.ndarray               # (replications, alphas)
@@ -433,12 +450,14 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     two tables, at every level of `alphas`, for each of `reps` replications:
     replication r holds tests r m .. r m + m - 1 of both tables.
 
-    Each replication's F* pools the supports its own tests use.  Every check
-    runs for every (replication, alpha) pair: each step-up's rejection
-    count, BH's set inside BH+'s, and the count-ordering condition against
-    r_mp >= r_cp.  The first failing pair, in (replication, alpha) order,
-    raises an InvariantViolation naming alpha, whose `pair` attribute is
-    (replication, alpha index).
+    Each replication's F* pools the supports its own tests use, and each
+    scan reads it at the sorted p-values; only a batch of one replication
+    gets per-rank critical values.  Every check runs for every (replication,
+    alpha) pair: each step-up's R against the p-values at or below its
+    threshold, BH's set inside BH+'s, and the count-ordering condition
+    against r_mp >= r_cp.  The first failing pair, in (replication, alpha)
+    order, raises an InvariantViolation naming alpha, whose `pair`
+    attribute is (replication, alpha index).
     """
     for alpha in alphas:
         _check_alpha(alpha)
@@ -451,19 +470,23 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     # The conventional points' ranks serve the mid sweep's levels too when,
     # as for one `pvalue_table` call's tables, they are the mid CDF values.
     steps, ranked = _sweep(conv._parts, conv.support_index, reps)
-    gammas = (np.broadcast_to(thresholds, (reps, *thresholds.shape)),
-              _gammas(steps, thresholds[None]))
-    del steps
-    mid_steps = _sweep(mid._parts, mid.support_index, reps,
-                       ranked if _shares_levels(mid, conv) else None)[0]
+    gammas = (thresholds[None], _gammas(steps, thresholds[None])) if reps == 1 else None
+    p = conv.p.reshape(reps, -1)
+    sorted_p = np.sort(p)
+    bh = _scan(p, sorted_p, thresholds)
+    plus = _scan(p, _cdf_at(steps, sorted_p), thresholds, steps)
+    del steps, sorted_p
+    steps = _sweep(mid._parts, mid.support_index, reps,
+                   ranked if _shares_levels(mid, conv) else None)[0]
     del ranked
-    gammas += (_gammas(mid_steps, thresholds[None]),)
-    sorted_p = np.sort(conv.p.reshape(reps, -1))
-    bh, plus = _scan(sorted_p, gammas[0]), _scan(sorted_p, gammas[1])
-    del sorted_p
-    sorted_q = np.sort(mid.p.reshape(reps, -1))
-    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(sorted_q, gammas[2]))
-    condition = _condition(mid_steps, sorted_q, r_cp, levels)
+    q = mid.p.reshape(reps, -1)
+    f_mid = _cdf_at(steps, np.sort(q))
+    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, steps))
+    condition = _condition(f_mid, r_cp, levels)
+    del f_mid
+    if gammas:
+        gammas += (_gammas(steps, thresholds[None]),)
+    del steps
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
     # classical set lies inside the adaptive one iff it is no larger.
     _raise_first([

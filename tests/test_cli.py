@@ -248,10 +248,11 @@ class TestExitCodes:
         flavor it reports, and names alpha when they are out of order."""
         scan, scans = stepup._scan, []
 
-        def over_rejecting(sorted_p, gamma):   # BH, each run's first scan, rejects all m
-            r, threshold, rejected = scan(sorted_p, gamma)
+        def over_rejecting(p, f, thresholds, steps=None):
+            """BH, each run's first scan, rejects all m."""
+            r, threshold, rejected = scan(p, f, thresholds, steps)
             if len(scans) % 3 == 0:
-                r[...] = rejected[...] = gamma.shape[-1]
+                r[...] = rejected[...] = thresholds.shape[-1]
                 threshold[...] = 1.0
             scans.append(1)
             return r, threshold, rejected
@@ -277,7 +278,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("stepfdr: error: internal:")
 
     def test_out_of_memory_is_internal(self, tmp_path, capsys, monkeypatch):
-        def boom(margins, keys=None):
+        def boom(margins, keys=None, spans=None):
             raise MemoryError(f"margin {tuple(margins[0].tolist())}: out of memory")
 
         src = tmp_path / "one.csv"

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulation harness."""
 
 import ast
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -394,8 +395,8 @@ def test_block_size_does_not_change_summaries(monkeypatch, test, dependence):
 
 @pytest.mark.parametrize("test", ["bt", "fet"])
 def test_run_procedures_on_a_batch_equals_each_replication_alone(test):
-    """Every field of a batch's runs equals, bit for bit, that of the
-    replication run as a batch of one."""
+    """Every count, threshold and condition of a batch's runs equals, bit
+    for bit, that of the replication run as a batch of one."""
     m, reps, alphas = 30, 6, (0.05, 0.1, 0.3)
     config = (bt_config if test == "bt" else fet_config)(m=m)
     gen = gen_poisson_pair if test == "bt" else gen_binomial_pair
@@ -409,11 +410,102 @@ def test_run_procedures_on_a_batch_equals_each_replication_alone(test):
     for r, c in enumerate(counts):
         alone = stepup.run_procedures(
             *pvalue.pvalue_table(c[:, 0], c[:, 1], config.n, config.n), alphas)
-        for got, want in zip(batch.critical_values, alone.critical_values):
-            assert got[r].tobytes() == want[0].tobytes()
         assert batch.rejection_count[:, r].tobytes() == alone.rejection_count[:, 0].tobytes()
         assert batch.threshold[:, r].tobytes() == alone.threshold[:, 0].tobytes()
         assert batch.condition_holds[r].tobytes() == alone.condition_holds[0].tobytes()
+
+
+@st.composite
+def scanned_batches(draw):
+    """Random bt or fet tables of 2 to 5 replications, with counts small
+    enough that no p-value reaches 1e-12, and alphas starting there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    test = draw(st.sampled_from(["bt", "fet"]))
+    m, reps = draw(st.integers(1, 40)), draw(st.integers(2, 5))
+    if test == "bt":
+        counts = rng.integers(0, rng.integers(1, 20), size=(reps * m, 2))
+        tables = pvalue.pvalue_table(counts[:, 0], counts[:, 1])
+    else:
+        n = rng.integers(1, 15, size=(reps * m, 2))
+        counts = rng.integers(0, n + 1)
+        tables = pvalue.pvalue_table(counts[:, 0], counts[:, 1], n[:, 0], n[:, 1])
+    alphas = [1e-12] + draw(st.lists(st.floats(0.001, 0.99), min_size=1, max_size=3))
+    return tables, alphas, reps
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(batch=scanned_batches())
+def test_scanning_f_star_at_the_pvalues_equals_the_critical_value_scan(batch):
+    """Every p-value is a point of its replication's grid and F* never
+    falls, so the scan of F* at the sorted p-values gives, for all three
+    procedures, R = max{k : p_(k) <= gamma_k} over the full (replications,
+    alphas, m) grid of `stepup._gammas`, and the threshold gamma_R bit for
+    bit; at alpha = 1e-12 no gamma is feasible."""
+    (conv, mid), alphas, reps = batch
+    runs = stepup.run_procedures(conv, mid, alphas, reps)
+    m = conv.p.size // reps
+    thresholds = stepup._thresholds(np.array(alphas), m)[None]
+    for j, table in enumerate((conv, conv, mid)):
+        gamma = np.broadcast_to(thresholds, (reps, *thresholds.shape[1:]))
+        if j:
+            gamma = stepup._gammas(stepup._sweep(table._parts, table.support_index, reps)[0],
+                                   thresholds)
+            assert np.isnan(gamma[:, 0]).all()
+        hits = np.sort(table.p.reshape(reps, m))[:, None, :] <= gamma
+        r = np.where(hits, np.arange(1, m + 1), 0).max(axis=-1)
+        assert runs.rejection_count[j].tolist() == r.tolist()
+        want = np.where(r > 0, np.take_along_axis(gamma, np.maximum(r - 1, 0)[..., None],
+                                                  axis=-1)[..., 0], np.nan)
+        assert runs.threshold[j].tobytes() == want.tobytes()
+
+
+def test_a_block_looks_critical_values_up_only_at_r(monkeypatch):
+    """On a 20-replication block, each adaptive flavor asks `_gammas` for
+    one critical value per (replication, alpha) pair, and the runs carry no
+    per-rank critical values."""
+    asked, gammas = [], stepup._gammas
+    monkeypatch.setattr(stepup, "_gammas", lambda steps, thresholds: (
+        asked.append(np.size(thresholds)) or gammas(steps, thresholds)))
+    m, reps, alphas = 200, 20, (0.05, 0.1, 0.15, 0.2)
+    counts = gen_poisson_pair(bt_config(m=m), [np.random.default_rng([5, r])
+                                                for r in range(reps)])[1]
+    runs = stepup.run_procedures(*pvalue.pvalue_table(counts[:, 0], counts[:, 1]),
+                                 alphas, reps)
+    assert runs.critical_values is None and runs.rejection_count.any()
+    assert asked == [reps * len(alphas)] * 2
+
+
+def test_replications_that_share_no_support_each_pool_their_own():
+    """Two replications of three Fisher tests whose six margins are all
+    distinct, so together they use every slot once: each replication's F*
+    pools only its own supports, and the batch equals each run alone."""
+    c1, c2, n1, n2 = (np.array(x) for x in ([7, 6, 2, 0, 4, 3], [3, 1, 1, 4, 11, 4],
+                                            [8, 14, 3, 14, 5, 6], [11, 1, 12, 4, 13, 4]))
+    batch = stepup.run_procedures(*pvalue.pvalue_table(c1, c2, n1, n2), (0.05, 0.5), 2)
+    for r in range(2):
+        rows = slice(3 * r, 3 * r + 3)
+        alone = stepup.run_procedures(
+            *pvalue.pvalue_table(c1[rows], c2[rows], n1[rows], n2[rows]), (0.05, 0.5))
+        assert batch.rejection_count[:, r].tobytes() == alone.rejection_count[:, 0].tobytes()
+        assert batch.threshold[:, r].tobytes() == alone.threshold[:, 0].tobytes()
+    assert batch.rejection_count[:, 1, 1].tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 7])
+def test_summaries_equal_per_procedure_scalar_reductions(reps):
+    """One mean and one sd reduction over each (procedures, replications)
+    array give, bit for bit, the per-procedure scalar np.mean and np.std
+    (ddof=1; 0.0 for one replication)."""
+    rng = np.random.default_rng(reps)
+    fdp = rng.integers(0, 9, size=(3, reps)) / rng.integers(1, 9, size=(3, reps))
+    tdp = rng.random((3, reps)) / 3
+    summary = sim._summarize(bt_config(reps=reps), fdp, tdp)
+    for j, name in enumerate(PROCEDURES):
+        sd = [float(np.std(x[j], ddof=1)) if reps > 1 else 0.0 for x in (fdp, tdp)]
+        want = sim.ProcedureStats(fdr=float(np.mean(fdp[j])), fdp_sd=sd[0],
+                                  power=float(np.mean(tdp[j])), tdp_sd=sd[1])
+        assert summary.stats[name] == want
+        assert all(type(v) is float for v in dataclasses.astuple(summary.stats[name]))
 
 
 def test_run_grid_matches_run_cell_bitwise():
@@ -472,10 +564,10 @@ def test_invariant_violation_message_replays_its_replication(monkeypatch):
         generated.append(out[1])
         return out
 
-    def over_rejecting_bh(sorted_p, gamma):
+    def over_rejecting_bh(p, f, thresholds, steps=None):
         """BH's scan, the first of each block's three, rejects all m tests
         at the failing pairs, which BH+ then cannot contain."""
-        r, threshold, rejected = scan(sorted_p, gamma)
+        r, threshold, rejected = scan(p, f, thresholds, steps)
         block, procedure = divmod(len(scans), 3)
         scans.append(1)
         for rep, a in failing:

@@ -694,18 +694,38 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
     assert pvalue._live > live and not any(chunk is first for chunk in pvalue._chunks)
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
-    for was, now in zip(before[2], again):
-        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (was, now))):
-            assert a.tobytes() == b.tobytes()
+    assert again.critical_values is not None   # a batch of one has them
+    assert_same_runs(again, before[2])
     assert [s.points.tobytes() for s in conv.supports] == [
         fet_support(*margin, CONV).points.tobytes()
         for margin in ((9, 9, 2), (9, 9, 4), (20, 20, 8), (30, 31, 8))]
 
 
+def test_a_fresh_build_on_a_filled_registry_spans_its_margins_once(monkeypatch):
+    """`_register` hands the spans it measured for its `_CAP` test on to
+    `_build`: one `_spans` call per fresh build on a non-empty registry,
+    for the fresh margins only."""
+    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
+                        ("_next_id", 0), ("_live", 0)):
+        monkeypatch.setattr(pvalue, name, empty)
+    pvalue_table([1, 2], [3, 4])   # totals 4 and 6
+    calls, spans = [], pvalue._spans
+    monkeypatch.setattr(pvalue, "_spans", lambda margins: (
+        calls.append(margins.tolist()) or spans(margins)))
+    conv, _ = pvalue_table([5, 6, 1], [7, 8, 3])   # totals 12 and 14 are fresh
+    assert calls == [[[12], [14]]]
+    pvalue_table([2, 0], [1, 9], [4, 9], [3, 9])
+    assert calls == [[[12], [14]], [[4, 3, 3], [9, 9, 9]]]
+    assert conv.p.tobytes() == pvalue_table([5, 6, 1], [7, 8, 3])[0].p.tobytes()
+
+
 def assert_same_runs(got, want):
-    for a, b in zip(got, want):
-        for x, y in zip(*(v if isinstance(v, tuple) else (v,) for v in (a, b))):
-            assert x.tobytes() == y.tobytes()
+    """Every array of two `run_procedures` results is equal bit for bit,
+    the per-rank critical values where present."""
+    assert (got.critical_values is None) == (want.critical_values is None)
+    for x, y in zip(*([*(runs.critical_values or ()), *runs[1:]] for runs in (got, want)),
+                    strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 @PROPERTY
