@@ -556,8 +556,8 @@ def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
 class _Pool(NamedTuple):
     """The supports of a table's slots, flat, slot after slot: their points,
     each slot's number of points and, unless every CDF is the identity on
-    its points, the slots' CDF levels, point j's being levels[at[j]], or
-    levels[j] when `at` is None (`levels` may be left out beside `at`)."""
+    its points, each point's CDF value (`levels`) or else its index among
+    the slots' CDF levels, pooled in the same order (`at`)."""
 
     points: np.ndarray
     sizes: np.ndarray
@@ -574,10 +574,6 @@ def _segments(starts: np.ndarray, ks: np.ndarray):
         return slice(starts[ks[0]], starts[ks[-1] + 1]), sizes
     ends = np.cumsum(sizes)
     return np.arange(ends[-1]) + np.repeat(starts[ks] - (ends - sizes), sizes), sizes
-
-
-def _join(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class PValueTable:
@@ -638,23 +634,24 @@ class PValueTable:
 
 def _pool(parts, levels: bool = True) -> _Pool:
     """The supports of `parts`, (flat supports, margin indices there) in
-    slot order, flat: one gather per part, none for a run of adjacent
-    margins of one part.  With levels=False the levels are left out, but
-    not `at`."""
+    slot order, flat, in new columns: one gather per part (a slice for a
+    run of adjacent margins of one part).  Each point's CDF value is
+    gathered as a float, or with levels=False given as `at`."""
     segments = [_segments(flat.starts, ks) for flat, ks in parts]
-    points = _join([flat.points[index] for (flat, _), (index, _) in zip(parts, segments)])
-    sizes = _join([n for _, n in segments])
+    points = np.concatenate([flat.points[index]
+                             for (flat, _), (index, _) in zip(parts, segments)])
+    sizes = np.concatenate([n for _, n in segments])
     if parts[0][0].levels is None:
         return _Pool(points, sizes, None, None)
-    level_segments = [_segments(flat.levels[1], ks) for flat, ks in parts]
-    level_sizes = _join([n for _, n in level_segments])
+    if levels:   # point j of margin k holds levels[0][levels[1][k] + at[j]]
+        return _Pool(points, sizes, np.concatenate([
+            flat.levels[0][np.repeat(flat.levels[1][ks], n) + flat.at[index]]
+            for (flat, ks), (index, n) in zip(parts, segments)]), None)
+    level_sizes = np.concatenate([flat.levels[1][ks + 1] - flat.levels[1][ks]
+                                  for flat, ks in parts])
     at = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes)
-    at += _join([flat.at[index] for (flat, _), (index, _) in zip(parts, segments)])
-    values = None
-    if levels:
-        values = _join([flat.levels[0][index]
-                        for (flat, _), (index, _) in zip(parts, level_segments)])
-    return _Pool(points, sizes, values, at)
+    at += np.concatenate([flat.at[index] for (flat, _), (index, _) in zip(parts, segments)])
+    return _Pool(points, sizes, None, at)
 
 
 def _shares_levels(mid: PValueTable, conv: PValueTable) -> bool:

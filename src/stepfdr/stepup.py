@@ -12,7 +12,8 @@ classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 Every step runs on a batch: a block of replications, each at every alpha
 level.  F*, the critical values and the scan each have one kernel, and the
 single-run functions (`build_max_cdf`, `critical_values`, `bh_plus`, `bh`,
-`mid_vs_conventional`) run it on a batch of one.
+`mid_vs_conventional`) run it on a batch of one, whose F* sweep ranks
+nothing: int64 rank keys, and ranks shared between flavors, serve batches.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class _Steps(NamedTuple):
 def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `x`, ascending, and each entry's index among
     them: np.unique(x, return_inverse=True) with fewer buffers alive at once,
-    reusing the sorted copy's."""
+    reusing the sorted copy's; for a batch of several replications only."""
     order = np.argsort(x)
     x = x[order]
     new = np.empty(x.size, dtype=bool)   # does a distinct value start here?
@@ -104,59 +105,73 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
-           ranked: list | None = None) -> tuple[_Steps, list]:
+           ranked: list | None = None) -> tuple[_Steps, list | None]:
     """F* of `reps` replications of a table whose supports `parts` hold
-    (`pvalue._pool`; or a `_Pool` of them, for one replication), where
-    slots[r m + i] is the slot of test i of replication r, and, in a list,
-    `_ranks` of the pooled points when every CDF is the identity.  Each
+    (`pvalue._pool`; or a `_Pool` of them, for one replication, whose points
+    it sorts in place), where slots[r m + i] is the slot of test i of
+    replication r, and, for a batch of several whose every CDF is the
+    identity, `_ranks` of the pooled points in a list (else None).  Each
     replication pools the slots its own tests use; with no `slots`, one
-    replication pools every slot.  `ranked`, when given, holds `_ranks` of
-    the pooled levels (a conventional table's pooled points, as this call
-    returns them), and is emptied as it is read.
+    replication pools every slot.  `ranked`, given only for such a batch,
+    holds `_ranks` of the pooled levels (a conventional table's pooled
+    points, as such a call returns them), and is emptied as it is read.
 
-    Ranks among the distinct pooled points make each (replication, point)
-    event one int64 key, and one sort puts each replication's events in
-    point order.  When every CDF is the identity on its points, so is F* on
-    the grid: the steps are the distinct keys, each at its own point.
-    Otherwise ranks among the distinct levels join each event's value to
-    its key.  There each test's running CDF is the largest of its processed
-    values, so F* is the running maximum of the value ranks, offset per
-    replication so that it restarts at each one.  Each (replication, point)
-    run keeps its last event, which carries the run's largest value: the
-    grid strictly increases, and the values never fall and end at 1.0,
-    where every support ends.
+    Each test's running CDF is the largest of its values at the points
+    passed so far, so F* at an event, taken in point order, is the running
+    maximum of the values.  Each run of equal points keeps its last event,
+    which carries the run's largest value, so the grid strictly increases
+    and the values never fall.  A batch of one sorts its points once and
+    takes the running maximum of their float values, gathered in that
+    order (the sort alone, if every CDF is the identity).  A batch of
+    several keys each event by one int64 from its replication, its point's
+    rank among the distinct pooled points and, unless every CDF is the
+    identity, its value's rank among the distinct levels, whose running
+    maximum, offset per replication, restarts at each replication.
     """
-    values, sizes, levels, at = (parts if isinstance(parts, _Pool)
+    points, sizes, levels, at = (parts if isinstance(parts, _Pool)
                                  else _pool(parts, ranked is None))
     identity = levels is None and at is None   # is every CDF its points?
+    events = None
+    if slots is not None:   # gather each (replication, slot) pair's events
+        n = sizes.size
+        pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
+        if reps > 1 or pairs.size < n:   # unless one replication pools every slot
+            rep, which = np.divmod(pairs, n)
+            lengths = sizes[which]
+            ends = np.cumsum(lengths)
+            events = np.arange(ends[-1]) + np.repeat(
+                (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
+    if reps == 1:
+        if events is not None:
+            points, levels = points[events], levels if identity else levels[events]
+        if not identity:   # the values in point order, 2**14 at a time into the order's buffer
+            order = np.argsort(points)
+            ordered = order.view(np.float64)
+            for i in range(0, order.size, 2**14):
+                ordered[i:i + 2**14] = levels[order[i:i + 2**14]]
+            levels = np.maximum.accumulate(ordered, out=ordered)
+            del order, ordered   # so that compacting the values frees the buffer
+        points.sort()
+        last = np.append(points[1:] != points[:-1], True)   # does a run end here?
+        points = points[last]
+        levels = points if identity else levels[last]
+        return _steps_of(MaxCdf(points, levels)), None
     n_levels = 1
     if not identity:   # each pooled point's level rank, then drop the levels
-        levels, level_rank = ranked or _ranks(levels)
-        if ranked:
-            ranked.clear()
+        levels, level_rank = _ranks(levels) if at is None else ranked
         if at is not None:
+            ranked.clear()
             level_rank = level_rank[at]
         n_levels = levels.size
     del at
-    points, key = _ranks(values)
-    del values
+    points, key = _ranks(points)
     n_points = points.size
     if reps * n_points * n_levels >= 2**63:
         raise ValueError(f"{reps} replications of {n_points} support points "
                          "are too many for one batch")
-    ranks = [points, key] if identity else []
-    if slots is not None:
-        n = sizes.size
-        pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
-        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-        if reps == 1 and pairs.size == n:   # one replication pooling every slot
-            slots = None
-    if slots is not None:   # gather each (replication, slot) pair's events
-        rep, which = np.divmod(pairs, n)
-        lengths = sizes[which]
-        ends = np.cumsum(lengths)
-        events = np.arange(ends[-1]) + np.repeat(
-            (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
+    ranks = [points, key] if identity else None
+    if events is not None:
         key = key[events] + np.repeat(rep * n_points, lengths)
         if not identity:
             level_rank = level_rank[events]
@@ -182,7 +197,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
 
 
 def _steps_of(max_cdf: MaxCdf) -> _Steps:
-    """One MaxCdf as a batch of one: its grid and values already ascend."""
+    """One MaxCdf as a batch of one, laid out as `_sweep` gives one."""
     at = np.arange(max_cdf.grid.size)
     return _Steps(max_cdf.grid, at, max_cdf.values, at, 1)
 
@@ -245,7 +260,7 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
         cdf = np.concatenate([s.cdf_values for s in supports])
     steps = _sweep(_Pool(np.concatenate([s.points for s in supports]), None, cdf, None))[0]
-    grid, values = steps.points[steps.run], steps.levels[steps.top]
+    grid, values = steps.points, steps.levels
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
 
@@ -467,8 +482,8 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
                          "replications of m tests each")
     levels = np.asarray(alphas, dtype=np.float64)
     thresholds = _thresholds(levels, size // reps)
-    # The conventional points' ranks serve the mid sweep's levels too when,
-    # as for one `pvalue_table` call's tables, they are the mid CDF values.
+    # A batch's conventional point ranks serve its mid sweep's levels too
+    # when, as for one `pvalue_table` call's tables, they are the mid levels.
     steps, ranked = _sweep(conv._parts, conv.support_index, reps)
     gammas = (thresholds[None], _gammas(steps, thresholds[None])) if reps == 1 else None
     p = conv.p.reshape(reps, -1)

@@ -444,6 +444,18 @@ def test_walking_a_batch_peaks_no_higher_than_building_it_exactly(monkeypatch):
     assert peaks[0] <= peaks[1]
 
 
+def fresh_fisher_rows():
+    """Benchmark-style Fisher counts and trial totals (n1, n2 in 50..400),
+    with the first rows of 1,000 distinct margins."""
+    rng = np.random.default_rng(29)
+    n = rng.integers(50, 401, size=(1500, 2))
+    c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1)))
+    margins = list(zip(n[:, 0].tolist(), n[:, 1].tolist(), c.sum(axis=1).tolist()))
+    rows = list(dict(zip(margins, range(len(margins)))).values())[:1000]
+    assert len(rows) == 1000
+    return c, n, rows, margins
+
+
 def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     """Building 1,000 fresh Fisher margins (two batches) peaks near what the
     cache keeps afterwards, because a batch's typed buffers are freed before
@@ -451,12 +463,7 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     1.28 times.  The first assertion measures `_build` alone, the second the
     whole `pvalue_table` call, whose peak comes from gathering the tables'
     columns from the concatenated maps.  Both stay within 1.25 times."""
-    rng = np.random.default_rng(29)
-    n = rng.integers(50, 401, size=(1500, 2))
-    c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1)))
-    margins = list(zip(n[:, 0].tolist(), n[:, 1].tolist(), c.sum(axis=1).tolist()))
-    rows = list(dict(zip(margins, range(len(margins)))).values())[:1000]
-    assert len(rows) == 1000
+    c, n, rows, margins = fresh_fisher_rows()
 
     def traced(call, *args):
         """(retained, peak) bytes of `call(*args)` on an empty cache."""
@@ -474,6 +481,25 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     retained, peak = traced(pvalue_table, c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
     assert len(pvalue._margins) == 1000
     assert peak <= 1.25 * retained
+
+
+def test_sweeping_a_batch_of_one_peaks_near_three_pooled_columns():
+    """`run_procedures` on one replication sorts each flavor's pooled
+    supports once, and holds at most three 8-byte columns of the pooled
+    points at once: the points, their CDF values, and the sort order, into
+    whose buffer the values are gathered.  On the 1,000 Fisher margins
+    above, its traced peak stays within 4 x 8 B per pooled point; ranking
+    the points and levels into int64 keys, as a batch does, peaked at 7.2."""
+    c, n, rows, _ = fresh_fisher_rows()
+    conv, mid = pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
+    points = sum(map(len, mid.supports))
+    tracemalloc.start()
+    try:
+        run_procedures(conv, mid, (0.05,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * points
 
 
 @PROPERTY
