@@ -131,20 +131,41 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     points, sizes, levels, at = (parts if isinstance(parts, _Pool)
                                  else _pool(parts, ranked is None))
     identity = levels is None and at is None   # is every CDF its points?
-    events = None
-    if slots is not None:   # gather each (replication, slot) pair's events
+    if slots is not None:
         n = sizes.size
         pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
         pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-        if reps > 1 or pairs.size < n:   # unless one replication pools every slot
-            rep, which = np.divmod(pairs, n)
-            lengths = sizes[which]
-            ends = np.cumsum(lengths)
-            events = np.arange(ends[-1]) + np.repeat(
-                (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
-    if reps == 1:
-        if events is not None:
+        if reps == 1 and pairs.size == n:   # one replication pooling every slot
+            slots = None
+    if reps > 1:   # rank before gathering events, to keep fewer buffers alive at once
+        n_levels = 1
+        if not identity:   # each pooled point's level rank, then drop the levels
+            levels, level_rank = _ranks(levels) if at is None else ranked
+            if at is not None:
+                ranked.clear()
+                level_rank = level_rank[at]
+            n_levels = levels.size
+        del at
+        points, key = _ranks(points)
+        n_points = points.size
+        if reps * n_points * n_levels >= 2**63:
+            raise ValueError(f"{reps} replications of {n_points} support points "
+                             "are too many for one batch")
+        ranks = [points, key] if identity else None
+    if slots is not None:   # gather each (replication, slot) pair's events
+        rep, which = np.divmod(pairs, n)
+        lengths = sizes[which]
+        ends = np.cumsum(lengths)
+        events = np.arange(ends[-1]) + np.repeat(
+            (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
+        if reps == 1:
             points, levels = points[events], levels if identity else levels[events]
+        else:
+            key = key[events] + np.repeat(rep * n_points, lengths)
+            if not identity:
+                level_rank = level_rank[events]
+        del events
+    if reps == 1:
         if not identity:   # the values in point order, 2**14 at a time into the order's buffer
             order = np.argsort(points)
             ordered = order.view(np.float64)
@@ -157,25 +178,6 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
         points = points[last]
         levels = points if identity else levels[last]
         return _steps_of(MaxCdf(points, levels)), None
-    n_levels = 1
-    if not identity:   # each pooled point's level rank, then drop the levels
-        levels, level_rank = _ranks(levels) if at is None else ranked
-        if at is not None:
-            ranked.clear()
-            level_rank = level_rank[at]
-        n_levels = levels.size
-    del at
-    points, key = _ranks(points)
-    n_points = points.size
-    if reps * n_points * n_levels >= 2**63:
-        raise ValueError(f"{reps} replications of {n_points} support points "
-                         "are too many for one batch")
-    ranks = [points, key] if identity else None
-    if events is not None:
-        key = key[events] + np.repeat(rep * n_points, lengths)
-        if not identity:
-            level_rank = level_rank[events]
-        del events
     if identity:
         if slots is None:   # every point is a step
             run = np.arange(n_points)
