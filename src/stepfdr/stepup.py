@@ -262,7 +262,7 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
         cdf = np.concatenate([s.cdf_values for s in supports])
     steps = _sweep(_Pool(np.concatenate([s.points for s in supports]), None, cdf, None))[0]
-    grid, values = steps.points, steps.levels
+    grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
 
