@@ -10,15 +10,16 @@ uniform p-values F* is the identity and the procedure reduces to the
 classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 
 Every step runs on a batch: a block of replications, each at every alpha
-level.  F*, the critical values and the scan each have one kernel, and the
-single-run functions (`build_max_cdf`, `critical_values`, `bh_plus`, `bh`,
-`mid_vs_conventional`) run it on a batch of one, whose F* sweep ranks
-nothing: int64 rank keys, and ranks shared between flavors, serve batches.
+level, and the single-run functions run it on a batch of one.  A batch of
+several sweeps its F* whole, on int64 rank keys.  A batch of one reads F*
+group by group, only at its p-values and, for gamma, at R (`_read`): only
+`build_max_cdf` tabulates F* on a whole grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ PROCEDURE_FLAVORS = {
     "MidPBH+": PValueFlavor.MID,
 }
 PROCEDURES = tuple(PROCEDURE_FLAVORS)
+_GROUP = 2**14   # the fewest pooled points a batch of one reads F* in at once
 
 
 def _check_alpha(alpha: float) -> None:
@@ -107,64 +109,30 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
            ranked: list | None = None) -> tuple[_Steps, list | None]:
     """F* of `reps` replications of a table whose supports `parts` hold
-    (`pvalue._pool`; or a `_Pool` of them, for one replication, whose points
-    it sorts in place), where slots[r m + i] is the slot of test i of
-    replication r, and, for a batch of several whose every CDF is the
-    identity, `_ranks` of the pooled points in a list (else None).  Each
-    replication pools the slots its own tests use; with no `slots`, one
-    replication pools every slot.  `ranked`, given only for such a batch,
-    holds `_ranks` of the pooled levels (a conventional table's pooled
-    points, as such a call returns them), and is emptied as it is read.
+    (`pvalue._pool`; or a `_Pool` of them, whose points it sorts in place),
+    where slots[r m + i] is the slot of test i of replication r, and, for a
+    batch of several whose every CDF is the identity, `_ranks` of the pooled
+    points in a list (else None).  Each replication of several pools the
+    slots its own tests use; one pools every slot.  `ranked`, given only for
+    such a batch, holds `_ranks` of the pooled levels (a conventional
+    table's pooled points, as such a call returns them), and is emptied.
 
     Each test's running CDF is the largest of its values at the points
     passed so far, so F* at an event, taken in point order, is the running
     maximum of the values.  Each run of equal points keeps its last event,
     which carries the run's largest value, so the grid strictly increases
-    and the values never fall.  A batch of one sorts its points once and
-    takes the running maximum of their float values, gathered in that
-    order (the sort alone, if every CDF is the identity).  A batch of
-    several keys each event by one int64 from its replication, its point's
-    rank among the distinct pooled points and, unless every CDF is the
-    identity, its value's rank among the distinct levels, whose running
-    maximum, offset per replication, restarts at each replication.
+    and the values never fall.  A batch of one (`build_max_cdf`'s pool, or
+    one of `_read`'s groups) sorts its points once and takes the running
+    maximum of their float values, gathered in that order (the sort alone,
+    if every CDF is the identity).  A batch of several keys each event by
+    one int64 from its replication, its point's rank among the distinct
+    pooled points and, unless every CDF is the identity, its value's rank
+    among the distinct levels, whose running maximum, offset per
+    replication, restarts at each replication.
     """
     points, sizes, levels, at = (parts if isinstance(parts, _Pool)
                                  else _pool(parts, ranked is None))
     identity = levels is None and at is None   # is every CDF its points?
-    if slots is not None:
-        n = sizes.size
-        pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * n + slots)
-        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-        if reps == 1 and pairs.size == n:   # one replication pooling every slot
-            slots = None
-    if reps > 1:   # rank before gathering events, to keep fewer buffers alive at once
-        n_levels = 1
-        if not identity:   # each pooled point's level rank, then drop the levels
-            levels, level_rank = _ranks(levels) if at is None else ranked
-            if at is not None:
-                ranked.clear()
-                level_rank = level_rank[at]
-            n_levels = levels.size
-        del at
-        points, key = _ranks(points)
-        n_points = points.size
-        if reps * n_points * n_levels >= 2**63:
-            raise ValueError(f"{reps} replications of {n_points} support points "
-                             "are too many for one batch")
-        ranks = [points, key] if identity else None
-    if slots is not None:   # gather each (replication, slot) pair's events
-        rep, which = np.divmod(pairs, n)
-        lengths = sizes[which]
-        ends = np.cumsum(lengths)
-        events = np.arange(ends[-1]) + np.repeat(
-            (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
-        if reps == 1:
-            points, levels = points[events], levels if identity else levels[events]
-        else:
-            key = key[events] + np.repeat(rep * n_points, lengths)
-            if not identity:
-                level_rank = level_rank[events]
-        del events
     if reps == 1:
         if not identity:   # the values in point order, 2**14 at a time into the order's buffer
             order = np.argsort(points)
@@ -178,12 +146,34 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
         points = points[last]
         levels = points if identity else levels[last]
         return _steps_of(MaxCdf(points, levels)), None
+    pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * sizes.size + slots)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
+    n_levels = 1   # rank before gathering events, to keep fewer buffers alive at once
+    if not identity:   # each pooled point's level rank, then drop the levels
+        levels, level_rank = _ranks(levels) if at is None else ranked
+        if at is not None:
+            ranked.clear()
+            level_rank = level_rank[at]
+        n_levels = levels.size
+    del at
+    points, key = _ranks(points)
+    n_points = points.size
+    if reps * n_points * n_levels >= 2**63:
+        raise ValueError(f"{reps} replications of {n_points} support points "
+                         "are too many for one batch")
+    ranks = [points, key] if identity else None
+    rep, which = np.divmod(pairs, sizes.size)   # gather each (replication, slot) pair's events
+    lengths = sizes[which]
+    ends = np.cumsum(lengths)
+    events = np.arange(ends[-1]) + np.repeat(
+        (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
+    key = key[events] + np.repeat(rep * n_points, lengths)
+    if not identity:
+        level_rank = level_rank[events]
+    del events
     if identity:
-        if slots is None:   # every point is a step
-            run = np.arange(n_points)
-        else:
-            key.sort()
-            run = key[np.append(key[1:] != key[:-1], True)]
+        key.sort()
+        run = key[np.append(key[1:] != key[:-1], True)]
         return _Steps(points, run, points, run, reps), ranks
     key = key * n_levels
     key += level_rank
@@ -214,6 +204,8 @@ def _last_at_most(keys: np.ndarray, levels: np.ndarray, reps: int,
     As each replication's keys are offset past the last one's, one
     searchsorted serves the whole batch.
     """
+    if reps == 1:   # a batch of one's keys are 0, 1, ... (`_steps_of`)
+        return np.searchsorted(levels, queries, side="right") - 1
     base = np.arange(reps).reshape((reps,) + (1,) * (np.ndim(queries) - 1)) * levels.size
     idx = np.searchsorted(keys, base + np.searchsorted(levels, queries, side="right"))
     idx -= 1
@@ -246,6 +238,54 @@ def _gammas(steps: _Steps, thresholds: np.ndarray) -> np.ndarray:
     gamma = steps.points[idx]
     gamma[none] = np.nan
     return gamma
+
+
+def _groups(parts, slots: np.ndarray, bound: int) -> list[list]:
+    """The slots of `parts` that `slots` names, each once, as `pvalue._pool`
+    parts, in groups of whole slots: group g takes the slots whose points
+    start from g `bound` to (g + 1) `bound` in the pool of them all."""
+    used = np.bincount(slots, minlength=sum(ks.size for _, ks in parts)) > 0
+    groups, start, filled = {}, 0, 0
+    for flat, ks in parts:
+        ks, start = ks[used[start:start + ks.size]], start + ks.size
+        sizes = flat.starts[ks + 1] - flat.starts[ks]
+        label = (filled + np.cumsum(sizes) - sizes) // bound
+        filled += sizes.sum()
+        for key in dict.fromkeys(label.tolist()):
+            groups.setdefault(key, []).append((flat, ks[label == key]))
+    return list(groups.values())
+
+
+def _gammas_of(groups: list[list], cutoffs: np.ndarray) -> np.ndarray:
+    """`_gammas` on the F* of one replication's `groups`, in two masked
+    passes: gamma is the largest pooled point below x_min, the smallest
+    one whose CDF value is above the cutoff, or NaN if none is."""
+    identity = groups[0][0][0].levels is None   # then x_min is the next float up
+    x_min, gamma = np.nextafter(cutoffs, np.inf) if identity else np.inf, -np.inf
+    for points, _, levels, _ in map(_pool, [] if identity else groups):
+        x_min = np.minimum(x_min, np.where(levels > cutoffs[..., None], points, np.inf).min(-1))
+    for points, *_ in map(_pool, groups):
+        gamma = np.maximum(gamma, np.where(points < x_min[..., None], points, -np.inf).max(-1))
+    return np.where(gamma > -np.inf, gamma, np.nan)
+
+
+def _read(source, sorted_p: np.ndarray, reps: int = 1, ranked: list | None = None):
+    """F* of each of `reps` replications of the table or `MaxCdf` `source`
+    at its sorted p-values, `sorted_p`'s rows, the function from their
+    cutoffs to gamma, and `_sweep`'s ranks.  A batch of several is swept
+    whole; one table's `_groups`, of about max(_GROUP, m) points each, are
+    swept one at a time, and F* at the p-values is the largest of theirs
+    (the maximum is associative; identity CDFs need no sweep)."""
+    if reps > 1 or isinstance(source, MaxCdf):
+        steps, ranks = ((_steps_of(source), None) if reps == 1 else
+                        _sweep(source._parts, source.support_index, reps, ranked))
+        return _cdf_at(steps, sorted_p), partial(_gammas, steps), ranks
+    groups = _groups(source._parts, source.support_index, max(_GROUP, sorted_p.size))
+    f = sorted_p
+    if source._parts[0][0].levels is not None:   # not every CDF is the identity
+        f = reduce(lambda high, g: np.maximum(high, g, out=high),
+                   (_cdf_at(_sweep(group)[0], sorted_p) for group in groups))
+    return f, partial(_gammas_of, groups), None
 
 
 def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
@@ -282,14 +322,14 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StepUpResult:
-    """Outcome of one step-up run.
+    """Outcome of one step-up run on m p-values.
 
-    critical_values holds gamma_k per rank (NaN = none feasible), threshold
-    is gamma_R (None when R = 0), and rejected lists the original indices of
-    all p-values <= threshold, in increasing index order.
+    threshold is gamma_R (None when R = 0), and rejected lists the original
+    indices of all p-values <= threshold, in increasing index order.  The
+    per-rank critical values are `critical_values` of a `build_max_cdf`.
     """
 
-    critical_values: np.ndarray
+    m: int
     rejection_count: int
     threshold: float | None
     rejected: np.ndarray
@@ -304,22 +344,21 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(p: np.ndarray, f: np.ndarray, thresholds: np.ndarray,
-          steps: _Steps | None = None):
+def _scan(p: np.ndarray, f: np.ndarray, thresholds: np.ndarray, gamma=None):
     """The step-up scan of every (replication, alpha) pair: R = max{k :
     f_(k) <= alpha k / m}, the threshold (NaN when R = 0), and how many
     p-values lie at or below it.
 
     p is (replications, m), f the CDF at each row's sorted values (F*, or
     the sorted p-values for BH), and thresholds is `_thresholds`' (alphas,
-    m).  The threshold is alpha R / m, or gamma_R on the F* `steps`.
+    m).  The threshold is alpha R / m, or `gamma` of it, gamma_R on F*.
     """
     m = p.shape[1]
     hits = f[:, None, :] <= thresholds
     r = np.where(hits.any(axis=-1), m - np.argmax(hits[..., ::-1], axis=-1), 0)
     cutoff = thresholds[np.arange(thresholds.shape[0]), r - 1]
-    if steps is not None:
-        cutoff = _gammas(steps, cutoff)
+    if gamma is not None:
+        cutoff = gamma(cutoff)
     threshold = np.where(r > 0, cutoff, np.nan)
     rejected = (p[:, None, :] <= threshold[..., None]).sum(axis=-1)
     return r, threshold, rejected
@@ -348,24 +387,24 @@ def _raise_first(checks) -> None:
         raise error
 
 
-def _result(p: np.ndarray, gamma: np.ndarray, r, threshold) -> StepUpResult:
+def _result(p: np.ndarray, r, threshold) -> StepUpResult:
     """The StepUpResult of one scanned row on the p-values `p`."""
     if r == 0:
-        return StepUpResult(gamma, 0, None, np.empty(0, dtype=np.int64))
-    return StepUpResult(gamma, int(r), float(threshold), np.flatnonzero(p <= threshold))
+        return StepUpResult(p.size, 0, None, np.empty(0, dtype=np.int64))
+    return StepUpResult(p.size, int(r), float(threshold), np.flatnonzero(p <= threshold))
 
 
-def _step_up(p: np.ndarray, alpha: float, steps: _Steps | None = None):
-    """One step-up run of `p` at `alpha` on the F* `steps` (None for BH),
-    and the CDF at the sorted p-values, one row."""
+def _step_up(p: np.ndarray, alpha: float, source=None):
+    """One step-up run of `p` at `alpha` on the F* of the table or `MaxCdf`
+    `source` (None for BH), and the CDF at the sorted p-values, one row."""
     _check_alpha(alpha)
     thresholds = _thresholds(np.array([alpha]), p.size)
-    f = np.sort(p)[None]
-    f = f if steps is None else _cdf_at(steps, f)
-    r, threshold, rejected = _scan(p[None], f, thresholds, steps)
+    f, gamma = np.sort(p)[None], None
+    if source is not None:
+        f, gamma, _ = _read(source, f)
+    r, threshold, rejected = _scan(p[None], f, thresholds, gamma)
     _raise_first([_count_check(r, rejected)])
-    gamma = thresholds[0] if steps is None else _gammas(steps, thresholds[None])[0, 0]
-    return _result(p, gamma, r[0, 0], threshold[0, 0]), f
+    return _result(p, r[0, 0], threshold[0, 0]), f
 
 
 def bh_plus(table: PValueTable, alpha: float, *,
@@ -377,9 +416,7 @@ def bh_plus(table: PValueTable, alpha: float, *,
     tests use; a `max_cdf` built from them may be passed to reuse work across
     alpha levels.
     """
-    steps = (_sweep(table._parts, table.support_index)[0] if max_cdf is None
-             else _steps_of(max_cdf))
-    return _step_up(table.p, alpha, steps)[0]
+    return _step_up(table.p, alpha, table if max_cdf is None else max_cdf)[0]
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -421,13 +458,9 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     """
     p_mid = mid_table.p
     m = p_mid.size
-    if conv_result.critical_values.size != m:
-        raise ValueError(
-            f"conventional run had m = {conv_result.critical_values.size}, "
-            f"but got {m} mid p-values")
-    steps = (_sweep(mid_table._parts, mid_table.support_index)[0] if max_cdf is None
-             else _steps_of(max_cdf))
-    mid_result, f_mid = _step_up(p_mid, alpha, steps)
+    if conv_result.m != m:
+        raise ValueError(f"conventional run had m = {conv_result.m}, but got {m} mid p-values")
+    mid_result, f_mid = _step_up(p_mid, alpha, mid_table if max_cdf is None else max_cdf)
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
     condition = _condition(f_mid, r_cp, np.array([alpha]))
@@ -438,9 +471,8 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
 
 class _Runs(NamedTuple):
     """`run_procedures` results, per procedure (in `PROCEDURES` order),
-    replication and alpha."""
+    replication and alpha: R and gamma_R, and no per-rank critical values."""
 
-    critical_values: tuple[np.ndarray, ...] | None   # each (1, alphas, m), or None if reps > 1
     rejection_count: np.ndarray               # (procedures, replications, alphas)
     threshold: np.ndarray                     # the same, NaN where R = 0
     condition_holds: np.ndarray               # (replications, alphas)
@@ -450,10 +482,9 @@ class _Runs(NamedTuple):
         """The results keyed by `PROCEDURES`, and the mid comparison, of a
         batch of one replication at one alpha."""
         tables = {PValueFlavor.CONVENTIONAL: conv, PValueFlavor.MID: mid}
-        results = {name: _result(tables[flavor].p, gamma[0, 0], r[0, 0], threshold[0, 0])
-                   for (name, flavor), gamma, r, threshold in zip(
-                       PROCEDURE_FLAVORS.items(), self.critical_values,
-                       self.rejection_count, self.threshold)}
+        results = {name: _result(tables[flavor].p, r[0, 0], threshold[0, 0])
+                   for (name, flavor), r, threshold in zip(
+                       PROCEDURE_FLAVORS.items(), self.rejection_count, self.threshold)}
         comparison = MidComparison(
             condition_holds=bool(self.condition_holds[0, 0]),
             r_cp=results["BH+"].rejection_count, r_mp=results["MidPBH+"].rejection_count,
@@ -467,9 +498,9 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     two tables, at every level of `alphas`, for each of `reps` replications:
     replication r holds tests r m .. r m + m - 1 of both tables.
 
-    Each replication's F* pools the supports its own tests use, and each
-    scan reads it at the sorted p-values; only a batch of one replication
-    gets per-rank critical values.  Every check runs for every (replication,
+    Each replication's F* pools the supports its own tests use (a batch of
+    one, group by group: `_read`), and each scan reads it at the sorted
+    p-values and gamma only at R.  Every check runs for every (replication,
     alpha) pair: each step-up's R against the p-values at or below its
     threshold, BH's set inside BH+'s, and the count-ordering condition
     against r_mp >= r_cp.  The first failing pair, in (replication, alpha)
@@ -486,24 +517,18 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     thresholds = _thresholds(levels, size // reps)
     # A batch's conventional point ranks serve its mid sweep's levels too
     # when, as for one `pvalue_table` call's tables, they are the mid levels.
-    steps, ranked = _sweep(conv._parts, conv.support_index, reps)
-    gammas = (thresholds[None], _gammas(steps, thresholds[None])) if reps == 1 else None
     p = conv.p.reshape(reps, -1)
     sorted_p = np.sort(p)
     bh = _scan(p, sorted_p, thresholds)
-    plus = _scan(p, _cdf_at(steps, sorted_p), thresholds, steps)
-    del steps, sorted_p
-    steps = _sweep(mid._parts, mid.support_index, reps,
-                   ranked if _shares_levels(mid, conv) else None)[0]
-    del ranked
+    f, gamma, ranked = _read(conv, sorted_p, reps)
+    plus = _scan(p, f, thresholds, gamma)
+    del f, gamma, sorted_p
     q = mid.p.reshape(reps, -1)
-    f_mid = _cdf_at(steps, np.sort(q))
-    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, steps))
+    f_mid, gamma, _ = _read(mid, np.sort(q), reps, ranked if _shares_levels(mid, conv) else None)
+    del ranked
+    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, gamma))
     condition = _condition(f_mid, r_cp, levels)
-    del f_mid
-    if gammas:
-        gammas += (_gammas(steps, thresholds[None]),)
-    del steps
+    del f_mid, gamma
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
     # classical set lies inside the adaptive one iff it is no larger.
     _raise_first([
@@ -514,4 +539,4 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
             f"alpha={alphas[i[1]]}: BH rejected {r_bh[i]}, BH+ {r_cp[i]}")),
         _count_check(r_mp, rejected[2]),
         _order_check(condition, r_cp, r_mp)])
-    return _Runs(gammas, np.stack((r_bh, r_cp, r_mp)), np.stack(cutoffs), condition)
+    return _Runs(np.stack((r_bh, r_cp, r_mp)), np.stack(cutoffs), condition)

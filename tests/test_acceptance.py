@@ -379,8 +379,9 @@ def test_criterion_8_degenerate_cases():
     checks.append(table.p.tolist() == [1.0, 1.0, 1.0]
                   and table.supports == (bt_support(1, CONV),)
                   and res.rejection_count == 0 and res.threshold is None
-                  and res.rejected.size == 0
-                  and bool(np.all(np.isnan(res.critical_values))))
+                  and res.rejected.size == 0 and res.m == 3
+                  and bool(np.all(np.isnan(stepup.critical_values(
+                      stepup.build_max_cdf(table.supports), 0.1, 3)))))
 
     report_deg = ingest.analyze(
         CountTable(("z1", "z2"), [0, 3], [0, 2], [10, 10], [10, 10]),

@@ -15,16 +15,20 @@ Batches of 1 to 5 replications come in four kinds: independent draws,
 replications that share no support, replications that share every support,
 and replications whose supports share points at different CDF values.
 Counts stay small enough that no p-value reaches 1e-12, so at alpha = 1e-12
-no gamma is feasible.
+no gamma is feasible.  A batch of one reads its F* in groups of whole
+supports of max(`stepup._GROUP`, m) pooled points; the tests run again on
+single replications with that bound patched down to 2, so that their
+tables span several groups and a shared point may fall in two of them.
 """
 
 from bisect import bisect_right
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepfdr import pvalue, sim
+from stepfdr import pvalue, sim, stepup
 from stepfdr.pvalue import PValueFlavor, PValueTable
 from stepfdr.stepup import run_procedures
 
@@ -94,15 +98,15 @@ def oracle(conv, mid, alphas, reps: int):
 
 
 @st.composite
-def batches(draw):
-    """bt or Fisher tables of 1 to 5 replications of 1 to 12 tests, whose
+def batches(draw, most_reps: int = 5):
+    """bt or Fisher tables of 1 to `most_reps` replications of 1 to 12 tests, whose
     replications draw their margins independently, share none, share every
     one (each a permutation of the first replication's), or draw them from
     `COINCIDENT`."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     test = draw(st.sampled_from(["bt", "fet"]))
     kind = draw(st.sampled_from(["independent", "disjoint", "shared", "coincident"]))
-    reps, m = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    reps, m = draw(st.integers(1, most_reps)), draw(st.integers(1, 12))
     rep = np.arange(reps).repeat(m)
     if kind == "coincident":
         margins = np.array(COINCIDENT[test])[rng.integers(0, 4, size=reps * m)]
@@ -135,12 +139,32 @@ def batches(draw):
 DEFINITION = settings(max_examples=50, deadline=None, database=None)
 
 
+def grouped():
+    """Read a batch of one's F* in groups of max(2, m) pooled points."""
+    return patch.object(stepup, "_GROUP", 2)
+
+
 @DEFINITION
 @given(batch=batches())
 def test_run_procedures_follows_the_definitions_per_replication(batch):
     """Each (procedure, replication, alpha) count and threshold, and each
     condition, of one `run_procedures` call on the batch equals the
     oracle's on that replication alone."""
+    follows_the_definitions(batch)
+
+
+@DEFINITION
+@given(batch=batches(most_reps=1))
+def test_f_star_read_in_groups_follows_the_definitions(batch):
+    """The same for one replication read in groups of a few points: F* at
+    the p-values is the largest of the groups' F*, and gamma at R is the
+    largest pooled point below the smallest one whose CDF value is above
+    alpha R / m, whichever groups hold them."""
+    with grouped():
+        follows_the_definitions(batch)
+
+
+def follows_the_definitions(batch):
     (conv, mid), alphas, reps = batch
     runs = run_procedures(conv, mid, alphas, reps)
     for r, row in enumerate(oracle(conv, mid, alphas, reps)):
@@ -159,6 +183,18 @@ def test_fdp_and_tdp_count_each_replications_rejections(batch, null_share):
     oracle's false rejections over max(R, 1) and its true rejections over
     m1, where a rejection is a test of the replication whose p-value is at
     most the oracle's threshold and the first m0 tests are the true nulls."""
+    counts_rejections(batch, null_share)
+
+
+@DEFINITION
+@given(batch=batches(most_reps=1), null_share=st.floats(0.0, 1.0))
+def test_fdp_and_tdp_of_f_star_read_in_groups(batch, null_share):
+    """The same for one replication read in groups of a few points."""
+    with grouped():
+        counts_rejections(batch, null_share)
+
+
+def counts_rejections(batch, null_share):
     (conv, mid), alphas, reps = batch
     m = conv.p.size // reps
     m0 = round(null_share * m)
@@ -192,3 +228,26 @@ def test_a_point_of_two_supports_takes_the_larger_cdf_value():
             assert runs.rejection_count[2].tolist() == [[0]] * reps
             for r, row in enumerate(oracle(conv, listed, (0.23,), reps)):
                 assert [count for count, _ in row[0][0]] == runs.rejection_count[:, r, 0].tolist()
+
+
+def test_a_point_split_across_two_groups_takes_its_larger_cdf_value():
+    """Read in groups of two pooled points, bt totals 3 and 6 (two and
+    four mid points) fall in two groups, both holding the mid p-value 1/8,
+    at CDF values 1/4 and 7/32.  At alpha = 0.23 F*(1/8) = 1/4 rejects
+    neither test, and at 0.25 and 0.3 both are rejected, at the oracle's
+    thresholds, whichever group holds each support."""
+    conv, mid = pvalue.pvalue_table([0, 1], [3, 5])
+    alphas = (0.23, 0.25, 0.3)
+    with grouped():
+        for order in ([0, 1], [1, 0]):
+            supports = mid.supports
+            listed = PValueTable([supports[k] for k in order],
+                                 np.argsort(order)[mid.support_index], mid.point_index)
+            assert len(stepup._groups(listed._parts, listed.support_index, 2)) == 2
+            runs = run_procedures(conv, listed, alphas)
+            assert runs.rejection_count[2, 0].tolist() == [0, 2, 2]
+            for a, (procedures, _) in enumerate(oracle(conv, listed, alphas, 1)[0]):
+                count, threshold = procedures[2]
+                assert runs.rejection_count[2, 0, a] == count
+                assert np.isnan(runs.threshold[2, 0, a]) if threshold is None else (
+                    runs.threshold[2, 0, a] == threshold)

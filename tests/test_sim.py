@@ -347,7 +347,8 @@ def blocks_of(monkeypatch, reps_per_block, m):
 
 def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     """One conventional and one mid F* sweep per block of replications
-    serve every alpha and every replication of the block."""
+    serve every alpha and every replication of the block; a block of one
+    sweeps its mid F* alone, as its conventional F* is the identity."""
     sweeps = []
     sweep = stepup._sweep
     monkeypatch.setattr(stepup, "_sweep", lambda parts, slots=None, reps=1, ranked=None: (
@@ -356,7 +357,7 @@ def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
                     etas=(3.0,), ns=(), m=20, reps=5, seed=5)
     assert len(grid) == 4
-    assert sweeps == [2, 2, 2, 2, 1, 1]
+    assert sweeps == [2, 2, 2, 2, 1]
 
 
 def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
@@ -471,7 +472,7 @@ def test_a_block_looks_critical_values_up_only_at_r(monkeypatch):
                                                 for r in range(reps)])[1]
     runs = stepup.run_procedures(*pvalue.pvalue_table(counts[:, 0], counts[:, 1]),
                                  alphas, reps)
-    assert runs.critical_values is None and runs.rejection_count.any()
+    assert "critical_values" not in runs._fields and runs.rejection_count.any()
     assert asked == [reps * len(alphas)] * 2
 
 

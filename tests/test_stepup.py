@@ -93,8 +93,12 @@ def test_max_cdf_matches_brute_force():
             assert mc.evaluate(float(t)) == brute_max_cdf(supports, float(t))
         table = on_supports(supports, np.zeros(len(supports), dtype=np.int64))
         for alpha in (0.05, 0.3, 0.9):
-            np.testing.assert_array_equal(bh_plus(table, alpha).critical_values,
-                                          critical_values(mc, alpha, len(supports)))
+            gamma = critical_values(mc, alpha, len(supports))
+            hits = np.flatnonzero(np.sort(table.p) <= gamma)   # NaN is never a hit
+            r = hits[-1] + 1 if hits.size else 0
+            res = bh_plus(table, alpha)
+            assert (res.m, res.rejection_count) == (len(supports), r)
+            assert res.threshold == (gamma[r - 1] if r else None)
 
 
 def test_max_cdf_evaluate_below_grid_is_zero():
@@ -158,8 +162,9 @@ def test_bh_rejects_pvalues_outside_unit_interval(bad):
 def test_bh_plus_no_rejection_when_gamma_infeasible():
     sups = [make_support([0.5, 1.0], [0.5, 1.0]) for _ in range(2)]
     res = bh_plus(on_supports(sups, [0, 1]), alpha=0.6)
-    assert res.rejection_count == 0
-    assert np.all(np.isnan(res.critical_values) | (res.critical_values >= 0))
+    assert res.rejection_count == 0 and res.m == 2
+    gamma = critical_values(build_max_cdf(sups), 0.6, 2)
+    assert np.all(np.isnan(gamma) | (gamma >= 0))
 
 
 def test_bh_plus_reduces_to_bh_on_identity_supports():
@@ -235,8 +240,8 @@ def test_bh_plus_threshold_separates_decisions():
 def test_bh_plus_critical_values_monotone_where_defined():
     rng = np.random.default_rng(38)
     for _ in range(40):
-        res = bh_plus(random_bt_instance(rng), alpha=0.15)
-        g = res.critical_values
+        table = random_bt_instance(rng)
+        g = critical_values(build_max_cdf(table.supports), 0.15, bh_plus(table, 0.15).m)
         defined = g[~np.isnan(g)]
         assert np.all(np.diff(defined) >= 0)
 

@@ -29,7 +29,8 @@ from stepfdr.pvalue import (
     pvalue_table,
 )
 from stepfdr import stepup
-from stepfdr.stepup import bh, bh_plus, build_max_cdf, mid_vs_conventional, run_procedures
+from stepfdr.stepup import (bh, bh_plus, build_max_cdf, critical_values, mid_vs_conventional,
+                            run_procedures)
 
 CONV = PValueFlavor.CONVENTIONAL
 MID = PValueFlavor.MID
@@ -444,15 +445,15 @@ def test_walking_a_batch_peaks_no_higher_than_building_it_exactly(monkeypatch):
     assert peaks[0] <= peaks[1]
 
 
-def fresh_fisher_rows():
+def fresh_fisher_rows(count: int = 1000):
     """Benchmark-style Fisher counts and trial totals (n1, n2 in 50..400),
-    with the first rows of 1,000 distinct margins."""
+    with the first rows of `count` distinct margins."""
     rng = np.random.default_rng(29)
-    n = rng.integers(50, 401, size=(1500, 2))
-    c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(1500, 1)))
+    n = rng.integers(50, 401, size=(count * 3 // 2, 2))
+    c = rng.binomial(n, rng.uniform(0.01, 0.2, size=(count * 3 // 2, 1)))
     margins = list(zip(n[:, 0].tolist(), n[:, 1].tolist(), c.sum(axis=1).tolist()))
-    rows = list(dict(zip(margins, range(len(margins)))).values())[:1000]
-    assert len(rows) == 1000
+    rows = list(dict(zip(margins, range(len(margins)))).values())[:count]
+    assert len(rows) == count
     return c, n, rows, margins
 
 
@@ -502,6 +503,28 @@ def test_sweeping_a_batch_of_one_peaks_near_three_pooled_columns():
     assert peak <= 4 * 8 * points
 
 
+def test_a_batch_of_one_peaks_near_one_group_of_pooled_points():
+    """`run_procedures` on one replication reads F* group by group, so its
+    traced peak follows the group bound and m, not the pooled points: on
+    m = 4,000 Fisher tests over 1,000 margins (about 50k mid points) and
+    over 4,000 (about 190k), it stays within 6 x 8 B x (`stepup._GROUP` +
+    m).  Sweeping the whole pool at once peaked at 8.6 and 30 times that."""
+    m, points = 4000, []
+    for count in (1000, 4000):
+        c, n, rows, _ = fresh_fisher_rows(count)
+        rows = np.resize(rows, m)
+        conv, mid = pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
+        points.append(sum(map(len, mid.supports)))
+        tracemalloc.start()
+        try:
+            run_procedures(conv, mid, (0.05,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (stepup._GROUP + m)
+    assert points[1] > 3.5 * points[0] > 9 * stepup._GROUP   # several groups each
+
+
 @PROPERTY
 @given(rows=INSTANCES)
 def test_one_call_builds_both_flavors_on_shared_slots(rows):
@@ -536,7 +559,9 @@ def test_bh_plus_same_on_table_and_per_test_supports(rows, flavor, alpha):
     assert np.array_equal(per_test.p, table.p)
     on_table = bh_plus(table, alpha)
     on_list = bh_plus(per_test, alpha)
-    assert on_table.critical_values.tobytes() == on_list.critical_values.tobytes()
+    assert on_table.m == on_list.m == len(rows)
+    assert (critical_values(build_max_cdf(table.supports), alpha, len(rows)).tobytes()
+            == critical_values(build_max_cdf(per_test.supports), alpha, len(rows)).tobytes())
     assert on_table.rejection_count == on_list.rejection_count
     assert on_table.threshold == on_list.threshold
     assert np.array_equal(on_table.rejected, on_list.rejected)
@@ -720,7 +745,7 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
     assert pvalue._live > live and not any(chunk is first for chunk in pvalue._chunks)
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
-    assert again.critical_values is not None   # a batch of one has them
+    assert all(result.m == 4 for result in again.results(conv, mid)[0].values())
     assert_same_runs(again, before[2])
     assert [s.points.tobytes() for s in conv.supports] == [
         fet_support(*margin, CONV).points.tobytes()
@@ -745,11 +770,8 @@ def test_a_fresh_build_on_a_filled_registry_spans_its_margins_once(monkeypatch):
 
 
 def assert_same_runs(got, want):
-    """Every array of two `run_procedures` results is equal bit for bit,
-    the per-rank critical values where present."""
-    assert (got.critical_values is None) == (want.critical_values is None)
-    for x, y in zip(*([*(runs.critical_values or ()), *runs[1:]] for runs in (got, want)),
-                    strict=True):
+    """Every array of two `run_procedures` results is equal bit for bit."""
+    for x, y in zip(got, want, strict=True):
         assert x.tobytes() == y.tobytes()
 
 
