@@ -48,7 +48,7 @@ PROCEDURE_FLAVORS = {
     "MidPBH+": PValueFlavor.MID,
 }
 PROCEDURES = tuple(PROCEDURE_FLAVORS)
-_GROUP = 2**14   # the fewest pooled points a batch of one reads F* in at once
+_GROUP = 2**14   # a batch of one reads F* in groups of about max(_GROUP, m) pooled points
 
 
 def _check_alpha(alpha: float) -> None:
@@ -269,23 +269,27 @@ def _gammas_of(groups: list[list], cutoffs: np.ndarray) -> np.ndarray:
     return np.where(gamma > -np.inf, gamma, np.nan)
 
 
-def _read(source, sorted_p: np.ndarray, reps: int = 1, ranked: list | None = None):
-    """F* of each of `reps` replications of the table or `MaxCdf` `source`
-    at its sorted p-values, `sorted_p`'s rows, the function from their
-    cutoffs to gamma, and `_sweep`'s ranks.  A batch of several is swept
-    whole; one table's `_groups`, of about max(_GROUP, m) points each, are
-    swept one at a time, and F* at the p-values is the largest of theirs
-    (the maximum is associative; identity CDFs need no sweep)."""
+def _read(source, p: np.ndarray, reps: int = 1, ranked: list | None = None):
+    """The rows of `p` sorted, F* there of each of `reps` replications of
+    the table or `MaxCdf` `source` (None for BH: the identity), the function
+    from their cutoffs to gamma, and `_sweep`'s ranks.  A batch of several
+    is swept whole; one table's `_groups`, of about max(_GROUP, m) points
+    each, are swept one at a time, and F* at the p-values is the largest of
+    theirs (the maximum is associative; identity CDFs need no sweep)."""
     if reps > 1 or isinstance(source, MaxCdf):
         steps, ranks = ((_steps_of(source), None) if reps == 1 else
                         _sweep(source._parts, source.support_index, reps, ranked))
-        return _cdf_at(steps, sorted_p), partial(_gammas, steps), ranks
-    groups = _groups(source._parts, source.support_index, max(_GROUP, sorted_p.size))
-    f = sorted_p
+        p = np.sort(p)   # once the sweep, which peaks higher, is done
+        return p, _cdf_at(steps, p), partial(_gammas, steps), ranks
+    p = np.sort(p)
+    if source is None:
+        return p, p, None, None
+    groups = _groups(source._parts, source.support_index, max(_GROUP, p.shape[1]))
+    f = p
     if source._parts[0][0].levels is not None:   # not every CDF is the identity
         f = reduce(lambda high, g: np.maximum(high, g, out=high),
-                   (_cdf_at(_sweep(group)[0], sorted_p) for group in groups))
-    return f, partial(_gammas_of, groups), None
+                   (_cdf_at(_sweep(group)[0], p) for group in groups))
+    return p, f, partial(_gammas_of, groups), None
 
 
 def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
@@ -399,9 +403,7 @@ def _step_up(p: np.ndarray, alpha: float, source=None):
     `source` (None for BH), and the CDF at the sorted p-values, one row."""
     _check_alpha(alpha)
     thresholds = _thresholds(np.array([alpha]), p.size)
-    f, gamma = np.sort(p)[None], None
-    if source is not None:
-        f, gamma, _ = _read(source, f)
+    _, f, gamma, _ = _read(source, p[None])
     r, threshold, rejected = _scan(p[None], f, thresholds, gamma)
     _raise_first([_count_check(r, rejected)])
     return _result(p, r[0, 0], threshold[0, 0]), f
@@ -456,11 +458,10 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     same m tests at the same alpha.  The equivalence between the condition
     and r_mp >= r_cp is asserted on every call.
     """
-    p_mid = mid_table.p
-    m = p_mid.size
+    m = mid_table.p.size
     if conv_result.m != m:
         raise ValueError(f"conventional run had m = {conv_result.m}, but got {m} mid p-values")
-    mid_result, f_mid = _step_up(p_mid, alpha, mid_table if max_cdf is None else max_cdf)
+    mid_result, f_mid = _step_up(mid_table.p, alpha, mid_table if max_cdf is None else max_cdf)
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
     condition = _condition(f_mid, r_cp, np.array([alpha]))
@@ -518,13 +519,12 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     # A batch's conventional point ranks serve its mid sweep's levels too
     # when, as for one `pvalue_table` call's tables, they are the mid levels.
     p = conv.p.reshape(reps, -1)
-    sorted_p = np.sort(p)
+    sorted_p, f, gamma, ranked = _read(conv, p, reps)
     bh = _scan(p, sorted_p, thresholds)
-    f, gamma, ranked = _read(conv, sorted_p, reps)
     plus = _scan(p, f, thresholds, gamma)
-    del f, gamma, sorted_p
+    del sorted_p, f, gamma
     q = mid.p.reshape(reps, -1)
-    f_mid, gamma, _ = _read(mid, np.sort(q), reps, ranked if _shares_levels(mid, conv) else None)
+    _, f_mid, gamma, _ = _read(mid, q, reps, ranked if _shares_levels(mid, conv) else None)
     del ranked
     (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, gamma))
     condition = _condition(f_mid, r_cp, levels)
