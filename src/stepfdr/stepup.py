@@ -12,14 +12,13 @@ classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 Every step runs on a batch: a block of replications, each at every alpha
 level, and the single-run functions run it on a batch of one.  A batch of
 several sweeps its F* whole, on int64 rank keys.  A batch of one reads F*
-group by group, only at its p-values and, for gamma, at R (`_read`): only
+group by group (`_f_star`), only at its p-values and, for gamma, at R: only
 `build_max_cdf` tabulates F* on a whole grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -122,7 +121,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     maximum of the values.  Each run of equal points keeps its last event,
     which carries the run's largest value, so the grid strictly increases
     and the values never fall.  A batch of one (`build_max_cdf`'s pool, or
-    one of `_read`'s groups) sorts its points once and takes the running
+    one of `_f_star`'s groups) sorts its points once and takes the running
     maximum of their float values, gathered in that order (the sort alone,
     if every CDF is the identity).  A batch of several keys each event by
     one int64 from its replication, its point's rank among the distinct
@@ -213,11 +212,17 @@ def _last_at_most(keys: np.ndarray, levels: np.ndarray, reps: int,
     return idx
 
 
-def _cdf_at(steps: _Steps, values: np.ndarray) -> np.ndarray:
+def _cdf_at(steps: _Steps | list, values: np.ndarray) -> np.ndarray:
     """F* of each replication at each value of its row of `values`, 0 below
-    its first step.  Identity steps (`_sweep`'s, where every CDF is its
-    points) give back the values, which must be grid points."""
-    if steps.levels is steps.points:
+    its first step; on a batch of one's `_groups`, the largest of their F*,
+    swept one at a time.  Where every CDF is its points (identity steps or
+    groups), F* gives back the values, which must be grid points."""
+    if isinstance(steps, list) and steps[0][0][0].levels is not None:
+        f = np.zeros_like(values)
+        for group in steps:
+            np.maximum(f, _cdf_at(_sweep(group)[0], values), out=f)
+        return f
+    if isinstance(steps, list) or steps.levels is steps.points:
         return values
     idx = _last_at_most(steps.run, steps.points, steps.reps, values)
     none = idx < 0
@@ -228,9 +233,11 @@ def _cdf_at(steps: _Steps, values: np.ndarray) -> np.ndarray:
     return f
 
 
-def _gammas(steps: _Steps, thresholds: np.ndarray) -> np.ndarray:
+def _gammas(steps: _Steps | list, thresholds: np.ndarray) -> np.ndarray:
     """Per replication, the largest grid point whose F* value is at most each
     threshold, or NaN if none is."""
+    if isinstance(steps, list):
+        return _gammas_of(steps, thresholds)
     idx = _last_at_most(steps.top, steps.levels, steps.reps, thresholds)
     none = idx < 0
     idx = steps.run[idx]
@@ -269,27 +276,12 @@ def _gammas_of(groups: list[list], cutoffs: np.ndarray) -> np.ndarray:
     return np.where(gamma > -np.inf, gamma, np.nan)
 
 
-def _read(source, p: np.ndarray, reps: int = 1, ranked: list | None = None):
-    """The rows of `p` sorted, F* there of each of `reps` replications of
-    the table or `MaxCdf` `source` (None for BH: the identity), the function
-    from their cutoffs to gamma, and `_sweep`'s ranks.  A batch of several
-    is swept whole; one table's `_groups`, of about max(_GROUP, m) points
-    each, are swept one at a time, and F* at the p-values is the largest of
-    theirs (the maximum is associative; identity CDFs need no sweep)."""
-    if reps > 1 or isinstance(source, MaxCdf):
-        steps, ranks = ((_steps_of(source), None) if reps == 1 else
-                        _sweep(source._parts, source.support_index, reps, ranked))
-        p = np.sort(p)   # once the sweep, which peaks higher, is done
-        return p, _cdf_at(steps, p), partial(_gammas, steps), ranks
-    p = np.sort(p)
-    if source is None:
-        return p, p, None, None
-    groups = _groups(source._parts, source.support_index, max(_GROUP, p.shape[1]))
-    f = p
-    if source._parts[0][0].levels is not None:   # not every CDF is the identity
-        f = reduce(lambda high, g: np.maximum(high, g, out=high),
-                   (_cdf_at(_sweep(group)[0], p) for group in groups))
-    return p, f, partial(_gammas_of, groups), None
+def _f_star(table: PValueTable) -> _Steps | list:
+    """F* of a batch of one of `table`, for `_cdf_at` and `_gammas`: its
+    `_groups` of about max(_GROUP, m) pooled points each, read one at a
+    time, or the steps of its one group."""
+    groups = _groups(table._parts, table.support_index, max(_GROUP, table.p.size))
+    return _sweep(groups[0])[0] if len(groups) == 1 else groups
 
 
 def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
@@ -348,21 +340,21 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _scan(p: np.ndarray, f: np.ndarray, thresholds: np.ndarray, gamma=None):
+def _scan(p: np.ndarray, f: np.ndarray, thresholds: np.ndarray, steps=None):
     """The step-up scan of every (replication, alpha) pair: R = max{k :
     f_(k) <= alpha k / m}, the threshold (NaN when R = 0), and how many
     p-values lie at or below it.
 
     p is (replications, m), f the CDF at each row's sorted values (F*, or
     the sorted p-values for BH), and thresholds is `_thresholds`' (alphas,
-    m).  The threshold is alpha R / m, or `gamma` of it, gamma_R on F*.
+    m).  The threshold is alpha R / m, or gamma_R on the F* `steps`.
     """
     m = p.shape[1]
     hits = f[:, None, :] <= thresholds
     r = np.where(hits.any(axis=-1), m - np.argmax(hits[..., ::-1], axis=-1), 0)
     cutoff = thresholds[np.arange(thresholds.shape[0]), r - 1]
-    if gamma is not None:
-        cutoff = gamma(cutoff)
+    if steps is not None:
+        cutoff = _gammas(steps, cutoff)
     threshold = np.where(r > 0, cutoff, np.nan)
     rejected = (p[:, None, :] <= threshold[..., None]).sum(axis=-1)
     return r, threshold, rejected
@@ -398,13 +390,14 @@ def _result(p: np.ndarray, r, threshold) -> StepUpResult:
     return StepUpResult(p.size, int(r), float(threshold), np.flatnonzero(p <= threshold))
 
 
-def _step_up(p: np.ndarray, alpha: float, source=None):
-    """One step-up run of `p` at `alpha` on the F* of the table or `MaxCdf`
-    `source` (None for BH), and the CDF at the sorted p-values, one row."""
+def _step_up(p: np.ndarray, alpha: float, steps=None):
+    """One step-up run of `p` at `alpha` on the F* `steps` (None for BH),
+    and the CDF at the sorted p-values, one row."""
     _check_alpha(alpha)
     thresholds = _thresholds(np.array([alpha]), p.size)
-    _, f, gamma, _ = _read(source, p[None])
-    r, threshold, rejected = _scan(p[None], f, thresholds, gamma)
+    f = np.sort(p)[None]
+    f = f if steps is None else _cdf_at(steps, f)
+    r, threshold, rejected = _scan(p[None], f, thresholds, steps)
     _raise_first([_count_check(r, rejected)])
     return _result(p, r[0, 0], threshold[0, 0]), f
 
@@ -418,7 +411,8 @@ def bh_plus(table: PValueTable, alpha: float, *,
     tests use; a `max_cdf` built from them may be passed to reuse work across
     alpha levels.
     """
-    return _step_up(table.p, alpha, table if max_cdf is None else max_cdf)[0]
+    steps = _f_star(table) if max_cdf is None else _steps_of(max_cdf)
+    return _step_up(table.p, alpha, steps)[0]
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -461,7 +455,8 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     m = mid_table.p.size
     if conv_result.m != m:
         raise ValueError(f"conventional run had m = {conv_result.m}, but got {m} mid p-values")
-    mid_result, f_mid = _step_up(mid_table.p, alpha, mid_table if max_cdf is None else max_cdf)
+    steps = _f_star(mid_table) if max_cdf is None else _steps_of(max_cdf)
+    mid_result, f_mid = _step_up(mid_table.p, alpha, steps)
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
     condition = _condition(f_mid, r_cp, np.array([alpha]))
@@ -500,7 +495,7 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     replication r holds tests r m .. r m + m - 1 of both tables.
 
     Each replication's F* pools the supports its own tests use (a batch of
-    one, group by group: `_read`), and each scan reads it at the sorted
+    one, group by group: `_f_star`), and each scan reads it at the sorted
     p-values and gamma only at R.  Every check runs for every (replication,
     alpha) pair: each step-up's R against the p-values at or below its
     threshold, BH's set inside BH+'s, and the count-ordering condition
@@ -518,17 +513,21 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     thresholds = _thresholds(levels, size // reps)
     # A batch's conventional point ranks serve its mid sweep's levels too
     # when, as for one `pvalue_table` call's tables, they are the mid levels.
+    steps, ranked = ((_f_star(conv), None) if reps == 1
+                     else _sweep(conv._parts, conv.support_index, reps))
     p = conv.p.reshape(reps, -1)
-    sorted_p, f, gamma, ranked = _read(conv, p, reps)
+    sorted_p = np.sort(p)   # once a batch's sweep, which peaks higher, is done
     bh = _scan(p, sorted_p, thresholds)
-    plus = _scan(p, f, thresholds, gamma)
-    del sorted_p, f, gamma
-    q = mid.p.reshape(reps, -1)
-    _, f_mid, gamma, _ = _read(mid, q, reps, ranked if _shares_levels(mid, conv) else None)
+    plus = _scan(p, _cdf_at(steps, sorted_p), thresholds, steps)
+    del steps, sorted_p
+    steps = _f_star(mid) if reps == 1 else _sweep(
+        mid._parts, mid.support_index, reps, ranked if _shares_levels(mid, conv) else None)[0]
     del ranked
-    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, gamma))
+    q = mid.p.reshape(reps, -1)
+    f_mid = _cdf_at(steps, np.sort(q))
+    (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, steps))
     condition = _condition(f_mid, r_cp, levels)
-    del f_mid, gamma
+    del f_mid, steps
     # Both sets are {i : p_i <= threshold} on the same p-values, so the
     # classical set lies inside the adaptive one iff it is no larger.
     _raise_first([

@@ -347,8 +347,7 @@ def blocks_of(monkeypatch, reps_per_block, m):
 
 def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     """One conventional and one mid F* sweep per block of replications
-    serve every alpha and every replication of the block; a block of one
-    sweeps its mid F* alone, as its conventional F* is the identity."""
+    serve every alpha and every replication of the block."""
     sweeps = []
     sweep = stepup._sweep
     monkeypatch.setattr(stepup, "_sweep", lambda parts, slots=None, reps=1, ranked=None: (
@@ -357,7 +356,7 @@ def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
                     etas=(3.0,), ns=(), m=20, reps=5, seed=5)
     assert len(grid) == 4
-    assert sweeps == [2, 2, 2, 2, 1]
+    assert sweeps == [2, 2, 2, 2, 1, 1]
 
 
 def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
