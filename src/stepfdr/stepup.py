@@ -12,8 +12,8 @@ classical step-up of Benjamini and Hochberg, which `bh` implements directly.
 Every step runs on a batch: a block of replications, each at every alpha
 level, and the single-run functions run it on a batch of one.  A batch of
 several sweeps its F* whole, on int64 rank keys.  A batch of one reads F*
-group by group (`_f_star`), only at its p-values and, for gamma, at R: only
-`build_max_cdf` tabulates F* on a whole grid.
+group by group (`_f_star`), only at its p-values and, for gamma, at R, and
+tabulates it only if the supports it uses fit in one group.
 """
 
 from __future__ import annotations
