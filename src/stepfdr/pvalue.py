@@ -110,47 +110,40 @@ class PValueSupport:
 
 class _Flat(NamedTuple):
     """One flavor's supports of a run of margins, flat.  Margin k's points
-    are points[starts[k]:starts[k + 1]].  Their CDF values are the points
-    themselves when `levels` is None, and otherwise, with (values,
-    level_starts) = `levels`, values[level_starts[k] + at[j]] for its point
-    j.  A registry mid flat's levels are the conventional flat's points:
-    each mid CDF value is P of a class, a point of its margin's conventional
-    support.  `made[k]` keeps margin k's support once made (None before)."""
+    are points[starts[k]:starts[k + 1]], and their CDF values the same
+    slice of `cdf`, or the points themselves when `cdf` is None.  A
+    registry mid flat's CDF values are P of each point's last class, a
+    point of its margin's conventional support.  `made[k]` keeps margin
+    k's support once made (None before)."""
 
     flavor: PValueFlavor | None
     points: np.ndarray
     starts: np.ndarray
-    levels: tuple[np.ndarray, np.ndarray] | None
-    at: np.ndarray | None
+    cdf: np.ndarray | None
     made: np.ndarray
 
     def support(self, k: int) -> PValueSupport:
         """Margin k's support, made on first request and kept."""
         support = self.made[k]
         if support is None:
-            a, b = self.starts[k], self.starts[k + 1]
-            cdf = points = self.points[a:b]
-            if self.levels is not None:
-                values, level_starts = self.levels
-                cdf = values[level_starts[k] + self.at[a:b]]
-                cdf.flags.writeable = False
+            window = slice(self.starts[k], self.starts[k + 1])
+            points = self.points[window]
+            cdf = points if self.cdf is None else self.cdf[window]
             support = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
             self.made[k] = support
         return support
 
 
 def _flat_of(supports) -> _Flat:
-    """`supports` flat, already made, their CDF values as levels indexed
-    like a registry mid flat's unless every one is the identity on its
-    points (conventional)."""
+    """`supports` flat, already made, with a CDF column unless every one is
+    the identity on its points (conventional)."""
     sizes = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
-    starts = np.append(0, np.cumsum(sizes))
-    levels = at = None
+    cdf = None
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
-        levels = np.concatenate([s.cdf_values for s in supports]), starts
-        at = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+        cdf = np.concatenate([s.cdf_values for s in supports])
     made = np.fromiter(supports, dtype=object, count=len(supports))
-    return _Flat(None, np.concatenate([s.points for s in supports]), starts, levels, at, made)
+    return _Flat(None, np.concatenate([s.points for s in supports]),
+                 np.append(0, np.cumsum(sizes)), cdf, made)
 
 
 class _Chunk(NamedTuple):
@@ -174,14 +167,11 @@ def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
         return np.append(x, y[1:] + x[-1])
 
     conv, mid = (_Flat(f.flavor, np.append(f.points, g.points), shifted(f.starts, g.starts),
-                       None, None if f.at is None else np.append(f.at, g.at),
+                       None if f.cdf is None else np.append(f.cdf, g.cdf),
                        np.concatenate([f.made, g.made]))
                  for f, g in zip(a.flats, b.flats))
-    mid = mid._replace(levels=(conv.points, conv.starts))
-    for column in (*conv[1:3], *mid[1:3], mid.at):
-        column.flags.writeable = False
     maps = tuple(np.append(x, y) for x, y in zip(a.maps, b.maps))
-    for column in maps:
+    for column in (*conv[1:3], *mid[1:4], *maps):
         column.flags.writeable = False
     return _Chunk(np.append(a.firsts, b.firsts), shifted(a.cuts, b.cuts),
                   (conv, mid), maps, a.level + 1)
@@ -341,8 +331,8 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
         return starts, at
 
     # A merged point's classes share one float, so the conventional CDF is
-    # its points; the mid CDF is P of each point's last class, kept as that
-    # class's conventional point.
+    # its points; the mid CDF is P of each point's last class, gathered from
+    # the conventional points once `conv` is freed.
     keep = new_points(mid)
     last = np.append(keep[1:], True)                   # does a mid point end here?
     mid_starts, point_of = points_at(keep)
@@ -358,13 +348,15 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
     points, _ = step_cdf(points, None, ends=starts[1:], flavor=PValueFlavor.CONVENTIONAL)
     maps.insert(0, point_of[class_of])
     del class_of
-    at = point_of[last]
+    at = point_of[last]   # each mid point's last class's point, within its margin
     del point_of, last, keep
-    for column in (*maps, at):
+    at += np.repeat(starts[:-1], np.diff(mid_starts))
+    cdf = points[at]
+    for column in (*maps, cdf):
         column.flags.writeable = False
-    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None, None,
+    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None,
                   np.full(len(opening), None)),
-            _Flat(PValueFlavor.MID, mid_points, mid_starts, (points, starts), at,
+            _Flat(PValueFlavor.MID, mid_points, mid_starts, cdf,
                   np.full(len(opening), None))), tuple(maps)
 
 
@@ -556,13 +548,11 @@ def fet_outcome_pvalues(n1: int, n2: int, total: int, flavor) -> np.ndarray:
 class _Pool(NamedTuple):
     """The supports of a table's slots, flat, slot after slot: their points,
     each slot's number of points and, unless every CDF is the identity on
-    its points, each point's CDF value (`levels`) or else its index among
-    the slots' CDF levels, pooled in the same order (`at`)."""
+    its points, each point's CDF value (`levels`)."""
 
     points: np.ndarray
     sizes: np.ndarray
     levels: np.ndarray | None
-    at: np.ndarray | None
 
 
 def _segments(starts: np.ndarray, ks: np.ndarray):
@@ -632,34 +622,19 @@ class PValueTable:
         return tuple(supports)
 
 
-def _pool(parts, levels: bool = True) -> _Pool:
+def _pool(parts) -> _Pool:
     """The supports of `parts`, (flat supports, margin indices there) in
-    slot order, flat, in new columns: one gather per part (a slice for a
-    run of adjacent margins of one part).  Each point's CDF value is
-    gathered as a float, or with levels=False given as `at`."""
+    slot order, flat, in new columns: one gather per part and column (a
+    slice for a run of adjacent margins of one part)."""
     segments = [_segments(flat.starts, ks) for flat, ks in parts]
     points = np.concatenate([flat.points[index]
                              for (flat, _), (index, _) in zip(parts, segments)])
     sizes = np.concatenate([n for _, n in segments])
-    if parts[0][0].levels is None:
-        return _Pool(points, sizes, None, None)
-    if levels:   # point j of margin k holds levels[0][levels[1][k] + at[j]]
-        return _Pool(points, sizes, np.concatenate([
-            flat.levels[0][np.repeat(flat.levels[1][ks], n) + flat.at[index]]
-            for (flat, ks), (index, n) in zip(parts, segments)]), None)
-    level_sizes = np.concatenate([flat.levels[1][ks + 1] - flat.levels[1][ks]
-                                  for flat, ks in parts])
-    at = np.repeat(np.cumsum(level_sizes) - level_sizes, sizes)
-    at += np.concatenate([flat.at[index] for (flat, _), (index, _) in zip(parts, segments)])
-    return _Pool(points, sizes, None, at)
-
-
-def _shares_levels(mid: PValueTable, conv: PValueTable) -> bool:
-    """Are the pooled levels of `mid` the pooled points of `conv`, as for
-    the two tables of one `pvalue_table` call?"""
-    return len(mid._parts) == len(conv._parts) and all(
-        m.levels is not None and m.levels[0] is c.points and mk is ck
-        for (m, mk), (c, ck) in zip(mid._parts, conv._parts))
+    levels = None
+    if parts[0][0].cdf is not None:
+        levels = np.concatenate([flat.cdf[index]
+                                 for (flat, _), (index, _) in zip(parts, segments)])
+    return _Pool(points, sizes, levels)
 
 
 def count_column(name: str, values) -> np.ndarray:

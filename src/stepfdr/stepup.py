@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueFlavor, PValueSupport, PValueTable, _Pool, _pool, _shares_levels
+from .pvalue import PValueFlavor, PValueSupport, PValueTable, _flat_of, _Pool, _pool
 
 __all__ = [
     "MaxCdf",
@@ -105,16 +105,12 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
-           ranked: list | None = None) -> tuple[_Steps, list | None]:
+def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
     """F* of `reps` replications of a table whose supports `parts` hold
     (`pvalue._pool`; or a `_Pool` of them, whose points it sorts in place),
-    where slots[r m + i] is the slot of test i of replication r, and, for a
-    batch of several whose every CDF is the identity, `_ranks` of the pooled
-    points in a list (else None).  Each replication of several pools the
-    slots its own tests use; one pools every slot.  `ranked`, given only for
-    such a batch, holds `_ranks` of the pooled levels (a conventional
-    table's pooled points, as such a call returns them), and is emptied.
+    where slots[r m + i] is the slot of test i of replication r.  Each
+    replication of several pools the slots its own tests use; one pools
+    every slot.
 
     Each test's running CDF is the largest of its values at the points
     passed so far, so F* at an event, taken in point order, is the running
@@ -129,9 +125,8 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     among the distinct levels, whose running maximum, offset per
     replication, restarts at each replication.
     """
-    points, sizes, levels, at = (parts if isinstance(parts, _Pool)
-                                 else _pool(parts, ranked is None))
-    identity = levels is None and at is None   # is every CDF its points?
+    points, sizes, levels = parts if isinstance(parts, _Pool) else _pool(parts)
+    identity = levels is None   # is every CDF its points?
     if reps == 1:
         if not identity:   # the values in point order, 2**14 at a time into the order's buffer
             order = np.argsort(points)
@@ -144,23 +139,18 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
         last = np.append(points[1:] != points[:-1], True)   # does a run end here?
         points = points[last]
         levels = points if identity else levels[last]
-        return _steps_of(MaxCdf(points, levels)), None
+        return _steps_of(MaxCdf(points, levels))
     pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * sizes.size + slots)
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
     n_levels = 1   # rank before gathering events, to keep fewer buffers alive at once
     if not identity:   # each pooled point's level rank, then drop the levels
-        levels, level_rank = _ranks(levels) if at is None else ranked
-        if at is not None:
-            ranked.clear()
-            level_rank = level_rank[at]
+        levels, level_rank = _ranks(levels)
         n_levels = levels.size
-    del at
     points, key = _ranks(points)
     n_points = points.size
     if reps * n_points * n_levels >= 2**63:
         raise ValueError(f"{reps} replications of {n_points} support points "
                          "are too many for one batch")
-    ranks = [points, key] if identity else None
     rep, which = np.divmod(pairs, sizes.size)   # gather each (replication, slot) pair's events
     lengths = sizes[which]
     ends = np.cumsum(lengths)
@@ -173,7 +163,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     if identity:
         key.sort()
         run = key[np.append(key[1:] != key[:-1], True)]
-        return _Steps(points, run, points, run, reps), ranks
+        return _Steps(points, run, points, run, reps)
     key = key * n_levels
     key += level_rank
     del level_rank
@@ -184,7 +174,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1,
     run, top = key[last], rank[last]
     del key, rank
     top += run // n_points * n_levels
-    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps), ranks
+    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps)
 
 
 def _steps_of(max_cdf: MaxCdf) -> _Steps:
@@ -217,10 +207,10 @@ def _cdf_at(steps: _Steps | list, values: np.ndarray) -> np.ndarray:
     its first step; on a batch of one's `_groups`, the largest of their F*,
     swept one at a time.  Where every CDF is its points (identity steps or
     groups), F* gives back the values, which must be grid points."""
-    if isinstance(steps, list) and steps[0][0][0].levels is not None:
+    if isinstance(steps, list) and steps[0][0][0].cdf is not None:
         f = np.zeros_like(values)
         for group in steps:
-            np.maximum(f, _cdf_at(_sweep(group)[0], values), out=f)
+            np.maximum(f, _cdf_at(_sweep(group), values), out=f)
         return f
     if isinstance(steps, list) or steps.levels is steps.points:
         return values
@@ -267,9 +257,9 @@ def _gammas_of(groups: list[list], cutoffs: np.ndarray) -> np.ndarray:
     """`_gammas` on the F* of one replication's `groups`, in two masked
     passes: gamma is the largest pooled point below x_min, the smallest
     one whose CDF value is above the cutoff, or NaN if none is."""
-    identity = groups[0][0][0].levels is None   # then x_min is the next float up
+    identity = groups[0][0][0].cdf is None   # then x_min is the next float up
     x_min, gamma = np.nextafter(cutoffs, np.inf) if identity else np.inf, -np.inf
-    for points, _, levels, _ in map(_pool, [] if identity else groups):
+    for points, _, levels in map(_pool, [] if identity else groups):
         x_min = np.minimum(x_min, np.where(levels > cutoffs[..., None], points, np.inf).min(-1))
     for points, *_ in map(_pool, groups):
         gamma = np.maximum(gamma, np.where(points < x_min[..., None], points, -np.inf).max(-1))
@@ -281,7 +271,7 @@ def _f_star(table: PValueTable) -> _Steps | list:
     `_groups` of about max(_GROUP, m) pooled points each, read one at a
     time, or the steps of its one group."""
     groups = _groups(table._parts, table.support_index, max(_GROUP, table.p.size))
-    return _sweep(groups[0])[0] if len(groups) == 1 else groups
+    return _sweep(groups[0]) if len(groups) == 1 else groups
 
 
 def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
@@ -294,10 +284,8 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     sweep of a batch of one."""
     if len(supports) == 0:
         raise ValueError("at least one support is required")
-    cdf = None
-    if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
-        cdf = np.concatenate([s.cdf_values for s in supports])
-    steps = _sweep(_Pool(np.concatenate([s.points for s in supports]), None, cdf, None))[0]
+    flat = _flat_of(supports)
+    steps = _sweep(_Pool(flat.points, None, flat.cdf))
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
@@ -511,18 +499,13 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
                          "replications of m tests each")
     levels = np.asarray(alphas, dtype=np.float64)
     thresholds = _thresholds(levels, size // reps)
-    # A batch's conventional point ranks serve its mid sweep's levels too
-    # when, as for one `pvalue_table` call's tables, they are the mid levels.
-    steps, ranked = ((_f_star(conv), None) if reps == 1
-                     else _sweep(conv._parts, conv.support_index, reps))
+    steps = _f_star(conv) if reps == 1 else _sweep(conv._parts, conv.support_index, reps)
     p = conv.p.reshape(reps, -1)
     sorted_p = np.sort(p)   # once a batch's sweep, which peaks higher, is done
     bh = _scan(p, sorted_p, thresholds)
     plus = _scan(p, _cdf_at(steps, sorted_p), thresholds, steps)
     del steps, sorted_p
-    steps = _f_star(mid) if reps == 1 else _sweep(
-        mid._parts, mid.support_index, reps, ranked if _shares_levels(mid, conv) else None)[0]
-    del ranked
+    steps = _f_star(mid) if reps == 1 else _sweep(mid._parts, mid.support_index, reps)
     q = mid.p.reshape(reps, -1)
     f_mid = _cdf_at(steps, np.sort(q))
     (r_bh, r_cp, r_mp), cutoffs, rejected = zip(bh, plus, _scan(q, f_mid, thresholds, steps))

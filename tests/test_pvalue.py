@@ -114,14 +114,55 @@ def test_null_support_point_mass():
     assert np.array_equal(mid.cdf_values, [1.0])
 
 
-def test_mid_cdf_equals_matching_conventional_points():
-    """The mid support's CDF values are the conventional p-values."""
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        n = int(rng.integers(1, 30))
-        conv = bt_support(n, CONV)
-        mid = bt_support(n, MID)
-        assert np.array_equal(mid.cdf_values, conv.points)
+# Margins small enough (n1 + n2 <= 800, totals <= 1074) that no two of a
+# margin's classes round to one float, so each mid support has one point per
+# conventional point: untied Fisher margins (the certified walk builds them),
+# tied ones (n1 = n2) and binomial totals.
+UNTIED_FET = [*((7, 30, t) for t in range(38)), (97, 89, 53), (400, 50, 300), (400, 399, 400)]
+TIED_FET = [(n, n, t) for n in (1, 5, 25, 60) for t in range(2 * n + 1)]
+BT_TOTALS = [(t,) for t in (*range(30), 100, 500, 1074)]
+
+
+def empty_registry(monkeypatch, **settings):
+    """Give the margin registry no chunks and no margins for one test."""
+    for name, value in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
+                        ("_next_id", 0), ("_live", 0), *settings.items()):
+        monkeypatch.setattr(pvalue, name, value)
+
+
+def margin_tables(margins):
+    """Both flavors' tables with one test per margin, at its first outcome."""
+    margins = np.array(margins)
+    if margins.shape[1] == 1:
+        return pvalue_table(np.zeros(len(margins), dtype=np.int64), margins[:, 0])
+    n1, n2, t = margins.T
+    c1 = np.maximum(0, t - n2)
+    return pvalue_table(c1, t - c1, n1, n2)
+
+
+def assert_mid_cdf_is_conventional_points(conv, mid):
+    for conventional, midp in zip(conv.supports, mid.supports, strict=True):
+        assert midp.cdf_values.tobytes() == conventional.points.tobytes()
+        assert not midp.cdf_values.flags.writeable and not conventional.points.flags.writeable
+
+
+def test_mid_cdf_equals_matching_conventional_points(monkeypatch):
+    """The mid support's CDF values are the conventional p-values, byte for
+    byte and read-only, for every margin of a chunk: built many to a call,
+    in one batch or two, and merged from a run of one-margin calls."""
+    empty_registry(monkeypatch)
+    for margins in (UNTIED_FET, TIED_FET, UNTIED_FET + TIED_FET, BT_TOTALS):
+        assert_mid_cdf_is_conventional_points(*margin_tables(margins))
+    fisher = UNTIED_FET + TIED_FET
+    empty_registry(monkeypatch, _BATCH=len(fisher) // 2 + 1)
+    tables = margin_tables(fisher)
+    assert len(pvalue._chunks) == 2
+    assert_mid_cdf_is_conventional_points(*tables)
+    empty_registry(monkeypatch)
+    for margin in fisher:   # supports are read only once their chunks have merged
+        margin_tables([margin])
+    assert len(pvalue._chunks) < len(fisher) and pvalue._chunks[0].level > 0
+    assert_mid_cdf_is_conventional_points(*margin_tables(fisher))
 
 
 def test_conventional_super_uniform_everywhere():

@@ -350,8 +350,8 @@ def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     serve every alpha and every replication of the block."""
     sweeps = []
     sweep = stepup._sweep
-    monkeypatch.setattr(stepup, "_sweep", lambda parts, slots=None, reps=1, ranked=None: (
-        sweeps.append(reps) or sweep(parts, slots, reps, ranked)))
+    monkeypatch.setattr(stepup, "_sweep", lambda parts, slots=None, reps=1: (
+        sweeps.append(reps) or sweep(parts, slots, reps)))
     blocks_of(monkeypatch, 2, 20)
     grid = run_grid("bt", pi0s=(0.5,), alphas=(0.05, 0.1, 0.15, 0.2),
                     etas=(3.0,), ns=(), m=20, reps=5, seed=5)
@@ -448,7 +448,7 @@ def test_scanning_f_star_at_the_pvalues_equals_the_critical_value_scan(batch):
     for j, table in enumerate((conv, conv, mid)):
         gamma = np.broadcast_to(thresholds, (reps, *thresholds.shape[1:]))
         if j:
-            gamma = stepup._gammas(stepup._sweep(table._parts, table.support_index, reps)[0],
+            gamma = stepup._gammas(stepup._sweep(table._parts, table.support_index, reps),
                                    thresholds)
             assert np.isnan(gamma[:, 0]).all()
         hits = np.sort(table.p.reshape(reps, m))[:, None, :] <= gamma

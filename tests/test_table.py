@@ -790,7 +790,7 @@ def test_registry_tables_match_tables_rebuilt_from_their_supports(rows, alphas):
         assert_same_runs(run_procedures(*rebuilt, alphas, reps),
                          run_procedures(*tables, alphas, reps))
     for table in tables_of(rows):
-        steps = stepup._sweep(table._parts)[0]
+        steps = stepup._sweep(table._parts)
         max_cdf = build_max_cdf(table.supports)
         assert max_cdf.grid.tobytes() == steps.points[steps.run].tobytes()
         assert max_cdf.values.tobytes() == steps.levels[steps.top].tobytes()
