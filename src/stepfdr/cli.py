@@ -11,8 +11,8 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import math
 import operator
@@ -51,25 +51,27 @@ def cli() -> None:
     """Adaptive FDR step-up procedures for exact two-group count tests."""
 
 
-def _write_output(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """The text handle to write `path` through: standard output for "-",
+    otherwise the file, opened once and closed on leaving."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
 
 
-def _csv_text(fieldnames, rows) -> str:
-    """A header line and one line per row; each row lists its cells in field order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _csv_writer(handle, fieldnames):
+    """A csv.writer on `handle` that has written the header line."""
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return writer
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write_json(path: str, payload) -> None:
+    with _output(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 @cli.command()
@@ -103,22 +105,20 @@ def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
         table = table.select(ingest.filter_hiv(table))
     report = ingest.analyze(table, test, alpha, _FLAVOR_PROCEDURES[flavor])
     if details_out is not None:
-        _write_output(details_out, _csv_text(ingest.DETAIL_FIELDS, ())
-                      + "".join(ingest.report_rows(report)))
+        with _output(details_out) as handle:
+            _csv_writer(handle, ingest.DETAIL_FIELDS)
+            ingest.report_rows(report, handle)
     if fmt == "json":
         summary = ingest.report_summary(report)
         summary["filter"] = filter_name
         summary["records_loaded"] = loaded
-        text = _json_text(summary)
+        _write_json(output, summary)
     else:
-        rows = []
-        for name in report.procedures:
-            result = report.results[name]
-            rows.append((report.test, report.alpha, report.m, name,
-                         result.rejection_count,
-                         "" if result.threshold is None else repr(result.threshold)))
-        text = _csv_text(ingest.SUMMARY_FIELDS, rows)
-    _write_output(output, text)
+        with _output(output) as handle:
+            _csv_writer(handle, ingest.SUMMARY_FIELDS).writerows(
+                (report.test, report.alpha, report.m, name, result.rejection_count,
+                 "" if result.threshold is None else repr(result.threshold))
+                for name, result in report.results.items())
 
 
 @cli.command()
@@ -185,8 +185,9 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
         raise click.UsageError(str(exc)) from exc
     summaries = sim._run_cells(cells, workers)
     row = operator.itemgetter(*sim.SIM_ROW_FIELDS)
-    _write_output(output, _csv_text(sim.SIM_ROW_FIELDS,
-                                    map(row, sim.summaries_to_rows(summaries))))
+    with _output(output) as handle:
+        _csv_writer(handle, sim.SIM_ROW_FIELDS).writerows(
+            map(row, sim.summaries_to_rows(summaries)))
 
 
 @cli.command()
@@ -224,16 +225,17 @@ def support(input_path, test, flavor, fmt, output) -> None:
                 "values": [float(x) for x in max_cdf.values],
             },
         }
-        text = _json_text(payload)
+        _write_json(output, payload)
     else:
-        rows = []
-        for rid, sup in zip(counts.ids, supports):
-            for point, value in zip(sup.points, sup.cdf_values):
-                rows.append(("support", rid, repr(float(point)), repr(float(value))))
-        for point, value in zip(max_cdf.grid, max_cdf.values):
-            rows.append(("max_cdf", "", repr(float(point)), repr(float(value))))
-        text = _csv_text(("kind", "id", "point", "cdf"), rows)
-    _write_output(output, text)
+        with _output(output) as handle:
+            writer = _csv_writer(handle, ("kind", "id", "point", "cdf"))
+            for rid, sup in zip(counts.ids, supports):
+                writer.writerows(("support", rid, repr(point), repr(value))
+                                 for point, value in zip(sup.points.tolist(),
+                                                         sup.cdf_values.tolist()))
+            writer.writerows(("max_cdf", "", repr(point), repr(value))
+                             for point, value in zip(max_cdf.grid.tolist(),
+                                                     max_cdf.values.tolist()))
 
 
 @cli.command()
@@ -255,7 +257,7 @@ def compare(input_path, test, alpha, output) -> None:
         "r_mp": comparison.r_mp,
         "condition_holds": comparison.condition_holds,
     }
-    _write_output(output, _json_text(payload))
+    _write_json(output, payload)
 
 
 def _diagnostic(category: str, message: str) -> str:

@@ -13,7 +13,7 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -261,6 +261,9 @@ SUMMARY_FIELDS = ("test", "alpha", "m", "procedure", "rejections", "threshold")
 
 
 _QUOTED = (",", '"', "\r", "\n")   # characters csv.writer may quote
+_BLOCK_ROWS = 2**10   # details lines formatted and written at a time
+_BLANK = np.array([""])          # the values of a column that did not run
+_FLAGS = np.array(["0", "1"])    # the values of a reject_* column
 
 
 def _plain(rid) -> bool:
@@ -290,42 +293,61 @@ def _id_cells(ids) -> list[str]:
     return cells
 
 
-def report_rows(report: AnalysisReport) -> list[str]:
-    """The details CSV's data lines: one "\n"-terminated line per hypothesis,
-    its cells in `DETAIL_FIELDS` order, as csv.writer(lineterminator="\n")
-    writes them.
+def _tails(keys, columns) -> list[str]:
+    """The lines' tails after the id cell, one per row key in `keys`.  A cell
+    is str of its column's value, for a float its repr; no p-value repr or
+    flag holds a character csv.writer would quote."""
+    cells = []
+    for values in reversed(columns):
+        keys, codes = np.divmod(keys, len(values))
+        cells.append(map(str, values[codes].tolist()))
+    return [",".join(("", *row)) + "\n" for row in zip(*reversed(cells))]
+
+
+def report_rows(report: AnalysisReport, out: io.TextIOBase) -> None:
+    """Write the details CSV's data lines to the text handle `out`: one
+    "\n"-terminated line per hypothesis, its cells in `DETAIL_FIELDS` order,
+    as csv.writer(lineterminator="\n") writes them.
 
     Columns for flavors or procedures that did not run are left empty.  Each
-    other column is a few distinct texts and one code per row: the p-values'
-    distinct floats, or "0" and "1" for a rejection flag.  The rows' distinct
-    code tuples are formatted once, as the lines' tails after the id cell.
+    other column is a few distinct values and one code per row: the p-values'
+    distinct floats, or "0" and "1" for a rejection flag.  A code tuple that
+    several rows share is formatted once, as the lines' tail after the id
+    cell; one that a single row holds is formatted with the block of
+    `_BLOCK_ROWS` rows that holds it, so nothing but a few int64 columns
+    grows with m.
     """
-    columns = []   # (texts, codes) per non-id column
+    # A row's key is its code tuple in mixed radix: every code is below m, so
+    # a key is below 8 m**2, which fits int64 for every m below 2**30; a table
+    # that large would hold 2**30 id strings, over 50 GB by themselves.
+    columns = []   # the distinct values of each non-id column
+    key = np.zeros(report.m, dtype=np.int64)
     for p in (report.p_conv, report.p_mid):
         if p is None:
-            columns.append((("",), 0))
-            continue
-        # Unique on the bits, not the floats, so 0.0 and -0.0 keep their reprs.
-        bits, codes = np.unique(np.asarray(p, dtype=np.float64).view(np.int64),
-                                return_inverse=True)
-        columns.append((list(map(repr, bits.view(np.float64).tolist())), codes))
+            values, codes = _BLANK, 0
+        else:
+            # Unique on the bits, not the floats, so 0.0 and -0.0 keep their reprs.
+            bits, codes = np.unique(np.asarray(p, dtype=np.float64).view(np.int64),
+                                    return_inverse=True)
+            values = bits.view(np.float64)
+        columns.append(values)
+        key = key * len(values) + codes
     for name in stepup.PROCEDURES:   # the order of the reject_* fields
-        columns.append((("0", "1"), report.rejected_mask(name))
-                       if name in report.procedures else (("",), 0))
-    # Mixed radix: every code is below m, so a key is below 8 m**2, which
-    # fits int64 for every m below 2**30; a table that large would hold
-    # 2**30 id strings, over 50 GB by themselves.
-    key = np.zeros(report.m, dtype=np.int64)
-    for texts, codes in columns:
-        key = key * len(texts) + codes
-    keys, row_key = np.unique(key, return_inverse=True)
-    cells = []
-    for texts, _ in reversed(columns):
-        keys, codes = np.divmod(keys, len(texts))
-        cells.append(map(texts.__getitem__, codes.tolist()))
-    # No p-value repr or flag holds a character csv.writer would quote.
-    tails = [",".join(("", *row)) + "\n" for row in zip(*reversed(cells))]
-    return [cell + tails[k] for cell, k in zip(_id_cells(report.ids), row_key.tolist())]
+        values, codes = ((_FLAGS, report.rejected_mask(name))
+                         if name in report.procedures else (_BLANK, 0))
+        columns.append(values)
+        key = key * len(values) + codes
+    keys, row_key, counts = np.unique(key, return_inverse=True, return_counts=True)
+    tails = np.empty(len(keys), dtype=object)
+    shared = counts > 1
+    tails[shared] = _tails(keys[shared], columns)
+    for start in range(0, report.m, _BLOCK_ROWS):
+        block = row_key[start:start + _BLOCK_ROWS]
+        lines = tails[block]
+        once = ~shared[block]
+        lines[once] = _tails(keys[block[once]], columns)
+        out.write("".join(chain.from_iterable(
+            zip(_id_cells(report.ids[start:start + _BLOCK_ROWS]), lines.tolist()))))
 
 
 def report_summary(report: AnalysisReport) -> dict:

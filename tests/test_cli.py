@@ -85,6 +85,21 @@ class TestGoldenOutputs:
         assert code == 0
         assert details.read_bytes() == golden_bytes("details_methylation.csv")
 
+    def test_details_on_stdout_are_the_details_file(self, tmp_path, capsys):
+        """2,500 rows, so the details are written in several blocks; every
+        seventh id needs quoting."""
+        source = tmp_path / "counts.csv"
+        with open(source, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("id", "c1", "c2"))
+            writer.writerows((f"r{i}" if i % 7 else f'r,"{i}"', i % 23, i % 11)
+                             for i in range(2500))
+        args = ["analyze", "--input", str(source), "--test", "bt",
+                "--output", str(tmp_path / "summary.json"), "--details-out"]
+        assert main(args + [str(tmp_path / "details.csv")]) == 0
+        assert main(args + ["-"]) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / "details.csv").read_bytes()
+
     def test_simulate_cell_csv(self, tmp_path):
         code, data = run_to_file(
             ["simulate", "--test", "fet", "--pi0", "0.8", "--alpha", "0.1",

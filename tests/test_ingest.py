@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import tracemalloc
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,9 +46,16 @@ def parse_lines(lines):
     return list(csv.reader(io.StringIO("".join(lines))))
 
 
+def details_text(report):
+    """The data lines `report_rows` writes for `report`, as one str."""
+    buffer = io.StringIO()
+    report_rows(report, buffer)
+    return buffer.getvalue()
+
+
 def old_layout(report):
     """One tuple of cells per hypothesis, in `DETAIL_FIELDS` order: the
-    layout csv.writer was given before `report_rows` returned lines."""
+    layout csv.writer was given before `report_rows` formatted lines."""
     blank = ("",) * report.m
     columns = [report.ids]
     for p in (report.p_conv, report.p_mid):
@@ -64,6 +75,13 @@ def writer_text(rows):
 # Ids that need quoting, or nearly do: separators, quotes, both line ends,
 # spaces and non-ASCII text.
 ID_TEXT = st.text(alphabet=st.sampled_from(',"\r\n \tab\'é日'), max_size=5)
+
+# (c1, c2) count pairs: the fixed ones recur across rows, so their code
+# tuples are shared; drawn ones mostly occur once.
+SHARED_OR_NOT = (st.sampled_from(((3, 3), (9, 0), (0, 4)))
+                 | st.tuples(st.integers(0, 30), st.integers(0, 30)))
+PROCEDURE_SETS = [names for k in range(1, len(stepup.PROCEDURES) + 1)
+                  for names in combinations(stepup.PROCEDURES, k)]
 
 
 def write(tmp_path, name, text):
@@ -419,7 +437,7 @@ class TestAnalyze:
 class TestReports:
     def test_report_rows_layout_and_flags(self):
         report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)
-        lines = report_rows(report)
+        lines = details_text(report).splitlines(keepends=True)
         assert all(line.endswith("\n") for line in lines)
         rows = parse_lines(lines)
         assert [r[0] for r in rows] == ["a", "b"]
@@ -434,7 +452,7 @@ class TestReports:
 
     def test_report_rows_blank_for_skipped_procedures(self):
         report = analyze(table(("a", 14, 0)), "bt", 0.05, procedures=("BH",))
-        [cells] = parse_lines(report_rows(report))
+        [cells] = parse_lines(details_text(report))
         assert len(cells) == len(ingest.DETAIL_FIELDS)
         row = dict(zip(ingest.DETAIL_FIELDS, cells))
         assert row["p_conv"] == repr(float(report.p_conv[0]))
@@ -444,18 +462,22 @@ class TestReports:
         assert row["reject_bh"] in ("0", "1")
 
     @settings(max_examples=60, deadline=None, database=None)
-    @given(rows=st.lists(st.tuples(ID_TEXT, st.integers(0, 30), st.integers(0, 30)),
-                         min_size=1, max_size=8),
+    @given(rows=st.lists(st.tuples(ID_TEXT, SHARED_OR_NOT), min_size=1, max_size=9),
            big=st.tuples(ID_TEXT, st.integers(1076, 1200)),
-           procedures=st.sets(st.sampled_from(stepup.PROCEDURES), min_size=1))
-    def test_report_lines_are_what_csv_writer_writes(self, rows, big, procedures):
-        """One row's total is above 1075, and all of it is in c1, so its
-        p-values are at most 2**-1075 and print as 0.0."""
-        report = analyze(table(*rows, (big[0], big[1], 0)), "bt", 0.05,
-                         procedures=tuple(procedures))
-        text = "".join(report_rows(report))
-        assert text == writer_text(old_layout(report))
-        assert ",0.0," in text
+           block=st.sampled_from((1, 2, 3, ingest._BLOCK_ROWS)))
+    def test_report_lines_are_what_csv_writer_writes(self, rows, big, block):
+        """For every set of procedures.  Written in blocks of 1, 2 or 3 rows,
+        lines cross block seams, and code tuples that several rows share sit
+        beside ones a single row holds.  One row's total is above 1075, and
+        all of it is in c1, so its p-values are at most 2**-1075 and print
+        as 0.0."""
+        records = table(*[(rid, *pair) for rid, pair in rows], (big[0], big[1], 0))
+        for procedures in PROCEDURE_SETS:
+            report = analyze(records, "bt", 0.05, procedures=procedures)
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+                text = details_text(report)
+            assert text == writer_text(old_layout(report))
+            assert ",0.0," in text
 
     def test_report_lines_quote_ids_as_csv_writer_does(self):
         """Ids `load_counts` never gives (empty, not a str, a str subclass),
@@ -469,7 +491,30 @@ class TestReports:
         counts = CountTable(ids, [3 * i for i in range(len(ids))],
                             [12 - i for i in range(len(ids))])
         report = analyze(counts, "bt", 0.05)
-        assert "".join(report_rows(report)) == writer_text(old_layout(report))
+        assert details_text(report) == writer_text(old_layout(report))
+
+    def test_writing_details_peaks_below_100_bytes_a_row(self):
+        """10**5 bt rows drawn as the benchmark's analyze-bt-1e5 draws them:
+        Pareto(4.5, 5) base means, 10% of rows with one side enriched by
+        U(3, 5.5), Poisson counts.  Writing their details holds a few int64
+        columns and one block of lines, where whole-table lines took 181 B
+        a row."""
+        rng = np.random.default_rng(29)
+        m = 10**5
+        theta = np.repeat(4.5 * (1.0 - rng.random((m, 1))) ** -0.2, 2, axis=1)
+        theta[: m // 20, 0] *= rng.uniform(3.0, 5.5, m // 20)
+        theta[m // 20: m // 10, 1] *= rng.uniform(3.0, 5.5, m // 20)
+        c1, c2 = rng.poisson(theta)[rng.permutation(m)].T
+        report = analyze(CountTable([f"r{i:06d}" for i in range(m)], c1, c2), "bt", 0.05)
+        with open(os.devnull, "w", encoding="utf-8", newline="") as sink:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                report_rows(report, sink)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak <= 100 * m
 
     def test_report_summary_structure(self):
         report = analyze(table(("a", 14, 0), ("b", 6, 5)), "bt", 0.05)
