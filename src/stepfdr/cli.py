@@ -230,12 +230,10 @@ def support(input_path, test, flavor, fmt, output) -> None:
         with _output(output) as handle:
             writer = _csv_writer(handle, ("kind", "id", "point", "cdf"))
             for rid, sup in zip(counts.ids, supports):
-                writer.writerows(("support", rid, repr(point), repr(value))
-                                 for point, value in zip(sup.points.tolist(),
-                                                         sup.cdf_values.tolist()))
-            writer.writerows(("max_cdf", "", repr(point), repr(value))
-                             for point, value in zip(max_cdf.grid.tolist(),
-                                                     max_cdf.values.tolist()))
+                writer.writerows(("support", rid, repr(float(point)), repr(float(value)))
+                                 for point, value in zip(sup.points, sup.cdf_values))
+            writer.writerows(("max_cdf", "", repr(float(point)), repr(float(value)))
+                             for point, value in zip(max_cdf.grid, max_cdf.values))
 
 
 @cli.command()

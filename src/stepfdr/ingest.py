@@ -295,13 +295,14 @@ def _id_cells(ids) -> list[str]:
 
 def _tails(keys, columns) -> list[str]:
     """The lines' tails after the id cell, one per row key in `keys`.  A cell
-    is str of its column's value, for a float its repr; no p-value repr or
-    flag holds a character csv.writer would quote."""
+    is its column's value under "%s", which for a float is its repr; no
+    p-value repr or flag holds a character csv.writer would quote."""
     cells = []
     for values in reversed(columns):
         keys, codes = np.divmod(keys, len(values))
-        cells.append(map(str, values[codes].tolist()))
-    return [",".join(("", *row)) + "\n" for row in zip(*reversed(cells))]
+        cells.append(values[codes].tolist())
+    template = ",%s" * len(columns) + "\n"
+    return [template % row for row in zip(*reversed(cells))]
 
 
 def report_rows(report: AnalysisReport, out: io.TextIOBase) -> None:
