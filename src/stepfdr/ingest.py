@@ -315,7 +315,7 @@ def report_rows(report: AnalysisReport, out: io.TextIOBase) -> None:
     distinct floats, or "0" and "1" for a rejection flag.  A code tuple that
     several rows share is formatted once, as the lines' tail after the id
     cell; one that a single row holds is formatted with the block of
-    `_BLOCK_ROWS` rows that holds it, so nothing but a few int64 columns
+    `_BLOCK_ROWS` rows that holds it, so nothing but a few 8-byte columns
     grows with m.
     """
     # A row's key is its code tuple in mixed radix: every code is below m, so

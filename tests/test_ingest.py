@@ -466,11 +466,11 @@ class TestReports:
            big=st.tuples(ID_TEXT, st.integers(1076, 1200)),
            block=st.sampled_from((1, 2, 3, ingest._BLOCK_ROWS)))
     def test_report_lines_are_what_csv_writer_writes(self, rows, big, block):
-        """For every set of procedures.  Written in blocks of 1, 2 or 3 rows,
-        lines cross block seams, and code tuples that several rows share sit
-        beside ones a single row holds.  One row's total is above 1075, and
-        all of it is in c1, so its p-values are at most 2**-1075 and print
-        as 0.0."""
+        """Every set of procedures, written in blocks of 1, 2 or 3 rows or of
+        the default size: lines cross block seams, and code tuples that
+        several rows share sit beside ones a single row holds.  One row's
+        total is above 1075, and all of it is in c1, so its p-values are at
+        most 2**-1075 and print as 0.0."""
         records = table(*[(rid, *pair) for rid, pair in rows], (big[0], big[1], 0))
         for procedures in PROCEDURE_SETS:
             report = analyze(records, "bt", 0.05, procedures=procedures)
@@ -496,9 +496,8 @@ class TestReports:
     def test_writing_details_peaks_below_100_bytes_a_row(self):
         """10**5 bt rows drawn as the benchmark's analyze-bt-1e5 draws them:
         Pareto(4.5, 5) base means, 10% of rows with one side enriched by
-        U(3, 5.5), Poisson counts.  Writing their details holds a few int64
-        columns and one block of lines, where whole-table lines took 181 B
-        a row."""
+        U(3, 5.5), Poisson counts.  Writing their details holds a few 8-byte
+        columns and one block of lines at a time."""
         rng = np.random.default_rng(29)
         m = 10**5
         theta = np.repeat(4.5 * (1.0 - rng.random((m, 1))) ** -0.2, 2, axis=1)
