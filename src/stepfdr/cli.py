@@ -21,7 +21,7 @@ import sys
 
 import click
 
-from . import ingest, sim, stepup
+from . import ingest, stepup
 from .errors import DataError, InvariantViolation
 from .pvalue import PValueFlavor
 
@@ -151,6 +151,7 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
     Worker-count override: set STEPFDR_WORKERS to parallelize --grid runs
     across processes (the output is identical for any worker count).
     """
+    from . import sim   # only this command needs the simulation
     dependence = {"indep": "independent", "block": "block"}[dependence]
     other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
     if value is not None:

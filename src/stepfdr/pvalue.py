@@ -149,9 +149,10 @@ def _flat_of(supports) -> _Flat:
 class _Chunk(NamedTuple):
     """One build batch of margins, or several merged, immutable: margin k
     of chunk c has registry id _chunk_ids[c] + k, and its outcomes run up
-    from firsts[k], mapped to points of its supports by
-    maps[flavor][cuts[k]:cuts[k + 1]].  `level` counts merges, and is None
-    for a chunk that never merges."""
+    from firsts[k], mapped to points of its supports by the int32 (int64
+    from 2**31 class slots a batch) maps[flavor][cuts[k]:cuts[k + 1]], so an
+    outcome costs 32 B with its points and mid CDF value.  `level` counts
+    merges, and is None for a chunk that never merges."""
 
     firsts: np.ndarray
     cuts: np.ndarray
@@ -305,8 +306,9 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
     `cuts`) of a batch whose class slots, classes = [conv, mid, class_of],
     are filled, margin k's at cuts[k]:cuts[k + 1].  For the whole batch at
     once, classes whose p-values round to one float merge onto one point,
-    keeping the largest (right-continuous) CDF value.  Each buffer is freed
-    (`classes` emptied) once read for the last time, which bounds the peak."""
+    keeping the largest (right-continuous) CDF value.  The maps are int32
+    below 2**31 class slots.  Each buffer (`classes` emptied) is freed once
+    read for the last time, the maps made first, which bounds the peak."""
     conv, mid, class_of = classes
     classes.clear()
     opening = cuts[:-1]                                # each margin's first class
@@ -321,9 +323,9 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
         """Each margin's first point (and the end), and each class's point
         within its margin: a running count of `keep` restarting per margin,
         made in place."""
-        at = keep.astype(np.int64)
+        at = keep.astype(np.int32 if keep.size < 2**31 else np.int64)
         np.cumsum(at, out=at)
-        starts = np.append(0, at[cuts[1:] - 1])
+        starts = np.append(0, at[cuts[1:] - 1].astype(np.int64))
         at[...] = keep
         at[opening[1:]] -= np.diff(starts)[:-1]
         np.cumsum(at, out=at)
@@ -331,28 +333,25 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
         return starts, at
 
     # A merged point's classes share one float, so the conventional CDF is
-    # its points; the mid CDF is P of each point's last class, gathered from
-    # the conventional points once `conv` is freed.
+    # its points, and the mid CDF is P of each mid point's last class.
     keep = new_points(mid)
     last = np.append(keep[1:], True)                   # does a mid point end here?
     mid_starts, point_of = points_at(keep)
     maps = [point_of[class_of]]
     del point_of
     mid_points = mid[keep]
-    del mid
-    mid_points, _ = step_cdf(mid_points, conv[last], ends=mid_starts[1:], flavor=PValueFlavor.MID)
+    del mid, keep
     kept = new_points(conv)
     starts, point_of = points_at(kept)
+    maps.insert(0, point_of[class_of])
+    del point_of, class_of
+    cdf = conv[last]
+    del last
     points = conv[kept]
     del conv, kept
+    mid_points, cdf = step_cdf(mid_points, cdf, ends=mid_starts[1:], flavor=PValueFlavor.MID)
     points, _ = step_cdf(points, None, ends=starts[1:], flavor=PValueFlavor.CONVENTIONAL)
-    maps.insert(0, point_of[class_of])
-    del class_of
-    at = point_of[last]   # each mid point's last class's point, within its margin
-    del point_of, last, keep
-    at += np.repeat(starts[:-1], np.diff(mid_starts))
-    cdf = points[at]
-    for column in (*maps, cdf):
+    for column in maps:
         column.flags.writeable = False
     return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None,
                   np.full(len(opening), None)),
@@ -393,17 +392,23 @@ def _ratio(n1, n2, t, x):
 
 
 def _product_error(a, b, p):
-    """a b - p exactly, for p = fl(a b): Dekker's split and TwoProduct."""
+    """a b - p exactly, for p = fl(a b) shaped like a: TwoProduct, in place."""
     ah, bh = a * (2.0**27 + 1), b * (2.0**27 + 1)
-    ah, bh = ah - (ah - a), bh - (bh - b)
+    ah, bh = ah - (ah - a), bh - (bh - b)          # Dekker's split
+    err = ah * bh - p
     al, bl = a - ah, b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    err += np.multiply(ah, bl, out=ah)
+    err += np.multiply(al, bh, out=ah)
+    err += np.multiply(al, bl, out=al)
+    return err
 
 
 def _sum_error(a, b, s):
     """a + b - s exactly, for s = fl(a + b): Knuth's TwoSum."""
     bb = s - a
-    return (a - (s - bb)) + (b - bb)
+    err = np.subtract(a, s - bb)
+    err += np.subtract(b, bb, out=bb)
+    return err
 
 
 def _rounds(high, low, err):
@@ -457,12 +462,14 @@ def _walk(keys, lo, local, w, conv, mid, class_of):
         high = q * (2.0**27 + 1)
         high -= high - q                            # Dekker's high half of q
         d = ((num - high * den) - (q - high) * den) / num   # exact numerator: den < 2**26
+        del num, den, high
         p = np.multiply.accumulate(q, axis=1)
         d[:, 1:] += _product_error(p[:, :-1], q[:, 1:], p[:, 1:]) / p[:, 1:]
+        del q
         d = np.cumsum(d, axis=1) * p
         mass = np.concatenate([np.ones((ix.size, 1)), p + d], axis=1)
         mass_low = np.concatenate([np.zeros((ix.size, 1)), (p - mass[:, 1:]) + d], axis=1)
-        del num, den, q, d, p
+        del d, p
         inside = columns < width
         # Padding and nan (an overflowed walk) sort after a row's own outcomes.
         mass[~inside | np.isnan(mass)] = np.inf
@@ -474,27 +481,33 @@ def _walk(keys, lo, local, w, conv, mid, class_of):
         del mass, mass_low, order
         apart = (((high[:, 1:] - high[:, :-1]) + (low[:, 1:] - low[:, :-1])
                   > rel[rows, None] * high[:, 1:]) | ~inside[:, 1:])
-        # Running sums along the rows, then P and Q.
+        # Running sums along the rows, then P and Q, freeing each buffer once read.
         cum = np.cumsum(high, axis=1)
         low[:, 1:] += _sum_error(cum[:, :-1], high[:, 1:], cum[:, 1:])
         low = np.cumsum(low, axis=1)
         high = cum + low
         low += cum - high
+        del cum
         th, tl = high[ix, width - 1], low[ix, width - 1]
+        certified[rows] = apart.all(1) & (high[:, 0] >= _TINY) & (th[:, 0] <= 1 / _TINY)
+        walked[1, rows] = th[:, 0]
         ph = high / th                              # Dekker's division of cum by total
-        pl = (((high - ph * th) - _product_error(ph, th, ph * th)) + (low - ph * tl)) / th
+        pl = np.subtract(high, ph * th, out=high) - _product_error(ph, th, ph * th)
+        pl = (pl + (low - ph * tl)) / th
+        del high, low
         ph, pl = ph + pl, (ph - (ph + pl)) + pl
+        good = _rounds(ph, pl, rel[rows, None] * ph)
+        conv[slots] = ph[inside]
         qh, ql = (np.concatenate([np.zeros((ix.size, 1)), v[:, :-1]], axis=1) for v in (ph, pl))
         both = qh + ph
         ql += pl + _sum_error(qh, ph, both)
+        del ph, pl
         qh = both + ql
         ql += both - qh
-        good = (_rounds(ph, pl, rel[rows, None] * ph) & _rounds(qh, ql, rel[rows, None] * qh))
-        certified[rows] = (apart.all(1) & (good | ~inside).all(1) & (high[:, 0] >= _TINY)
-                           & (th[:, 0] <= 1 / _TINY))
-        walked[1, rows] = th[:, 0]
-        conv[slots], mid[slots] = ph[inside], qh[inside] * 0.5
-        del high, low, cum, ph, pl, qh, ql, both, good
+        good &= _rounds(qh, ql, rel[rows, None] * qh)
+        certified[rows] &= (good | ~inside).all(1)
+        mid[slots] = qh[inside] * 0.5
+        del qh, ql, both, good
     _bracket(*(column[certified] for column in (n1, n2, t, lo, lo + w - 1, *walked, rel)))
     return certified
 
