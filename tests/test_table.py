@@ -461,9 +461,11 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     """Building 1,000 fresh Fisher margins (two batches) peaks near what the
     cache keeps afterwards, because a batch's typed buffers are freed before
     its views are made; with them still alive, the whole call once peaked at
-    1.28 times.  The first assertion measures `_build` alone, the second the
-    whole `pvalue_table` call, whose peak comes from gathering the tables'
-    columns from the concatenated maps.  Both stay within 1.25 times."""
+    1.28 times.  The first assertion measures `_build` alone, whose peak
+    comes in the second batch's walk, at the TwoSum and TwoProduct of its P
+    and Q blocks; the second the whole `pvalue_table` call, whose peak comes
+    in the second batch's `_flatten`, checking its conventional points while
+    both flavors' columns and maps are alive.  Both stay within 1.25 times."""
     c, n, rows, margins = fresh_fisher_rows()
 
     def traced(call, *args):
@@ -483,6 +485,43 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     assert len(pvalue._margins) == 1000
     assert peak <= 1.25 * retained
 
+
+
+def empty_registry(monkeypatch):
+    """An empty registry for this test, restored afterwards."""
+    monkeypatch.setattr(pvalue, "_margins", {})
+    monkeypatch.setattr(pvalue, "_chunks", [])
+    monkeypatch.setattr(pvalue, "_chunk_ids", pvalue._chunk_ids[:0])
+
+
+def test_the_registry_keeps_4_byte_maps_and_32_bytes_an_outcome(monkeypatch):
+    """Every chunk's two outcome -> point maps are int32, so the per-outcome
+    columns (the two maps, both flavors' points and the mid CDF) hold at
+    most 33 B per stored outcome on the 1,000 Fisher margins above; with
+    int64 maps they held 39.98."""
+    c, n, rows, _ = fresh_fisher_rows()
+    empty_registry(monkeypatch)
+    pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
+    chunks = pvalue._chunks
+    assert len(pvalue._margins) == 1000 and len(chunks) == 2
+    assert all(column.dtype == np.int32 for chunk in chunks for column in chunk.maps)
+    kept = sum(column.nbytes for chunk in chunks for column in (
+        *chunk.maps, chunk.flats[0].points, chunk.flats[1].points, chunk.flats[1].cdf))
+    assert kept <= 33 * pvalue._stored()
+
+
+def test_merged_chunks_keep_4_byte_maps(monkeypatch):
+    """A run of one-batch builds, which `_compact` merges, keeps int32 maps
+    and makes the records of one build of the same margins, byte for byte."""
+    keys = random_margins(71, 240) + [(t,) for t in range(0, 1200, 9)]
+    want = fresh_records(monkeypatch, keys)
+    empty_registry(monkeypatch)
+    for start in range(0, len(keys), 25):
+        build(keys[start:start + 25])
+    chunks = pvalue._chunks
+    assert len(chunks) < 6 and max(chunk.level for chunk in chunks) >= 3
+    assert all(column.dtype == np.int32 for chunk in chunks for column in chunk.maps)
+    assert_same_records(records(keys), want)
 
 def test_sweeping_a_batch_of_one_peaks_near_three_pooled_columns():
     """`run_procedures` on one replication sorts each flavor's pooled
