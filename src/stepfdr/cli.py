@@ -11,34 +11,19 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import json
-import math
 import operator
 import os
 import sys
-
-import click
 
 # pvalue first: compiled before its importers, it lowers the peak of an uncached import.
 from .pvalue import PValueFlavor
 from .errors import DataError, InvariantViolation
 from . import ingest, stepup
 
-
-class _Level(click.FloatRange):
-    """A level strictly between 0 and 1.  NaN compares false with both ends,
-    so FloatRange alone would let it through."""
-
-    def convert(self, value, param, ctx):
-        level = super().convert(value, param, ctx)
-        if math.isnan(level):
-            self.fail(f"{level} is not in the range 0.0<x<1.0.", param, ctx)
-        return level
-
-
-_LEVEL = _Level(0.0, 1.0, min_open=True, max_open=True)
 
 _FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
     **{flavor.value: tuple(name for name, read in stepup.PROCEDURE_FLAVORS.items()
@@ -47,9 +32,28 @@ _FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
 }
 
 
-@click.group(name="stepfdr")
-def cli() -> None:
-    """Adaptive FDR step-up procedures for exact two-group count tests."""
+def _level(text: str) -> float:
+    """A level strictly between 0 and 1, which NaN, false against both, is not."""
+    try:
+        level = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid float.") from None
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"{level} is not in the range 0.0<x<1.0.")
+    return level
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as an ArgumentError instead of exiting."""
+
+    def __init__(self, **kwargs):   # no abbreviated options: --inp is no --input
+        super().__init__(**kwargs, exit_on_error=False, allow_abbrev=False)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+    def format_help(self):
+        return super().format_help().replace("usage: ", "Usage: ", 1)
 
 
 @contextlib.contextmanager
@@ -75,26 +79,6 @@ def _write_json(path: str, payload) -> None:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 
-@cli.command()
-@click.option("--input", "input_path", required=True,
-              help="Count table (CSV, or TSV by .tsv extension).")
-@click.option("--test", type=click.Choice(["bt", "fet"]), required=True,
-              help="bt: exact binomial test; fet: Fisher's exact test.")
-@click.option("--alpha", type=_LEVEL, default=0.05, show_default=True,
-              help="Nominal FDR level.")
-@click.option("--pvalue", "flavor", type=click.Choice(list(_FLAVOR_PROCEDURES)),
-              default="both", show_default=True,
-              help="conventional runs BH and BH+; mid runs MidPBH+; both runs all three.")
-@click.option("--filter", "filter_name",
-              type=click.Choice(["methylation", "hiv", "none"]),
-              default="none", show_default=True,
-              help="Application filter applied before the analysis.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True, help="Summary format.")
-@click.option("--output", default="-", show_default=True,
-              help="Summary destination ('-' for standard output).")
-@click.option("--details-out", default=None,
-              help="Optional per-hypothesis CSV destination.")
 def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
             details_out) -> None:
     """Run the step-up procedures on a two-group count table."""
@@ -122,29 +106,6 @@ def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
                 for name, result in report.results.items())
 
 
-@cli.command()
-@click.option("--test", type=click.Choice(["bt", "fet"]), required=True)
-@click.option("--grid", is_flag=True,
-              help="Run the full factorial study for the chosen test.")
-@click.option("--pi0", type=click.FloatRange(0.0, 1.0), default=None,
-              help="True-null proportion (single-cell mode).")
-@click.option("--alpha", type=_LEVEL, default=None,
-              help="Nominal FDR level (single-cell mode).")
-@click.option("--eta", type=float, default=None,
-              help="Pareto scale of the mean law (bt only).")
-@click.option("--n", "n_trials", type=click.IntRange(min=1), default=None,
-              help="Per-group trial count (fet only).")
-@click.option("--dependence", type=click.Choice(["indep", "block"]),
-              default="indep", show_default=True)
-@click.option("--copula-sharing", type=click.Choice(["shared", "per-group"]),
-              default="shared", show_default=True,
-              help="Under block dependence, reuse one uniform draw for both count columns or draw per column.")
-@click.option("--m", "m", type=click.IntRange(min=1), default=200,
-              show_default=True, help="Hypotheses per replication.")
-@click.option("--reps", type=click.IntRange(min=1), default=300,
-              show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--output", default="-", show_default=True)
 def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
              copula_sharing, m, reps, seed, output) -> None:
     """Estimate FDR and power of BH, BH+ and MidPBH+ by Monte Carlo.
@@ -154,15 +115,14 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
     """
     from . import sim   # only this command needs the simulation
     dependence = {"indep": "independent", "block": "block"}[dependence]
-    other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
-    if value is not None:
-        raise click.UsageError(f"--test {test} takes no {other}")
     workers = 1
     try:   # only checking the parameters is a usage matter
+        other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
+        if value is not None:
+            raise ValueError(f"--test {test} takes no {other}")
         if grid:
             if pi0 is not None or alpha is not None:
-                raise click.UsageError("--grid uses the built-in pi0/alpha grids; "
-                                       "drop --pi0/--alpha")
+                raise ValueError("--grid uses the built-in pi0/alpha grids; drop --pi0/--alpha")
             try:
                 workers = int(raw := os.environ.get("STEPFDR_WORKERS", "1"))
             except ValueError:
@@ -176,15 +136,14 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                                reps=reps, seed=seed, copula_sharing=copula_sharing)
         else:
             if pi0 is None or alpha is None:
-                raise click.UsageError("single-cell mode needs --pi0 and --alpha "
-                                       "(or pass --grid)")
+                raise ValueError("single-cell mode needs --pi0 and --alpha (or pass --grid)")
             config = sim.SimConfig(
                 test=test, pi0=pi0, alpha=alpha, m=m, eta=eta, n=n_trials,
                 dependence=dependence, rho=0.2, reps=reps, seed=seed,
                 copula_sharing=copula_sharing)
             cells = [(config, (config.alpha,))]
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise argparse.ArgumentError(None, str(exc)) from exc
     summaries = sim._run_cells(cells, workers)
     row = operator.itemgetter(*sim.SIM_ROW_FIELDS)
     with _output(output) as handle:
@@ -192,14 +151,6 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
             map(row, sim.summaries_to_rows(summaries)))
 
 
-@cli.command()
-@click.option("--input", "input_path", required=True)
-@click.option("--test", type=click.Choice(["bt", "fet"]), required=True)
-@click.option("--pvalue", "flavor", type=click.Choice(["conventional", "mid"]),
-              default="conventional", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-@click.option("--output", default="-", show_default=True)
 def support(input_path, test, flavor, fmt, output) -> None:
     """Dump each hypothesis's p-value support and the pooled max-CDF."""
     counts = ingest.load_counts(input_path)
@@ -238,11 +189,6 @@ def support(input_path, test, flavor, fmt, output) -> None:
                              for point, value in zip(max_cdf.grid, max_cdf.values))
 
 
-@cli.command()
-@click.option("--input", "input_path", required=True)
-@click.option("--test", type=click.Choice(["bt", "fet"]), required=True)
-@click.option("--alpha", type=_LEVEL, default=0.05, show_default=True)
-@click.option("--output", default="-", show_default=True)
 def compare(input_path, test, alpha, output) -> None:
     """Report mid versus conventional rejection counts and the count-ordering condition."""
     report = ingest.analyze(ingest.load_counts(input_path), test, alpha,
@@ -260,29 +206,83 @@ def compare(input_path, test, alpha, output) -> None:
     _write_json(output, payload)
 
 
-def _diagnostic(category: str, message: str) -> str:
-    return f"stepfdr: error: {category}: " + " ".join(str(message).split())
+def _parser() -> _Parser:
+    """The command line: one subparser per command, which sets `run` to it."""
+    parser = _Parser(prog="stepfdr", description="Adaptive FDR step-up procedures "
+                     "for exact two-group count tests.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, *, table=True):
+        """An option adder of `run`'s subparser, which has --input if `run` reads a table."""
+        sub = commands.add_parser(run.__name__, help=run.__doc__.split("\n")[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        def option(*flags, help="", **kwargs):   # each default shown as "[default: ...]"
+            tail = " [default: %(default)s]" if "default" in kwargs else ""
+            sub.add_argument(*flags, **kwargs, help=help + tail)
+        if table:
+            option("--input", dest="input_path", metavar="PATH", required=True,
+                   help="Count table (CSV, or TSV by .tsv extension).")
+        option("--test", choices=("bt", "fet"), required=True,
+               help="bt: exact binomial test; fet: Fisher's exact test.")
+        return option
+
+    option = command(analyze)
+    option("--alpha", type=_level, default=0.05, help="Nominal FDR level.")
+    option("--pvalue", dest="flavor", choices=tuple(_FLAVOR_PROCEDURES), default="both",
+           help="conventional runs BH and BH+; mid runs MidPBH+; both runs all three.")
+    option("--filter", dest="filter_name", choices=("methylation", "hiv", "none"),
+           default="none", help="Application filter applied before the analysis.")
+    option("--format", dest="fmt", choices=("json", "csv"), default="json",
+           help="Summary format.")
+    option("--output", default="-", help="Summary destination ('-' for standard output).")
+    option("--details-out", help="Optional per-hypothesis CSV destination.")
+    option = command(simulate, table=False)
+    option("--grid", action="store_true",
+           help="Run the full factorial study for the chosen test.")
+    option("--pi0", type=float, help="True-null proportion (single-cell mode).")
+    option("--alpha", type=_level, help="Nominal FDR level (single-cell mode).")
+    option("--eta", type=float, help="Pareto scale of the mean law (bt only).")
+    option("--n", dest="n_trials", type=int, help="Per-group trial count (fet only).")
+    option("--dependence", choices=("indep", "block"), default="indep")
+    option("--copula-sharing", choices=("shared", "per-group"), default="shared",
+           help="Under block dependence, reuse one uniform draw for both count "
+                "columns or draw per column.")
+    option("--m", type=int, default=200, help="Hypotheses per replication.")
+    option("--reps", type=int, default=300)
+    option("--seed", type=int, default=0)
+    option("--output", default="-")
+    option = command(support)
+    option("--pvalue", dest="flavor", choices=("conventional", "mid"), default="conventional")
+    option("--format", dest="fmt", choices=("json", "csv"), default="json")
+    option("--output", default="-")
+    option = command(compare)
+    option("--alpha", type=_level, default=0.05)
+    option("--output", default="-")
+    return parser
+
+
+def _fail(code: int, category: str, message) -> int:
+    print(f"stepfdr: error: {category}: " + " ".join(str(message).split()), file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping error classes to documented exit codes."""
-    try:
-        cli.main(args=argv, prog_name="stepfdr", standalone_mode=False)
-    except click.exceptions.NoArgsIsHelpError as exc:
-        print(exc.format_message())
-        return 0
-    except click.exceptions.Abort:
-        print(_diagnostic("usage", "aborted"), file=sys.stderr)
-        return 1
-    except click.ClickException as exc:
-        print(_diagnostic("usage", exc.format_message()), file=sys.stderr)
-        return 1
+    try:   # a bare stepfdr prints the help
+        args = vars(_parser().parse_args((sys.argv[1:] if argv is None else argv) or ["--help"]))
+        args.pop("run")(**args)
+    except SystemExit as exc:   # --help, after printing the help
+        return exc.code
+    except argparse.ArgumentError as exc:
+        name, message = exc.argument_name, exc.message
+        return _fail(1, "usage", f"Invalid value for '{name}': {message}" if name else message)
+    except KeyboardInterrupt:
+        return _fail(1, "usage", "aborted")
     except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
-        print(_diagnostic("data", str(exc)), file=sys.stderr)
-        return 2
+        return _fail(2, "data", exc)
     except (InvariantViolation, ValueError, MemoryError) as exc:
-        print(_diagnostic("internal", str(exc) or "out of memory"), file=sys.stderr)
-        return 3
+        return _fail(3, "internal", str(exc) or "out of memory")
     return 0
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .pvalue import PValueFlavor, PValueSupport, PValueTable, _flat_of, _Pool, _pool
+from .pvalue import PValueFlavor, PValueSupport, PValueTable, _flat_of, _pool
 
 __all__ = [
     "MaxCdf",
@@ -107,10 +107,9 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
     """F* of `reps` replications of a table whose supports `parts` hold
-    (`pvalue._pool`; or a `_Pool` of them, whose points it sorts in place),
-    where slots[r m + i] is the slot of test i of replication r.  Each
-    replication of several pools the slots its own tests use; one pools
-    every slot.
+    (`pvalue._pool`), where slots[r m + i] is the slot of test i of
+    replication r.  Each replication of several pools the slots its own
+    tests use; one pools every slot.
 
     Each test's running CDF is the largest of its values at the points
     passed so far, so F* at an event, taken in point order, is the running
@@ -125,7 +124,7 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
     among the distinct levels, whose running maximum, offset per
     replication, restarts at each replication.
     """
-    points, sizes, levels = parts if isinstance(parts, _Pool) else _pool(parts)
+    points, sizes, levels = _pool(parts)
     identity = levels is None   # is every CDF its points?
     if reps == 1:
         if not identity:   # the values in point order, 2**14 at a time into the order's buffer
@@ -284,8 +283,7 @@ def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
     sweep of a batch of one."""
     if len(supports) == 0:
         raise ValueError("at least one support is required")
-    flat = _flat_of(supports)
-    steps = _sweep(_Pool(flat.points, None, flat.cdf))
+    steps = _sweep([(_flat_of(supports), np.arange(len(supports)))])
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)

@@ -160,16 +160,41 @@ class TestExitCodes:
         ["simulate", "--test", "bt", "--pi0", "0.5", "--m", "10", "--reps", "1"],
     ], ids=["analyze", "compare", "simulate"])
     def test_usage_error_nan_alpha(self, capsys, command):
-        """NaN passes click.FloatRange, since it compares false with both
-        ends, so analyze and compare once ran it into an internal error."""
+        """NaN passes a range test made of two comparisons, since it compares
+        false with both ends, so analyze and compare once ran it into an
+        internal error."""
         assert main([*command, "--alpha", "nan"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ("stepfdr: error: usage: Invalid value for '--alpha': "
                                 "nan is not in the range 0.0<x<1.0.\n")
 
     def test_usage_error_unknown_option(self, capsys):
-        assert main(["analyze", "--frobnicate"]) == 1
-        assert capsys.readouterr().err.startswith("stepfdr: error: usage:")
+        """An unknown option, and a known one abbreviated, which is no option."""
+        for args in (["--frobnicate"], ["--inp", METH, "--test", "bt"]):
+            assert main(["analyze", *args]) == 1
+            assert capsys.readouterr().err.startswith("stepfdr: error: usage:")
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--m", "0", "m must be >= 1, got 0"),
+        ("--reps", "0", "reps must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--n", "0", "n must be >= 1, got 0"),
+        ("--pi0", "1.5", "pi0 must lie in [0, 1], got 1.5"),
+    ], ids=["m", "reps", "seed", "n", "pi0"])
+    def test_usage_error_simulate_range(self, capsys, option, value, message):
+        """The simulation's own check of each range is the command line's."""
+        args = {"--test": "fet", "--pi0": "0.5", "--alpha": "0.05", "--n": "10",
+                option: value}
+        assert main(["simulate", *(x for pair in args.items() for x in pair)]) == 1
+        assert capsys.readouterr().err == f"stepfdr: error: usage: {message}\n"
+
+    def test_interrupt_is_a_usage_abort(self, capsys, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "load_counts", interrupted)
+        assert main(["analyze", "--input", METH, "--test", "bt"]) == 1
+        assert capsys.readouterr().err.endswith("stepfdr: error: usage: aborted\n")
 
     def test_usage_error_grid_with_pi0(self, capsys):
         code = main(["simulate", "--test", "fet", "--grid", "--pi0", "0.5"])
@@ -348,6 +373,19 @@ class TestExitCodes:
     def test_subcommand_help_exits_zero(self, capsys):
         assert main(["analyze", "--help"]) == 0
         assert "Usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, options", [
+        ("analyze", "--input --test --alpha --pvalue --filter --format --output --details-out"),
+        ("simulate", "--test --grid --pi0 --alpha --eta --n --dependence --copula-sharing "
+                     "--m --reps --seed --output"),
+        ("support", "--input --test --pvalue --format --output"),
+        ("compare", "--input --test --alpha --output"),
+    ])
+    def test_subcommand_help_names_every_option(self, capsys, command, options):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        named = set(re.findall(r"(?<![\w-])--[\w-]+", out)) - {"--help"}
+        assert named == set(options.split())
 
 
 class TestSimulateCli:
@@ -604,14 +642,15 @@ def test_analyze_range_checks_the_counts_once(monkeypatch, fixture, test, keep):
 
 def test_cli_import_leaves_scipy_unloaded():
     """Only the block-dependence simulation needs scipy, and only a worker
-    pool needs multiprocessing, so importing the command line loads neither.
+    pool needs multiprocessing, so importing the command line loads neither,
+    nor click, which no path uses.
     A bt or fet block grid loads `scipy.special` but not `scipy.stats`."""
     src = str(pathlib.Path(stepfdr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probes = {
         "import sys, stepfdr.cli; "
-        "print([m in sys.modules for m in ('scipy', 'multiprocessing')])":
-            "[False, False]",
+        "print([m in sys.modules for m in ('scipy', 'multiprocessing', 'click')])":
+            "[False, False, False]",
         "import sys, stepfdr.cli; "
         "stepfdr.sim.run_grid('bt', dependence='block', reps=2, m=20); "
         "print([m in sys.modules for m in ('scipy.special', 'scipy.stats')])":
