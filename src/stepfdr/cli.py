@@ -33,7 +33,7 @@ _FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
 
 
 def _level(text: str) -> float:
-    """A level strictly between 0 and 1, which NaN, false against both, is not."""
+    """A level strictly between 0 and 1; NaN compares false with both, so it fails."""
     try:
         level = float(text)
     except ValueError:
@@ -213,7 +213,7 @@ def _parser() -> _Parser:
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
     def command(run, *, table=True):
-        """An option adder of `run`'s subparser, which has --input if `run` reads a table."""
+        """The option adder of `run`'s subparser, given --input (for a `table`) and --test."""
         sub = commands.add_parser(run.__name__, help=run.__doc__.split("\n")[0],
                                   description=run.__doc__)
         sub.set_defaults(run=run)

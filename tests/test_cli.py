@@ -174,19 +174,15 @@ class TestExitCodes:
             assert main(["analyze", *args]) == 1
             assert capsys.readouterr().err.startswith("stepfdr: error: usage:")
 
-    @pytest.mark.parametrize("option, value, message", [
-        ("--m", "0", "m must be >= 1, got 0"),
-        ("--reps", "0", "reps must be >= 1, got 0"),
-        ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--n", "0", "n must be >= 1, got 0"),
-        ("--pi0", "1.5", "pi0 must lie in [0, 1], got 1.5"),
-    ], ids=["m", "reps", "seed", "n", "pi0"])
-    def test_usage_error_simulate_range(self, capsys, option, value, message):
-        """The simulation's own check of each range is the command line's."""
-        args = {"--test": "fet", "--pi0": "0.5", "--alpha": "0.05", "--n": "10",
-                option: value}
-        assert main(["simulate", *(x for pair in args.items() for x in pair)]) == 1
-        assert capsys.readouterr().err == f"stepfdr: error: usage: {message}\n"
+    @pytest.mark.parametrize("bad, problem", [
+        (["--n", "0"], "n must be >= 1, got 0"),
+        (["--n", "10", "--pi0", "1.5"], "pi0 must lie in [0, 1], got 1.5"),
+    ], ids=["n", "pi0"])
+    def test_usage_error_fet_cell_range(self, capsys, bad, problem):
+        """SimConfig's check of each range is the command line's."""
+        code = main(["simulate", "--test", "fet", "--pi0", "0.5", "--alpha", "0.05", *bad])
+        assert code == 1
+        assert capsys.readouterr().err == f"stepfdr: error: usage: {problem}\n"
 
     def test_interrupt_is_a_usage_abort(self, capsys, monkeypatch):
         def interrupted(path):
@@ -441,9 +437,13 @@ class TestSimulateCli:
         (["--eta", "1e19", "--dependence", "block"], "eta must be below 2**63, got 1e+19"),
         (["--eta", "3", "--m", "22", "--dependence", "block"],
          "blocks must be >= 1 and divide m = 22, got 5"),
-    ], ids=["eta", "eta-inf", "eta-inf-block", "eta-huge", "eta-huge-block", "blocks"])
+        (["--eta", "3", "--m", "0"], "m must be >= 1, got 0"),
+        (["--eta", "3", "--reps", "0"], "reps must be >= 1, got 0"),
+        (["--eta", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["eta", "eta-inf", "eta-inf-block", "eta-huge", "eta-huge-block", "blocks",
+            "m", "reps", "seed"])
     def test_bad_parameters_are_usage_errors(self, capsys, mode, bad, problem):
-        code = main(["simulate", "--test", "bt", *mode, *bad, "--reps", "1",
+        code = main(["simulate", "--test", "bt", "--reps", "1", *mode, *bad,
                      "--output", os.devnull])
         assert code == 1
         assert capsys.readouterr().err == f"stepfdr: error: usage: {problem}\n"
