@@ -206,11 +206,13 @@ def compare(input_path, test, alpha, output) -> None:
     _write_json(output, payload)
 
 
-def _parser() -> _Parser:
-    """The command line: one subparser per command, which sets `run` to it."""
+def _parser(argv: list[str], required: bool = True) -> _Parser:
+    """The command line: one subparser per command, which sets `run` to it; only the
+    command `argv` names gets its options, and with `required` false none is required."""
     parser = _Parser(prog="stepfdr", description="Adaptive FDR step-up procedures "
                      "for exact two-group count tests.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=required)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
 
     def command(run, *, table=True):
         """The option adder of `run`'s subparser, given --input (for a `table`) and --test."""
@@ -219,11 +221,12 @@ def _parser() -> _Parser:
         sub.set_defaults(run=run)
         def option(*flags, help="", **kwargs):   # each default shown as "[default: ...]"
             tail = " [default: %(default)s]" if "default" in kwargs else ""
-            sub.add_argument(*flags, **kwargs, help=help + tail)
+            if run.__name__ == named:
+                sub.add_argument(*flags, **kwargs, help=help + tail)
         if table:
-            option("--input", dest="input_path", metavar="PATH", required=True,
+            option("--input", dest="input_path", metavar="PATH", required=required,
                    help="Count table (CSV, or TSV by .tsv extension).")
-        option("--test", choices=("bt", "fet"), required=True,
+        option("--test", choices=("bt", "fet"), required=required,
                help="bt: exact binomial test; fet: Fisher's exact test.")
         return option
 
@@ -269,13 +272,17 @@ def _fail(code: int, category: str, message) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping error classes to documented exit codes."""
-    try:   # a bare stepfdr prints the help
-        args = vars(_parser().parse_args((sys.argv[1:] if argv is None else argv) or ["--help"]))
+    argv = (sys.argv[1:] if argv is None else argv) or ["--help"]   # a bare stepfdr prints the help
+    try:
+        args = vars(_parser(argv).parse_args(argv))
         args.pop("run")(**args)
     except SystemExit as exc:   # --help, after printing the help
         return exc.code
     except argparse.ArgumentError as exc:
         name, message = exc.argument_name, exc.message
+        if message.startswith("the following arguments are required"):   # unknown ones first
+            extras = _parser(argv, required=False).parse_known_args(argv)[1]
+            message = f"unrecognized arguments: {' '.join(extras)}" if extras else message
         return _fail(1, "usage", f"Invalid value for '{name}': {message}" if name else message)
     except KeyboardInterrupt:
         return _fail(1, "usage", "aborted")

@@ -9,11 +9,12 @@ flatten results for CSV and JSON emission.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -91,6 +92,7 @@ class CountTable:
 
 _BARE_HEADER = ("id", "c1", "c2")
 _TOTALS_HEADER = ("id", "c1", "c2", "n1", "n2")
+_LINES = 1024   # body lines split at a time
 
 
 def _bad_cell(names: tuple[str, ...], row: list[str], where: str) -> DataError:
@@ -104,14 +106,40 @@ def _bad_cell(names: tuple[str, ...], row: list[str], where: str) -> DataError:
     raise AssertionError("no bad count cell in row")
 
 
+def _split(lines: list[str], delimiter: str, width: int, ids: list, counts: list) -> bool:
+    """Append a block's rows to `ids` and `counts` if it passes `load_counts`'s gate."""
+    text = "".join(lines)
+    # Each "\n" moves into the next line's first cell: each line holds width - 1
+    # delimiters iff there are width cells a line and every "\n" is in an id cell.
+    cells = text.removesuffix("\n").replace("\n", delimiter + "\n").split(delimiter)
+    block = cells[::width]
+    if ('"' in text or "\r" in text or "\0" in text
+            or len(text) > (limit := csv.field_size_limit()) and max(map(len, lines)) > limit
+            or len(cells) != width * len(lines) or "".join(block).count("\n") != len(lines) - 1
+            or not all(block := list(map(str.strip, block)))):
+        return False
+    del cells[::width]
+    try:
+        cells = list(map(int, cells))
+    except ValueError:
+        return False
+    ids += block
+    counts += cells
+    return True
+
+
 def load_counts(path: str, fmt: str | None = None) -> CountTable:
     """Parse a count table, reporting malformed rows by file and line number.
 
     fmt is "csv" or "tsv"; None infers from the filename extension
-    (".tsv" means tab-delimited, anything else comma-delimited).  Each line
-    is parsed as it is read; the int64 cast and the `CountTable` built from
-    the columns check the rest, and the first bad line in file order is the
-    one reported.
+    (".tsv" means tab-delimited, anything else comma-delimited).  The body is
+    read `_LINES` lines at a time, and a block with no '"', CR or NUL (which
+    Python 3.10's csv.reader refuses), whose lines hold width - 1 delimiters
+    and at most `csv.field_size_limit()` characters, is split whole if no id
+    is empty and `int()` takes each count: csv.reader splits it alike, as it
+    quotes nothing and ends lines at "\n" alone.  From the first other block,
+    csv.reader and the row loop read each line; the int64 cast and the
+    `CountTable` check the rest, and the first bad line in file order is named.
     """
     if fmt is None:
         fmt = "tsv" if str(path).lower().endswith(".tsv") else "csv"
@@ -119,9 +147,8 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
     delimiter = "\t" if fmt == "tsv" else ","
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle, delimiter=delimiter))
         except StopIteration:
             raise DataError(f"{path}:1: empty file, expected a header row") from None
         names = tuple(cell.strip().lower() for cell in header)
@@ -134,8 +161,16 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
         counts: list[int] = []   # row-major, width - 1 cells per row
         skipped: list[int] = []  # per skipped blank line, the rows read before it
         fault = None             # the error of the first malformed line
+        lines, rest = [], handle  # the block the gate declines, and the lines after it
+        try:   # extend keeps the lines read before a decoding error
+            while (lines.extend(islice(handle, _LINES)) or lines) and _split(
+                    lines, delimiter, width, ids, counts):
+                lines = []
+        except UnicodeDecodeError as error:   # the row loop meets it where csv.reader did
+            rest = map(codecs.strict_errors, [error])   # which raises it
+        reader = csv.reader(chain(lines, rest), delimiter=delimiter)
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in enumerate(reader, start=2 + len(ids)):
                 if len(row) != width:
                     if not row or (len(row) == 1 and not row[0].strip()):
                         skipped.append(len(ids))

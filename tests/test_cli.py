@@ -169,10 +169,14 @@ class TestExitCodes:
                                 "nan is not in the range 0.0<x<1.0.\n")
 
     def test_usage_error_unknown_option(self, capsys):
-        """An unknown option, and a known one abbreviated, which is no option."""
+        """An unknown option, and a known one abbreviated, which is no option
+        and is named before the --input it leaves missing."""
         for args in (["--frobnicate"], ["--inp", METH, "--test", "bt"]):
             assert main(["analyze", *args]) == 1
-            assert capsys.readouterr().err.startswith("stepfdr: error: usage:")
+            err = capsys.readouterr().err
+            assert err.startswith("stepfdr: error: usage:")
+            assert "\n" not in err.rstrip("\n")
+        assert err.endswith(f"unrecognized arguments: --inp {METH}\n")
 
     @pytest.mark.parametrize("bad, problem", [
         (["--n", "0"], "n must be >= 1, got 0"),
@@ -382,6 +386,115 @@ class TestExitCodes:
         out = capsys.readouterr().out
         named = set(re.findall(r"(?<![\w-])--[\w-]+", out)) - {"--help"}
         assert named == set(options.split())
+
+
+# Each help text as argparse 3.11 lays it out at 80 columns, before the
+# parser built only the named command's options.
+HELP_TEXTS = {
+    '': (
+        'Usage: stepfdr [-h] COMMAND ...\n'
+        '\n'
+        'Adaptive FDR step-up procedures for exact two-group count tests.\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '\n'
+        'commands:\n'
+        '  COMMAND\n'
+        '    analyze   Run the step-up procedures on a two-group count table.\n'
+        '    simulate  Estimate FDR and power of BH, BH+ and MidPBH+ by Monte Carlo.\n'
+        "    support   Dump each hypothesis's p-value support and the pooled max-CDF.\n"
+        '    compare   Report mid versus conventional rejection counts and the count-\n'
+        '              ordering condition.\n'),
+    'analyze': (
+        'Usage: stepfdr analyze [-h] --input PATH --test {bt,fet} [--alpha ALPHA]\n'
+        '                       [--pvalue {conventional,mid,both}]\n'
+        '                       [--filter {methylation,hiv,none}] [--format {json,csv}]\n'
+        '                       [--output OUTPUT] [--details-out DETAILS_OUT]\n'
+        '\n'
+        'Run the step-up procedures on a two-group count table.\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input PATH          Count table (CSV, or TSV by .tsv extension).\n'
+        "  --test {bt,fet}       bt: exact binomial test; fet: Fisher's exact test.\n"
+        '  --alpha ALPHA         Nominal FDR level. [default: 0.05]\n'
+        '  --pvalue {conventional,mid,both}\n'
+        '                        conventional runs BH and BH+; mid runs MidPBH+; both\n'
+        '                        runs all three. [default: both]\n'
+        '  --filter {methylation,hiv,none}\n'
+        '                        Application filter applied before the analysis.\n'
+        '                        [default: none]\n'
+        '  --format {json,csv}   Summary format. [default: json]\n'
+        "  --output OUTPUT       Summary destination ('-' for standard output).\n"
+        '                        [default: -]\n'
+        '  --details-out DETAILS_OUT\n'
+        '                        Optional per-hypothesis CSV destination.\n'),
+    'simulate': (
+        'Usage: stepfdr simulate [-h] --test {bt,fet} [--grid] [--pi0 PI0]\n'
+        '                        [--alpha ALPHA] [--eta ETA] [--n N_TRIALS]\n'
+        '                        [--dependence {indep,block}]\n'
+        '                        [--copula-sharing {shared,per-group}] [--m M]\n'
+        '                        [--reps REPS] [--seed SEED] [--output OUTPUT]\n'
+        '\n'
+        'Estimate FDR and power of BH, BH+ and MidPBH+ by Monte Carlo. Worker-count\n'
+        'override: set STEPFDR_WORKERS to parallelize --grid runs across processes (the\n'
+        'output is identical for any worker count).\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --test {bt,fet}       bt: exact binomial test; fet: Fisher's exact test.\n"
+        '  --grid                Run the full factorial study for the chosen test.\n'
+        '  --pi0 PI0             True-null proportion (single-cell mode).\n'
+        '  --alpha ALPHA         Nominal FDR level (single-cell mode).\n'
+        '  --eta ETA             Pareto scale of the mean law (bt only).\n'
+        '  --n N_TRIALS          Per-group trial count (fet only).\n'
+        '  --dependence {indep,block}\n'
+        '                        [default: indep]\n'
+        '  --copula-sharing {shared,per-group}\n'
+        '                        Under block dependence, reuse one uniform draw for\n'
+        '                        both count columns or draw per column. [default:\n'
+        '                        shared]\n'
+        '  --m M                 Hypotheses per replication. [default: 200]\n'
+        '  --reps REPS           [default: 300]\n'
+        '  --seed SEED           [default: 0]\n'
+        '  --output OUTPUT       [default: -]\n'),
+    'support': (
+        'Usage: stepfdr support [-h] --input PATH --test {bt,fet}\n'
+        '                       [--pvalue {conventional,mid}] [--format {json,csv}]\n'
+        '                       [--output OUTPUT]\n'
+        '\n'
+        "Dump each hypothesis's p-value support and the pooled max-CDF.\n"
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input PATH          Count table (CSV, or TSV by .tsv extension).\n'
+        "  --test {bt,fet}       bt: exact binomial test; fet: Fisher's exact test.\n"
+        '  --pvalue {conventional,mid}\n'
+        '                        [default: conventional]\n'
+        '  --format {json,csv}   [default: json]\n'
+        '  --output OUTPUT       [default: -]\n'),
+    'compare': (
+        'Usage: stepfdr compare [-h] --input PATH --test {bt,fet} [--alpha ALPHA]\n'
+        '                       [--output OUTPUT]\n'
+        '\n'
+        'Report mid versus conventional rejection counts and the count-ordering\n'
+        'condition.\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --input PATH     Count table (CSV, or TSV by .tsv extension).\n'
+        "  --test {bt,fet}  bt: exact binomial test; fet: Fisher's exact test.\n"
+        '  --alpha ALPHA    [default: 0.05]\n'
+        '  --output OUTPUT  [default: -]\n'),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS), ids=["top", *list(HELP_TEXTS)[1:]])
+def test_help_texts_are_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
 
 
 class TestSimulateCli:

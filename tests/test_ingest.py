@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import exact_pvalues
@@ -289,6 +289,128 @@ def test_a_bad_row_is_named_alike_by_every_entry(tmp_path_factory, case):
     rule = errors[2].removeprefix(f"row {k}: ")
     assert RANGE_RULES[kind] in rule
     assert errors == [f"{path}:{k + 2}: {rule}", f"row 'r{k}': {rule}", f"row {k}: {rule}"]
+
+
+def loaded(path, fmt=None):
+    """What `load_counts` gives: the table's ids and column bytes, or the
+    class and text of the error it raises."""
+    try:
+        counts = load_counts(path, fmt)
+    except (DataError, csv.Error, UnicodeDecodeError) as error:
+        return type(error).__name__, str(error)
+    return counts.ids, [None if column is None else column.tobytes() for column in
+                        (counts.c1, counts.c2, counts.n1, counts.n2, counts.total)]
+
+
+def loaded_by_the_row_loop(path, fmt=None):
+    """What `load_counts` gives with every block declined by the gate."""
+    with mock.patch.object(ingest, "_split", return_value=False):
+        return loaded(path, fmt)
+
+
+ODD_IDS = ('"q"', '"a,b"', '"a\tb"', 'q"t', "", "  ", " x ", "a b", "a,b", "a\tb", "n\x00l",
+           "v\x0bt", "u\u2028s", "L" * 20)
+ODD_COUNTS = ("+5", "1_0", " 7 ", "\t7", "\u0663", "\uff17", "-1", "one", "", '"3"', "3\x00",
+              str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), "9" * 25)
+ODD_ENDINGS = ("\r\n", "\r", "")   # "" joins the row to the next line
+
+
+@st.composite
+def count_file(draw):
+    """(text, fmt) of a small count file: plain rows, then up to three odd
+    edits, each an id, a count, a line ending, an inserted blank,
+    whitespace-only, short or long line, or a missing final newline."""
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    width = draw(st.sampled_from([3, 5]))
+    rows = [["id", "c1", "c2", "n1", "n2"][:width] + ["\n"]]   # cells, then the ending
+    for i in range(draw(st.integers(0, 8))):
+        counts = [draw(st.integers(0, 20)) for _ in range(2)]
+        counts += [draw(st.integers(20, 40)) for _ in range(width - 3)]
+        rows.append([f"r{i}", *map(str, counts), "\n"])
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(rows)))
+        edit = draw(st.sampled_from(["id", "count", "ending", "line", "end"]
+                                    if k < len(rows) else ["line"]))
+        if edit == "id":
+            rows[k][0] = draw(st.sampled_from(ODD_IDS))
+        elif edit == "count" and len(rows[k]) > 2:
+            rows[k][draw(st.integers(1, len(rows[k]) - 2))] = draw(st.sampled_from(ODD_COUNTS))
+        elif edit == "ending":
+            rows[k][-1] = draw(st.sampled_from(ODD_ENDINGS))
+        elif edit == "line":   # numeric cells, so a short and a long line may realign
+            cells = draw(st.sampled_from([[""], ["  "], ["7"] + ["1"] * (width - 2),
+                                          ["7"] + ["1"] * width]))
+            rows.insert(k, cells + ["\n"])
+        elif edit == "end":
+            rows[-1][-1] = rows[-1][-1].removesuffix("\n")
+    delimiter = "," if fmt == "csv" else "\t"
+    return "".join(delimiter.join(row[:-1]) + row[-1] for row in rows), fmt
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=count_file(), block=st.sampled_from([1, 2, 3, 4096]),
+       limit=st.sampled_from([None, 10, 16]))
+@example(case=('id,c1,c2\n"q",1,2\n', "csv"), block=4096, limit=None)
+@example(case=("id,c1,c2\n7,1\n7,1,1,1\n", "csv"), block=4096, limit=None)   # realigned
+@example(case=("id\tc1\tc2\n" + "L" * 20 + "\t1\t2\n", "tsv"), block=4096, limit=16)
+def test_the_gate_loads_what_the_row_loop_loads(tmp_path_factory, case, block, limit):
+    """Blocks split whole give the table, or the error, that the row loop
+    alone gives: csv and tsv, odd ids and counts, CR endings, blank and
+    short lines, a missing final newline, counts at and past 2**63, fields
+    past a lowered field size limit, and faults on either side of a seam."""
+    text, fmt = case
+    path = tmp_path_factory.getbasetemp() / "gate.txt"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    old_limit = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with mock.patch.object(ingest, "_LINES", block):
+            assert loaded(path, fmt) == loaded_by_the_row_loop(path, fmt)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def reader_spy(monkeypatch):
+    """The lines csv.reader reads in `load_counts` from now on, as a list."""
+    seen, reader = [], csv.reader
+
+    def spy(lines, **kwargs):
+        return reader(map(lambda line: seen.append(line) or line, lines), **kwargs)
+
+    monkeypatch.setattr(ingest.csv, "reader", spy)
+    return seen
+
+
+def test_a_block_with_nul_is_read_by_csv_reader(tmp_path, monkeypatch):
+    """NUL stays csv.reader's to judge: Python 3.10's refuses it (exit 2),
+    later ones read it as a character."""
+    path = write(tmp_path, "a.csv", "id,c1,c2\na,1,2\nb\x00,3,4\nc,5,6\n")
+    expected = loaded_by_the_row_loop(path)
+    seen = reader_spy(monkeypatch)
+    monkeypatch.setattr(ingest, "_LINES", 1)
+    assert loaded(path) == expected
+    assert seen == ["id,c1,c2\n", "b\x00,3,4\n", "c,5,6\n"]
+
+
+def test_plain_blocks_skip_csv_reader(tmp_path, monkeypatch):
+    path = write(tmp_path, "a.tsv", "id\tc1\tc2\tn1\tn2\n" + "x \t+1\t 2\t3_0\t4\n" * 5)
+    seen = reader_spy(monkeypatch)
+    monkeypatch.setattr(ingest, "_LINES", 2)
+    assert rows_of(load_counts(path)) == [("x", 1, 2, 30, 4)] * 5
+    assert seen == ["id\tc1\tc2\tn1\tn2\n"]
+
+
+@pytest.mark.parametrize("first", ["x,one,2\n", "x,1,2\n"], ids=["fault-first", "plain"])
+def test_a_decoding_error_comes_where_the_row_loop_meets_it(tmp_path, monkeypatch, first):
+    """A byte that is not UTF-8 in the block after a malformed row does not
+    hide that row's error, and one after plain rows is raised as before."""
+    monkeypatch.setattr(ingest, "_LINES", 4096)   # one block, read past 8 KB chunks
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"id,c1,c2\n" + first.encode() + b"y,1,2\n" * 3000 + b"z\xe9,1,2\n")
+    assert loaded(path) == loaded_by_the_row_loop(path)
+    assert loaded(path)[0] == ("DataError" if first == "x,one,2\n" else "UnicodeDecodeError")
 
 
 class TestFilters:
