@@ -56,8 +56,6 @@ class CountTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
-        if (self.n1 is None) != (self.n2 is None):
-            raise ValueError("trial totals n1 and n2 must be given together")
         for name in ("c1", "c2", "n1", "n2"):
             if getattr(self, name) is None:
                 continue

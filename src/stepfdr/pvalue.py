@@ -667,11 +667,14 @@ def count_column(name: str, values) -> np.ndarray:
 
 def checked_total(c1: np.ndarray, c2: np.ndarray, n1: np.ndarray | None = None,
                   n2: np.ndarray | None = None, ids=None) -> np.ndarray:
-    """c1 + c2 of int64 count columns, with trial totals n1 and n2 or neither,
-    or a ValueError for the first row i that breaks a range rule: each count
-    is >= 0, c1 + c2 is below 2**63, and no count is above its trial total.
+    """c1 + c2 of int64 count columns, with trial totals n1 and n2 or neither
+    (a ValueError if only one is given), or a ValueError for the first row i
+    that breaks a range rule: each count is >= 0, c1 + c2 is below 2**63,
+    and no count is above its trial total.
     The error names the row by ids[i] (by i when ids is None); its `row` and
     `rule` attributes are i and the rule's text."""
+    if (n1 is None) != (n2 is None):
+        raise ValueError("trial totals n1 and n2 must be given together")
     columns = {"c1": c1, "c2": c2} if n1 is None else {"c1": c1, "c2": c2, "n1": n1, "n2": n2}
     total = c1 + c2
     wrapped = (c1 ^ total) & (c2 ^ total) < 0   # sign unlike both terms'
@@ -717,9 +720,8 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
         raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
-    if n1 is not None:
-        n1, n2 = (np.broadcast_to(count_column(name, n), c1.shape)
-                  for name, n in (("n1", n1), ("n2", n2)))
+    n1, n2 = (None if n is None else np.broadcast_to(count_column(name, n), c1.shape)
+              for name, n in (("n1", n1), ("n2", n2)))
     return _tables(c1, checked_total(c1, c2, n1, n2), n1, n2)
 
 

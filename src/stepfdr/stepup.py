@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dist import _check_int
 from .errors import InvariantViolation
 from .pvalue import PValueFlavor, PValueSupport, PValueTable, _flat_of, _pool
 
@@ -79,30 +80,14 @@ class _Steps(NamedTuple):
     n_points and r n_levels <= top < (r + 1) n_levels, and each lies at
     points[run - r n_points] with the value levels[top - r n_levels], where
     n_points and n_levels are the sizes of the ascending arrays `points` and
-    `levels`.  `run` strictly ascends, and `top` ascends."""
+    `levels`.  `run` strictly ascends, and `top` ascends.  Where every CDF
+    is the identity, `levels` is `points` and `top` is `run`."""
 
     points: np.ndarray
     run: np.ndarray
     levels: np.ndarray
     top: np.ndarray
     reps: int
-
-
-def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of `x`, ascending, and each entry's index among
-    them: np.unique(x, return_inverse=True) with fewer buffers alive at once,
-    reusing the sorted copy's; for a batch of several replications only."""
-    order = np.argsort(x)
-    x = x[order]
-    new = np.empty(x.size, dtype=bool)   # does a distinct value start here?
-    new[:1] = True
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    distinct = x[new]
-    rank = np.cumsum(new, out=x.view(np.int64))
-    rank -= 1
-    inverse = np.empty_like(rank)
-    inverse[order] = rank
-    return distinct, inverse
 
 
 def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
@@ -118,11 +103,10 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
     and the values never fall.  A batch of one (`build_max_cdf`'s pool, or
     one of `_f_star`'s groups) sorts its points once and takes the running
     maximum of their float values, gathered in that order (the sort alone,
-    if every CDF is the identity).  A batch of several keys each event by
-    one int64 from its replication, its point's rank among the distinct
-    pooled points and, unless every CDF is the identity, its value's rank
-    among the distinct levels, whose running maximum, offset per
-    replication, restarts at each replication.
+    if every CDF is the identity).  A batch of several ranks its pooled
+    points and levels with np.unique and keys each event by the int64
+    (point rank + replication offset) n_levels + level rank; where every
+    CDF is the identity, it keys its steps by point alone.
     """
     points, sizes, levels = _pool(parts)
     identity = levels is None   # is every CDF its points?
@@ -140,40 +124,31 @@ def _sweep(parts, slots: np.ndarray | None = None, reps: int = 1) -> _Steps:
         levels = points if identity else levels[last]
         return _steps_of(MaxCdf(points, levels))
     pairs = np.sort(np.arange(reps).repeat(slots.size // reps) * sizes.size + slots)
-    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # np.unique loads numpy.ma
-    n_levels = 1   # rank before gathering events, to keep fewer buffers alive at once
-    if not identity:   # each pooled point's level rank, then drop the levels
-        levels, level_rank = _ranks(levels)
-        n_levels = levels.size
-    points, key = _ranks(points)
-    n_points = points.size
-    if reps * n_points * n_levels >= 2**63:
-        raise ValueError(f"{reps} replications of {n_points} support points "
-                         "are too many for one batch")
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]   # a plain np.unique loads numpy.ma
     rep, which = np.divmod(pairs, sizes.size)   # gather each (replication, slot) pair's events
     lengths = sizes[which]
     ends = np.cumsum(lengths)
-    events = np.arange(ends[-1]) + np.repeat(
-        (np.cumsum(sizes) - sizes)[which] - (ends - lengths), lengths)
-    key = key[events] + np.repeat(rep * n_points, lengths)
+    shift = (np.cumsum(sizes) - sizes)[which] - (ends - lengths)   # pool index - event index
+    points, point_rank = np.unique(points, return_inverse=True)
+    n_points, n_levels, level_rank = points.size, 1, 0
     if not identity:
-        level_rank = level_rank[events]
-    del events
+        levels, level_rank = np.unique(levels, return_inverse=True)
+        n_levels = levels.size
+    if reps * n_points * n_levels >= 2**63:
+        raise ValueError(f"{reps} replications of {n_points} support points "
+                         "are too many for one batch")
+    # Each event's key; its pool index stays a temporary (kept, it doubles the page faults)
+    key = ((point_rank * n_levels + level_rank)[np.arange(ends[-1]) + np.repeat(shift, lengths)]
+           + np.repeat(rep * (n_points * n_levels), lengths))
+    key.sort()
     if identity:
-        key.sort()
         run = key[np.append(key[1:] != key[:-1], True)]
         return _Steps(points, run, points, run, reps)
-    key = key * n_levels
-    key += level_rank
-    del level_rank
-    key.sort()
-    rank = key % n_levels
-    key //= n_levels   # now replication * n_points + point
-    last = np.append(key[1:] != key[:-1], True)   # does a run end here?
-    run, top = key[last], rank[last]
-    del key, rank
-    top += run // n_points * n_levels
-    return _Steps(points, run, levels, np.maximum.accumulate(top, out=top), reps)
+    run = key // n_levels   # replication * n_points + point
+    last = np.append(run[1:] != run[:-1], True)   # does a run end here?
+    run = run[last]
+    top = key[last] % n_levels + run // n_points * n_levels   # level rank, offset per replication
+    return _Steps(points, run, levels, np.maximum.accumulate(top), reps)
 
 
 def _steps_of(max_cdf: MaxCdf) -> _Steps:
@@ -297,7 +272,7 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     0 can never pass a comparison against an infeasible rank.
     """
     _check_alpha(alpha)
-    if m < 1:
+    if _check_int(m, "m") < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return _gammas(_steps_of(max_cdf), _thresholds(np.array([alpha]), m)[None])[0, 0]
 
@@ -492,7 +467,7 @@ def run_procedures(conv: PValueTable, mid: PValueTable, alphas: Sequence[float],
     for alpha in alphas:
         _check_alpha(alpha)
     size = conv.p.size
-    if len(alphas) == 0 or reps < 1 or size % reps or mid.p.size != size:
+    if len(alphas) == 0 or _check_int(reps, "reps") < 1 or size % reps or mid.p.size != size:
         raise ValueError("run_procedures needs alphas, and two tables of `reps` "
                          "replications of m tests each")
     levels = np.asarray(alphas, dtype=np.float64)

@@ -1,13 +1,15 @@
-"""Each count range rule, and the alpha rule, is written once in the
-package: the text that `pvalue.checked_total` writes for a count rule, and
-the text of `stepup._check_alpha`, occur in exactly one place in the
-package's source, so no second copy of a rule can drift from it."""
+"""Each count range rule, the trial-totals rule and the alpha rule are
+written once in the package: the text that `pvalue.checked_total` writes
+for a count rule or for n1 without n2, and the text of
+`stepup._check_alpha`, occur in exactly one place in the package's source,
+so no second copy of a rule can drift from it."""
 
 from pathlib import Path
 
 import pytest
 
 import stepfdr
+from stepfdr.ingest import CountTable
 from stepfdr.pvalue import pvalue_table
 from stepfdr.sim import SimConfig
 from stepfdr.stepup import bh, build_max_cdf, critical_values, run_procedures
@@ -31,6 +33,20 @@ def test_each_range_rule_is_written_once(columns, rule):
         pvalue_table(*columns)
     assert str(error.value).startswith("row 1: ") and rule in str(error.value)
     found = places(rule)
+    assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CountTable(("x",), [1], [2], n1=[5]),
+    lambda: CountTable(("x",), [1], [2], n2=[5]),
+    lambda: pvalue_table([1], [2], 5, None),
+    lambda: pvalue_table([1], [2], None, 5),
+], ids=["CountTable-n1", "CountTable-n2", "pvalue_table-n1", "pvalue_table-n2"])
+def test_the_trial_totals_rule_is_written_once(call):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == "trial totals n1 and n2 must be given together"
+    found = places("n1 and n2 must be given together")
     assert len(found) == 1, found
 
 

@@ -359,6 +359,13 @@ def test_cell_sweeps_two_max_cdfs_per_block(monkeypatch):
     assert sweeps == [2, 2, 2, 2, 1, 1]
 
 
+def test_run_grid_rejects_an_empty_alpha_grid(monkeypatch):
+    """Before generating any data."""
+    monkeypatch.setattr(sim, "_run_alphas", lambda *args: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match="^the alpha grid must not be empty$"):
+        run_grid("bt", pi0s=(0.5,), alphas=(), etas=(3.0,), m=20, reps=5)
+
+
 def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):
     """The step-ups of every alpha and every replication of a block share
     one sort of each flavor's p-values: one sort per flavor per block."""

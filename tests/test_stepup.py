@@ -253,6 +253,17 @@ def test_bh_plus_rejects_p_not_on_any_support():
         bh_plus(on_supports([sup], [2]), alpha=0.1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_m_and_reps_must_be_integers(bad):
+    conv, mid = pvalue_table([1, 2], [2, 3])
+    with pytest.raises(ValueError) as error:
+        critical_values(build_max_cdf(conv.supports), 0.1, bad)
+    assert str(error.value) == f"m must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as error:
+        run_procedures(conv, mid, (0.1,), reps=bad)
+    assert str(error.value) == f"reps must be an integer, got {bad!r}"
+
+
 def test_bh_plus_rejects_bad_alpha():
     sup = make_support([0.5, 1.0], [0.5, 1.0])
     for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
