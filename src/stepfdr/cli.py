@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import json
-import operator
 import os
 import sys
 
@@ -30,6 +29,7 @@ _FLAVOR_PROCEDURES = {   # --pvalue choice -> the procedures that read it
                            if read is flavor) for flavor in PValueFlavor},
     "both": stepup.PROCEDURES,
 }
+_FILTERS = {"methylation": ingest.filter_methylation, "hiv": ingest.filter_hiv}
 
 
 def _level(text: str) -> float:
@@ -84,10 +84,8 @@ def analyze(input_path, test, alpha, flavor, filter_name, fmt, output,
     """Run the step-up procedures on a two-group count table."""
     table = ingest.load_counts(input_path)
     loaded = len(table)
-    if filter_name == "methylation":
-        table = table.select(ingest.filter_methylation(table))
-    elif filter_name == "hiv":
-        table = table.select(ingest.filter_hiv(table))
+    if filter_name in _FILTERS:
+        table = table.select(_FILTERS[filter_name](table))
     report = ingest.analyze(table, test, alpha, _FLAVOR_PROCEDURES[flavor])
     if details_out is not None:
         with _output(details_out) as handle:
@@ -114,12 +112,13 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
     across processes (the output is identical for any worker count).
     """
     from . import sim   # only this command needs the simulation
-    dependence = {"indep": "independent", "block": "block"}[dependence]
     workers = 1
     try:   # only checking the parameters is a usage matter
         other, value = ("--n", n_trials) if test == "bt" else ("--eta", eta)
         if value is not None:
             raise ValueError(f"--test {test} takes no {other}")
+        param = eta if test == "bt" else n_trials
+        pi0s, alphas, params = (pi0,), (alpha,), (param,)   # one cell, unless --grid
         if grid:
             if pi0 is not None or alpha is not None:
                 raise ValueError("--grid uses the built-in pi0/alpha grids; drop --pi0/--alpha")
@@ -129,26 +128,21 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                 raise ValueError(f"STEPFDR_WORKERS must be an integer, got {raw!r}")
             if workers < 1:
                 raise ValueError(f"STEPFDR_WORKERS must be >= 1, got {workers}")
-            etas = sim.DEFAULT_ETAS if eta is None else (eta,)
-            ns = sim.DEFAULT_NS if n_trials is None else (n_trials,)
-            cells = sim._cells(test, sim.DEFAULT_PI0S, sim.DEFAULT_ALPHAS,
-                               etas if test == "bt" else ns, m=m, dependence=dependence,
-                               reps=reps, seed=seed, copula_sharing=copula_sharing)
-        else:
-            if pi0 is None or alpha is None:
-                raise ValueError("single-cell mode needs --pi0 and --alpha (or pass --grid)")
-            config = sim.SimConfig(
-                test=test, pi0=pi0, alpha=alpha, m=m, eta=eta, n=n_trials,
-                dependence=dependence, rho=0.2, reps=reps, seed=seed,
-                copula_sharing=copula_sharing)
-            cells = [(config, (config.alpha,))]
+            pi0s, alphas = sim.DEFAULT_PI0S, sim.DEFAULT_ALPHAS
+            if param is None:
+                params = sim.DEFAULT_ETAS if test == "bt" else sim.DEFAULT_NS
+        elif pi0 is None or alpha is None:
+            raise ValueError("single-cell mode needs --pi0 and --alpha (or pass --grid)")
+        cells = sim._cells(test, pi0s, alphas, params, m=m, reps=reps, seed=seed,
+                           dependence={"indep": "independent", "block": "block"}[dependence],
+                           copula_sharing=copula_sharing)
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc)) from exc
     summaries = sim._run_cells(cells, workers)
-    row = operator.itemgetter(*sim.SIM_ROW_FIELDS)
     with _output(output) as handle:
-        _csv_writer(handle, sim.SIM_ROW_FIELDS).writerows(
-            map(row, sim.summaries_to_rows(summaries)))
+        writer = csv.DictWriter(handle, sim.SIM_ROW_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(sim.summaries_to_rows(summaries))
 
 
 def support(input_path, test, flavor, fmt, output) -> None:
@@ -191,19 +185,11 @@ def support(input_path, test, flavor, fmt, output) -> None:
 
 def compare(input_path, test, alpha, output) -> None:
     """Report mid versus conventional rejection counts and the count-ordering condition."""
-    report = ingest.analyze(ingest.load_counts(input_path), test, alpha,
-                            ("BH+", "MidPBH+"))
-    comparison = report.comparison
-    payload = {
-        "schema_version": 1,
-        "test": test,
-        "alpha": alpha,
-        "m": report.m,
-        "r_cp": comparison.r_cp,
-        "r_mp": comparison.r_mp,
-        "condition_holds": comparison.condition_holds,
-    }
-    _write_json(output, payload)
+    summary = ingest.report_summary(ingest.analyze(ingest.load_counts(input_path), test,
+                                                   alpha, ("BH+", "MidPBH+")))
+    fields = {**summary, **summary["mid_vs_conventional"]}
+    _write_json(output, {key: fields[key] for key in (
+        "schema_version", "test", "alpha", "m", "r_cp", "r_mp", "condition_holds")})
 
 
 def _parser(argv: list[str], required: bool = True) -> _Parser:
@@ -234,7 +220,7 @@ def _parser(argv: list[str], required: bool = True) -> _Parser:
     option("--alpha", type=_level, default=0.05, help="Nominal FDR level.")
     option("--pvalue", dest="flavor", choices=tuple(_FLAVOR_PROCEDURES), default="both",
            help="conventional runs BH and BH+; mid runs MidPBH+; both runs all three.")
-    option("--filter", dest="filter_name", choices=("methylation", "hiv", "none"),
+    option("--filter", dest="filter_name", choices=(*_FILTERS, "none"),
            default="none", help="Application filter applied before the analysis.")
     option("--format", dest="fmt", choices=("json", "csv"), default="json",
            help="Summary format.")
@@ -256,7 +242,8 @@ def _parser(argv: list[str], required: bool = True) -> _Parser:
     option("--seed", type=int, default=0)
     option("--output", default="-")
     option = command(support)
-    option("--pvalue", dest="flavor", choices=("conventional", "mid"), default="conventional")
+    option("--pvalue", dest="flavor", choices=tuple(flavor.value for flavor in PValueFlavor),
+           default="conventional")
     option("--format", dest="fmt", choices=("json", "csv"), default="json")
     option("--output", default="-")
     option = command(compare)

@@ -144,7 +144,7 @@ def load_counts(path: str, fmt: str | None = None) -> CountTable:
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
     delimiter = "\t" if fmt == "tsv" else ","
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:   # a leading BOM is dropped
         try:
             header = next(csv.reader(handle, delimiter=delimiter))
         except StopIteration:

@@ -713,15 +713,18 @@ def pvalue_table(c1, c2, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     """Conventional and mid p-values of m count pairs, with their supports.
 
     Without n1 and n2 each pair gets the binomial test given its total; with
-    them (arrays, or scalars shared by every test) it gets Fisher's exact
-    test given (n1, n2, total).  The counts are cast and range-checked
-    (`checked_total`) once, and `_tables` builds the tables.
+    them (columns of c1's shape, or scalars shared by every test) it gets
+    Fisher's exact test given (n1, n2, total).  The counts are cast and
+    range-checked (`checked_total`) once, and `_tables` builds the tables.
     """
     c1, c2 = count_column("c1", c1), count_column("c2", c2)
     if c1.ndim != 1 or c1.size == 0 or c2.shape != c1.shape:
         raise ValueError("c1 and c2 must be matching non-empty 1-D columns")
-    n1, n2 = (None if n is None else np.broadcast_to(count_column(name, n), c1.shape)
-              for name, n in (("n1", n1), ("n2", n2)))
+    n1, n2 = (None if n is None else count_column(name, n) for name, n in (("n1", n1), ("n2", n2)))
+    for name, n in (("n1", n1), ("n2", n2)):
+        if n is not None and n.shape not in ((), c1.shape):
+            raise ValueError(f"column {name} must hold one value or one entry per test")
+    n1, n2 = (None if n is None else np.broadcast_to(n, c1.shape) for n in (n1, n2))
     return _tables(c1, checked_total(c1, c2, n1, n2), n1, n2)
 
 

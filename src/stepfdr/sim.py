@@ -359,10 +359,13 @@ def run_cell(config: SimConfig) -> SimSummary:
 
 def _cells(test: str, pi0s, alphas, params, **fields) -> list[tuple[SimConfig, tuple]]:
     """run_grid's data cells in (pi0, eta-or-n) order, each a SimConfig at
-    the first alpha, checked on construction, with every alpha."""
+    the first alpha, checked on construction, with every alpha, each
+    checked before any cell runs."""
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("the alpha grid must not be empty")
+    for alpha in alphas:
+        stepup._check_alpha(alpha)
     param = "eta" if test == "bt" else "n"
     return [(SimConfig(test=test, pi0=pi0, alpha=alphas[0], **{param: value}, **fields),
              alphas) for pi0 in pi0s for value in params]

@@ -168,6 +168,11 @@ class TestExitCodes:
         assert captured.err == ("stepfdr: error: usage: Invalid value for '--alpha': "
                                 "nan is not in the range 0.0<x<1.0.\n")
 
+    def test_usage_error_alpha_not_a_number(self, capsys):
+        assert main(["analyze", "--input", METH, "--test", "bt", "--alpha", "abc"]) == 1
+        assert capsys.readouterr().err == ("stepfdr: error: usage: Invalid value for "
+                                           "'--alpha': 'abc' is not a valid float.\n")
+
     def test_usage_error_unknown_option(self, capsys):
         """An unknown option, and a known one abbreviated, which is no option
         and is named before the --input it leaves missing."""
@@ -370,6 +375,14 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("stepfdr: error: data:")
 
+    def test_a_margin_no_buffer_holds_is_refused_at_once(self, tmp_path, capsys):
+        """Total 2**61 is refused before its outcomes are counted out."""
+        src = tmp_path / "wide.csv"
+        src.write_text(f"id,c1,c2\nwide,0,{2**61}\n")
+        assert main(["analyze", "--input", str(src), "--test", "bt"]) == 3
+        assert capsys.readouterr().err == (
+            f"stepfdr: error: internal: margin ({2**61},): out of memory building its "
+            f"batch's {2**61 + 1} outcomes\n")
     def test_subcommand_help_exits_zero(self, capsys):
         assert main(["analyze", "--help"]) == 0
         assert "Usage" in capsys.readouterr().out

@@ -73,6 +73,16 @@ def test_hypergeometric_against_fraction_oracle():
                 assert Fraction(num, d.denominator) == expected
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: binomial_null(-1), "n must be >= 0, got -1"),
+    (lambda: hypergeometric_null(2, -3, 1), "n2 must be >= 0, got -3"),
+], ids=["binomial", "hypergeometric"])
+def test_nulls_refuse_negative_sizes(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
 def test_hypergeometric_impossible_total():
     with pytest.raises(ValueError):
         hypergeometric_null(2, 2, 5)

@@ -116,6 +116,19 @@ class TestLoadCounts:
         path = write(tmp_path, "a.csv", " ID , C1 , C2 \nx,1,2\n")
         assert rows_of(load_counts(path)) == [("x", 1, 2)]
 
+    @pytest.mark.parametrize("name, text", [("a.csv", "id,c1,c2\nx,1,2\n"),
+                                            ("a.tsv", "id\tc1\tc2\nx\t1\t2\n")],
+                             ids=["csv", "tsv"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, name, text):
+        """Excel's "CSV UTF-8" starts the file with U+FEFF, which is no part
+        of the header; a byte that is not UTF-8 still fails as the codec's."""
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert rows_of(load_counts(str(path))) == [("x", 1, 2)]
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"y\xe9" + text[-5:].encode())
+        with pytest.raises(UnicodeDecodeError, match="^'utf-8' codec can't decode byte 0xe9"):
+            load_counts(str(path))
+
     def test_bad_header_lists_location(self, tmp_path):
         path = write(tmp_path, "a.csv", "name,a,b\nx,1,2\n")
         with pytest.raises(DataError, match=r"a\.csv:1"):

@@ -84,6 +84,13 @@ class TestSimConfigValidation:
                          blocks=np.int64(4))
         assert cfg.m0 == 10
 
+    @pytest.mark.parametrize("rho", [1.0, -0.1, np.nan])
+    def test_block_rho_must_lie_in_the_unit_interval(self, rho):
+        with pytest.raises(ValueError) as error:
+            bt_config(dependence="block", rho=rho)
+        assert str(error.value) == f"rho must lie in [0, 1), got {rho}"
+        assert bt_config(rho=rho).rho is rho   # independence reads no rho
+
     def test_choice_fields(self):
         with pytest.raises(ValueError):
             bt_config(dependence="equicorrelated")
@@ -364,6 +371,16 @@ def test_run_grid_rejects_an_empty_alpha_grid(monkeypatch):
     monkeypatch.setattr(sim, "_run_alphas", lambda *args: pytest.fail("a cell ran"))
     with pytest.raises(ValueError, match="^the alpha grid must not be empty$"):
         run_grid("bt", pi0s=(0.5,), alphas=(), etas=(3.0,), m=20, reps=5)
+
+
+@pytest.mark.parametrize("alphas", [(0.1, 1.5), (0.1, 0.2, 0.0)], ids=["second", "last"])
+def test_run_grid_checks_every_alpha_before_any_draw(monkeypatch, alphas):
+    """A bad alpha past the first once surfaced only after a block of
+    replications had been drawn and tabulated (inside a worker, under a pool)."""
+    monkeypatch.setattr(sim, "gen_poisson_pair", lambda *args: pytest.fail("data drawn"))
+    with pytest.raises(ValueError) as error:
+        run_grid("bt", pi0s=(0.5,), alphas=alphas, etas=(3.0,), m=20, reps=5)
+    assert str(error.value) == f"alpha must lie in (0, 1), got {alphas[-1]}"
 
 
 def test_each_pvalue_table_sorts_once_per_cell(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stepfdr import stepup
 from stepfdr.pvalue import (
     PValueFlavor,
     PValueSupport,
@@ -262,6 +263,38 @@ def test_m_and_reps_must_be_integers(bad):
     with pytest.raises(ValueError) as error:
         run_procedures(conv, mid, (0.1,), reps=bad)
     assert str(error.value) == f"reps must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda conv, mid: build_max_cdf([]), "at least one support is required"),
+    (lambda conv, mid: critical_values(build_max_cdf(conv.supports), 0.1, 0),
+     "m must be >= 1, got 0"),
+    (lambda conv, mid: bh([], 0.1), "pvalues must be a non-empty 1-D sequence"),
+    (lambda conv, mid: run_procedures(conv, pvalue_table([1], [2])[1], (0.1,)),
+     "run_procedures needs alphas, and two tables of `reps` replications of m tests each"),
+    (lambda conv, mid: run_procedures(conv, mid, (0.1,), reps=3),
+     "run_procedures needs alphas, and two tables of `reps` replications of m tests each"),
+], ids=["no-supports", "m-zero", "no-pvalues", "mismatched-tables", "reps-not-dividing"])
+def test_step_up_entries_refuse_empty_and_mismatched_input(call, message):
+    conv, mid = pvalue_table([1, 2], [2, 3])
+    with pytest.raises(ValueError) as error:
+        call(conv, mid)
+    assert str(error.value) == message
+
+
+def test_a_batch_sweep_refuses_keys_past_int64_before_building_them(monkeypatch):
+    """2 replications x 2**32 points x 2**32 levels overflow the int64 event
+    keys; faked as broadcast views, the sizes are refused without allocating."""
+    conv, mid = pvalue_table([1, 2], [2, 3])
+
+    def unique(values, return_inverse):
+        return np.broadcast_to(values[:1], (2**32,)), np.zeros(values.size, dtype=np.intp)
+
+    monkeypatch.setattr(stepup.np, "unique", unique)
+    with pytest.raises(ValueError) as error:
+        stepup._sweep(mid._parts, mid.support_index, 2)
+    assert str(error.value) == ("2 replications of 4294967296 support points "
+                                "are too many for one batch")
 
 
 def test_bh_plus_rejects_bad_alpha():

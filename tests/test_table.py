@@ -670,6 +670,13 @@ def test_hand_made_table_leaves_the_callers_arrays_writeable():
     assert table.support_index[0] == table.point_index[0] == 0
 
 
+@pytest.mark.parametrize("name", ["p", "support_index", "supports", "extra"])
+def test_a_table_refuses_to_set_any_attribute(name):
+    table, _ = pvalue_table([1, 2], [2, 3])
+    with pytest.raises(AttributeError, match=rf"^PValueTable is read-only: cannot set '{name}'$"):
+        setattr(table, name, None)
+
+
 @pytest.mark.parametrize("support_index, point_index, message", [
     ([-1, 0], [0, 0], "index a point"),
     ([0, 2], [0, 0], "index a point"),
@@ -679,9 +686,12 @@ def test_hand_made_table_leaves_the_callers_arrays_writeable():
     ([0.7, 1.2], [0, 0], "column support_index must hold integers"),
     ([0, 1], [1.9, 0.5], "column point_index must hold integers"),
     ([0.0, 1.0], [0.5, 0.0], "column point_index must hold integers"),
+    ([[0, 1]], [[0, 0]], "^support_index and point_index must be matching non-empty 1-D"),
+    ([], [], "^support_index and point_index must be matching non-empty 1-D"),
+    ([0, 1], [0], "^support_index and point_index must be matching non-empty 1-D"),
 ], ids=["support-negative", "support-past-end", "point-negative",
         "point-past-end", "point-past-own-support", "support-fractional",
-        "point-fractional", "point-fractional-in-range"])
+        "point-fractional", "point-fractional-in-range", "2-d", "empty", "unequal"])
 def test_table_rejects_index_off_its_supports(support_index, point_index, message):
     """The constructor is what keeps every test on a point of its own support.
 
@@ -705,6 +715,38 @@ def test_pvalue_table_rejects_malformed_count_columns(c1, c2):
     and no broadcasting: a short c2 once made the tests (1, 3), (2, 3)."""
     with pytest.raises(ValueError, match="matching non-empty 1-D columns"):
         pvalue_table(c1, c2)
+
+
+@pytest.mark.parametrize("n1, n2, name", [
+    ([5, 5, 5], [5, 5, 5], "n1"),
+    ([[5, 5]], [[5, 5]], "n1"),
+    ([5], [5, 5], "n1"),
+    ([5, 5], [5], "n2"),
+    (5, [[5, 5]], "n2"),
+], ids=["long", "2-d", "length-1", "short-n2", "scalar-and-2-d"])
+def test_pvalue_table_refuses_trial_totals_of_another_shape(n1, n2, name):
+    """A trial-total column holds one value per test; numpy's broadcast
+    errors once surfaced instead, and a length-1 column was shared."""
+    with pytest.raises(ValueError, match=rf"^column {name} must hold one value "
+                                         r"or one entry per test$"):
+        pvalue_table([1, 2], [2, 3], n1, n2)
+
+
+def test_pvalue_table_shares_scalar_trial_totals():
+    """A 0-d n1 or n2 is every test's, as a full column would be."""
+    for shared, full in zip(pvalue_table([1, 2], [2, 3], 5, np.int64(6)),
+                            pvalue_table([1, 2], [2, 3], [5, 5], [6, 6])):
+        assert shared.p.tolist() == full.p.tolist()
+        assert shared.support_index.tolist() == full.support_index.tolist()
+
+
+def test_a_margin_of_2_to_the_60_outcomes_is_refused_before_any_buffer():
+    """`_spans` refuses a margin no float64 buffer holds with the
+    MemoryError its batch's build would raise, without allocating it."""
+    with pytest.raises(MemoryError) as error:
+        pvalue_table([0], [2**61])
+    assert str(error.value) == (f"margin ({2**61},): out of memory building its "
+                                f"batch's {2**61 + 1} outcomes")
 
 
 @pytest.mark.parametrize("columns, name", [
