@@ -151,7 +151,7 @@ def support(input_path, test, flavor, fmt, output) -> None:
     conv, mid = ingest.pvalue_tables(counts, test)
     table = mid if flavor == "mid" else conv
     slots = table.supports   # a property that builds its tuple on each read
-    max_cdf = stepup.build_max_cdf(slots)
+    max_cdf = stepup.build_max_cdf(table)
     supports = [slots[j] for j in table.support_index]
     if fmt == "json":
         payload = {

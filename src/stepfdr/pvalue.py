@@ -652,15 +652,13 @@ def _pool(parts) -> _Pool:
 
 def count_column(name: str, values) -> np.ndarray:
     """`values` as int64, or a ValueError naming column `name` if a value is
-    not an integer below 2**63 (a cast would truncate or wrap it)."""
+    not an integer below 2**63 held as an int, uint or float (a cast would
+    truncate or wrap it, or parse a string, bool or complex as a count)."""
     raw = np.asarray(values)
-    if raw.dtype.kind != "f" or np.all((raw == np.trunc(raw))
-                                       & (np.abs(raw) < 2.0**63)):
-        try:
-            column = raw.astype(np.int64, copy=False)
-        except OverflowError:
-            column = None
-        if column is not None and (raw.dtype.kind != "u" or (column >= 0).all()):
+    kind = raw.dtype.kind
+    if kind in "iu" or kind == "f" and np.all((raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)):
+        column = raw.astype(np.int64, copy=False)
+        if kind != "u" or (column >= 0).all():
             return column   # no unsigned value of 2**63 or more wrapped
     raise ValueError(f"column {name} must hold integers below 2**63")
 

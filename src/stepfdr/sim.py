@@ -146,7 +146,7 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
     CDF.  Distinct blocks are independent.  rng is one generator, or a
     sequence of them giving one row each, in order; each only draws normals.
     """
-    if blocks < 1 or block_size < 1:
+    if _check_int(blocks, "blocks") < 1 or _check_int(block_size, "block_size") < 1:
         raise ValueError("blocks and block_size must be >= 1")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -374,6 +374,8 @@ def _cells(test: str, pi0s, alphas, params, **fields) -> list[tuple[SimConfig, t
 def _run_cells(cells: list[tuple[SimConfig, tuple]], workers: int) -> list[SimSummary]:
     """Summaries of `cells` in their order, alphas inner; `workers` > 1 fans
     the cells out to a process pool without changing any output."""
+    if _check_int(workers, "workers") < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(cells) > 1:
         from multiprocessing import get_context  # only a pool needs it
         with get_context("fork").Pool(min(workers, len(cells))) as pool:

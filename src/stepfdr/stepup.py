@@ -25,7 +25,7 @@ import numpy as np
 
 from .dist import _check_int
 from .errors import InvariantViolation
-from .pvalue import PValueFlavor, PValueSupport, PValueTable, _flat_of, _pool
+from .pvalue import PValueFlavor, PValueTable, _pool
 
 __all__ = [
     "MaxCdf",
@@ -253,12 +253,10 @@ def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
     return alphas[:, None] * np.arange(1, m + 1, dtype=np.float64) / m
 
 
-def build_max_cdf(supports: Sequence[PValueSupport]) -> MaxCdf:
-    """Tabulate max_i F_i over the sorted union of all support points, in one
-    sweep of a batch of one."""
-    if len(supports) == 0:
-        raise ValueError("at least one support is required")
-    steps = _sweep([(_flat_of(supports), np.arange(len(supports)))])
+def build_max_cdf(table: PValueTable) -> MaxCdf:
+    """Tabulate max_i F_i over the sorted union of the points of every
+    support of `table`, in one sweep of a batch of one."""
+    steps = _sweep(table._parts)
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)

@@ -99,7 +99,7 @@ def test_criterion_1_exact_fdr_oracle():
                 total = int(w.sum())
                 class_probs.append([Fraction(int(x), total) for x in w])
         configs += 1
-        max_cdf = stepup.build_max_cdf(supports)
+        max_cdf = stepup.build_max_cdf(PValueTable(supports, [0, 1, 2], [0, 0, 0]))
         outcome_sets = [range(len(s)) for s in supports]
         for alpha in LEVELS:
             fdr = Fraction(0)
@@ -149,8 +149,8 @@ def instance_batch():
         alpha = float(rng.uniform(0.02, 0.3))
         sup_conv, sup_mid = ingest.pvalue_tables(records, test)
         p_conv, p_mid = sup_conv.p, sup_mid.p
-        mc_conv = stepup.build_max_cdf(sup_conv.supports)
-        mc_mid = stepup.build_max_cdf(sup_mid.supports)
+        mc_conv = stepup.build_max_cdf(sup_conv)
+        mc_mid = stepup.build_max_cdf(sup_mid)
 
         res_bh = stepup.bh(p_conv, alpha)
         res_plus = stepup.bh_plus(sup_conv, alpha, max_cdf=mc_conv)
@@ -371,7 +371,7 @@ def test_criterion_8_degenerate_cases():
     checks.append(pvalue_table([0], [0], 5, 5)[0].p[0] == 1.0)
 
     sup = bt_support(0, CONV)
-    gamma = stepup.critical_values(stepup.build_max_cdf([sup]), 0.05, 4)
+    gamma = stepup.critical_values(stepup.build_max_cdf(PValueTable([sup], [0], [0])), 0.05, 4)
     checks.append(bool(np.all(np.isnan(gamma))))
 
     table, _ = pvalue_table([1, 1, 1], [0, 0, 0])
@@ -381,7 +381,7 @@ def test_criterion_8_degenerate_cases():
                   and res.rejection_count == 0 and res.threshold is None
                   and res.rejected.size == 0 and res.m == 3
                   and bool(np.all(np.isnan(stepup.critical_values(
-                      stepup.build_max_cdf(table.supports), 0.1, 3)))))
+                      stepup.build_max_cdf(table), 0.1, 3)))))
 
     report_deg = ingest.analyze(
         CountTable(("z1", "z2"), [0, 3], [0, 2], [10, 10], [10, 10]),

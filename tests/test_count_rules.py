@@ -4,13 +4,15 @@ for a count rule or for n1 without n2, and the text of
 `stepup._check_alpha`, occur in exactly one place in the package's source,
 so no second copy of a rule can drift from it."""
 
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stepfdr
 from stepfdr.ingest import CountTable
-from stepfdr.pvalue import pvalue_table
+from stepfdr.pvalue import PValueFlavor, PValueTable, bt_support, pvalue_table
 from stepfdr.sim import SimConfig
 from stepfdr.stepup import bh, build_max_cdf, critical_values, run_procedures
 
@@ -51,7 +53,7 @@ def test_the_trial_totals_rule_is_written_once(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: critical_values(build_max_cdf(pvalue_table([1], [2])[0].supports), 2.0, 0),
+    lambda: critical_values(build_max_cdf(pvalue_table([1], [2])[0]), 2.0, 0),
     lambda: bh([0.5], 2.0),
     # alpha first, before the mismatched table sizes
     lambda: run_procedures(pvalue_table([1], [2])[0], pvalue_table([1, 2], [2, 3])[1],
@@ -64,3 +66,45 @@ def test_the_alpha_rule_is_written_once(call):
     assert str(error.value) == "alpha must lie in (0, 1), got 2.0"
     found = places("alpha must lie in (0, 1)")
     assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("values", [
+    ["+1", " 2"],
+    [b"1", b"2"],
+    ["x", "1"],
+    [True, False],
+    [1 + 0j, 2 + 0j],
+    [None, 1],
+    [Fraction(3, 2), 1],
+], ids=["signed-str", "bytes", "not-a-number", "bool", "complex", "None", "Fraction"])
+def test_count_columns_are_numbers_not_parsed_text(values):
+    """`int()` is the one count parser, so a count column holds int, uint or
+    float values only: numpy's str -> int64 cast once read ["+1", " 2"] as
+    counts 1 and 2, bools became 1 and 0, a complex passed with a warning, a
+    Fraction was truncated, and None and "x" failed without naming the
+    column.  PValueTable's index columns follow the same rule."""
+    message = r"^column {} must hold integers below 2\*\*63$"
+    with pytest.raises(ValueError, match=message.format("c1")):
+        CountTable(("a", "b"), values, [3, 4])
+    with pytest.raises(ValueError, match=message.format("c2")):
+        pvalue_table([3, 4], values)
+    with pytest.raises(ValueError, match=message.format("n1")):
+        pvalue_table([0, 0], [0, 0], values, [5, 5])
+    support = bt_support(2, PValueFlavor.CONVENTIONAL)
+    with pytest.raises(ValueError, match=message.format("support_index")):
+        PValueTable([support, support], values, [0, 0])
+    with pytest.raises(ValueError, match=message.format("point_index")):
+        PValueTable([support], [0, 0], values)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2],
+    np.array([1, 2], dtype=np.uint8),
+    np.array([1, 2], dtype=np.int16),
+    np.array([1.0, 2.0], dtype=np.float32),
+    [1.0, 2],
+    [np.int64(1), 2],
+], ids=["python-ints", "uint8", "int16", "float32", "integral-floats", "numpy-scalars"])
+def test_integer_valued_numeric_columns_still_load(values):
+    assert CountTable(("a", "b"), values, [3, 4]).c1.tolist() == [1, 2]
+    assert pvalue_table(values, [3, 4])[0].p.tolist() == pvalue_table([1, 2], [3, 4])[0].p.tolist()

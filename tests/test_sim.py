@@ -281,6 +281,13 @@ def test_copula_validation():
         gen_copula_uniforms(0, 10, 0.2, rng)
     with pytest.raises(ValueError):
         gen_copula_uniforms(2, 10, 1.0, rng)
+    # A bool once ran as one block, and 2.5 failed inside numpy with a TypeError.
+    for blocks, block_size, name, bad in ((True, 10, "blocks", True), (2.5, 10, "blocks", 2.5),
+                                          (2, True, "block_size", True),
+                                          (2, 2.5, "block_size", 2.5)):
+        with pytest.raises(ValueError) as error:
+            gen_copula_uniforms(blocks, block_size, 0.2, rng)
+        assert str(error.value) == f"{name} must be an integer, got {bad!r}"
 
 
 def test_run_cell_deterministic():
@@ -564,6 +571,26 @@ def test_run_grid_workers_do_not_change_output():
         assert a.config == b.config
         for name in PROCEDURES:
             assert a.stats[name] == b.stats[name]
+
+
+@pytest.mark.parametrize("workers, message", [
+    (0, "workers must be >= 1, got 0"),
+    (-3, "workers must be >= 1, got -3"),
+    (True, "workers must be an integer, got True"),
+    ("2", "workers must be an integer, got '2'"),
+    (2.0, "workers must be an integer, got 2.0"),
+], ids=["zero", "negative", "bool", "str", "float"])
+def test_run_grid_refuses_a_worker_count_before_any_cell_runs(monkeypatch, workers, message):
+    """0 and -3 once ran one process, True ran as 1, and "2" failed with a
+    TypeError from a comparison."""
+    def refuse(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sim, "_run_alphas", refuse)
+    with pytest.raises(ValueError) as error:
+        run_grid("fet", pi0s=(0.5, 0.8), alphas=(0.1,), ns=(10,), m=20, reps=3,
+                 workers=workers)
+    assert str(error.value) == message
 
 
 def test_block_dependence_runs_both_sharing_modes():

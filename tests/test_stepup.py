@@ -38,6 +38,11 @@ def on_supports(supports, point_index):
     return PValueTable(supports, np.arange(len(supports)), point_index)
 
 
+def table_on(supports):
+    """A hand-built table with one test on the first point of each support."""
+    return on_supports(supports, np.zeros(len(supports), dtype=np.int64))
+
+
 def brute_max_cdf(supports, t):
     best = 0.0
     for sup in supports:
@@ -49,7 +54,7 @@ def brute_max_cdf(supports, t):
 
 def test_build_max_cdf_single_support_identity():
     sup = make_support([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])
-    mc = build_max_cdf([sup])
+    mc = build_max_cdf(table_on([sup]))
     assert np.array_equal(mc.grid, [0.25, 0.5, 1.0])
     assert np.array_equal(mc.values, [0.25, 0.5, 1.0])
 
@@ -57,7 +62,7 @@ def test_build_max_cdf_single_support_identity():
 def test_build_max_cdf_merges_two_supports():
     a = make_support([0.2, 1.0], [0.2, 1.0])
     b = make_support([0.6, 1.0], [0.6, 1.0])
-    mc = build_max_cdf([a, b])
+    mc = build_max_cdf(table_on([a, b]))
     assert np.array_equal(mc.grid, [0.2, 0.6, 1.0])
     assert np.array_equal(mc.values, [0.2, 0.6, 1.0])
 
@@ -84,7 +89,8 @@ def test_max_cdf_matches_brute_force():
             supports.append(make_support(pts, cdf, flavor=MID))
         supports += [supports[i] for i in rng.integers(0, m, size=m // 2 + 1)]
         supports = [supports[i] for i in rng.permutation(len(supports))]
-        mc = build_max_cdf(supports)
+        table = table_on(supports)
+        mc = build_max_cdf(table)
         assert np.array_equal(
             mc.grid, np.unique(np.concatenate([s.points for s in supports])))
         assert not mc.grid.flags.writeable and not mc.values.flags.writeable
@@ -92,7 +98,6 @@ def test_max_cdf_matches_brute_force():
             assert value == brute_max_cdf(supports, t)
         for t in rng.uniform(0.0, 1.0, 50):
             assert mc.evaluate(float(t)) == brute_max_cdf(supports, float(t))
-        table = on_supports(supports, np.zeros(len(supports), dtype=np.int64))
         for alpha in (0.05, 0.3, 0.9):
             gamma = critical_values(mc, alpha, len(supports))
             hits = np.flatnonzero(np.sort(table.p) <= gamma)   # NaN is never a hit
@@ -102,8 +107,41 @@ def test_max_cdf_matches_brute_force():
             assert res.threshold == (gamma[r - 1] if r else None)
 
 
+def test_max_cdf_of_a_table_matches_brute_force_over_its_supports():
+    """`build_max_cdf(table)` sweeps the table's own slots.  On random bt
+    and fet tables of both flavors, registry-backed and rebuilt by hand
+    with some supports listed twice and the slots shuffled, its grid is
+    the union of `table.supports`' points, its value at every grid point
+    is the brute-force maximum over them, and both tables give the same
+    bytes."""
+    rng = np.random.default_rng(41)
+    for i in range(24):
+        m = int(rng.integers(1, 11))
+        if i % 2:
+            n1, n2 = rng.integers(1, 12, size=(2, m))
+            tables = pvalue_table(rng.integers(0, n1 + 1), rng.integers(0, n2 + 1), n1, n2)
+        else:
+            tables = pvalue_table(*rng.integers(0, 16, size=(2, m)))
+        for table in tables:
+            slots = table.supports
+            twice = slots + tuple(slots[j] for j in rng.integers(0, len(slots), len(slots)))
+            order = rng.permutation(len(twice))
+            hand = PValueTable([twice[j] for j in order],
+                               np.argsort(order)[table.support_index], table.point_index)
+            assert hand.p.tobytes() == table.p.tobytes()
+            want = build_max_cdf(table)
+            for made in (table, hand):
+                mc, supports = build_max_cdf(made), made.supports
+                assert mc.grid.tobytes() == want.grid.tobytes()
+                assert mc.values.tobytes() == want.values.tobytes()
+                assert np.array_equal(
+                    mc.grid, np.unique(np.concatenate([s.points for s in supports])))
+                for t, value in zip(mc.grid, mc.values):
+                    assert value == brute_max_cdf(supports, t)
+
+
 def test_max_cdf_evaluate_below_grid_is_zero():
-    mc = build_max_cdf([make_support([0.5, 1.0], [0.5, 1.0])])
+    mc = build_max_cdf(table_on([make_support([0.5, 1.0], [0.5, 1.0])]))
     assert mc.evaluate(0.4) == 0.0
     assert mc.evaluate(0.5) == 0.5
     assert mc.evaluate(0.9) == 0.5
@@ -115,13 +153,13 @@ def test_max_cdf_evaluate_below_grid_is_zero():
                          ids=["float", "numpy-scalar", "array"])
 def test_max_cdf_evaluate_rejects_nan(t):
     """F*(NaN) is undefined, not 1.0."""
-    mc = build_max_cdf([make_support([0.5, 1.0], [0.5, 1.0])])
+    mc = build_max_cdf(table_on([make_support([0.5, 1.0], [0.5, 1.0])]))
     with pytest.raises(ValueError, match="NaN"):
         mc.evaluate(t)
 
 
 def test_critical_values_identity_supports():
-    mc = build_max_cdf([make_support([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])])
+    mc = build_max_cdf(table_on([make_support([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])]))
     gammas = critical_values(mc, m=2, alpha=0.5)
     assert np.array_equal(gammas, [0.25, 0.5])
 
@@ -129,13 +167,13 @@ def test_critical_values_identity_supports():
 def test_critical_values_conservative_supports():
     a = make_support([0.2, 1.0], [0.2, 1.0])
     b = make_support([0.6, 1.0], [0.6, 1.0])
-    mc = build_max_cdf([a, b])
+    mc = build_max_cdf(table_on([a, b]))
     gammas = critical_values(mc, m=2, alpha=0.5)
     assert np.array_equal(gammas, [0.2, 0.2])
 
 
 def test_critical_values_infeasible_level_gives_nan():
-    mc = build_max_cdf([make_support([0.5, 1.0], [0.5, 1.0])])
+    mc = build_max_cdf(table_on([make_support([0.5, 1.0], [0.5, 1.0])]))
     gammas = critical_values(mc, m=3, alpha=0.1)
     assert np.all(np.isnan(gammas))
 
@@ -162,9 +200,10 @@ def test_bh_rejects_pvalues_outside_unit_interval(bad):
 
 def test_bh_plus_no_rejection_when_gamma_infeasible():
     sups = [make_support([0.5, 1.0], [0.5, 1.0]) for _ in range(2)]
-    res = bh_plus(on_supports(sups, [0, 1]), alpha=0.6)
+    table = on_supports(sups, [0, 1])
+    res = bh_plus(table, alpha=0.6)
     assert res.rejection_count == 0 and res.m == 2
-    gamma = critical_values(build_max_cdf(sups), 0.6, 2)
+    gamma = critical_values(build_max_cdf(table), 0.6, 2)
     assert np.all(np.isnan(gamma) | (gamma >= 0))
 
 
@@ -242,7 +281,7 @@ def test_bh_plus_critical_values_monotone_where_defined():
     rng = np.random.default_rng(38)
     for _ in range(40):
         table = random_bt_instance(rng)
-        g = critical_values(build_max_cdf(table.supports), 0.15, bh_plus(table, 0.15).m)
+        g = critical_values(build_max_cdf(table), 0.15, bh_plus(table, 0.15).m)
         defined = g[~np.isnan(g)]
         assert np.all(np.diff(defined) >= 0)
 
@@ -258,7 +297,7 @@ def test_bh_plus_rejects_p_not_on_any_support():
 def test_m_and_reps_must_be_integers(bad):
     conv, mid = pvalue_table([1, 2], [2, 3])
     with pytest.raises(ValueError) as error:
-        critical_values(build_max_cdf(conv.supports), 0.1, bad)
+        critical_values(build_max_cdf(conv), 0.1, bad)
     assert str(error.value) == f"m must be an integer, got {bad!r}"
     with pytest.raises(ValueError) as error:
         run_procedures(conv, mid, (0.1,), reps=bad)
@@ -266,15 +305,14 @@ def test_m_and_reps_must_be_integers(bad):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda conv, mid: build_max_cdf([]), "at least one support is required"),
-    (lambda conv, mid: critical_values(build_max_cdf(conv.supports), 0.1, 0),
+    (lambda conv, mid: critical_values(build_max_cdf(conv), 0.1, 0),
      "m must be >= 1, got 0"),
     (lambda conv, mid: bh([], 0.1), "pvalues must be a non-empty 1-D sequence"),
     (lambda conv, mid: run_procedures(conv, pvalue_table([1], [2])[1], (0.1,)),
      "run_procedures needs alphas, and two tables of `reps` replications of m tests each"),
     (lambda conv, mid: run_procedures(conv, mid, (0.1,), reps=3),
      "run_procedures needs alphas, and two tables of `reps` replications of m tests each"),
-], ids=["no-supports", "m-zero", "no-pvalues", "mismatched-tables", "reps-not-dividing"])
+], ids=["m-zero", "no-pvalues", "mismatched-tables", "reps-not-dividing"])
 def test_step_up_entries_refuse_empty_and_mismatched_input(call, message):
     conv, mid = pvalue_table([1, 2], [2, 3])
     with pytest.raises(ValueError) as error:
@@ -397,7 +435,7 @@ def test_single_run_step_ups_sweep_the_table_without_a_max_cdf(monkeypatch):
     `run_procedures` does."""
     from stepfdr import stepup
 
-    def refuse(supports):
+    def refuse(table):
         raise AssertionError("build_max_cdf called")
 
     conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])

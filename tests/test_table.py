@@ -599,8 +599,8 @@ def test_bh_plus_same_on_table_and_per_test_supports(rows, flavor, alpha):
     on_table = bh_plus(table, alpha)
     on_list = bh_plus(per_test, alpha)
     assert on_table.m == on_list.m == len(rows)
-    assert (critical_values(build_max_cdf(table.supports), alpha, len(rows)).tobytes()
-            == critical_values(build_max_cdf(per_test.supports), alpha, len(rows)).tobytes())
+    assert (critical_values(build_max_cdf(table), alpha, len(rows)).tobytes()
+            == critical_values(build_max_cdf(per_test), alpha, len(rows)).tobytes())
     assert on_table.rejection_count == on_list.rejection_count
     assert on_table.threshold == on_list.threshold
     assert np.array_equal(on_table.rejected, on_list.rejected)
@@ -861,8 +861,8 @@ def assert_same_runs(got, want):
 def test_registry_tables_match_tables_rebuilt_from_their_supports(rows, alphas):
     """A registry-backed table and the same table rebuilt from its supports
     (made on request) give equal p-values and identical `run_procedures`
-    arrays, for one replication and a stack of three; `build_max_cdf` on
-    its supports gives the grid and values of the flat sweep."""
+    arrays, for one replication and a stack of three, and the same
+    `build_max_cdf` bytes."""
     for reps in (1, 3):
         tables = tables_of(rows * reps)
         rebuilt = [PValueTable(t.supports, t.support_index, t.point_index) for t in tables]
@@ -871,7 +871,7 @@ def test_registry_tables_match_tables_rebuilt_from_their_supports(rows, alphas):
         assert_same_runs(run_procedures(*rebuilt, alphas, reps),
                          run_procedures(*tables, alphas, reps))
     for table in tables_of(rows):
-        steps = stepup._sweep(table._parts)
-        max_cdf = build_max_cdf(table.supports)
-        assert max_cdf.grid.tobytes() == steps.points[steps.run].tobytes()
-        assert max_cdf.values.tobytes() == steps.levels[steps.top].tobytes()
+        max_cdf = build_max_cdf(table)
+        copy = build_max_cdf(PValueTable(table.supports, table.support_index, table.point_index))
+        assert max_cdf.grid.tobytes() == copy.grid.tobytes()
+        assert max_cdf.values.tobytes() == copy.values.tobytes()

@@ -3,7 +3,7 @@
 `perfbench/spans.py` lists them in `WRAPPED` and looks each one up with
 `getattr`, so a rename or deletion in `src/` breaks `--trace 1` runs.  Its
 observers also read return values and arguments (`len()` of what
-`load_counts` returns, the supports given to `build_max_cdf`).  The
+`load_counts` returns, the first argument given to `build_max_cdf`).  The
 benchmark's own tests are outside this suite, so the list is checked here
 and one traced `analyze` runs end to end.
 """
