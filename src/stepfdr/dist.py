@@ -29,6 +29,16 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_float(values, name: str) -> np.ndarray:
+    """`values` as float64, or a ValueError naming `name` unless they are
+    ints, uints or floats (a cast would parse a string, count a bool or
+    coerce an object)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    return raw.astype(np.float64, copy=False)
+
+
 def _check_nonneg_int(value, name: str) -> int:
     value = _check_int(value, name)
     if value < 0:
@@ -57,7 +67,7 @@ class Pareto:
             raise ValueError("Pareto requires finite eta > 0 and sigma > 0")
 
     def quantile(self, u):
-        u_arr = np.asarray(u, dtype=np.float64)
+        u_arr = _check_float(u, "u")
         if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):   # NaN fails both
             raise ValueError("u must lie in [0, 1)")
         out = self.eta * (1.0 - u_arr) ** (-1.0 / self.sigma)

@@ -113,24 +113,26 @@ class _Flat(NamedTuple):
     are points[starts[k]:starts[k + 1]], and their CDF values the same
     slice of `cdf`, or the points themselves when `cdf` is None.  A
     registry mid flat's CDF values are P of each point's last class, a
-    point of its margin's conventional support.  `made[k]` keeps margin
-    k's support once made (None before)."""
+    point of its margin's conventional support.  made[base + k] keeps
+    margin k's support once made (None before), in a list that every flat
+    of the registry since its last reset shares."""
 
     flavor: PValueFlavor | None
     points: np.ndarray
     starts: np.ndarray
     cdf: np.ndarray | None
-    made: np.ndarray
+    made: list
+    base: int
 
     def support(self, k: int) -> PValueSupport:
         """Margin k's support, made on first request and kept."""
-        support = self.made[k]
+        support = self.made[self.base + k]
         if support is None:
             window = slice(self.starts[k], self.starts[k + 1])
             points = self.points[window]
             cdf = points if self.cdf is None else self.cdf[window]
             support = object.__new__(PValueSupport)._set(self.flavor, points, cdf)
-            self.made[k] = support
+            self.made[self.base + k] = support
         return support
 
 
@@ -141,20 +143,19 @@ def _flat_of(supports) -> _Flat:
     cdf = None
     if not all(s.flavor is PValueFlavor.CONVENTIONAL for s in supports):
         cdf = np.concatenate([s.cdf_values for s in supports])
-    made = np.fromiter(supports, dtype=object, count=len(supports))
     return _Flat(None, np.concatenate([s.points for s in supports]),
-                 np.append(0, np.cumsum(sizes)), cdf, made)
+                 np.append(0, np.cumsum(sizes)), cdf, list(supports), 0)
 
 
 class _Chunk(NamedTuple):
     """One build batch of margins, or several merged, immutable: margin k
-    of chunk c has registry id _chunk_ids[c] + k, and its outcomes run up
-    from firsts[k], mapped to points of its supports by the int32 (int64
-    from 2**31 class slots a batch) maps[flavor][cuts[k]:cuts[k + 1]], so an
-    outcome costs 32 B with its points and mid CDF value.  `level` counts
-    merges, and is None for a chunk that never merges."""
+    has registry id _live + flats[0].base + k, and its outcomes run up from
+    its first (0 for a binomial margin, max(0, total - n2) for a Fisher
+    one), mapped to points of its supports by the int32 (int64 from 2**31
+    class slots a batch) maps[flavor][cuts[k]:cuts[k + 1]], so an outcome
+    costs 32 B with its points and mid CDF value.  `level` counts merges,
+    and is None for a chunk that never merges."""
 
-    firsts: np.ndarray
     cuts: np.ndarray
     flats: tuple[_Flat, _Flat]         # conventional, mid
     maps: tuple[np.ndarray, np.ndarray]
@@ -162,29 +163,29 @@ class _Chunk(NamedTuple):
 
 
 def _merged(a: _Chunk, b: _Chunk) -> _Chunk:
-    """Chunk b, whose ids follow a's, appended to chunk a, keeping the
-    supports made on request so far."""
+    """Chunk b, whose ids follow a's, appended to chunk a; both share the
+    registry's made supports."""
     def shifted(x, y):   # offsets of y's margins follow x's
         return np.append(x, y[1:] + x[-1])
 
-    conv, mid = (_Flat(f.flavor, np.append(f.points, g.points), shifted(f.starts, g.starts),
-                       None if f.cdf is None else np.append(f.cdf, g.cdf),
-                       np.concatenate([f.made, g.made]))
+    conv, mid = (f._replace(points=np.append(f.points, g.points),
+                            starts=shifted(f.starts, g.starts),
+                            cdf=None if f.cdf is None else np.append(f.cdf, g.cdf))
                  for f, g in zip(a.flats, b.flats))
     maps = tuple(np.append(x, y) for x, y in zip(a.maps, b.maps))
     for column in (*conv[1:3], *mid[1:4], *maps):
         column.flags.writeable = False
-    return _Chunk(np.append(a.firsts, b.firsts), shifted(a.cuts, b.cuts),
-                  (conv, mid), maps, a.level + 1)
+    return _Chunk(shifted(a.cuts, b.cuts), (conv, mid), maps, a.level + 1)
 
 
-# The registry: margin key -> id, and the chunks, in id order, with the
-# first id of each.  Ids are never reused, so an id below _live (from before
-# the last reset) counts as not registered.
+# The registry: margin key -> id, the chunks in id order, and per flavor
+# each margin's support once made, made[flavor][id - _live] (None before).
+# Ids are never reused, so an id below _live (from before the last reset)
+# counts as not registered, and the next id is _live + len(made[0]).
 _margins: dict[tuple[int, ...], int] = {}
 _chunks: list[_Chunk] = []
-_chunk_ids = np.zeros(0, dtype=np.int64)
-_next_id = _live = 0
+_made: tuple[list, list] = ([], [])   # conventional, mid
+_live = 0
 _CAP = 2**20      # a build that would store more outcomes first resets the registry
 _BATCH = 512      # margins built together, which bounds a batch's buffers
 _MERGED = 2**16   # the most outcomes of a merged chunk
@@ -214,11 +215,11 @@ def _spans(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reset() -> None:
-    """Empty the registry; tables made before keep their own chunks."""
-    global _chunk_ids, _live
+    """Empty the registry; tables made before keep their own chunks and supports."""
+    global _made, _live
     _margins.clear()
     _chunks.clear()
-    _chunk_ids, _live = _chunk_ids[:0], _next_id
+    _made, _live = ([], []), _live + len(_made[0])
 
 
 def _stored() -> int:
@@ -253,14 +254,13 @@ def _build(margins: np.ndarray, keys: list | None = None, spans=None) -> np.ndar
     tied) that it certifies, and `_exact` the rest, in row order.  A call
     of one batch merges its chunk into the last ones (`_compact`).  A batch
     that runs out of memory raises a MemoryError naming its widest margin."""
-    global _chunk_ids, _next_id
     keys = list(map(tuple, margins.tolist())) if keys is None else keys
     firsts, widths = _spans(margins) if spans is None else spans
     walk = np.zeros(len(keys), dtype=bool)
     if margins.shape[1] == 3:
         n1, n2, t = margins.T
         walk = (n1 != n2) & (margins >= 0).all(axis=1) & (t <= n1 + n2) & (n1 + n2 < _WALKED)
-    ids = np.arange(_next_id, _next_id + len(keys))
+    ids = np.arange(len(keys)) + (_live + len(_made[0]))
     for start in range(0, len(keys), _BATCH):
         batch = slice(start, start + _BATCH)
         cuts = np.append(0, np.cumsum(widths[batch]))
@@ -277,11 +277,10 @@ def _build(margins: np.ndarray, keys: list | None = None, spans=None) -> np.ndar
         except MemoryError as error:
             widest = keys[start + int(np.argmax(widths[batch]))]
             raise _out_of_memory(widest, int(cuts[-1])) from error
-        _chunks.append(_Chunk(firsts[batch], cuts, flats, maps,
-                              0 if len(keys) <= _BATCH else None))
-        _chunk_ids = np.append(_chunk_ids, _next_id)
+        _chunks.append(_Chunk(cuts, flats, maps, 0 if len(keys) <= _BATCH else None))
+        for made in _made:
+            made += repeat(None, len(cuts) - 1)
         _margins.update(zip(keys[batch], ids[batch].tolist()))
-        _next_id += len(keys[batch])
     _compact()
     return ids
 
@@ -292,19 +291,18 @@ def _compact() -> None:
     builds leaves a few chunks, not one each, and each outcome is copied
     once per merge level.  Their ids follow on, as ids are handed out in
     order and a reset empties `_chunks`."""
-    global _chunk_ids
     while (len(_chunks) > 1 and _chunks[-1].level is not None
            and _chunks[-2].level == _chunks[-1].level
            and _chunks[-2].cuts[-1] + _chunks[-1].cuts[-1] <= _MERGED):
         last = _chunks.pop()
         _chunks[-1] = _merged(_chunks[-1], last)
-        _chunk_ids = _chunk_ids[:-1]
 
 
 def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray, np.ndarray]]:
-    """Per flavor, the flat supports and the outcome -> point maps (cut at
-    `cuts`) of a batch whose class slots, classes = [conv, mid, class_of],
-    are filled, margin k's at cuts[k]:cuts[k + 1].  For the whole batch at
+    """Per flavor, the flat supports, whose margins follow those in
+    `_made`, and the outcome -> point maps (cut at `cuts`) of a batch whose
+    class slots, classes = [conv, mid, class_of], are filled, margin k's
+    at cuts[k]:cuts[k + 1].  For the whole batch at
     once, classes whose p-values round to one float merge onto one point,
     keeping the largest (right-continuous) CDF value.  The maps are int32
     below 2**31 class slots.  Each buffer (`classes` emptied) is freed once
@@ -353,10 +351,9 @@ def _flatten(cuts, classes: list) -> tuple[tuple[_Flat, _Flat], tuple[np.ndarray
     points, _ = step_cdf(points, None, ends=starts[1:], flavor=PValueFlavor.CONVENTIONAL)
     for column in maps:
         column.flags.writeable = False
-    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None,
-                  np.full(len(opening), None)),
-            _Flat(PValueFlavor.MID, mid_points, mid_starts, cdf,
-                  np.full(len(opening), None))), tuple(maps)
+    base = len(_made[0])
+    return (_Flat(PValueFlavor.CONVENTIONAL, points, starts, None, _made[0], base),
+            _Flat(PValueFlavor.MID, mid_points, mid_starts, cdf, _made[1], base)), tuple(maps)
 
 
 def _exact(key, slots, conv, mid, class_of):
@@ -625,14 +622,10 @@ class PValueTable:
 
     @property
     def supports(self) -> tuple[PValueSupport, ...]:
-        """The support of each slot, made on first request and kept by its flat."""
-        supports = []
-        for flat, ks in self._parts:
-            made = flat.made[ks]
-            for j in np.flatnonzero(np.equal(made, None)).tolist():
-                made[j] = flat.support(int(ks[j]))
-            supports += made.tolist()
-        return tuple(supports)
+        """The support of each slot, made on first request and kept in its
+        flat's made list."""
+        return tuple(chain.from_iterable(map(flat.support, ks.tolist())
+                                         for flat, ks in self._parts))
 
 
 def _pool(parts) -> _Pool:
@@ -734,27 +727,30 @@ def _tables(c1, total, n1=None, n2=None) -> tuple[PValueTable, PValueTable]:
     if n1 is None:
         margins, group = np.unique(total, return_inverse=True)
         margins = margins[:, None]
+        outcome = c1   # each test's outcome counted from its margin's first
     else:
         margins, group = _group_rows(n1, n2, total)
-    ids = _register(margins)
+        outcome = c1 - np.maximum(total - n2, 0)
+    ids = _register(margins) - _live   # indices into the made lists
     order = np.argsort(ids)   # slots by id: grouped by chunk, ascending within
     ids = ids[order]
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     support_index = slot[group]
-    chunk_of = np.searchsorted(_chunk_ids, ids, side="right") - 1
+    bases = [chunk.flats[0].base for chunk in _chunks]
+    chunk_of = np.searchsorted(bases, ids, side="right") - 1
     bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ids.size]
     point_index, p = np.empty((2, c1.size), dtype=np.int64), np.empty((2, c1.size))
     parts = []
     for a, b in zip(bounds, bounds[1:]):
         chunk = _chunks[chunk_of[a]]
-        ks = ids[a:b] - _chunk_ids[chunk_of[a]]
+        ks = ids[a:b] - bases[chunk_of[a]]
         rows = (slice(None) if b - a == ids.size
                 else np.flatnonzero((support_index >= a) & (support_index < b)))
         k = ks[support_index[rows] - a]
         # One index per test serves both flavors, as a margin's two maps
         # have one entry per outcome.
-        at = chunk.cuts[k] - chunk.firsts[k] + c1[rows]
+        at = chunk.cuts[k] + outcome[rows]
         for f, (flat, maps) in enumerate(zip(chunk.flats, chunk.maps)):
             point_index[f, rows] = maps[at]
             p[f, rows] = flat.points[flat.starts[k] + point_index[f, rows]]

@@ -361,12 +361,13 @@ def _cells(test: str, pi0s, alphas, params, **fields) -> list[tuple[SimConfig, t
     """run_grid's data cells in (pi0, eta-or-n) order, each a SimConfig at
     the first alpha, checked on construction, with every alpha, each
     checked before any cell runs."""
-    alphas = tuple(alphas)
-    if not alphas:
-        raise ValueError("the alpha grid must not be empty")
+    alphas, pi0s, params = tuple(alphas), tuple(pi0s), tuple(params)
+    param = "eta" if test == "bt" else "n"
+    for name, grid in (("alpha", alphas), ("pi0", pi0s), (param, params)):
+        if not grid:
+            raise ValueError(f"the {name} grid must not be empty")
     for alpha in alphas:
         stepup._check_alpha(alpha)
-    param = "eta" if test == "bt" else "n"
     return [(SimConfig(test=test, pi0=pi0, alpha=alphas[0], **{param: value}, **fields),
              alphas) for pi0 in pi0s for value in params]
 

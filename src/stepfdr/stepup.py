@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import _check_int
+from .dist import _check_float, _check_int
 from .errors import InvariantViolation
 from .pvalue import PValueFlavor, PValueTable, _pool
 
@@ -66,7 +66,7 @@ class MaxCdf(NamedTuple):
 
     def evaluate(self, t):
         """Right-continuous step evaluation; 0 below the first grid point."""
-        t_arr = np.asarray(t, dtype=np.float64)
+        t_arr = _check_float(t, "t")
         if np.isnan(t_arr).any():
             raise ValueError("t must not be NaN")
         idx = np.searchsorted(self.grid, t_arr, side="right") - 1
@@ -211,14 +211,23 @@ def _gammas(steps: _Steps | list, thresholds: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _groups(parts, slots: np.ndarray, bound: int) -> list[list]:
+def _used(parts, slots: np.ndarray) -> list:
     """The slots of `parts` that `slots` names, each once, as `pvalue._pool`
-    parts, in groups of whole slots: group g takes the slots whose points
-    start from g `bound` to (g + 1) `bound` in the pool of them all."""
+    parts."""
     used = np.bincount(slots, minlength=sum(ks.size for _, ks in parts)) > 0
-    groups, start, filled = {}, 0, 0
+    out, start = [], 0
     for flat, ks in parts:
         ks, start = ks[used[start:start + ks.size]], start + ks.size
+        if ks.size:
+            out.append((flat, ks))
+    return out
+
+
+def _groups(parts, slots: np.ndarray, bound: int) -> list[list]:
+    """`_used` parts in groups of whole slots: group g takes the slots whose
+    points start from g `bound` to (g + 1) `bound` in the pool of them all."""
+    groups, filled = {}, 0
+    for flat, ks in _used(parts, slots):
         sizes = flat.starts[ks + 1] - flat.starts[ks]
         label = (filled + np.cumsum(sizes) - sizes) // bound
         filled += sizes.sum()
@@ -254,9 +263,9 @@ def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
 
 
 def build_max_cdf(table: PValueTable) -> MaxCdf:
-    """Tabulate max_i F_i over the sorted union of the points of every
-    support of `table`, in one sweep of a batch of one."""
-    steps = _sweep(table._parts)
+    """Tabulate max_i F_i over the sorted union of the points of the
+    supports that `table`'s tests use, in one sweep of a batch of one."""
+    steps = _sweep(_used(table._parts, table.support_index))
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
@@ -291,7 +300,7 @@ class StepUpResult:
 
 
 def _validate_pvalues(pvalues) -> np.ndarray:
-    p = np.asarray(pvalues, dtype=np.float64)
+    p = _check_float(pvalues, "pvalues")
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-D sequence")
     if not (p.min() >= 0.0 and p.max() <= 1.0):   # NaN fails both

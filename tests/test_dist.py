@@ -111,6 +111,14 @@ def test_pareto_quantile_rejects_nan(u):
         Pareto(3.0, 5.0).quantile(u)
 
 
+@pytest.mark.parametrize("u", ["0.5", [b"0.5"], True, np.array([Fraction(1, 2)]), 0.5 + 0j],
+                         ids=["str", "bytes", "bool", "object", "complex"])
+def test_pareto_quantile_refuses_what_is_not_a_real_number(u):
+    """A float cast once parsed "0.5" to the quantile 1.414 of Pareto(1, 2)."""
+    with pytest.raises(ValueError, match="^u must hold real numbers"):
+        Pareto(1.0, 2.0).quantile(u)
+
+
 def test_large_totals_build_exactly():
     """Totals whose smallest masses underflow a float still build exactly."""
     for d in (binomial_null(1075), binomial_null(2000),

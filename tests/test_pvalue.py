@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import assert_registry_consistent
 from exact_oracle import exact_pvalues, null_of, tie_classes
 from stepfdr.dist import binomial_null
 from stepfdr.errors import DataError
@@ -123,13 +124,6 @@ TIED_FET = [(n, n, t) for n in (1, 5, 25, 60) for t in range(2 * n + 1)]
 BT_TOTALS = [(t,) for t in (*range(30), 100, 500, 1074)]
 
 
-def empty_registry(monkeypatch, **settings):
-    """Give the margin registry no chunks and no margins for one test."""
-    for name, value in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
-                        ("_next_id", 0), ("_live", 0), *settings.items()):
-        monkeypatch.setattr(pvalue, name, value)
-
-
 def margin_tables(margins):
     """Both flavors' tables with one test per margin, at its first outcome."""
     margins = np.array(margins)
@@ -146,23 +140,26 @@ def assert_mid_cdf_is_conventional_points(conv, mid):
         assert not midp.cdf_values.flags.writeable and not conventional.points.flags.writeable
 
 
-def test_mid_cdf_equals_matching_conventional_points(monkeypatch):
+def test_mid_cdf_equals_matching_conventional_points(monkeypatch, empty_registry):
     """The mid support's CDF values are the conventional p-values, byte for
     byte and read-only, for every margin of a chunk: built many to a call,
     in one batch or two, and merged from a run of one-margin calls."""
-    empty_registry(monkeypatch)
     for margins in (UNTIED_FET, TIED_FET, UNTIED_FET + TIED_FET, BT_TOTALS):
         assert_mid_cdf_is_conventional_points(*margin_tables(margins))
+    assert_registry_consistent()
     fisher = UNTIED_FET + TIED_FET
-    empty_registry(monkeypatch, _BATCH=len(fisher) // 2 + 1)
+    empty_registry()
+    monkeypatch.setattr(pvalue, "_BATCH", len(fisher) // 2 + 1)
     tables = margin_tables(fisher)
     assert len(pvalue._chunks) == 2
     assert_mid_cdf_is_conventional_points(*tables)
-    empty_registry(monkeypatch)
+    assert_registry_consistent()
+    empty_registry()
     for margin in fisher:   # supports are read only once their chunks have merged
         margin_tables([margin])
     assert len(pvalue._chunks) < len(fisher) and pvalue._chunks[0].level > 0
     assert_mid_cdf_is_conventional_points(*margin_tables(fisher))
+    assert_registry_consistent()
 
 
 def test_conventional_super_uniform_everywhere():

@@ -380,6 +380,16 @@ def test_run_grid_rejects_an_empty_alpha_grid(monkeypatch):
         run_grid("bt", pi0s=(0.5,), alphas=(), etas=(3.0,), m=20, reps=5)
 
 
+@pytest.mark.parametrize("test, grid", [("bt", {"pi0s": ()}), ("bt", {"etas": ()}),
+                                        ("fet", {"ns": ()})], ids=["pi0", "eta", "n"])
+def test_run_grid_rejects_an_empty_data_grid(monkeypatch, test, grid):
+    """An empty pi0, eta or n grid once ran no cell and returned []."""
+    monkeypatch.setattr(sim, "_run_alphas", lambda *args: pytest.fail("a cell ran"))
+    name = {"pi0s": "pi0", "etas": "eta", "ns": "n"}[next(iter(grid))]
+    with pytest.raises(ValueError, match=f"^the {name} grid must not be empty$"):
+        run_grid(test, **grid, m=20, reps=5)
+
+
 @pytest.mark.parametrize("alphas", [(0.1, 1.5), (0.1, 0.2, 0.0)], ids=["second", "last"])
 def test_run_grid_checks_every_alpha_before_any_draw(monkeypatch, alphas):
     """A bad alpha past the first once surfaced only after a block of

@@ -1,6 +1,7 @@
 """Tests for the step-up procedures and the pooled-CDF machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_max_cdf_evaluate_rejects_nan(t):
         mc.evaluate(t)
 
 
+NOT_NUMBERS = [["0.5"], [b"0.5"], [True], np.array([Fraction(1, 2)]), [0.5 + 0j]]
+NOT_NUMBER_IDS = ["str", "bytes", "bool", "object", "complex"]
+
+
+@pytest.mark.parametrize("t", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_max_cdf_evaluate_refuses_what_is_not_a_real_number(t):
+    """A float cast once parsed "0.5" and b"0.5" and read True as 1.0."""
+    mc = build_max_cdf(table_on([make_support([0.5, 1.0], [0.5, 1.0])]))
+    with pytest.raises(ValueError, match="^t must hold real numbers"):
+        mc.evaluate(t)
+
+
 def test_critical_values_identity_supports():
     mc = build_max_cdf(table_on([make_support([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])]))
     gammas = critical_values(mc, m=2, alpha=0.5)
@@ -196,6 +209,14 @@ def test_bh_rejects_nothing_at_one():
 def test_bh_rejects_pvalues_outside_unit_interval(bad):
     with pytest.raises(ValueError, match=r"pvalues must lie in \[0, 1\]"):
         bh(np.array([0.01, bad, 0.5]), alpha=0.05)
+
+
+@pytest.mark.parametrize("pvalues", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_bh_refuses_pvalues_that_are_not_real_numbers(pvalues):
+    """A float cast once ran BH on text and on object columns (of Fractions,
+    say), and read True as the p-value 1.0."""
+    with pytest.raises(ValueError, match="^pvalues must hold real numbers"):
+        bh(pvalues, alpha=0.5)
 
 
 def test_bh_plus_no_rejection_when_gamma_infeasible():
@@ -427,6 +448,23 @@ def test_single_run_step_ups_pool_only_the_supports_their_tests_use():
     assert r_mp == bh_plus(mid, alpha).rejection_count == 5
     assert bh_plus(padded, alpha).rejection_count == r_mp
     assert mid_vs_conventional(bh_plus(conv, alpha), padded, alpha).r_mp == r_mp
+
+
+def test_build_max_cdf_pools_only_the_supports_the_tests_use():
+    """A hand-built table whose only test sits on its first of three
+    supports: F* from `build_max_cdf` once pooled all three and gave BH+
+    the threshold 0.34375 against 0.25 without it."""
+    supports = [bt_support(total, MID) for total in (2, 3, 9)]
+    table = PValueTable(supports, [0, 0, 0], [0, 0, 0])
+    alpha = 0.9
+    want = bh_plus(table, alpha)
+    got = bh_plus(table, alpha, max_cdf=build_max_cdf(table))
+    assert want.threshold == 0.25
+    assert (got.rejection_count, got.threshold) == (want.rejection_count, want.threshold)
+    max_cdf = build_max_cdf(table)
+    alone = build_max_cdf(PValueTable(supports[:1], [0, 0, 0], [0, 0, 0]))
+    assert max_cdf.grid.tobytes() == alone.grid.tobytes()
+    assert max_cdf.values.tobytes() == alone.values.tobytes()
 
 
 def test_single_run_step_ups_sweep_the_table_without_a_max_cdf(monkeypatch):

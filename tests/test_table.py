@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_registry_consistent
 from exact_oracle import exact_pvalues, null_of, tie_classes
 from stepfdr import pvalue
 from stepfdr.cli import main
@@ -188,6 +189,7 @@ def test_a_call_builds_only_the_margins_not_yet_cached(monkeypatch):
     pvalue_table([4, 1], [3, 1], [9, 5], [9, 5])            # (9, 9, 7), (5, 5, 2)
     pvalue_table([2, 0], [5, 2], [9, 2], [9, 2])            # (9, 9, 7), (2, 2, 2)
     assert built[5:] == [(5, 5, 2), (9, 9, 7), (2, 2, 2)]
+    assert_registry_consistent()
 
 
 def test_a_build_out_of_memory_names_its_batchs_widest_margin(monkeypatch):
@@ -200,6 +202,7 @@ def test_a_build_out_of_memory_names_its_batchs_widest_margin(monkeypatch):
                                           r"batch's 63 outcomes$"):
         pvalue_table([0, 0, 0], [3, 50, 7])
     assert pvalue._margins == {}
+    assert_registry_consistent()
 
 
 @pytest.mark.parametrize("bad", [
@@ -267,18 +270,19 @@ def build(keys):
 
 
 def records(keys):
-    """Each registered margin's first outcome and, per flavor, its support's
-    points and CDF values and its outcome -> point map, as bytes."""
+    """Each registered margin's support points and CDF values and its
+    outcome -> point map, per flavor, as bytes."""
     out = {}
+    bases = [chunk.flats[0].base for chunk in pvalue._chunks]
     for key in keys:
         assert type(pvalue._margins[key]) is int
-        at = pvalue._margins[key]
-        c = np.searchsorted(pvalue._chunk_ids, at, side="right") - 1
-        chunk, k = pvalue._chunks[c], at - pvalue._chunk_ids[c]
-        out[key] = (int(chunk.firsts[k]), *(
+        at = pvalue._margins[key] - pvalue._live
+        c = np.searchsorted(bases, at, side="right") - 1
+        chunk, k = pvalue._chunks[c], at - bases[c]
+        out[key] = tuple(
             (flat.support(k).points.tobytes(), flat.support(k).cdf_values.tobytes(),
              maps[chunk.cuts[k]:chunk.cuts[k + 1]].tobytes())
-            for flat, maps in zip(chunk.flats, chunk.maps)))
+            for flat, maps in zip(chunk.flats, chunk.maps))
     return out
 
 
@@ -289,11 +293,12 @@ def fresh_records(monkeypatch, keys, **settings):
         monkeypatch.setattr(pvalue, name, value)
     build(keys)
     assert len(pvalue._margins) == len(keys)
+    assert_registry_consistent()
     return records(keys)
 
 
 def assert_same_records(got, want):
-    """Byte-identical first outcomes, supports and outcome -> point maps."""
+    """Byte-identical supports and outcome -> point maps."""
     assert got.keys() == want.keys()
     for key, record in want.items():
         assert got[key] == record, key
@@ -486,21 +491,12 @@ def test_building_fresh_margins_peaks_near_what_the_cache_keeps(monkeypatch):
     assert peak <= 1.25 * retained
 
 
-
-def empty_registry(monkeypatch):
-    """An empty registry for this test, restored afterwards."""
-    monkeypatch.setattr(pvalue, "_margins", {})
-    monkeypatch.setattr(pvalue, "_chunks", [])
-    monkeypatch.setattr(pvalue, "_chunk_ids", pvalue._chunk_ids[:0])
-
-
-def test_the_registry_keeps_4_byte_maps_and_32_bytes_an_outcome(monkeypatch):
+def test_the_registry_keeps_4_byte_maps_and_32_bytes_an_outcome(empty_registry):
     """Every chunk's two outcome -> point maps are int32, so the per-outcome
     columns (the two maps, both flavors' points and the mid CDF) hold at
     most 33 B per stored outcome on the 1,000 Fisher margins above; with
     int64 maps they held 39.98."""
     c, n, rows, _ = fresh_fisher_rows()
-    empty_registry(monkeypatch)
     pvalue_table(c[rows, 0], c[rows, 1], n[rows, 0], n[rows, 1])
     chunks = pvalue._chunks
     assert len(pvalue._margins) == 1000 and len(chunks) == 2
@@ -508,20 +504,22 @@ def test_the_registry_keeps_4_byte_maps_and_32_bytes_an_outcome(monkeypatch):
     kept = sum(column.nbytes for chunk in chunks for column in (
         *chunk.maps, chunk.flats[0].points, chunk.flats[1].points, chunk.flats[1].cdf))
     assert kept <= 33 * pvalue._stored()
+    assert_registry_consistent()
 
 
-def test_merged_chunks_keep_4_byte_maps(monkeypatch):
+def test_merged_chunks_keep_4_byte_maps(monkeypatch, empty_registry):
     """A run of one-batch builds, which `_compact` merges, keeps int32 maps
     and makes the records of one build of the same margins, byte for byte."""
     keys = random_margins(71, 240) + [(t,) for t in range(0, 1200, 9)]
     want = fresh_records(monkeypatch, keys)
-    empty_registry(monkeypatch)
+    empty_registry()
     for start in range(0, len(keys), 25):
         build(keys[start:start + 25])
     chunks = pvalue._chunks
     assert len(chunks) < 6 and max(chunk.level for chunk in chunks) >= 3
     assert all(column.dtype == np.int32 for chunk in chunks for column in chunk.maps)
     assert_same_records(records(keys), want)
+    assert_registry_consistent()
 
 def test_sweeping_a_batch_of_one_peaks_near_three_pooled_columns():
     """`run_procedures` on one replication sorts each flavor's pooled
@@ -800,14 +798,11 @@ def test_the_registry_holds_only_integers_and_nothing_keys_on_support_ids():
     assert not [path.name for path in src.glob("*.py") if re.search(r"\bid\(", path.read_text())]
 
 
-def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
+def test_a_table_made_before_a_reset_keeps_its_columns(empty_registry):
     """Streaming 10^5 distinct small Fisher margins, 1,000 per call, never
     leaves more than `_CAP` outcomes registered, and the registry resets on
     the way; a table made before the reset keeps its chunks, its p-values,
     its supports and its step-up results."""
-    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
-                        ("_next_id", 0), ("_live", 0)):
-        monkeypatch.setattr(pvalue, name, empty)
     conv, mid = pvalue_table([3, 0, 7, 2], [5, 2, 1, 2], [20, 9, 30, 9], [20, 9, 31, 9])
     before = conv.p.copy(), mid.p.copy(), run_procedures(conv, mid, (0.05, 0.3))
     first = pvalue._chunks[0]
@@ -823,6 +818,7 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
         assert stored <= pvalue._CAP
         points = sum(flat.points.size for chunk in pvalue._chunks for flat in chunk.flats)
         assert points <= 2 * stored
+    assert_registry_consistent()
     assert pvalue._live > live and not any(chunk is first for chunk in pvalue._chunks)
     assert np.array_equal(conv.p, before[0]) and np.array_equal(mid.p, before[1])
     again = run_procedures(conv, mid, (0.05, 0.3))
@@ -833,13 +829,10 @@ def test_a_table_made_before_a_reset_keeps_its_columns(monkeypatch):
         for margin in ((9, 9, 2), (9, 9, 4), (20, 20, 8), (30, 31, 8))]
 
 
-def test_a_fresh_build_on_a_filled_registry_spans_its_margins_once(monkeypatch):
+def test_a_fresh_build_on_a_filled_registry_spans_its_margins_once(monkeypatch, empty_registry):
     """`_register` hands the spans it measured for its `_CAP` test on to
     `_build`: one `_spans` call per fresh build on a non-empty registry,
     for the fresh margins only."""
-    for name, empty in (("_margins", {}), ("_chunks", []), ("_chunk_ids", pvalue._chunk_ids[:0]),
-                        ("_next_id", 0), ("_live", 0)):
-        monkeypatch.setattr(pvalue, name, empty)
     pvalue_table([1, 2], [3, 4])   # totals 4 and 6
     calls, spans = [], pvalue._spans
     monkeypatch.setattr(pvalue, "_spans", lambda margins: (
@@ -848,6 +841,47 @@ def test_a_fresh_build_on_a_filled_registry_spans_its_margins_once(monkeypatch):
     assert calls == [[[12], [14]]]
     pvalue_table([2, 0], [1, 9], [4, 9], [3, 9])
     assert calls == [[[12], [14]], [[4, 3, 3], [9, 9, 9]]]
+    assert_registry_consistent()
+
+
+@pytest.mark.parametrize("read_first", ["before", "after"])
+def test_tables_made_before_and_after_a_merge_share_every_support(empty_registry, read_first):
+    """The registry makes each margin's supports once, into lists that its
+    chunks share, so a table made before its chunk merges and a table made
+    after hand out the same objects, both flavors, whichever reads first.
+    A table made before a reset keeps its own."""
+    early = pvalue_table([3], [4])            # total 7, one chunk of level 0
+    pvalue_table([1], [1])                    # total 2, merged with it into level 1
+    assert [chunk.level for chunk in pvalue._chunks] == [1]
+    late = pvalue_table([2], [5])
+    tables = (early, late) if read_first == "before" else (late, early)
+    made = [table.supports[0] for table in tables[0]]
+    assert all(table.supports[0] is support for table, support in zip(tables[1], made))
+    assert_registry_consistent()
+    pvalue._reset()
+    assert all(table.supports[0] is support for table, support in zip(tables[0], made))
+    assert not any(table.supports[0] is support
+                   for table, support in zip(pvalue_table([2], [5]), made))
+
+
+@pytest.mark.parametrize("margin", [(None, None), (7, 30)], ids=["bt", "fet"])
+def test_a_run_of_one_margin_builds_shares_supports_across_its_merges(empty_registry, margin):
+    """Sixteen one-margin calls merge their chunks to level 4; each table's
+    supports, read as soon as it is made (even calls) or only after every
+    merge (odd ones), are the objects a table of all sixteen made last
+    hands out, both flavors."""
+    n1, n2 = margin
+    tables, made = [], {}
+    for t in range(16):
+        tables.append(pvalue_table([0], [t], n1, n2))
+        if t % 2 == 0:
+            made[t] = [table.supports[0] for table in tables[t]]
+    assert max(chunk.level for chunk in pvalue._chunks) >= 3
+    made.update((t, [table.supports[0] for table in tables[t]]) for t in range(1, 16, 2))
+    last = pvalue_table(np.zeros(16, dtype=np.int64), np.arange(16), n1, n2)
+    for f, table in enumerate(last):
+        assert all(table.supports[j] is made[t][f] for t, j in enumerate(table.support_index))
+    assert_registry_consistent()
 
 
 def assert_same_runs(got, want):
