@@ -20,6 +20,7 @@ import sys
 
 # pvalue first: compiled before its importers, it lowers the peak of an uncached import.
 from .pvalue import PValueFlavor
+from .dist import _check_int
 from .errors import DataError, InvariantViolation
 from . import ingest, stepup
 
@@ -126,8 +127,7 @@ def simulate(test, grid, pi0, alpha, eta, n_trials, dependence,
                 workers = int(raw := os.environ.get("STEPFDR_WORKERS", "1"))
             except ValueError:
                 raise ValueError(f"STEPFDR_WORKERS must be an integer, got {raw!r}")
-            if workers < 1:
-                raise ValueError(f"STEPFDR_WORKERS must be >= 1, got {workers}")
+            _check_int(workers, "STEPFDR_WORKERS", 1)
             pi0s, alphas = sim.DEFAULT_PI0S, sim.DEFAULT_ALPHAS
             if param is None:
                 params = sim.DEFAULT_ETAS if test == "bt" else sim.DEFAULT_NS

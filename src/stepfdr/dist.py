@@ -23,9 +23,14 @@ __all__ = [
 ]
 
 
-def _check_int(value, name: str) -> int:
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """`value` as an int, or a ValueError naming `name` if it is not an
+    integer or lies below `least`, when that is given: the one statement of
+    every integer bound."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -37,13 +42,6 @@ def _check_float(values, name: str) -> np.ndarray:
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {raw.dtype}")
     return raw.astype(np.float64, copy=False)
-
-
-def _check_nonneg_int(value, name: str) -> int:
-    value = _check_int(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
 
 
 class DiscreteDistribution(NamedTuple):
@@ -81,7 +79,7 @@ def binomial_null(n: int) -> DiscreteDistribution:
     The numerators follow C(n, x+1) = C(n, x)(n - x)/(x + 1), whose
     division is exact.
     """
-    n = _check_nonneg_int(n, "n")
+    n = _check_int(n, "n", 0)
     numerators = accumulate(range(n), lambda c, x: c * (n - x) // (x + 1),
                             initial=1)
     return DiscreteDistribution(range(n + 1), tuple(numerators), 1 << n)
@@ -95,9 +93,9 @@ def hypergeometric_null(n1: int, n2: int, m_total: int) -> DiscreteDistribution:
     From the first, each numerator follows by the exact recurrence
     f(x+1) = f(x)(n1 - x)(m_total - x) / ((x + 1)(n2 - m_total + x + 1)).
     """
-    n1 = _check_nonneg_int(n1, "n1")
-    n2 = _check_nonneg_int(n2, "n2")
-    m_total = _check_nonneg_int(m_total, "m_total")
+    n1 = _check_int(n1, "n1", 0)
+    n2 = _check_int(n2, "n2", 0)
+    m_total = _check_int(m_total, "m_total", 0)
     if m_total > n1 + n2:
         raise ValueError(
             f"m_total must lie in [0, n1 + n2], got {m_total} > {n1 + n2}")

@@ -44,6 +44,12 @@ DEFAULT_NS = (10, 20, 30)
 _BLOCK = 4096   # tests per block of replications, which bounds its arrays
 
 
+def _check_rho(rho: float) -> None:
+    """Raise a ValueError unless `rho` lies in [0, 1): the rule's one statement."""
+    if not 0.0 <= rho < 1.0:   # NaN fails too
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation cell.
@@ -74,10 +80,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.test not in ("bt", "fet"):
             raise ValueError(f"test must be 'bt' or 'fet', got {self.test!r}")
-        for name in ("m", "n", "blocks", "reps", "seed"):
-            value = getattr(self, name)
-            if not (name == "n" and value is None):   # bt cells take no n
-                _check_int(value, name)
+        for name, least in (("m", 1), ("blocks", None), ("reps", 1), ("seed", 0)):
+            _check_int(getattr(self, name), name, least)
         for name in ("pi0", "alpha", "eta", "rho"):
             value = getattr(self, name)
             if name == "eta" and value is None:   # fet cells take no eta
@@ -96,12 +100,9 @@ class SimConfig:
         else:
             if self.n is None or self.eta is not None:
                 raise ValueError("fet cells take n and no eta")
-            if self.n < 1:
-                raise ValueError(f"n must be >= 1, got {self.n}")
+            _check_int(self.n, "n", 1)
         if not 0.0 <= self.pi0 <= 1.0:
             raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
         m0 = self.pi0 * self.m
         if abs(m0 - round(m0)) > 1e-9:
             raise ValueError(f"pi0 * m must be an integer, got {m0}")
@@ -113,16 +114,11 @@ class SimConfig:
             if self.blocks < 1 or self.m % self.blocks:
                 raise ValueError(f"blocks must be >= 1 and divide m = {self.m}, "
                                  f"got {self.blocks}")
-            if not 0.0 <= self.rho < 1.0:
-                raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+            _check_rho(self.rho)
         if self.copula_sharing not in ("shared", "per-group"):
             raise ValueError(
                 f"copula_sharing must be 'shared' or 'per-group', "
                 f"got {self.copula_sharing!r}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def m0(self) -> int:
@@ -146,10 +142,9 @@ def gen_copula_uniforms(blocks: int, block_size: int, rho: float,
     CDF.  Distinct blocks are independent.  rng is one generator, or a
     sequence of them giving one row each, in order; each only draws normals.
     """
-    if _check_int(blocks, "blocks") < 1 or _check_int(block_size, "block_size") < 1:
-        raise ValueError("blocks and block_size must be >= 1")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_int(blocks, "blocks", 1)
+    _check_int(block_size, "block_size", 1)
+    _check_rho(rho)
     from scipy import special  # only the block-dependence path needs scipy
 
     rngs = _generators(rng)
@@ -375,8 +370,7 @@ def _cells(test: str, pi0s, alphas, params, **fields) -> list[tuple[SimConfig, t
 def _run_cells(cells: list[tuple[SimConfig, tuple]], workers: int) -> list[SimSummary]:
     """Summaries of `cells` in their order, alphas inner; `workers` > 1 fans
     the cells out to a process pool without changing any output."""
-    if _check_int(workers, "workers") < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_int(workers, "workers", 1)
     if workers > 1 and len(cells) > 1:
         from multiprocessing import get_context  # only a pool needs it
         with get_context("fork").Pool(min(workers, len(cells))) as pool:

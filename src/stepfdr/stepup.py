@@ -211,23 +211,21 @@ def _gammas(steps: _Steps | list, thresholds: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _used(parts, slots: np.ndarray) -> list:
+def _groups(parts, slots: np.ndarray, bound: float = np.inf) -> list[list]:
     """The slots of `parts` that `slots` names, each once, as `pvalue._pool`
-    parts."""
+    parts: one group if the points of their parts fit in `bound`, else
+    groups of whole slots, group g taking the slots whose points start from
+    g `bound` to (g + 1) `bound` in the pool of them all."""
     used = np.bincount(slots, minlength=sum(ks.size for _, ks in parts)) > 0
-    out, start = [], 0
+    picked, start = [], 0
     for flat, ks in parts:
         ks, start = ks[used[start:start + ks.size]], start + ks.size
         if ks.size:
-            out.append((flat, ks))
-    return out
-
-
-def _groups(parts, slots: np.ndarray, bound: int) -> list[list]:
-    """`_used` parts in groups of whole slots: group g takes the slots whose
-    points start from g `bound` to (g + 1) `bound` in the pool of them all."""
+            picked.append((flat, ks))
+    if sum(int(flat.starts[-1]) for flat, _ in picked) <= bound:
+        return [picked]
     groups, filled = {}, 0
-    for flat, ks in _used(parts, slots):
+    for flat, ks in picked:
         sizes = flat.starts[ks + 1] - flat.starts[ks]
         label = (filled + np.cumsum(sizes) - sizes) // bound
         filled += sizes.sum()
@@ -249,10 +247,17 @@ def _gammas_of(groups: list[list], cutoffs: np.ndarray) -> np.ndarray:
     return np.where(gamma > -np.inf, gamma, np.nan)
 
 
-def _f_star(table: PValueTable) -> _Steps | list:
+def _f_star(table: PValueTable, max_cdf: MaxCdf | None = None) -> _Steps | list:
     """F* of a batch of one of `table`, for `_cdf_at` and `_gammas`: its
     `_groups` of about max(_GROUP, m) pooled points each, read one at a
-    time, or the steps of its one group."""
+    time, or the steps of its one group, or of `max_cdf` if one is passed.
+    The scan reads F* only at the p-values, so each must be a grid point."""
+    if max_cdf is not None:
+        at = np.searchsorted(max_cdf.grid, table.p)
+        if not np.array_equal(max_cdf.grid.take(at, mode="clip"), table.p):
+            raise ValueError("max_cdf must be built on the supports of the table's "
+                             "tests, but a p-value is not on its grid")
+        return _steps_of(max_cdf)
     groups = _groups(table._parts, table.support_index, max(_GROUP, table.p.size))
     return _sweep(groups[0]) if len(groups) == 1 else groups
 
@@ -265,7 +270,7 @@ def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
 def build_max_cdf(table: PValueTable) -> MaxCdf:
     """Tabulate max_i F_i over the sorted union of the points of the
     supports that `table`'s tests use, in one sweep of a batch of one."""
-    steps = _sweep(_used(table._parts, table.support_index))
+    steps = _sweep(_groups(table._parts, table.support_index)[0])
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)
@@ -279,8 +284,7 @@ def critical_values(max_cdf: MaxCdf, alpha: float, m: int) -> np.ndarray:
     0 can never pass a comparison against an infeasible rank.
     """
     _check_alpha(alpha)
-    if _check_int(m, "m") < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_int(m, "m", 1)
     return _gammas(_steps_of(max_cdf), _thresholds(np.array([alpha]), m)[None])[0, 0]
 
 
@@ -379,8 +383,7 @@ def bh_plus(table: PValueTable, alpha: float, *,
     tests use; a `max_cdf` built from them may be passed to reuse work across
     alpha levels.
     """
-    steps = _f_star(table) if max_cdf is None else _steps_of(max_cdf)
-    return _step_up(table.p, alpha, steps)[0]
+    return _step_up(table.p, alpha, _f_star(table, max_cdf))[0]
 
 
 def bh(pvalues, alpha: float) -> StepUpResult:
@@ -423,8 +426,7 @@ def mid_vs_conventional(conv_result: StepUpResult, mid_table: PValueTable,
     m = mid_table.p.size
     if conv_result.m != m:
         raise ValueError(f"conventional run had m = {conv_result.m}, but got {m} mid p-values")
-    steps = _f_star(mid_table) if max_cdf is None else _steps_of(max_cdf)
-    mid_result, f_mid = _step_up(mid_table.p, alpha, steps)
+    mid_result, f_mid = _step_up(mid_table.p, alpha, _f_star(mid_table, max_cdf))
     r_cp = np.array([[conv_result.rejection_count]])
     r_mp = np.array([[mid_result.rejection_count]])
     condition = _condition(f_mid, r_cp, np.array([alpha]))

@@ -521,6 +521,21 @@ class TestSimulateCli:
         # 5 pi0 values x 1 n x 4 alphas x 3 procedures + header.
         assert len(lines) == 61
 
+    @pytest.mark.parametrize("test, param, values", [
+        ("bt", "eta", ["3.0", "4.5", "6.0"]),
+        ("fet", "n", ["10", "20", "30"]),
+    ])
+    def test_grid_without_eta_or_n_takes_the_default_grid(self, tmp_path, test, param,
+                                                           values):
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--test", test, "--grid", "--m", "10", "--reps", "1",
+                     "--output", str(out)]) == 0
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # 5 pi0 values x 3 parameter values x 4 alphas x 3 procedures.
+        assert len(rows) == 180
+        assert list(dict.fromkeys(row[param] for row in rows)) == values
+
     @pytest.mark.parametrize("raw, problem", [
         ("abc", "must be an integer, got 'abc'"),
         ("0", "must be >= 1, got 0"),

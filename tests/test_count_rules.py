@@ -1,9 +1,13 @@
-"""Each count range rule, the trial-totals rule and the alpha rule are
-written once in the package: the text that `pvalue.checked_total` writes
-for a count rule or for n1 without n2, and the text of
-`stepup._check_alpha`, occur in exactly one place in the package's source,
-so no second copy of a rule can drift from it."""
+"""Each count range rule, the trial-totals rule, the alpha rule, the
+integer lower bound and the rho rule are written once in the package: the
+text that `pvalue.checked_total` writes for a count rule or for n1 without
+n2, the text of `stepup._check_alpha`, the bound that `dist._check_int`
+writes for every integer argument, setting or environment variable that
+has one, and the text of `sim._check_rho` occur in exactly one place in
+the package's source, so no second copy of a rule can drift from it."""
 
+import contextlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +17,9 @@ import pytest
 import stepfdr
 from stepfdr.ingest import CountTable
 from stepfdr.pvalue import PValueFlavor, PValueTable, bt_support, pvalue_table
-from stepfdr.sim import SimConfig
+from stepfdr.cli import main
+from stepfdr.dist import binomial_null
+from stepfdr.sim import SimConfig, gen_copula_uniforms, run_grid
 from stepfdr.stepup import bh, build_max_cdf, critical_values, run_procedures
 
 SOURCES = sorted(Path(stepfdr.__file__).parent.glob("*.py"))
@@ -65,6 +71,58 @@ def test_the_alpha_rule_is_written_once(call):
         call()
     assert str(error.value) == "alpha must lie in (0, 1), got 2.0"
     found = places("alpha must lie in (0, 1)")
+    assert len(found) == 1, found
+
+
+def usage_error(argv):
+    """Raise the usage error that `main(argv)` reports, as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    raise ValueError(err.getvalue().removeprefix("stepfdr: error: usage: ").rstrip("\n"))
+
+
+def cell(**fields):
+    """A bt cell, unless `fields` say otherwise."""
+    return SimConfig(**{"test": "bt", "pi0": 0.5, "alpha": 0.05, "eta": 3.0, **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cell(m=0), "m must be >= 1, got 0"),
+    (lambda: cell(test="fet", eta=None, n=0), "n must be >= 1, got 0"),
+    (lambda: cell(reps=0), "reps must be >= 1, got 0"),
+    (lambda: cell(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: critical_values(build_max_cdf(pvalue_table([1], [2])[0]), 0.05, 0),
+     "m must be >= 1, got 0"),
+    (lambda: run_grid("bt", pi0s=(0.5,), etas=(3.0,), m=10, reps=1, workers=0),
+     "workers must be >= 1, got 0"),
+    (lambda: gen_copula_uniforms(2, 0, 0.2, np.random.default_rng(0)),
+     "block_size must be >= 1, got 0"),
+    (lambda: binomial_null(-1), "n must be >= 0, got -1"),
+    (lambda: usage_error(["simulate", "--test", "bt", "--grid", "--eta", "3",
+                          "--m", "10", "--reps", "1"]),
+     "STEPFDR_WORKERS must be >= 1, got 0"),
+], ids=["SimConfig-m", "SimConfig-n", "SimConfig-reps", "SimConfig-seed",
+        "critical_values", "run_grid-workers", "gen_copula_uniforms", "binomial_null",
+        "STEPFDR_WORKERS"])
+def test_the_integer_bound_is_written_once(call, message, monkeypatch):
+    monkeypatch.setenv("STEPFDR_WORKERS", "0")   # only the command line reads it
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+    found = places("must be >= {least}, got")
+    assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cell(dependence="block", rho=1.0),
+    lambda: gen_copula_uniforms(2, 2, 1.0, np.random.default_rng(0)),
+], ids=["SimConfig", "gen_copula_uniforms"])
+def test_the_rho_rule_is_written_once(call):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == "rho must lie in [0, 1), got 1.0"
+    found = places("rho must lie in [0, 1)")
     assert len(found) == 1, found
 
 

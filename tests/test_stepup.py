@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stepfdr import stepup
+from stepfdr.errors import InvariantViolation
 from stepfdr.pvalue import (
     PValueFlavor,
     PValueSupport,
@@ -465,6 +466,56 @@ def test_build_max_cdf_pools_only_the_supports_the_tests_use():
     alone = build_max_cdf(PValueTable(supports[:1], [0, 0, 0], [0, 0, 0]))
     assert max_cdf.grid.tobytes() == alone.grid.tobytes()
     assert max_cdf.values.tobytes() == alone.values.tobytes()
+
+
+def test_a_max_cdf_built_on_other_supports_is_refused():
+    """The scan reads a passed `max_cdf` only at the table's p-values, so
+    each must be a point of its grid.  One built from another table's
+    supports once raised an InvariantViolation at alpha 0.2 and, at 0.455,
+    rejected 4 where the table's own F* rejects 5."""
+    other = build_max_cdf(pvalue_table([3, 1, 0], [4, 9, 2])[1])
+    conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])
+    for call in (lambda: bh_plus(mid, 0.2, max_cdf=other),
+                 lambda: bh_plus(mid, 0.455, max_cdf=other),
+                 lambda: mid_vs_conventional(bh_plus(conv, 0.455), mid, 0.455,
+                                             max_cdf=other)):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == ("max_cdf must be built on the supports of the "
+                                    "table's tests, but a p-value is not on its grid")
+    own = build_max_cdf(mid)
+    assert bh_plus(mid, 0.455, max_cdf=own).rejection_count == 5
+    assert mid_vs_conventional(bh_plus(conv, 0.455), mid, 0.455, max_cdf=own).r_mp == 5
+
+
+def test_a_count_ordering_failure_names_its_pair_and_counts(monkeypatch):
+    """With the condition flipped at the last (replication, alpha) pair,
+    `run_procedures` and `mid_vs_conventional` each report that pair, the
+    condition and both counts."""
+    conv, mid = pvalue_table([14, 5, 2, 2, 9, 3, 1, 0, 4, 2],
+                             [1, 15, 6, 5, 4, 4, 9, 2, 1, 3])
+    alphas = (0.05, 0.455)
+    runs = run_procedures(conv, mid, alphas, reps=2)
+    original = stepup._condition
+
+    def flipped(*args):
+        condition = original(*args)
+        condition.flat[-1] = not condition.flat[-1]
+        return condition
+
+    monkeypatch.setattr(stepup, "_condition", flipped)
+    text = "count-ordering condition disagrees with the realized counts: {}"
+    with pytest.raises(InvariantViolation) as error:
+        run_procedures(conv, mid, alphas, reps=2)
+    r_cp, r_mp = runs.rejection_count[1:, 1, 1]
+    assert str(error.value) == text.format(
+        f"condition={not runs.condition_holds[1, 1]}, r_cp={r_cp}, r_mp={r_mp}")
+    assert error.value.pair == (1, 1)
+    conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])
+    with pytest.raises(InvariantViolation) as error:
+        mid_vs_conventional(bh_plus(conv, 0.455), mid, 0.455)
+    assert str(error.value) == text.format("condition=False, r_cp=5, r_mp=5")
+    assert error.value.pair == (0, 0)
 
 
 def test_single_run_step_ups_sweep_the_table_without_a_max_cdf(monkeypatch):
