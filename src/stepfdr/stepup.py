@@ -211,21 +211,23 @@ def _gammas(steps: _Steps | list, thresholds: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _groups(parts, slots: np.ndarray, bound: float = np.inf) -> list[list]:
+def _used(parts, slots: np.ndarray) -> list:
     """The slots of `parts` that `slots` names, each once, as `pvalue._pool`
-    parts: one group if the points of their parts fit in `bound`, else
-    groups of whole slots, group g taking the slots whose points start from
-    g `bound` to (g + 1) `bound` in the pool of them all."""
+    parts."""
     used = np.bincount(slots, minlength=sum(ks.size for _, ks in parts)) > 0
-    picked, start = [], 0
+    out, start = [], 0
     for flat, ks in parts:
         ks, start = ks[used[start:start + ks.size]], start + ks.size
         if ks.size:
-            picked.append((flat, ks))
-    if sum(int(flat.starts[-1]) for flat, _ in picked) <= bound:
-        return [picked]
+            out.append((flat, ks))
+    return out
+
+
+def _groups(parts, slots: np.ndarray, bound: int) -> list[list]:
+    """`_used` parts in groups of whole slots: group g takes the slots whose
+    points start from g `bound` to (g + 1) `bound` in the pool of them all."""
     groups, filled = {}, 0
-    for flat, ks in picked:
+    for flat, ks in _used(parts, slots):
         sizes = flat.starts[ks + 1] - flat.starts[ks]
         label = (filled + np.cumsum(sizes) - sizes) // bound
         filled += sizes.sum()
@@ -251,10 +253,13 @@ def _f_star(table: PValueTable, max_cdf: MaxCdf | None = None) -> _Steps | list:
     """F* of a batch of one of `table`, for `_cdf_at` and `_gammas`: its
     `_groups` of about max(_GROUP, m) pooled points each, read one at a
     time, or the steps of its one group, or of `max_cdf` if one is passed.
-    The scan reads F* only at the p-values, so each must be a grid point."""
+    The scan reads F* only at the p-values, so a `max_cdf` whose grid misses
+    one is refused; one built on other supports that hold every p-value is
+    not detected."""
     if max_cdf is not None:
-        at = np.searchsorted(max_cdf.grid, table.p)
-        if not np.array_equal(max_cdf.grid.take(at, mode="clip"), table.p):
+        grid = max_cdf.grid
+        at = np.searchsorted(grid, table.p)
+        if (at >= grid.size).any() or not np.array_equal(grid[at], table.p):
             raise ValueError("max_cdf must be built on the supports of the table's "
                              "tests, but a p-value is not on its grid")
         return _steps_of(max_cdf)
@@ -270,7 +275,7 @@ def _thresholds(alphas: np.ndarray, m: int) -> np.ndarray:
 def build_max_cdf(table: PValueTable) -> MaxCdf:
     """Tabulate max_i F_i over the sorted union of the points of the
     supports that `table`'s tests use, in one sweep of a batch of one."""
-    steps = _sweep(_groups(table._parts, table.support_index)[0])
+    steps = _sweep(_used(table._parts, table.support_index))
     grid, values = steps.points[steps.run], steps.levels[steps.top]
     grid.flags.writeable = values.flags.writeable = False
     return MaxCdf(grid, values)

@@ -472,18 +472,24 @@ def test_a_max_cdf_built_on_other_supports_is_refused():
     """The scan reads a passed `max_cdf` only at the table's p-values, so
     each must be a point of its grid.  One built from another table's
     supports once raised an InvariantViolation at alpha 0.2 and, at 0.455,
-    rejected 4 where the table's own F* rejects 5."""
+    rejected 4 where the table's own F* rejects 5.  A grid that ends below
+    a p-value, or is empty, is refused with the same message."""
     other = build_max_cdf(pvalue_table([3, 1, 0], [4, 9, 2])[1])
     conv, mid = pvalue_table([14, 5, 2, 2, 9], [1, 15, 6, 5, 4])
+    own = build_max_cdf(mid)
+    cut = np.searchsorted(own.grid, mid.p.max())
+    short = MaxCdf(own.grid[:cut], own.values[:cut])
+    empty = MaxCdf(np.empty(0), np.empty(0))
     for call in (lambda: bh_plus(mid, 0.2, max_cdf=other),
                  lambda: bh_plus(mid, 0.455, max_cdf=other),
                  lambda: mid_vs_conventional(bh_plus(conv, 0.455), mid, 0.455,
-                                             max_cdf=other)):
+                                             max_cdf=other),
+                 lambda: bh_plus(mid, 0.2, max_cdf=short),
+                 lambda: bh_plus(mid, 0.2, max_cdf=empty)):
         with pytest.raises(ValueError) as error:
             call()
         assert str(error.value) == ("max_cdf must be built on the supports of the "
                                     "table's tests, but a p-value is not on its grid")
-    own = build_max_cdf(mid)
     assert bh_plus(mid, 0.455, max_cdf=own).rejection_count == 5
     assert mid_vs_conventional(bh_plus(conv, 0.455), mid, 0.455, max_cdf=own).r_mp == 5
 
